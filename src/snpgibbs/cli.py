@@ -442,12 +442,13 @@ def cmd_select(args) -> int:
         seed=settings["seed"],
         min_samples_per_bf=settings["min_samples_per_bf"],
     )
-    states = list(samples.states)
+    states = samples.states  # the searches materialise only their window
     if settings["exhaustive"]:
         trace = exhaustive_search(states, data, candidates, config)
     else:
         trace = mh_model_search(states, data, config, candidates=candidates)
     io.write_trace(out / "trace.csv", trace, lines)
+    io.write_bf_diagnostics(out / "bf_diagnostics.csv", trace, lines)
     io.write_best_model(out / "best_model.txt", trace, samples.gamma_labels, lines)
     io.write_manifest_file(out / "manifest.txt", manifest)
     best_labels = [samples.gamma_labels[j] for j in trace.best[0].included()]

@@ -57,6 +57,7 @@ __all__ = [
     "write_intervals",
     "write_autocorrelations",
     "write_trace",
+    "write_bf_diagnostics",
     "write_best_model",
     "write_truth",
     "read_truth",
@@ -334,6 +335,18 @@ def write_trace(path, trace, manifest_lines=()):
     write_table(path, ["iteration", "delta", "log_bf", "accepted"], rows, manifest_lines)
 
 
+def write_bf_diagnostics(path, trace, manifest_lines=()):
+    """One row per scored model: valid and invalid terms, the variance of
+    the log terms and the importance-weight ESS (sum w)^2 / sum w^2."""
+    rows = [
+        (delta.bitstring(), est.sample_count, est.invalid_count,
+         est.log_term_variance, est.weight_ess)
+        for delta, est in trace.estimates.items()
+    ]
+    header = ["delta", "valid", "invalid", "log_term_variance", "weight_ess"]
+    write_table(path, header, rows, manifest_lines)
+
+
 def write_best_model(path, trace, gamma_labels, manifest_lines=()):
     delta, log_bf = trace.best
     included = [gamma_labels[j] for j in delta.included()]
@@ -343,6 +356,7 @@ def write_best_model(path, trace, gamma_labels, manifest_lines=()):
         fh.write(f"delta={delta.bitstring()}\n")
         fh.write(f"log_bf={fmt(log_bf)}\n")
         fh.write("included=" + ";".join(included) + "\n")
+        fh.write(f"skipped={trace.skipped}\n")
 
 
 # -- simulation truth ----------------------------------------------------------

@@ -2,20 +2,30 @@
 Metropolis-Hastings stochastic search over inclusion vectors.
 
 A model is an inclusion vector delta over the SNP-effect coefficients; the
-reduced model keeps Y = X beta + Z_delta gamma_delta + eps. Each candidate
-is scored by its Bayes factor against the full model, estimated from
-posterior draws of the full model as a sample average of per-state terms
+reduced model keeps Y = X beta + Z_delta gamma_delta + eps, with
+eps ~ N(0, sigma^2 R). Each candidate is scored by its Bayes factor against
+the full model, estimated from posterior draws of the full model as a
+sample average of per-state terms
 
-  (phi^2)^{dc/2} |Z_c' Z_c|^{1/2}
+  (phi^2)^{dc/2} |Z_c' R^-1 Z_c|^{1/2}
       * exp( |gamma_c|^2 / (2 sigma^2 phi^2) - C' P_c C / (2 sigma^2) ),
 
 where the subscript c marks the excluded columns, C = Y - X beta -
-Z_d gamma_d, and P_c projects onto the excluded-column span. The term is
-the prior ratio of reduced to full model times the bridge weight
-g(theta) = (2 pi sigma^2)^{-dc/2} |Z_c'Z_c|^{1/2} exp(-C'P_c C/(2 sigma^2)),
+Z_d gamma_d, and P_c = R^-1 Z_c (Z_c'R^-1Z_c)^-1 Z_c'R^-1 is the
+R^-1-weighted projection onto the excluded-column span. The term is the
+prior ratio of reduced to full model times the bridge weight
+g(theta) = (2 pi sigma^2)^{-dc/2} |Z_c'R^-1Z_c|^{1/2} exp(-C'P_c C/(2 sigma^2)),
 whose integral over the excluded coefficients reproduces the reduced-model
 likelihood; averaging it over full-model posterior draws is strongly
 consistent for the Bayes factor. Everything accumulates in log space.
+
+A search reduces each posterior state once to statistics of its whitened
+completed design (W the inverse Cholesky factor of R): H = Z'R^-1Z and
+h = Z'R^-1(Y - X beta). The columns every model of the search excludes
+(F, the non-candidates) are eliminated from H once per completed design
+(once per search when no genotype is missing), leaving candidate-sized
+arrays; a model is then a batched log-determinant and solve
+on the Schur complement of its excluded candidates.
 
 The search chain accepts a proposal with min{1, BF'/BF}; proposals flip a
 random coefficient with probability a and jump to an independent uniform
@@ -24,9 +34,11 @@ model otherwise (a symmetric kernel).
 
 from __future__ import annotations
 
+import collections
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -37,10 +49,12 @@ __all__ = [
     "EstimationError",
     "ModelIndicator",
     "BayesFactorEstimate",
+    "BayesFactorStatistics",
     "SearchConfig",
     "SearchTrace",
     "g_weight",
     "bf_sample_term",
+    "bayes_factor_statistics",
     "estimate_bayes_factor",
     "propose_model",
     "mh_model_search",
@@ -102,13 +116,18 @@ class ModelIndicator:
 
 @dataclass
 class BayesFactorEstimate:
-    """Sample-average Bayes-factor estimate with log-space accounting."""
+    """Sample-average Bayes-factor estimate with log-space accounting.
+
+    ``weight_ess`` is the importance-weight effective sample size
+    (sum w)^2 / sum w^2 of the valid terms w.
+    """
 
     log_value: float
     sample_count: int
     log_term_mean: float
     log_term_variance: float
     invalid_count: int = 0
+    weight_ess: float = 0.0
 
     @property
     def value(self) -> float:
@@ -144,28 +163,38 @@ class SearchConfig:
 
 @dataclass
 class SearchTrace:
-    """Visited models with their estimated log Bayes factors."""
+    """Visited models with their estimated log Bayes factors.
+
+    ``estimates`` keeps the full estimate of every scored model, once per
+    distinct model, in the order the models were first scored.
+    """
 
     visited: list = field(default_factory=list)  # (ModelIndicator, log_bf, accepted)
     best: Optional[tuple] = None  # (ModelIndicator, log_bf)
     skipped: int = 0
+    estimates: dict = field(default_factory=dict)  # ModelIndicator -> BayesFactorEstimate
 
-    def record(self, delta: ModelIndicator, log_bf: float, accepted: bool) -> None:
+    def record(
+        self, delta: ModelIndicator, estimate: BayesFactorEstimate, accepted: bool
+    ) -> None:
+        log_bf = estimate.log_value
         self.visited.append((delta, log_bf, accepted))
+        self.estimates.setdefault(delta, estimate)
         if self.best is None or log_bf > self.best[1]:
             self.best = (delta, log_bf)
 
 
-def _state_design(state: ParameterState, data: Dataset) -> np.ndarray:
-    return snp_design_matrix(state.z_imputed, data.snp_coding)
+# -- per-state reference ----------------------------------------------------
 
 
-def _excluded_pieces(state, data, delta, design):
-    """Gram log-determinant and projected quadratic form for the excluded set."""
+def _excluded_pieces(state, data, delta):
+    """R^-1-weighted Gram log-determinant and projected quadratic form for
+    the excluded set: log|Z_c'R^-1Z_c| and C'P_c C."""
     exc = list(delta.excluded())
-    Zd = design if design is not None else _state_design(state, data)
+    Zd = snp_design_matrix(state.z_imputed, data.snp_coding)
     Zc = Zd[:, exc]
-    G = Zc.T @ Zc
+    RinvZc = np.linalg.solve(data.R, Zc)
+    G = Zc.T @ RinvZc
     sign, logdet = np.linalg.slogdet(G)
     if sign <= 0 or not np.isfinite(logdet):
         raise _SingularGram(f"excluded-column Gram matrix singular for {delta.bitstring()}")
@@ -173,29 +202,25 @@ def _excluded_pieces(state, data, delta, design):
     C = data.y - data.X @ state.beta
     if inc:
         C = C - Zd[:, inc] @ state.gamma[inc]
-    t = Zc.T @ C
+    t = RinvZc.T @ C
     try:
         quad = float(t @ np.linalg.solve(G, t))
     except np.linalg.LinAlgError as exc_:
         raise _SingularGram(str(exc_)) from None
-    return len(exc), logdet, quad, C
+    return len(exc), logdet, quad
 
 
-def g_weight(
-    state: ParameterState,
-    data: Dataset,
-    delta: ModelIndicator,
-    design: Optional[np.ndarray] = None,
-) -> float:
+def g_weight(state: ParameterState, data: Dataset, delta: ModelIndicator) -> float:
     """Bridge weight g(theta) for one state (computed in log space).
 
-    g = (2 pi sigma^2)^{-dc/2} |Z_c'Z_c|^{1/2} exp(-C'P_c C / (2 sigma^2)).
+    g = (2 pi sigma^2)^{-dc/2} |Z_c'R^-1Z_c|^{1/2} exp(-C'P_c C / (2 sigma^2)),
+    with P_c the R^-1-weighted projection onto the excluded columns.
     Requires a nonempty excluded set; the full model is the caller's
     trivial case.
     """
     if delta.is_full():
         raise ValueError("g_weight requires a nonempty excluded set")
-    dc, logdet, quad, _ = _excluded_pieces(state, data, delta, design)
+    dc, logdet, quad = _excluded_pieces(state, data, delta)
     log_g = (
         -0.5 * dc * math.log(2.0 * math.pi * state.sigma2)
         + 0.5 * logdet
@@ -204,26 +229,23 @@ def g_weight(
     return math.exp(log_g)
 
 
-def bf_sample_term(
-    state: ParameterState,
-    data: Dataset,
-    delta: ModelIndicator,
-    design: Optional[np.ndarray] = None,
-) -> float:
+def bf_sample_term(state: ParameterState, data: Dataset, delta: ModelIndicator) -> float:
     """Log of one state's Bayes-factor summand (prior ratio times g).
 
     The excluded-coefficient prior ratio contributes
     (2 pi sigma^2 phi^2)^{dc/2} exp(+|gamma_c|^2 / (2 sigma^2 phi^2));
     combined with g the (2 pi sigma^2) factors cancel, leaving
 
-      (dc/2) log phi^2 + 0.5 log|Z_c'Z_c|
+      (dc/2) log phi^2 + 0.5 log|Z_c'R^-1Z_c|
         + (|gamma_c|^2 / phi^2 - C'P_c C) / (2 sigma^2).
 
-    For the full model the term is identically 0 (empty products).
+    For the full model the term is identically 0 (empty products). This is
+    the direct per-state evaluation; ``estimate_bayes_factor`` computes the
+    same terms from per-state statistics.
     """
     if delta.is_full():
         return 0.0
-    dc, logdet, quad, _ = _excluded_pieces(state, data, delta, design)
+    dc, logdet, quad = _excluded_pieces(state, data, delta)
     gam_c = state.gamma[list(delta.excluded())]
     return (
         0.5 * dc * math.log(state.phi2)
@@ -232,65 +254,195 @@ def bf_sample_term(
     )
 
 
+# -- per-state statistics -----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class BayesFactorStatistics:
+    """Per-state statistics for every model whose included columns lie in
+    ``candidates`` (K); the remaining columns ``fixed`` (F) are excluded by
+    all of them and already eliminated.
+
+    With H = Z'R^-1Z and h = Z'R^-1(Y - X beta) of a state's completed
+    design, the statistics are log|H_FF|, M = H_KF H_FF^-1 H_FK and the
+    Schur complement S = H_KK - M, which depend on the design only, and
+    q0 = h_F'H_FF^-1 h_F, b = H_KF H_FF^-1 h_F, g = h_K - b, gamma, sigma^2
+    and phi^2, which depend on the state. With no missing genotype every
+    state shares the observed design, otherwise each state has its own; the
+    design arrays hold one row per design whose H_FF is positive definite
+    (D rows) and the state arrays are grouped under them (D x L, L states
+    per design). States of a design with a singular H_FF are invalid for
+    every model and only counted.
+    """
+
+    s: int
+    candidates: tuple[int, ...]
+    fixed: tuple[int, ...]
+    logdet_f: np.ndarray  # (D,)
+    M: np.ndarray  # (D, K, K)
+    S: np.ndarray  # (D, K, K)
+    q0: np.ndarray  # (D, L)
+    b: np.ndarray  # (D, L, K)
+    g: np.ndarray  # (D, L, K)
+    gamma: np.ndarray  # (D, L, s)
+    sigma2: np.ndarray  # (D, L)
+    phi2: np.ndarray  # (D, L)
+    invalid: int  # states of a design with a singular H_FF
+
+    @property
+    def state_count(self) -> int:
+        return self.q0.size + self.invalid
+
+
+def bayes_factor_statistics(
+    states: Iterable[ParameterState], data: Dataset, candidates: Iterable[int]
+) -> BayesFactorStatistics:
+    """Reduce each state to the candidate-sized statistics that score every
+    model including only columns from ``candidates``.
+
+    F is eliminated once per completed design: once per search when no
+    genotype is missing, once per state otherwise.
+    """
+    s = data.design_dim
+    K = sorted({int(j) for j in candidates})
+    for j in K:
+        if not 0 <= j < s:
+            raise ValueError(f"candidate index {j} out of range")
+    F = sorted(set(range(s)) - set(K))
+    k = len(K)
+    W = np.linalg.inv(np.linalg.cholesky(data.R))
+    wy = W @ data.y
+    wX = W @ data.X
+    ix_ff, ix_fk, ix_kk = np.ix_(F, F), np.ix_(F, K), np.ix_(K, K)
+
+    states = list(states)
+    if data.genotypes.missing_mask.any():
+        designs = [state.z_imputed for state in states]
+    else:
+        designs = [data.genotypes.codes] if states else []
+    D = len(designs)
+    L = len(states) // max(D, 1)
+
+    def per_state(values, *shape):
+        return np.array(values, dtype=float).reshape(D, L, *shape)
+
+    betas = per_state([state.beta for state in states], data.X.shape[1])
+    logdet_f = np.empty(D)
+    M, S = np.empty((D, k, k)), np.empty((D, k, k))
+    q0, b, g = np.empty((D, L)), np.empty((D, L, k)), np.empty((D, L, k))
+    valid = np.ones(D, dtype=bool)
+    for r, codes in enumerate(designs):
+        Z = W @ snp_design_matrix(codes, data.snp_coding)
+        H = Z.T @ Z
+        H_ff = H[ix_ff]
+        sign, logdet = np.linalg.slogdet(H_ff)
+        if sign <= 0 or not np.isfinite(logdet):
+            valid[r] = False
+            continue
+        h = (wy - betas[r] @ wX.T) @ Z
+        h_f = h[:, F]
+        H_fk = H[ix_fk]
+        try:
+            sol = np.linalg.solve(H_ff, np.column_stack([H_fk, h_f.T]))
+        except np.linalg.LinAlgError:
+            valid[r] = False
+            continue
+        logdet_f[r] = logdet
+        M[r] = H_fk.T @ sol[:, :k]
+        S[r] = H[ix_kk] - M[r]
+        b[r] = sol[:, k:].T @ H_fk
+        g[r] = h[:, K] - b[r]
+        q0[r] = np.einsum("lf,fl->l", h_f, sol[:, k:])
+    return BayesFactorStatistics(
+        s, tuple(K), tuple(F),
+        logdet_f=logdet_f[valid],
+        M=M[valid],
+        S=S[valid],
+        q0=q0[valid],
+        b=b[valid],
+        g=g[valid],
+        gamma=per_state([state.gamma for state in states], s)[valid],
+        sigma2=per_state([state.sigma2 for state in states])[valid],
+        phi2=per_state([state.phi2 for state in states])[valid],
+        invalid=L * int((~valid).sum()),
+    )
+
+
+def _log_terms(stats: BayesFactorStatistics, delta: ModelIndicator) -> np.ndarray:
+    """Log Bayes-factor terms of ``delta`` for the states whose excluded
+    Gram matrix is nonsingular."""
+    if delta.s != stats.s or any(delta.bits[j] for j in stats.fixed):
+        raise ValueError(
+            f"model {delta.bitstring()} includes columns outside the candidates"
+        )
+    d = np.array([k for k, j in enumerate(stats.candidates) if delta.bits[j]], dtype=int)
+    e = np.array([k for k, j in enumerate(stats.candidates) if not delta.bits[j]], dtype=int)
+    gd = stats.gamma[..., list(delta.included())]
+    gc = stats.gamma[..., list(delta.excluded())]
+    S_ee = stats.S[:, e[:, None], e]
+    sign, logdet_e = np.linalg.slogdet(S_ee)
+    valid = (sign > 0) & np.isfinite(logdet_e)
+    S_ee[~valid] = np.eye(len(e))  # placeholder so the batched solve runs
+    v = stats.g[..., e] - np.einsum("dlj,dje->dle", gd, stats.S[:, d[:, None], e])
+    w = np.linalg.solve(S_ee, v.transpose(0, 2, 1))
+    quad = (
+        stats.q0
+        - 2.0 * np.einsum("dli,dli->dl", gd, stats.b[..., d])
+        + np.einsum("dli,dij,dlj->dl", gd, stats.M[:, d[:, None], d], gd)
+        + np.einsum("dli,dil->dl", v, w)
+    )
+    terms = (
+        0.5 * gc.shape[-1] * np.log(stats.phi2)
+        + 0.5 * (stats.logdet_f + logdet_e)[:, None]
+        + (np.einsum("dli,dli->dl", gc, gc) / stats.phi2 - quad) / (2.0 * stats.sigma2)
+    )
+    return terms[valid].ravel()
+
+
 def estimate_bayes_factor(
-    states: Iterable[ParameterState],
+    states,
     data: Dataset,
     delta: ModelIndicator,
     min_samples: int = 1,
 ) -> BayesFactorEstimate:
-    """Average the per-state terms over a posterior stream (streaming
-    log-sum-exp; Welford statistics on the log terms).
+    """Average the per-state terms over a posterior sample (log-sum-exp).
 
-    States with a singular excluded-column Gram matrix (for example a
-    monomorphic imputed column) invalidate that term only; the invalid
-    count is reported on the estimate.
+    ``states`` is either an iterable of ParameterStates or the
+    BayesFactorStatistics of a search whose candidates cover the model's
+    included columns. States with a singular excluded-column Gram matrix
+    (for example a monomorphic imputed column) invalidate that term only;
+    the invalid count is reported on the estimate.
     """
-    shared_design = None
-    if not data.genotypes.missing_mask.any():
-        # completed matrix equals the observed one for every state
-        shared_design = snp_design_matrix(data.genotypes.codes, data.snp_coding)
-
-    running_max = -math.inf
-    scaled_sum = 0.0
-    count = 0
-    invalid = 0
-    mean = 0.0
-    m2 = 0.0
-    for state in states:
-        try:
-            term = bf_sample_term(state, data, delta, design=shared_design)
-        except _SingularGram:
-            invalid += 1
-            continue
-        count += 1
-        if term > running_max:
-            if count > 1:
-                scaled_sum *= math.exp(running_max - term)
-            running_max = term
-            scaled_sum += 1.0
-        else:
-            scaled_sum += math.exp(term - running_max)
-        d = term - mean
-        mean += d / count
-        m2 += d * (term - mean)
-    total = count + invalid
+    if isinstance(states, BayesFactorStatistics):
+        stats = states
+    else:
+        stats = bayes_factor_statistics(states, data, delta.included())
+    total = stats.state_count
     if total < min_samples:
         raise EstimationError(
             f"needed at least {min_samples} states, got {total}"
         )
+    terms = _log_terms(stats, delta)
+    count = terms.shape[0]
+    invalid = total - count
     if count == 0:
         raise EstimationError(
             f"all {invalid} terms invalid for model {delta.bitstring()}"
         )
-    log_bf = running_max + math.log(scaled_sum) - math.log(count)
-    variance = m2 / (count - 1) if count > 1 else 0.0
+    top = float(terms.max())
+    weights = np.exp(terms - top)
+    weight_sum = float(weights.sum())
     return BayesFactorEstimate(
-        log_value=log_bf,
+        log_value=top + math.log(weight_sum) - math.log(count),
         sample_count=count,
-        log_term_mean=mean,
-        log_term_variance=variance,
+        log_term_mean=float(terms.mean()),
+        log_term_variance=float(terms.var(ddof=1)) if count > 1 else 0.0,
         invalid_count=invalid,
+        weight_ess=weight_sum**2 / float(weights @ weights),
     )
+
+
+# -- search -------------------------------------------------------------------
 
 
 def propose_model(
@@ -309,12 +461,16 @@ def propose_model(
 
 
 def _window(states, config: SearchConfig) -> list:
-    states = list(states)
-    if not states:
+    """The last ``min_samples_per_bf`` states; a sequence is sliced before
+    any state outside the window is materialised."""
+    size = config.min_samples_per_bf
+    if isinstance(states, Sequence):
+        window = list(states[-size:])
+    else:
+        window = list(collections.deque(states, maxlen=size))
+    if not window:
         raise EstimationError("empty posterior state stream")
-    if len(states) > config.min_samples_per_bf:
-        return states[-config.min_samples_per_bf :]
-    return states
+    return window
 
 
 def mh_model_search(
@@ -333,17 +489,15 @@ def mh_model_search(
     rescaling every estimate by a common factor changes nothing.
     """
     window = _window(states, config)
-    s_full = window[0].gamma.shape[0]
+    s_full = data.design_dim
     if candidates is None:
         candidates = tuple(range(s_full))
     else:
         candidates = tuple(int(j) for j in candidates)
-        for j in candidates:
-            if not 0 <= j < s_full:
-                raise ValueError(f"candidate index {j} out of range")
+    stats = bayes_factor_statistics(window, data, candidates)
     rng = np.random.default_rng(config.seed)
     trace = SearchTrace()
-    cache: dict[tuple, float] = {}
+    cache: dict[tuple, BayesFactorEstimate] = {}
 
     def embed(sub: ModelIndicator) -> ModelIndicator:
         bits = [0] * s_full
@@ -351,9 +505,9 @@ def mh_model_search(
             bits[j] = sub.bits[k]
         return ModelIndicator(tuple(bits))
 
-    def evaluate(delta: ModelIndicator) -> float:
+    def evaluate(delta: ModelIndicator) -> BayesFactorEstimate:
         if delta.bits not in cache:
-            cache[delta.bits] = estimate_bayes_factor(window, data, delta).log_value
+            cache[delta.bits] = estimate_bayes_factor(stats, data, delta)
         return cache[delta.bits]
 
     if not candidates:
@@ -363,20 +517,20 @@ def mh_model_search(
 
     current_sub = ModelIndicator.full(len(candidates))
     current = embed(current_sub)
-    current_log_bf = evaluate(current)
-    trace.record(current, current_log_bf, True)
+    current_est = evaluate(current)
+    trace.record(current, current_est, True)
     for _ in range(config.search_iterations):
         proposal_sub = propose_model(current_sub, rng, config)
         proposal = embed(proposal_sub)
         try:
-            proposal_log_bf = evaluate(proposal)
+            proposal_est = evaluate(proposal)
         except EstimationError:
             trace.skipped += 1
             continue
-        accept = math.log(rng.random()) < proposal_log_bf - current_log_bf
-        trace.record(proposal, proposal_log_bf, bool(accept))
+        accept = math.log(rng.random()) < proposal_est.log_value - current_est.log_value
+        trace.record(proposal, proposal_est, bool(accept))
         if accept:
-            current_sub, current, current_log_bf = proposal_sub, proposal, proposal_log_bf
+            current_sub, current, current_est = proposal_sub, proposal, proposal_est
     return trace
 
 
@@ -399,24 +553,25 @@ def exhaustive_search(
         )
     config = config or SearchConfig()
     window = _window(states, config)
-    s_full = window[0].gamma.shape[0]
+    s_full = data.design_dim
+    stats = bayes_factor_statistics(window, data, candidates)
     results = []
     skipped = 0
     for mask in range(2 ** len(candidates)):
         included = [candidates[k] for k in range(len(candidates)) if mask >> k & 1]
         delta = ModelIndicator.from_included(s_full, included)
         try:
-            est = estimate_bayes_factor(window, data, delta)
+            est = estimate_bayes_factor(stats, data, delta)
         except EstimationError:
             skipped += 1
             continue
-        results.append((delta, est.log_value))
+        results.append((delta, est))
     if not results:
         raise EstimationError(
             f"every candidate model failed estimation ({skipped} skipped)"
         )
-    results.sort(key=lambda item: item[1], reverse=True)
+    results.sort(key=lambda item: item[1].log_value, reverse=True)
     trace = SearchTrace(skipped=skipped)
-    for delta, log_bf in results:
-        trace.record(delta, log_bf, True)
+    for delta, est in results:
+        trace.record(delta, est, True)
     return trace

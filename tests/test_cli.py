@@ -242,6 +242,22 @@ class TestSelectCommand:
         best = (sel_out / "best_model.txt").read_text()
         assert "delta=" in best and "log_bf=" in best
 
+    def test_bf_diagnostics_one_row_per_distinct_model(self, tmp_path):
+        code, _, sel_out, _ = self._run_and_select(tmp_path)
+        assert code == 0
+        trace = [r.split(",") for r in read_noncomment_lines(sel_out / "trace.csv")[1:]]
+        diag = [r.split(",") for r in read_noncomment_lines(sel_out / "bf_diagnostics.csv")]
+        assert diag[0] == ["delta", "valid", "invalid", "log_term_variance", "weight_ess"]
+        deltas = [r[0] for r in diag[1:]]
+        assert len(deltas) == len(set(deltas))
+        assert set(deltas) == {r[1] for r in trace}
+        for _, valid, invalid, variance, ess in diag[1:]:
+            assert int(valid) + int(invalid) == 1000
+            assert float(variance) >= 0.0
+            assert 1.0 <= float(ess) <= int(valid) * (1 + 1e-12)
+        best = read_noncomment_lines(sel_out / "best_model.txt")
+        assert any(line.startswith("skipped=") for line in best)
+
     def test_recorded_equals_live(self, tmp_path):
         code, run_out, sel_live, base = self._run_and_select(tmp_path)
         assert code == 0

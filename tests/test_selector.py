@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from snpgibbs.model import snp_design_matrix
+from snpgibbs.gibbs import GibbsConfig, ParameterState, PosteriorSamples, run_chain
+from snpgibbs.model import default_priors, snp_design_matrix
 from snpgibbs.selector import (
     EstimationError,
     ModelIndicator,
     SearchConfig,
+    _SingularGram,
     bf_sample_term,
     estimate_bayes_factor,
     exhaustive_search,
@@ -21,8 +23,12 @@ from conftest import make_dataset
 from _oracles import conjugate_posterior_states, quadrature_log_bayes_factor
 
 
-def toy_states(n=12, s=3, seed=40, gamma=(1.0, -0.8, 0.0), count=20_000, phi2=1.5):
-    data, _ = make_dataset(n=n, s=s, p=2, seed=seed, gamma=list(gamma), sigma2=1.0)
+def toy_states(
+    n=12, s=3, seed=40, gamma=(1.0, -0.8, 0.0), count=20_000, phi2=1.5, kinship="identity"
+):
+    data, _ = make_dataset(
+        n=n, s=s, p=2, seed=seed, gamma=list(gamma), sigma2=1.0, kinship=kinship
+    )
     Z = snp_design_matrix(data.genotypes.codes, "signed")
     states = conjugate_posterior_states(
         data.y, data.X, Z, data.R, 1.0, phi2, count, seed=7, codes=data.genotypes.codes
@@ -150,8 +156,9 @@ class TestEstimator:
         assert est.value == 1.0
         assert est.log_value == 0.0
 
-    def test_matches_quadrature_oracle(self):
-        data, Z, states = toy_states(count=100_000)
+    @pytest.mark.parametrize("kinship", ["identity", "correlated"])
+    def test_matches_quadrature_oracle(self, kinship):
+        data, Z, states = toy_states(count=100_000, kinship=kinship)
         for included, tol_1e4, tol_1e5 in [((0, 1), 0.10, 0.03), ((), 0.10, 0.03)]:
             oracle = quadrature_log_bayes_factor(
                 data.y, data.X, Z, data.R, 1.0, 1.5, included, nodes=48
@@ -192,6 +199,89 @@ class TestEstimator:
         )
         with pytest.raises(EstimationError, match="invalid"):
             estimate_bayes_factor(states, data, ModelIndicator((1, 1, 0)))
+
+
+def imputed_states(coding, kinship, count=40, seed=5, missing=0.2):
+    """States that each complete the missing genotypes differently, so every
+    state has its own design (with ``missing=0`` all share the observed one)."""
+    data, _ = make_dataset(
+        n=20, s=5, p=2, seed=seed, missing=missing, coding=coding, kinship=kinship
+    )
+    rng = np.random.default_rng(seed)
+    mask = data.genotypes.missing_mask
+    states = []
+    for _ in range(count):
+        z = data.genotypes.codes.copy()
+        z[mask] = rng.integers(-1, 2, size=int(mask.sum()))
+        states.append(ParameterState(
+            rng.normal(size=2),
+            rng.normal(0.0, 0.5, size=data.design_dim),
+            float(rng.uniform(0.5, 2.0)),
+            float(rng.uniform(0.5, 3.0)),
+            z,
+        ))
+    return data, states
+
+
+class TestBlockElimination:
+    @pytest.mark.parametrize("coding", ["signed", "additive_dominance"])
+    @pytest.mark.parametrize("kinship", ["identity", "correlated"])
+    def test_search_matches_per_state_reference(self, coding, kinship):
+        data, states = imputed_states(coding, kinship)
+        assert len({state.z_imputed.tobytes() for state in states}) == len(states)
+        # SNP 4 is never a candidate; a monomorphic completion of it makes
+        # the always-excluded block of that one state singular
+        states[7].z_imputed[:, 4] = 0
+        candidates = data.design_columns_of_snp(0) + data.design_columns_of_snp(2)
+        trace = exhaustive_search(
+            states, data, candidates, SearchConfig(min_samples_per_bf=len(states))
+        )
+        assert len(trace.estimates) == 2 ** len(candidates)
+        for delta, est in trace.estimates.items():
+            terms = []
+            for state in states:
+                try:
+                    terms.append(bf_sample_term(state, data, delta))
+                except _SingularGram:
+                    pass
+            assert len(terms) == len(states) - 1
+            top = max(terms)
+            reference = top + math.log(sum(math.exp(t - top) for t in terms) / len(terms))
+            assert abs(est.log_value - reference) < 1e-9
+            assert est.invalid_count == 1
+            assert est.sample_count == len(states) - 1
+
+    @pytest.mark.parametrize("kinship", ["identity", "correlated"])
+    def test_shared_design_matches_per_state_reference(self, kinship):
+        data, states = imputed_states("additive_dominance", kinship, missing=0.0)
+        candidates = data.design_columns_of_snp(1) + data.design_columns_of_snp(3)
+        trace = exhaustive_search(
+            states, data, candidates, SearchConfig(min_samples_per_bf=len(states))
+        )
+        assert len(trace.estimates) == 2 ** len(candidates)
+        for delta, est in trace.estimates.items():
+            terms = [bf_sample_term(state, data, delta) for state in states]
+            top = max(terms)
+            reference = top + math.log(sum(math.exp(t - top) for t in terms) / len(terms))
+            assert abs(est.log_value - reference) < 1e-9
+            assert est.sample_count == len(states) and est.invalid_count == 0
+
+    def test_window_materialises_only_the_window(self, monkeypatch):
+        data, _ = make_dataset(n=15, s=3, seed=3, missing=0.2)
+        post = run_chain(
+            data, default_priors(),
+            GibbsConfig(total_iterations=300, burn_in=100, thinning=1, seed=1),
+        )
+        loaded = []
+        original = PosteriorSamples.state
+
+        def counting_state(self, i):
+            loaded.append(i)
+            return original(self, i)
+
+        monkeypatch.setattr(PosteriorSamples, "state", counting_state)
+        exhaustive_search(post.states, data, [0, 1], SearchConfig(min_samples_per_bf=50))
+        assert sorted(loaded) == list(range(150, 200))
 
 
 class TestProposal:
