@@ -433,7 +433,7 @@ def cmd_select(args) -> int:
     if settings["samples"]:
         samples = io.read_samples(settings["samples"], data)
     else:
-        samples = run_chain(data, _priors(settings), _gibbs_config(settings, data, settings["seed"]))
+        samples = _merge_chains(_run_chains(settings, data))
 
     candidates = _parse_candidates(settings["candidates"], samples, settings["level"])
     config = SearchConfig(

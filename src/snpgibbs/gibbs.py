@@ -13,20 +13,20 @@ conditional:
 
 Missing genotypes are multiply imputed inside the chain: each sweep
 re-draws one SNP column (cycling), each masked cell from its discrete
-conditional over the three genotype classes, and the cached M^-1 is
-repaired through rank-one column-delta updates rather than re-inversion.
+conditional over the three genotype classes. The chain keeps the Gram
+matrix G = Z'R^-1 Z exact by recomputing the row and column of every
+design column an imputation changes, and each gamma draw factors the
+precision M = G + I/phi^2 afresh, so a new phi^2 costs nothing extra.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
-from . import linalg
-from .linalg import ColumnDelta, InverseCache
+from .linalg import ColumnDelta
 from .model import (
     GENOTYPE_CODES,
     Dataset,
@@ -36,8 +36,6 @@ from .model import (
     snp_design_matrix,
     validate_dataset,
 )
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "ChainNumericalError",
@@ -107,7 +105,6 @@ class GibbsConfig:
     thinning: int = 4
     seed: int = 0
     imputation_prior: ImputationPrior = field(default_factory=ImputationPrior)
-    refresh_period: int = 200
     impute_mode: str = "cycle"
     r_weighted_imputation: bool = False
 
@@ -261,34 +258,27 @@ def sample_gamma(
     state: ParameterState,
     data: Dataset,
     rng: np.random.Generator,
-    cache: Optional[InverseCache] = None,
     workspace: Optional[ChainWorkspace] = None,
     design: Optional[np.ndarray] = None,
+    gram: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Draw gamma from N(M^-1 Z'R^-1(Y - X beta), sigma^2 M^-1).
 
-    M^-1 comes from the rank-one-maintained cache when given; a drifted
-    cache (Cholesky failure) triggers one forced refresh and retry.
+    The precision M = G + I/phi^2 is factored as LL'; the draw
+    M^-1 (rhs + sigma L z) has covariance sigma^2 M^-1 L L' M^-1 =
+    sigma^2 M^-1. ``gram`` is G = Z'R^-1 Z when the caller maintains it;
+    otherwise it is built from the design. A precision that is not
+    positive definite raises ``np.linalg.LinAlgError``.
     """
     work = workspace or ChainWorkspace(data)
     Zd = _design_of(state, data, design)
-    if cache is None:
-        Minv = linalg.dual_form_inverse(Zd, data.R, state.phi2)
-    else:
-        Minv = cache.inverse
+    if gram is None:
+        gram = Zd.T @ (work.Rinv @ Zd)
+    M = gram + np.eye(gram.shape[0]) / state.phi2
+    L = np.linalg.cholesky(M)
     rhs = Zd.T @ (work.Rinv @ (data.y - data.X @ state.beta))
-    for attempt in (0, 1):
-        try:
-            L = np.linalg.cholesky(0.5 * (Minv + Minv.T))
-            break
-        except np.linalg.LinAlgError:
-            if cache is None or attempt == 1:
-                raise ChainNumericalError("gamma covariance not positive definite")
-            logger.warning("inverse cache drift: forcing refresh")
-            cache.refresh()
-            Minv = cache.inverse
-    mean = Minv @ rhs
-    return mean + np.sqrt(state.sigma2) * (L @ rng.standard_normal(mean.shape[0]))
+    noise = L @ rng.standard_normal(rhs.shape[0])
+    return np.linalg.solve(M, rhs + np.sqrt(state.sigma2) * noise)
 
 
 def sample_sigma2(
@@ -491,27 +481,23 @@ def run_chain(
     """Run one seeded Gibbs chain and return the thinned retained states.
 
     Per iteration: re-draw missing genotypes for one SNP column (cycling
-    j = t mod s), repair the cached (Z'R^-1Z + I/phi^2)^-1 through
-    column-delta rank-one updates, then draw gamma, beta, sigma^2, phi^2.
-    Fully deterministic for a given seed.
+    j = t mod s) or for every column (``impute_mode="all"``), recompute
+    the row and column of G = Z'R^-1 Z for each design column that
+    changed, then draw gamma (one Cholesky factorization of
+    G + I/phi^2), beta, sigma^2, phi^2. A numerical failure raises
+    ChainNumericalError carrying the iteration and the state. Fully
+    deterministic for a given seed.
     """
     validate_dataset(data).raise_for_errors()
     work = ChainWorkspace(data)
     rng = np.random.default_rng(config.seed)
     state = initial_state(data, config, rng)
     Zd = snp_design_matrix(state.z_imputed, data.snp_coding)
+    G = Zd.T @ (work.Rinv @ Zd)
     mask = data.genotypes.missing_mask
     masked_flat = np.flatnonzero(mask.ravel())
     n_masked = masked_flat.size
-    any_missing = n_masked > 0
-    use_cache = config.impute_mode in ("cycle", "off")
-
-    cache = None
-    cache_phi2 = state.phi2
-    zero_delta = ColumnDelta(0, np.zeros(data.n))
-    if use_cache:
-        A = Zd.T @ work.Rinv @ Zd + np.eye(Zd.shape[1]) / state.phi2
-        cache = InverseCache.from_matrix(A, refresh_period=config.refresh_period)
+    impute = n_masked > 0 and config.impute_mode != "off"
 
     kept = config.retained_count
     p, sd = data.X.shape[1], Zd.shape[1]
@@ -524,13 +510,7 @@ def run_chain(
     keep_idx = 0
     for t in range(config.total_iterations):
         try:
-            if use_cache and state.phi2 != cache_phi2:
-                linalg.column_delta_inverse_update(
-                    cache, Zd, zero_delta, work.Rinv, cache_phi2, state.phi2
-                )
-                cache_phi2 = state.phi2
-
-            if any_missing and config.impute_mode != "off":
+            if impute:
                 if config.impute_mode == "cycle":
                     cols = (t % data.s,)
                 else:
@@ -547,29 +527,24 @@ def run_chain(
                         r_weighted=config.r_weighted_imputation,
                     )
                     for delta in deltas:
-                        if use_cache:
-                            linalg.column_delta_inverse_update(
-                                cache, Zd, delta, work.Rinv, cache_phi2, cache_phi2
-                            )
-                        Zd[:, delta.column_index] += delta.delta
+                        c = delta.column_index
+                        Zd[:, c] += delta.delta
+                        g = Zd.T @ (work.Rinv @ Zd[:, c])  # exact, no drift
+                        G[c, :] = g
+                        G[:, c] = g
 
             state.gamma = sample_gamma(
-                state, data, rng, cache=cache, workspace=work, design=Zd
+                state, data, rng, workspace=work, design=Zd, gram=G
             )
             state.beta = sample_beta(state, data, rng, workspace=work, design=Zd)
             state.sigma2 = sample_sigma2(
                 state, data, priors, rng, workspace=work, design=Zd
             )
             state.phi2 = sample_phi2(state, priors, rng)
-        except (linalg.SingularUpdateError, np.linalg.LinAlgError) as exc:
+        except np.linalg.LinAlgError as exc:
             raise ChainNumericalError(
                 f"numerical failure at iteration {t}: {exc}", t, state
             ) from exc
-
-        if __debug__:
-            assert np.array_equal(
-                state.z_imputed[~mask], data.genotypes.codes[~mask]
-            ), "observed genotype entries were modified"
 
         if t >= config.burn_in and (t - config.burn_in + 1) % config.thinning == 0:
             betas[keep_idx] = state.beta

@@ -1,7 +1,7 @@
 """Rank-one and low-rank inverse-update kernels.
 
-The sampler repeatedly needs (Z'R^{-1}Z + I/phi^2)^{-1} while Z changes by
-one column per sweep. Writing the new matrix as
+These reproduce the paper's device for (Z'R^{-1}Z + I/phi^2)^{-1} when Z
+changes by one column. Writing the new matrix as
 
   A1 = A0 + Delta'R^{-1}Z0 + Z0'R^{-1}Delta + Delta'R^{-1}Delta + (1/phi1^2 - 1/phi0^2) I
 
@@ -11,9 +11,13 @@ are exactly the rank-one matrices
   e_j g',  g e_j',  (delta'R^{-1}delta) e_j e_j'      with g = Z0'R^{-1}delta,
 
 so three rank-one inverse updates refresh the cached inverse without any
-re-inversion. The identity shift is either chained through s further
-e_k e_k' updates or absorbed by a direct re-factorization, depending on
-dimension (the rank-one chain wins only for small s).
+re-inversion. An identity shift from a phi^2 change is full rank, so it is
+absorbed by one re-factorization.
+
+The Gibbs sampler does not use these kernels: phi^2 changes every sweep,
+so it keeps Z'R^{-1}Z exact instead and factors the precision per draw
+(see ``gibbs.sample_gamma``). They are kept as the tested reproduction of
+the update identity and for the ``bench`` subcommand.
 
 All kernels here are pure except InverseCache, which is single-owner
 mutable state with periodic drift-controlled refreshes.
@@ -39,11 +43,6 @@ __all__ = [
     "column_delta_inverse_update",
     "benchmark_column_update",
 ]
-
-# below s = PHI_SHIFT_CHAIN_LIMIT a phi^2 change is absorbed as s rank-one
-# e_k e_k' updates (O(s*s^2) but small constant); above it a fresh
-# factorization is cheaper in practice
-PHI_SHIFT_CHAIN_LIMIT = 64
 
 DENOM_TOL = 1e-12
 
@@ -157,14 +156,12 @@ class InverseCache:
         inverse: np.ndarray,
         refresh_period: int = 200,
         drift_bound: float = 1e-8,
-        phi_shift_policy: str = "auto",
     ):
         self.matrix = np.array(matrix, dtype=float, copy=True)
         self.inverse = np.array(inverse, dtype=float, copy=True)
         self.update_count = 0
         self.refresh_period = int(refresh_period)
         self.drift_bound = float(drift_bound)
-        self.phi_shift_policy = phi_shift_policy
         self.singular_fallbacks = 0
         self.refreshes = 0
         dim = self.matrix.shape[0]
@@ -252,8 +249,7 @@ def column_delta_inverse_update(
 
     Z0 is the design matrix *before* the column change. The three rank-one
     terms carry the column difference; the diagonal shift from a phi^2
-    change goes through an e_k chain for small dimension and a direct
-    re-factorization otherwise.
+    change is added to the matrix, which is then re-factorized.
     """
     s = cache.dim
     if not delta.is_zero():
@@ -270,16 +266,8 @@ def column_delta_inverse_update(
     if phi2_new != phi2_old:
         if phi2_new <= 0 or phi2_old <= 0:
             raise ValueError("phi2 values must be positive")
-        alpha = 1.0 / phi2_new - 1.0 / phi2_old
-        policy = cache.phi_shift_policy
-        use_chain = policy == "chain" or (policy == "auto" and s < PHI_SHIFT_CHAIN_LIMIT)
-        if use_chain:
-            eye = np.eye(s)
-            cache.apply_updates([(alpha * eye[k], eye[k]) for k in range(s)])
-            cache.symmetrize()
-        else:
-            cache.matrix[np.diag_indices(s)] += alpha
-            cache.refresh()
+        cache.matrix[np.diag_indices(s)] += 1.0 / phi2_new - 1.0 / phi2_old
+        cache.refresh()
     return cache
 
 

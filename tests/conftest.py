@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import snpgibbs.gibbs as gibbs
 from snpgibbs.model import (
     Dataset,
     FamilyDesign,
@@ -69,3 +70,17 @@ def make_dataset(
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def poison_phi2(monkeypatch, k):
+    """Make the k-th phi^2 draw (iteration k - 1) a tiny negative value, so
+    that the gamma precision of iteration k is not positive definite."""
+    real = gibbs.sample_phi2
+    calls = []
+
+    def draw(state, priors, rng):
+        calls.append(None)
+        value = real(state, priors, rng)
+        return -1e-12 if len(calls) == k else value
+
+    monkeypatch.setattr(gibbs, "sample_phi2", draw)

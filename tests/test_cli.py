@@ -4,6 +4,8 @@ import numpy as np
 
 from snpgibbs.cli import main
 
+from conftest import poison_phi2
+
 
 def run_cli(*args) -> int:
     return main([str(a) for a in args])
@@ -170,6 +172,19 @@ class TestRunCommand:
         )
         assert code == 4
 
+    def test_gamma_failure_exit_4_names_iteration(self, tmp_path, monkeypatch, capsys):
+        sim = simulate_inputs(tmp_path)
+        poison_phi2(monkeypatch, 40)
+        code = run_cli(
+            "run", "--genotypes", sim / "genotypes.csv",
+            "--phenotypes", sim / "phenotypes.csv",
+            "--families", sim / "families.csv", "--kinship", "identity",
+            "--iters", "120", "--burnin", "10", "--thin", "1",
+            "--out-dir", tmp_path / "x",
+        )
+        assert code == 4
+        assert "at iteration 40:" in capsys.readouterr().err
+
     def test_reproducibility_same_command_bitwise(self, tmp_path):
         sim = simulate_inputs(tmp_path)
         args = [
@@ -257,6 +272,26 @@ class TestSelectCommand:
             assert 1.0 <= float(ess) <= int(valid) * (1 + 1e-12)
         best = read_noncomment_lines(sel_out / "best_model.txt")
         assert any(line.startswith("skipped=") for line in best)
+
+    def test_live_select_runs_every_chain(self, tmp_path):
+        sim = simulate_inputs(tmp_path, missing="0.1", preset="five-signal", seed="3")
+        base = [
+            "select",
+            "--genotypes", sim / "genotypes.csv",
+            "--phenotypes", sim / "phenotypes.csv",
+            "--families", sim / "families.csv",
+            "--kinship", "identity",
+            "--iters", "500", "--burnin", "300", "--thin", "1", "--seed", "21",
+            "--search-iters", "30", "--min-samples-per-bf", "1000",
+        ]
+        traces = {}
+        for chains in (1, 2):
+            out = tmp_path / f"sel{chains}"
+            assert run_cli(*base, "--chains", chains, "--out-dir", out) == 0
+            diag = [r.split(",") for r in read_noncomment_lines(out / "bf_diagnostics.csv")]
+            assert {int(r[1]) + int(r[2]) for r in diag[1:]} == {200 * chains}
+            traces[chains] = read_noncomment_lines(out / "trace.csv")[1:]
+        assert traces[1] != traces[2]
 
     def test_recorded_equals_live(self, tmp_path):
         code, run_out, sel_live, base = self._run_and_select(tmp_path)

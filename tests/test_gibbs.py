@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
+import snpgibbs.gibbs as gibbs
 from snpgibbs.gibbs import (
+    ChainNumericalError,
     ChainWorkspace,
     GibbsConfig,
     ParameterState,
@@ -32,7 +34,7 @@ from snpgibbs.model import (
 )
 from snpgibbs.pedigree import RelationshipMatrix
 
-from conftest import make_dataset
+from conftest import make_dataset, poison_phi2
 
 
 def state_for(data, beta=None, gamma=None, sigma2=1.0, phi2=1.0, codes=None):
@@ -128,19 +130,16 @@ class TestSampleGamma:
         draw = sample_gamma(state, data, rng)
         assert np.allclose(draw, gls, atol=1e-5)
 
-    def test_drifted_cache_forced_refresh(self, rng):
-        from snpgibbs.linalg import InverseCache
-        from snpgibbs.model import snp_design_matrix as sdm
-
-        data, _ = make_dataset(n=10, s=2, p=1, seed=50)
-        state = state_for(data, beta=[0.2], sigma2=1.0, phi2=1.0)
-        Zd = sdm(state.z_imputed, "signed")
-        A = Zd.T @ Zd + np.eye(2)
-        cache = InverseCache.from_matrix(A)
-        cache.inverse = -np.eye(2)  # corrupted: not a valid inverse
-        draw = sample_gamma(state, data, rng, cache=cache)
-        assert np.isfinite(draw).all()
-        assert cache.refreshes == 1  # one forced refresh, then success
+    def test_gram_argument_draws_the_same(self):
+        data, _ = make_dataset(
+            n=9, s=3, p=1, seed=14, coding="additive_dominance", kinship="correlated"
+        )
+        state = state_for(data, beta=[0.4], sigma2=0.8, phi2=1.5)
+        Zd = snp_design_matrix(state.z_imputed, data.snp_coding)
+        G = Zd.T @ np.linalg.inv(data.R) @ Zd
+        built = sample_gamma(state, data, np.random.default_rng(7))
+        given = sample_gamma(state, data, np.random.default_rng(7), gram=G)
+        np.testing.assert_allclose(given, built, rtol=1e-12, atol=1e-12)
 
     def test_exact_conditional_distribution(self, rng):
         data, _ = make_dataset(n=9, s=2, p=1, seed=13, kinship="correlated")
@@ -329,6 +328,43 @@ class TestRunChain:
         for state in post.states:
             assert np.array_equal(state.z_imputed[~mask], data.genotypes.codes[~mask])
             assert np.isin(state.z_imputed[mask], [-1, 0, 1]).all()
+
+    @pytest.mark.parametrize("mode", ["cycle", "all"])
+    def test_maintained_gram_stays_exact(self, monkeypatch, mode):
+        data, _ = make_dataset(
+            n=20, s=5, p=2, seed=25, missing=0.3,
+            coding="additive_dominance", kinship="correlated",
+        )
+        Rinv = np.linalg.inv(data.R)
+        errors, designs = [], set()
+        real = gibbs.sample_gamma
+
+        def checked(state, data, rng, workspace=None, design=None, gram=None):
+            assert np.array_equal(
+                design, snp_design_matrix(state.z_imputed, data.snp_coding)
+            )
+            fresh = design.T @ Rinv @ design
+            errors.append(np.max(np.abs(gram - fresh)) / np.max(np.abs(fresh)))
+            designs.add(design.tobytes())
+            return real(state, data, rng, workspace=workspace, design=design, gram=gram)
+
+        monkeypatch.setattr(gibbs, "sample_gamma", checked)
+        cfg = GibbsConfig(
+            total_iterations=1500, burn_in=500, thinning=5, seed=3, impute_mode=mode
+        )
+        run_chain(data, default_priors(), cfg)
+        assert len(errors) == 1500
+        assert len(designs) > 100  # imputation kept changing the design
+        assert max(errors) < 1e-12
+
+    def test_gamma_failure_carries_iteration(self, monkeypatch):
+        data, _ = make_dataset(n=12, s=3, p=2, seed=26, missing=0.2)
+        poison_phi2(monkeypatch, 37)
+        cfg = GibbsConfig(total_iterations=100, burn_in=50, seed=1)
+        with pytest.raises(ChainNumericalError) as info:
+            run_chain(data, default_priors(), cfg)
+        assert info.value.iteration == 37
+        assert info.value.state is not None
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
