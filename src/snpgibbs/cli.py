@@ -53,6 +53,10 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
+# `select` warns when the best model's importance-weight ESS is below this
+# many states: its log BF then carries a large Monte Carlo error
+THIN_BF_ESS = 10
+
 PRESETS = {
     "six-family": six_family_design,
     "five-signal": five_signal_design,
@@ -132,7 +136,6 @@ _RUN_DEFAULTS = {
     "imputation_prior": "uniform",
     "imputation_prior_file": None,
     "impute_mode": "cycle",
-    "r_weighted_imputation": False,
     "level": 0.95,
     "out_dir": "out",
 }
@@ -199,10 +202,9 @@ def _add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--impute-mode", dest="impute_mode", choices=["cycle", "all", "off"])
     p.add_argument(
         "--r-weighted-imputation",
-        dest="r_weighted_imputation",
-        action="store_const",
-        const=True,
-        help="draw missing genotypes from the exact kinship-coupled conditional",
+        action="store_true",
+        help="no effect, kept so that old command lines still run: missing "
+        "genotypes are always drawn from the exact kinship-coupled conditional",
     )
     p.add_argument("--level", type=float, help="credible interval level")
     p.add_argument("--out-dir", dest="out_dir")
@@ -313,7 +315,6 @@ def _gibbs_config(settings, data, seed) -> GibbsConfig:
         seed=seed,
         imputation_prior=_imputation_prior(settings, data),
         impute_mode=settings["impute_mode"],
-        r_weighted_imputation=settings["r_weighted_imputation"],
     )
 
 
@@ -451,6 +452,10 @@ def cmd_select(args) -> int:
     io.write_bf_diagnostics(out / "bf_diagnostics.csv", trace, lines)
     io.write_best_model(out / "best_model.txt", trace, samples.gamma_labels, lines)
     io.write_manifest_file(out / "manifest.txt", manifest)
+    best_ess = trace.estimates[trace.best[0]].weight_ess
+    if best_ess < THIN_BF_ESS:
+        print(f"warning: the best model's Bayes factor rests on an importance-weight "
+              f"ESS of {best_ess:.1f} states (< {THIN_BF_ESS})", file=sys.stderr)
     best_labels = [samples.gamma_labels[j] for j in trace.best[0].included()]
     print("best model: " + (";".join(best_labels) if best_labels else "<empty>"))
     return EXIT_OK

@@ -12,17 +12,20 @@ conditional:
   phi^2   ~ InvGamma(s/2 + c, (|g|^2/sigma^2 + 2d)/2)
 
 Missing genotypes are multiply imputed inside the chain: each sweep
-re-draws one SNP column (cycling), each masked cell from its discrete
-conditional over the three genotype classes. The chain keeps the Gram
-matrix G = Z'R^-1 Z exact by recomputing the row and column of every
-design column an imputation changes, and each gamma draw factors the
-precision M = G + I/phi^2 afresh, so a new phi^2 costs nothing extra.
+re-draws one SNP column (cycling), each masked cell in turn from its
+exact discrete conditional over the three genotype classes; under a
+kinship R that conditional couples the cells through R^-1. The chain
+keeps the Gram matrix G = Z'R^-1 Z exact by recomputing the row and
+column of every design column an imputation changes, and each gamma draw
+factors the precision M = G + I/phi^2 afresh, so a new phi^2 costs
+nothing extra.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -97,7 +100,8 @@ class GibbsConfig:
     ``impute_mode`` selects how missing genotypes are refreshed per sweep:
     "cycle" re-draws one SNP column per iteration (the default), "all"
     re-draws every column, "off" disables imputation. The off/cycle paths
-    are rng-identical when nothing is missing.
+    are rng-identical when nothing is missing. Every mode draws from the
+    exact genotype conditional under the dataset's kinship.
     """
 
     total_iterations: int = 50_000
@@ -106,7 +110,6 @@ class GibbsConfig:
     seed: int = 0
     imputation_prior: ImputationPrior = field(default_factory=ImputationPrior)
     impute_mode: str = "cycle"
-    r_weighted_imputation: bool = False
 
     def __post_init__(self):
         if not self.burn_in < self.total_iterations:
@@ -217,19 +220,38 @@ def _draw_inverse_gamma(rng: np.random.Generator, shape: float, scale: float) ->
     return float(scale / rng.gamma(shape))
 
 
+class MaskedCells(NamedTuple):
+    """The masked rows of one SNP column and their block of R^-1."""
+
+    rows: np.ndarray
+    columns: np.ndarray  # k x k, row m is R^-1[rows, rows[m]]
+    diag: list  # R^-1[rows[m], rows[m]] as Python floats
+    coupled: bool  # some off-diagonal entry of the block is non-zero
+
+
 class ChainWorkspace:
-    """Quantities fixed for a dataset: R^-1 and the X-side factorizations."""
+    """Quantities fixed for a dataset: R^-1, the X-side factorizations, the
+    design values of the three genotype codes and, per SNP column, the
+    masked cells with their block of R^-1."""
 
     def __init__(self, data: Dataset):
         self.data = data
         self.Rinv = np.linalg.inv(data.R)
-        self.Rinv_diag = np.diag(self.Rinv).copy()
         self.XtRinv = data.X.T @ self.Rinv
         self.XtRinvX = self.XtRinv @ data.X
         try:
             self.Lx = np.linalg.cholesky(self.XtRinvX)
         except np.linalg.LinAlgError as exc:
             raise ChainNumericalError(f"X'R^-1X factorization failed: {exc}") from exc
+        self.code_values = genotype_column_values(GENOTYPE_CODES, data.snp_coding)
+        mask = data.genotypes.missing_mask
+        self.masked = [self._cells(np.flatnonzero(mask[:, j])) for j in range(data.s)]
+
+    def _cells(self, rows: np.ndarray) -> MaskedCells:
+        columns = self.Rinv[np.ix_(rows, rows)].T.copy()
+        diag = np.diag(columns)
+        coupled = bool(np.any(columns - np.diag(diag)))
+        return MaskedCells(rows, columns, diag.tolist(), coupled)
 
 
 def _design_of(state: ParameterState, data: Dataset, design: Optional[np.ndarray]):
@@ -318,12 +340,15 @@ def imputation_probabilities(
     rows: Optional[np.ndarray] = None,
     design: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Genotype-class probabilities for the masked cells of SNP column j.
+    """Per-individual genotype-class probabilities for the masked cells of
+    SNP column j.
 
     For each masked individual the three candidate codes c are weighted by
     prior(c) * exp(-(r - contrib(c))^2 / (2 sigma^2)), where r is the
     phenotype residual with SNP j's contribution removed. Normalization is
-    done in log space with max subtraction.
+    done in log space with max subtraction. This is the conditional
+    ``impute_snp_column`` draws when R = I; under any other kinship the
+    cells couple through R^-1 and these probabilities are not exact.
 
     Returns (rows, probs) with probs of shape (len(rows), 3) over codes
     (-1, 0, +1).
@@ -358,78 +383,71 @@ def impute_snp_column(
     prior: ImputationPrior,
     design: Optional[np.ndarray] = None,
     workspace: Optional[ChainWorkspace] = None,
-    r_weighted: bool = False,
 ) -> list[ColumnDelta]:
     """Re-draw the masked cells of SNP column j; observed cells untouched.
 
+    The cells are drawn in turn, each from its exact conditional given the
+    others: with u = R^-1 (Y - X beta - Z gamma) at the masked rows and
+    a(c) the contribution of code c, cell i weighs c by
+    prior(c) * exp((2 a(c) t_i - a(c)^2 R^-1_ii) / (2 sigma^2)), where
+    t_i = u_i + R^-1_ii a(old code) removes the cell's own term. When a
+    cell changes, u moves by its column of the R^-1 block. One k x n
+    product forms u; the rest is O(k) scalar work per cell, with one
+    uniform per cell taken from a single ``rng.random(k)``.
+
     Mutates ``state.z_imputed`` in place and returns the net ColumnDelta
-    per affected *design* column (one for signed coding, two for additive
-    + dominance coding). Zero-change columns still produce (zero) deltas
-    only if some cell moved; an unchanged column yields an empty list.
+    per changed *design* column (at most one for signed coding, two for
+    additive + dominance coding); an unchanged column yields an empty list.
     """
-    rows = np.flatnonzero(data.genotypes.missing_mask[:, j])
+    work = workspace or ChainWorkspace(data)
+    cells = work.masked[j]
+    rows = cells.rows
     if rows.size == 0:
         return []
     Zd = _design_of(state, data, design)
-    old_codes = state.z_imputed[rows, j].copy()
+    cols = data.design_columns_of_snp(j)
+    values = work.code_values
+    cand = (values @ state.gamma[list(cols)]).tolist()
+    a0, a1, a2 = cand
+    b0, b1, b2 = 2.0 * a0, 2.0 * a1, 2.0 * a2
+    q0, q1, q2 = a0 * a0, a1 * a1, a2 * a2
+    two_sigma2 = 2.0 * state.sigma2
+    mu = data.X @ state.beta + Zd @ state.gamma
+    u = (work.Rinv[rows] @ (data.y - mu)).tolist()
+    old_picks = (state.z_imputed[rows, j] + 1).tolist()  # code index into cand
+    picks = old_picks.copy()
+    logprior = prior.log_weights(rows, j).tolist()
+    draws = zip(cells.diag, logprior, rng.random(rows.size).tolist())
+    coupled, k_cells = cells.coupled, rows.size
+    for k, (r, lp, x) in enumerate(draws):
+        a_old = cand[picks[k]]
+        t = u[k] + r * a_old  # residual image with cell k's term removed
+        l0 = lp[0] + (b0 * t - q0 * r) / two_sigma2
+        l1 = lp[1] + (b1 * t - q1 * r) / two_sigma2
+        l2 = lp[2] + (b2 * t - q2 * r) / two_sigma2
+        top = max(l0, l1, l2)
+        e0, e1, e2 = math.exp(l0 - top), math.exp(l1 - top), math.exp(l2 - top)
+        total = e0 + e1 + e2
+        p0 = e0 / total
+        pick = (p0 < x) + (p0 + e1 / total < x)  # cumulative bins below x
+        picks[k] = pick
+        step = cand[pick] - a_old
+        if step != 0.0 and coupled:
+            coupling = cells.columns[k].tolist()
+            for m in range(k + 1, k_cells):
+                u[m] -= coupling[m] * step
 
-    if r_weighted:
-        new_codes = _impute_r_weighted(
-            state, data, j, rng, prior, rows, Zd, workspace
-        )
-    else:
-        _, probs = imputation_probabilities(state, data, j, prior, rows, Zd)
-        u = rng.random(rows.size)
-        idx = (probs.cumsum(axis=1) < u[:, None]).sum(axis=1)
-        new_codes = GENOTYPE_CODES[np.minimum(idx, 2)]
-
-    state.z_imputed[rows, j] = new_codes
-    if np.array_equal(new_codes, old_codes):
+    if picks == old_picks:
         return []
-    old_vals = genotype_column_values(old_codes, data.snp_coding)
-    new_vals = genotype_column_values(new_codes, data.snp_coding)
+    state.z_imputed[rows, j] = GENOTYPE_CODES[picks]
+    change = values[picks] - values[old_picks]
     deltas = []
-    for k, col in enumerate(data.design_columns_of_snp(j)):
-        d = np.zeros(data.n)
-        d[rows] = new_vals[:, k] - old_vals[:, k]
-        if np.any(d):
+    for k, col in enumerate(cols):
+        if change[:, k].any():
+            d = np.zeros(data.n)
+            d[rows] = change[:, k]
             deltas.append(ColumnDelta(col, d))
     return deltas
-
-
-def _impute_r_weighted(state, data, j, rng, prior, rows, Zd, workspace):
-    """Draw column j cells sequentially under the R^-1-coupled residual."""
-    work = workspace or ChainWorkspace(data)
-    Rinv, rdiag = work.Rinv, work.Rinv_diag
-    cols = list(data.design_columns_of_snp(j))
-    gsub = state.gamma[cols]
-    cand = genotype_column_values(GENOTYPE_CODES, data.snp_coding) @ gsub  # (3,)
-    mu = data.X @ state.beta + Zd @ state.gamma
-    u = Rinv @ (data.y - mu)
-    logprior = prior.log_weights(rows, j)
-    new_codes = np.empty(rows.size, dtype=np.int8)
-    for k, i in enumerate(rows):
-        a_old = float(
-            genotype_column_values(state.z_imputed[i : i + 1, j], data.snp_coding)[0]
-            @ gsub
-        )
-        t_i = u[i] + rdiag[i] * a_old  # residual image with cell i's term removed
-        logw = logprior[k] + (2.0 * cand * t_i - cand**2 * rdiag[i]) / (
-            2.0 * state.sigma2
-        )
-        logw -= logw.max()
-        p = np.exp(logw)
-        p /= p.sum()
-        draw = int((p.cumsum() < rng.random()).sum())
-        code = int(GENOTYPE_CODES[min(draw, 2)])
-        new_codes[k] = code
-        a_new = float(
-            genotype_column_values(np.array([code], dtype=np.int8), data.snp_coding)[0]
-            @ gsub
-        )
-        if a_new != a_old:
-            u -= Rinv[:, i] * (a_new - a_old)
-    return new_codes
 
 
 def initial_state(
@@ -524,7 +542,6 @@ def run_chain(
                         config.imputation_prior,
                         design=Zd,
                         workspace=work,
-                        r_weighted=config.r_weighted_imputation,
                     )
                     for delta in deltas:
                         c = delta.column_index

@@ -21,11 +21,13 @@ import numpy as np
 from snpgibbs.gibbs import (
     ParameterState,
     impute_snp_column,
+    imputation_probabilities,
     sample_gamma,
     sample_phi2,
     sample_sigma2,
 )
 from snpgibbs.model import (
+    GENOTYPE_CODES,
     Dataset,
     ImputationPrior,
     PhenotypeVector,
@@ -68,6 +70,17 @@ def _stats(gamma, sigma2, phi2, z, mask):
     )
 
 
+def per_individual_impute(state, data, j, rng, prior):
+    """Draw column j's masked cells independently, each from its
+    per-individual conditional (``imputation_probabilities``). That is the
+    exact conditional only when R = I: the negative control's sampler."""
+    rows, probs = imputation_probabilities(state, data, j, prior)
+    if rows.size:
+        u = rng.random(rows.size)
+        idx = (probs.cumsum(axis=1) < u[:, None]).sum(axis=1)
+        state.z_imputed[rows, j] = GENOTYPE_CODES[np.minimum(idx, 2)]
+
+
 def geweke_compare(
     data: Dataset,
     beta0,
@@ -75,11 +88,13 @@ def geweke_compare(
     n_marginal=40_000,
     n_successive=60_000,
     seed=0,
-    r_weighted=False,
+    impute=impute_snp_column,
     n_batches=40,
 ):
     """Return z-scores comparing test-statistic means across the two
-    simulators (batch-means variance on the successive side)."""
+    simulators (batch-means variance on the successive side). ``impute``
+    draws one SNP column's masked cells; the library's exact kernel by
+    default."""
     rng = np.random.default_rng(seed)
     beta0 = np.asarray(beta0, dtype=float)
     mask = data.genotypes.missing_mask
@@ -97,7 +112,7 @@ def geweke_compare(
     for t in range(n_successive):
         current = _draw_data(data, beta0, state.gamma, state.sigma2, state.z_imputed, Lr, rng)
         for j in range(current.s):
-            impute_snp_column(state, current, j, rng, prior_impute, r_weighted=r_weighted)
+            impute(state, current, j, rng, prior_impute)
         state.gamma = sample_gamma(state, current, rng)
         state.sigma2 = sample_sigma2(state, current, priors, rng)
         state.phi2 = sample_phi2(state, priors, rng)

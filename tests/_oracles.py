@@ -2,13 +2,16 @@
 
 Nothing here reuses the library's estimation paths: Bayes factors come from
 tensor-product Gauss-Hermite quadrature of the beta-marginalized likelihood
-over the coefficient prior, and posterior state streams come from exact
-conjugate Gaussian draws (sigma^2 and phi^2 held fixed).
+over the coefficient prior, posterior state streams come from exact
+conjugate Gaussian draws (sigma^2 and phi^2 held fixed), and the genotype
+conditional is drawn by a per-cell numpy loop over the full residual image.
 """
 
 import numpy as np
 
 from snpgibbs.gibbs import ParameterState
+from snpgibbs.linalg import ColumnDelta
+from snpgibbs.model import GENOTYPE_CODES, genotype_column_values, snp_design_matrix
 
 
 def _projector_complement(X, R):
@@ -75,6 +78,63 @@ def conjugate_posterior_states(y, X, Z, R, sigma2, phi2, count, seed, codes):
         beta = mean_b + Lb @ rng.standard_normal(X.shape[1])
         states.append(ParameterState(beta, gamma, float(sigma2), float(phi2), codes.copy()))
     return states
+
+
+def sequential_impute(state, data, j, rng, prior):
+    """Reference draw of SNP column j's masked cells from the exact
+    conditional under R: the cells in turn, each from three R^-1-weighted
+    log-weights, carrying the full n-vector u = R^-1 (Y - X beta - Z gamma)
+    and moving it by R^-1's column when a cell changes. Mutates
+    ``state.z_imputed`` and returns the net ColumnDelta per changed design
+    column, as ``impute_snp_column`` does."""
+    rows = np.flatnonzero(data.genotypes.missing_mask[:, j])
+    if rows.size == 0:
+        return []
+    Zd = snp_design_matrix(state.z_imputed, data.snp_coding)
+    old_codes = state.z_imputed[rows, j].copy()
+    Rinv = np.linalg.inv(data.R)
+    rdiag = np.diag(Rinv).copy()
+    cols = list(data.design_columns_of_snp(j))
+    gsub = state.gamma[cols]
+    cand = genotype_column_values(GENOTYPE_CODES, data.snp_coding) @ gsub  # (3,)
+    mu = data.X @ state.beta + Zd @ state.gamma
+    u = Rinv @ (data.y - mu)
+    logprior = prior.log_weights(rows, j)
+    new_codes = np.empty(rows.size, dtype=np.int8)
+    for k, i in enumerate(rows):
+        a_old = float(
+            genotype_column_values(state.z_imputed[i : i + 1, j], data.snp_coding)[0]
+            @ gsub
+        )
+        t_i = u[i] + rdiag[i] * a_old  # residual image with cell i's term removed
+        logw = logprior[k] + (2.0 * cand * t_i - cand**2 * rdiag[i]) / (
+            2.0 * state.sigma2
+        )
+        logw -= logw.max()
+        p = np.exp(logw)
+        p /= p.sum()
+        draw = int((p.cumsum() < rng.random()).sum())
+        code = int(GENOTYPE_CODES[min(draw, 2)])
+        new_codes[k] = code
+        a_new = float(
+            genotype_column_values(np.array([code], dtype=np.int8), data.snp_coding)[0]
+            @ gsub
+        )
+        if a_new != a_old:
+            u -= Rinv[:, i] * (a_new - a_old)
+
+    state.z_imputed[rows, j] = new_codes
+    if np.array_equal(new_codes, old_codes):
+        return []
+    old_vals = genotype_column_values(old_codes, data.snp_coding)
+    new_vals = genotype_column_values(new_codes, data.snp_coding)
+    deltas = []
+    for k, col in enumerate(data.design_columns_of_snp(j)):
+        d = np.zeros(data.n)
+        d[rows] = new_vals[:, k] - old_vals[:, k]
+        if np.any(d):
+            deltas.append(ColumnDelta(col, d))
+    return deltas
 
 
 def dense_inverse(A):

@@ -4,7 +4,7 @@ Run with output visible:  pytest -s tests/test_acceptance.py
 
 The six-family recovery campaign (criteria 3-5) is shared through a
 module-scoped fixture: three seeds, five missingness levels, 20,000
-burn-in, R-weighted genotype conditional (exact under pedigree kinship).
+burn-in, the chain's genotype conditional (exact under pedigree kinship).
 Recovery tolerances apply to the per-parameter deviation of the mean over
 the three seeds.
 """
@@ -204,7 +204,6 @@ def six_family_campaign():
                 burn_in=20_000,
                 thinning=2,
                 seed=seed + 7,
-                r_weighted_imputation=True,
             )
             post = run_chain(data, default_priors(), config)
             per_seed.append(recovery_report(truth, post, data.genotypes.missing_mask))
@@ -421,7 +420,7 @@ def test_criterion_10_conditional_sampler_validity():
     data_r, _ = make_dataset(n=6, s=2, p=1, seed=31, missing=0.25, kinship="correlated")
     z_weighted = geweke_compare(
         data_r, beta0=[0.5], priors=priors,
-        n_marginal=40_000, n_successive=60_000, seed=3, r_weighted=True,
+        n_marginal=40_000, n_successive=60_000, seed=3,
     )
     geweke_ok = np.max(np.abs(z_identity)) < Z_CRIT and np.max(np.abs(z_weighted)) < Z_CRIT
     ok = chi_p > 0.001 and geweke_ok
@@ -429,7 +428,7 @@ def test_criterion_10_conditional_sampler_validity():
         10,
         ok,
         f"chi-square p={chi_p:.3f}; joint-distribution max|z| "
-        f"{np.max(np.abs(z_identity)):.2f} (R=I), {np.max(np.abs(z_weighted)):.2f} (R-weighted)",
+        f"{np.max(np.abs(z_identity)):.2f} (R=I), {np.max(np.abs(z_weighted)):.2f} (correlated R)",
     )
 
 

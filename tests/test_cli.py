@@ -2,7 +2,7 @@ from pathlib import Path
 
 import numpy as np
 
-from snpgibbs.cli import main
+from snpgibbs.cli import THIN_BF_ESS, main
 
 from conftest import poison_phi2
 
@@ -217,6 +217,29 @@ class TestRunCommand:
         ) == 0
         assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
 
+    def test_r_weighted_flag_and_manifest_key_have_no_effect(self, tmp_path):
+        sim = simulate_inputs(tmp_path)
+        base = [
+            "run", "--genotypes", sim / "genotypes.csv",
+            "--phenotypes", sim / "phenotypes.csv",
+            "--families", sim / "families.csv",
+            "--pedigree", sim / "pedigree.csv",
+            "--kinship", "pedigree", "--coding", "additive_dominance",
+            "--iters", "300", "--burnin", "50", "--thin", "2", "--seed", "13",
+        ]
+        plain, flagged, replay = tmp_path / "plain", tmp_path / "flagged", tmp_path / "replay"
+        assert run_cli(*base, "--out-dir", plain) == 0
+        assert run_cli(*base, "--r-weighted-imputation", "--out-dir", flagged) == 0
+        samples = (plain / "samples.csv").read_bytes()
+        assert (flagged / "samples.csv").read_bytes() == samples
+        # a manifest written before the flag lost its effect carries the key
+        old_manifest = tmp_path / "old_manifest.txt"
+        old_manifest.write_text(
+            (plain / "manifest.txt").read_text() + "r_weighted_imputation=1\n"
+        )
+        assert run_cli("run", "--config", old_manifest, "--out-dir", replay) == 0
+        assert (replay / "samples.csv").read_bytes() == samples
+
     def test_outputs_start_with_manifest(self, tmp_path):
         sim = simulate_inputs(tmp_path, missing="0")
         out = tmp_path / "run"
@@ -272,6 +295,36 @@ class TestSelectCommand:
             assert 1.0 <= float(ess) <= int(valid) * (1 + 1e-12)
         best = read_noncomment_lines(sel_out / "best_model.txt")
         assert any(line.startswith("skipped=") for line in best)
+
+    def test_thin_bayes_factor_warns(self, tmp_path, capsys):
+        code, _, sel_out, _ = self._run_and_select(tmp_path)
+        assert code == 0
+        err = capsys.readouterr().err
+        best = read_noncomment_lines(sel_out / "best_model.txt")
+        delta = best[0].removeprefix("delta=")
+        diag = [r.split(",") for r in read_noncomment_lines(sel_out / "bf_diagnostics.csv")]
+        ess = float(next(r[4] for r in diag[1:] if r[0] == delta))
+        assert ess < THIN_BF_ESS
+        assert (
+            "warning: the best model's Bayes factor rests on an importance-weight "
+            f"ESS of {ess:.1f} states"
+        ) in err
+        assert not any("warning" in line for line in best)
+
+    def test_well_supported_best_model_no_warning(self, tmp_path, capsys):
+        # the full model over every SNP wins: each term is exactly 1, ESS = N
+        sim = simulate_inputs(tmp_path, missing="0.1", preset="six-family", seed="1")
+        out = tmp_path / "sel"
+        assert run_cli(
+            "select", "--genotypes", sim / "genotypes.csv",
+            "--phenotypes", sim / "phenotypes.csv",
+            "--families", sim / "families.csv", "--kinship", "identity",
+            "--iters", "1500", "--burnin", "500", "--thin", "1", "--seed", "21",
+            "--exhaustive", "--candidates", "0,1,2,3,4",
+            "--min-samples-per-bf", "1000", "--out-dir", out,
+        ) == 0
+        assert read_noncomment_lines(out / "best_model.txt")[0] == "delta=11111"
+        assert "importance-weight ESS" not in capsys.readouterr().err
 
     def test_live_select_runs_every_chain(self, tmp_path):
         sim = simulate_inputs(tmp_path, missing="0.1", preset="five-signal", seed="3")

@@ -308,8 +308,7 @@ class TestRunEm:
         post = run_chain(
             data,
             default_priors(),
-            GibbsConfig(total_iterations=6000, burn_in=3000, thinning=2, seed=5,
-                        r_weighted_imputation=True),
+            GibbsConfig(total_iterations=6000, burn_in=3000, thinning=2, seed=5),
         )
         gibbs_beta = post.betas.mean(axis=0)
         # both estimators ride the same family-mean noise; the agreement

@@ -35,6 +35,7 @@ from snpgibbs.model import (
 from snpgibbs.pedigree import RelationshipMatrix
 
 from conftest import make_dataset, poison_phi2
+from _oracles import sequential_impute
 
 
 def state_for(data, beta=None, gamma=None, sigma2=1.0, phi2=1.0, codes=None):
@@ -286,6 +287,40 @@ class TestImputation:
         for d in deltas:
             rebuilt[:, d.column_index] += d.delta
         assert np.allclose(rebuilt, after, atol=0)
+
+    @pytest.mark.parametrize("prior_mode", ["uniform", "file"])
+    @pytest.mark.parametrize("kinship", ["identity", "correlated"])
+    @pytest.mark.parametrize("coding", ["signed", "additive_dominance"])
+    def test_matches_sequential_reference(self, coding, kinship, prior_mode):
+        data, _ = make_dataset(
+            n=30, s=4, p=2, seed=17, missing=0.3, coding=coding, kinship=kinship
+        )
+        setup = np.random.default_rng(5)
+        prior = ImputationPrior()
+        if prior_mode == "file":
+            w = setup.dirichlet(np.ones(3), size=(data.n, data.s))
+            w[::4, :, 0] = 0.0  # impossible classes: -inf log weights
+            prior = ImputationPrior("weighted", w / w.sum(axis=2, keepdims=True))
+        work = ChainWorkspace(data)
+        ours = state_for(data, beta=setup.normal(size=2))
+        ref = ours.copy()
+        rng_ours, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
+        changed = 0
+        for t in range(200):
+            gamma = setup.normal(size=data.design_dim)
+            sigma2 = float(setup.uniform(0.2, 3.0))
+            ours.gamma, ours.sigma2 = gamma.copy(), sigma2
+            ref.gamma, ref.sigma2 = gamma.copy(), sigma2
+            j = t % data.s
+            got = impute_snp_column(ours, data, j, rng_ours, prior, workspace=work)
+            want = sequential_impute(ref, data, j, rng_ref, prior)
+            assert np.array_equal(ours.z_imputed, ref.z_imputed)
+            assert [d.column_index for d in got] == [d.column_index for d in want]
+            for a, b in zip(got, want):
+                assert np.array_equal(a.delta, b.delta)
+            assert rng_ours.bit_generator.state == rng_ref.bit_generator.state
+            changed += bool(got)
+        assert changed > 50
 
 
 class TestRunChain:

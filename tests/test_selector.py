@@ -411,7 +411,6 @@ class TestSearch:
             default_priors(),
             GibbsConfig(
                 total_iterations=12_000, burn_in=6_000, thinning=2, seed=43,
-                r_weighted_imputation=True,
             ),
         )
         significant = [
