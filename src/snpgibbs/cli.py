@@ -1,4 +1,4 @@
-"""Command-line surface: run, select, kinship, em, simulate, bench.
+"""Command-line surface: run, select, kinship, em, simulate.
 
 Every run writes a manifest (tool version, every effective setting, seed,
 input digests) both as '#'-prefixed header lines at the top of each output
@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 usage, 3 data validation/parse, 4 numerical.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import logging
 import sys
 from pathlib import Path
@@ -26,7 +25,7 @@ from .gibbs import (
     PosteriorSamples,
     run_chain,
 )
-from .linalg import SingularUpdateError, benchmark_column_update
+from .linalg import SingularUpdateError
 from .model import (
     ADDITIVE_DOMINANCE,
     SIGNED,
@@ -173,8 +172,6 @@ _EM_DEFAULTS = {
 
 _KINSHIP_DEFAULTS = {"pedigree": None, "ids": None, "out_dir": "out"}
 
-_BENCH_DEFAULTS = {"sizes": "64,128,256", "bench_n": 128, "bench_iters": 25, "seed": 0, "out_dir": "out"}
-
 
 def _add_common_data_flags(p: argparse.ArgumentParser):
     p.add_argument("--genotypes", help="genotype call file (csv)")
@@ -258,15 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--config")
     p_sim.set_defaults(func=cmd_simulate)
 
-    p_bench = sub.add_parser("bench", help="time rank-one updates vs dense re-inversion")
-    p_bench.add_argument("--sizes", help="comma list of dimensions")
-    p_bench.add_argument("--bench-n", dest="bench_n", type=int)
-    p_bench.add_argument("--bench-iters", dest="bench_iters", type=int)
-    p_bench.add_argument("--seed", type=int)
-    p_bench.add_argument("--out-dir", dest="out_dir")
-    p_bench.add_argument("--config")
-    p_bench.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -325,16 +313,13 @@ def _priors(settings) -> PriorHyperparams:
 
 
 def _run_chains(settings, data) -> list[PosteriorSamples]:
+    # one after another: the work is many small GIL-bound numpy calls, so
+    # threads only add hand-over cost
     priors = _priors(settings)
-    seeds = [settings["seed"] + k for k in range(settings["chains"])]
-    if len(seeds) == 1:
-        return [run_chain(data, priors, _gibbs_config(settings, data, seeds[0]))]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=len(seeds)) as pool:
-        futures = [
-            pool.submit(run_chain, data, priors, _gibbs_config(settings, data, s))
-            for s in seeds
-        ]
-        return [f.result() for f in futures]
+    return [
+        run_chain(data, priors, _gibbs_config(settings, data, settings["seed"] + k))
+        for k in range(settings["chains"])
+    ]
 
 
 def _merge_chains(chains: list[PosteriorSamples]) -> PosteriorSamples:
@@ -405,12 +390,14 @@ def _parse_candidates(spec: str, samples: PosteriorSamples, level: float) -> lis
         if not token:
             continue
         if token in labels:
-            picked.append(labels.index(token))
+            index = labels.index(token)
         else:
             try:
-                picked.append(int(token))
+                index = int(token)
             except ValueError:
                 raise DataValidationError(f"unknown candidate {token!r}") from None
+        if index not in picked:  # a repeat would score the same models again
+            picked.append(index)
     return picked
 
 
@@ -538,24 +525,6 @@ def cmd_simulate(args) -> int:
     io.write_truth(out / "truth.txt", truth, lines)
     io.write_manifest_file(out / "manifest.txt", manifest)
     print(f"simulated dataset ({data.n} x {data.s}) written to {out}")
-    return EXIT_OK
-
-
-def cmd_bench(args) -> int:
-    settings = Settings(args, _BENCH_DEFAULTS)
-    manifest = settings.manifest("bench", {})
-    lines = _manifest_lines(manifest)
-    out = _outdir(settings)
-    sizes = [int(x) for x in str(settings["sizes"]).split(",") if x.strip()]
-    rows = benchmark_column_update(
-        sizes, n=settings["bench_n"], iters=settings["bench_iters"], seed=settings["seed"]
-    )
-    io.write_table(
-        out / "bench.csv", ["dim", "update_seconds", "dense_seconds"], rows, lines
-    )
-    io.write_manifest_file(out / "manifest.txt", manifest)
-    for dim, t_up, t_dense in rows:
-        print(f"dim {dim}: update {t_up * 1e3:.3f} ms/iter, dense {t_dense * 1e3:.3f} ms/iter")
     return EXIT_OK
 
 

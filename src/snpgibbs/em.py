@@ -9,7 +9,9 @@ Per individual, the missing genotypes have the discrete posterior
   P(Z_i^m = c) prop exp(-(Y_i - X_i beta - Z_i^o g^o - c g^m)^2 / (2 sigma^2))
 
 over all genotype tuples c. The E-step collects the first two moments of
-each individual's completed design row; the M-step solves
+each individual's completed design row; the normaliser of this posterior
+is the individual's observed log-likelihood term, so the same enumeration
+yields the observed log likelihood. The M-step solves
 
   gamma = (Z'(I-H)Z + V_Z)^{-1} Z'(I-H)Y,        H = X (X'X)^{-1} X',
   beta  = (X'X)^{-1} X'(Y - Z gamma),
@@ -126,17 +128,13 @@ def _tuple_design(tuples: np.ndarray, coding: str) -> np.ndarray:
     return np.hstack(pieces) if pieces else np.zeros((tuples.shape[0], 0))
 
 
-def _observed_residual(state: EmState, data: Dataset, i: int) -> float:
-    """Residual for individual i with all missing-SNP contributions removed."""
-    missing = np.flatnonzero(data.genotypes.missing_mask[i])
-    z_row = data.genotypes.codes[i].astype(float).copy()
-    z_row[missing] = 0.0
-    design_row = snp_design_matrix(z_row[None, :], data.snp_coding)[0]
-    # dominance column of a masked SNP must not contribute either
-    for j in missing:
-        for col in data.design_columns_of_snp(int(j)):
-            design_row[col] = 0.0
-    return float(data.y[i] - data.X[i] @ state.beta - design_row @ state.gamma)
+def _observed(state: EmState, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Z0, the SNP design with every design column of a masked cell zeroed,
+    and every individual's residual y - X beta - Z0 gamma."""
+    design = snp_design_matrix(data.genotypes.codes, data.snp_coding)
+    per_snp = design.shape[1] // max(data.s, 1)
+    design[np.repeat(data.genotypes.missing_mask, per_snp, axis=1)] = 0.0
+    return design, data.y - data.X @ state.beta - design @ state.gamma
 
 
 def _missing_design_cols(data: Dataset, missing: tuple[int, ...]) -> list[int]:
@@ -144,6 +142,33 @@ def _missing_design_cols(data: Dataset, missing: tuple[int, ...]) -> list[int]:
     for j in missing:
         cols.extend(data.design_columns_of_snp(int(j)))
     return cols
+
+
+def _completions(
+    state: EmState, data: Dataset, residual: np.ndarray, i: int, cap: int
+) -> tuple[np.ndarray, list[int], np.ndarray, float]:
+    """Individual i's completion design rows, missing design columns,
+    completion probabilities and log normaliser.
+
+    One row per genotype tuple of the missing SNPs in index order (a
+    complete individual has one empty row), weighted by
+    exp(-(r_i - row . gamma)^2 / (2 sigma^2)). The log-sum-exp of the
+    weights is i's observed log-likelihood term less the Gaussian constant.
+    Raises EnumerationCapError when 3^k exceeds the cap.
+    """
+    missing = tuple(np.flatnonzero(data.genotypes.missing_mask[i]))
+    size = GENOTYPE_ARITY ** len(missing)
+    if size > cap:
+        raise EnumerationCapError(
+            f"individual {i} has {len(missing)} missing SNPs ({size} completions > cap {cap})"
+        )
+    rows = _tuple_design(_genotype_tuples(len(missing)), data.snp_coding)
+    cols = _missing_design_cols(data, missing)
+    logw = -((residual[i] - rows @ state.gamma[cols]) ** 2) / (2.0 * state.sigma2)
+    top = logw.max()
+    w = np.exp(logw - top)
+    total = w.sum()
+    return rows, cols, w / total, float(top + np.log(total))
 
 
 def missing_distribution(
@@ -155,41 +180,19 @@ def missing_distribution(
     individual's missing SNPs in index order. Raises EnumerationCapError
     when 3^k exceeds the cap (use the Monte Carlo E-step instead).
     """
-    missing = tuple(np.flatnonzero(data.genotypes.missing_mask[i]))
-    k = len(missing)
-    size = GENOTYPE_ARITY**k
-    if size > cap:
-        raise EnumerationCapError(
-            f"individual {i} has {k} missing SNPs ({size} completions > cap {cap})"
-        )
-    tuples = _genotype_tuples(k)
-    if k == 0:
-        return tuples.reshape(1, 0), np.ones(1)
-    cols = _missing_design_cols(data, missing)
-    base = _observed_residual(state, data, i)
-    contrib = _tuple_design(tuples, data.snp_coding) @ state.gamma[cols]
-    logp = -((base - contrib) ** 2) / (2.0 * state.sigma2)
-    logp -= logp.max()
-    probs = np.exp(logp)
-    probs /= probs.sum()
-    return tuples, probs
+    _, residual = _observed(state, data)
+    probs = _completions(state, data, residual, i, cap)[2]
+    return _genotype_tuples(int(data.genotypes.missing_mask[i].sum())), probs
 
 
-def _moments_exact(state, data, i, cap):
-    tuples, probs = missing_distribution(state, data, i, cap)
-    rows = _tuple_design(tuples, data.snp_coding)
-    mean = probs @ rows
-    centered = rows - mean
-    cov = (centered * probs[:, None]).T @ centered
-    return mean, cov
+def _moments_mc(state, data, base, i, config, rng):
+    """Gibbs-scan Monte Carlo moments of the missing design entries.
 
-
-def _moments_mc(state, data, i, config, rng):
-    """Gibbs-scan Monte Carlo moments of the missing design entries."""
+    ``base`` is individual i's residual without its missing cells.
+    """
     missing = tuple(np.flatnonzero(data.genotypes.missing_mask[i]))
     k = len(missing)
     cols = _missing_design_cols(data, missing)
-    base = _observed_residual(state, data, i)
     gam = state.gamma[cols]
     per_snp = len(cols) // k
     current = np.zeros(k)  # genotype codes of the missing SNPs
@@ -227,32 +230,44 @@ def e_step(
     data: Dataset,
     config: Optional[EmConfig] = None,
     rng: Optional[np.random.Generator] = None,
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Expected completed design and summed covariance over individuals.
+) -> tuple[np.ndarray, np.ndarray, bool, float]:
+    """Expected completed design, summed covariance and observed log likelihood.
 
     Uses exact enumeration whenever an individual's completion count fits
     under the cap, otherwise a per-individual Gibbs-scan Monte Carlo
-    estimate. Returns (expected_Z, V_Z, exact_everywhere).
+    estimate. The normaliser of each enumeration is that individual's
+    log-likelihood term, so the same pass yields the observed log
+    likelihood at ``state``. Returns (expected_Z, V_Z, exact_everywhere,
+    loglik); loglik is nan unless exact_everywhere.
     """
     config = config or EmConfig()
     pattern = MissingPattern.from_dataset(data)
-    observed_design = snp_design_matrix(data.genotypes.codes, data.snp_coding)
-    expected = observed_design.astype(float).copy()
+    expected, residual = _observed(state, data)
     dim = expected.shape[1]
     V = np.zeros((dim, dim))
+    # a complete individual's one (empty) completion
+    terms = -(residual**2) / (2.0 * state.sigma2)
     exact_everywhere = True
     for i in pattern.individuals_with_missing():
-        cols = _missing_design_cols(data, pattern.missing_indices[i])
         if pattern.enumeration_size(i) <= config.enumeration_cap:
-            mean, cov = _moments_exact(state, data, i, config.enumeration_cap)
+            rows, cols, probs, terms[i] = _completions(
+                state, data, residual, i, config.enumeration_cap
+            )
+            mean = probs @ rows
+            centered = rows - mean
+            cov = (centered * probs[:, None]).T @ centered
         else:
             exact_everywhere = False
             if rng is None:
                 rng = np.random.default_rng(config.seed)
-            mean, cov = _moments_mc(state, data, i, config, rng)
+            cols = _missing_design_cols(data, pattern.missing_indices[i])
+            mean, cov = _moments_mc(state, data, residual[i], i, config, rng)
         expected[i, cols] = mean
         V[np.ix_(cols, cols)] += cov
-    return expected, V, exact_everywhere
+    loglik = float("nan")
+    if exact_everywhere:
+        loglik = float(-0.5 * data.n * np.log(2.0 * np.pi * state.sigma2) + terms.sum())
+    return expected, V, exact_everywhere, loglik
 
 
 def m_step(
@@ -286,35 +301,17 @@ def observed_loglik(
     Only available in the exact-enumeration regime; the per-individual sums
     are evaluated with log-sum-exp.
     """
-    pattern = MissingPattern.from_dataset(data)
-    total = -0.5 * data.n * np.log(2.0 * np.pi * state.sigma2)
-    design = snp_design_matrix(data.genotypes.codes, data.snp_coding)
-    for i in range(data.n):
-        k = pattern.k(i)
-        if k == 0:
-            r = float(data.y[i] - data.X[i] @ state.beta - design[i] @ state.gamma)
-            total += -(r**2) / (2.0 * state.sigma2)
-            continue
-        size = pattern.enumeration_size(i)
-        if size > cap:
-            raise EnumerationCapError(
-                f"individual {i} exceeds enumeration cap ({size} > {cap})"
-            )
-        base = _observed_residual(state, data, i)
-        cols = _missing_design_cols(data, pattern.missing_indices[i])
-        tuples = _genotype_tuples(k)
-        contrib = _tuple_design(tuples, data.snp_coding) @ state.gamma[cols]
-        logs = -((base - contrib) ** 2) / (2.0 * state.sigma2)
-        m = logs.max()
-        total += m + np.log(np.exp(logs - m).sum())
-    return float(total)
+    _, residual = _observed(state, data)
+    terms = [_completions(state, data, residual, i, cap)[3] for i in range(data.n)]
+    return float(-0.5 * data.n * np.log(2.0 * np.pi * state.sigma2) + sum(terms))
 
 
 def run_em(data: Dataset, config: Optional[EmConfig] = None) -> tuple[EmState, EmRunLog]:
     """Iterate E and M steps to convergence (relative parameter change).
 
-    In the exact regime the observed log likelihood is recorded each
-    iteration; non-convergence at the iteration cap returns the best state
+    In the exact regime each iteration's observed log likelihood comes from
+    the E-step at its estimate, which also gives the next iteration's
+    moments; non-convergence at the iteration cap returns the best state
     with the log flagged unconverged.
     """
     config = config or EmConfig()
@@ -335,11 +332,9 @@ def run_em(data: Dataset, config: Optional[EmConfig] = None) -> tuple[EmState, E
     )
 
     log = EmRunLog()
+    expected, V, log.exact_regime, loglik = e_step(state, data, config, rng)
     previous = state.params_vector()
     for it in range(1, config.max_iterations + 1):
-        expected, V, exact = e_step(state, data, config, rng)
-        if not exact:
-            log.exact_regime = False
         beta, gamma, sigma2 = m_step(expected, V, data)
         # an exactly zero variance (perfect fit) would break the next E-step
         state = EmState(beta, gamma, max(sigma2, 1e-300), expected, V)
@@ -347,12 +342,16 @@ def run_em(data: Dataset, config: Optional[EmConfig] = None) -> tuple[EmState, E
         delta = float(
             np.max(np.abs(current - previous) / (np.abs(previous) + 1e-12))
         )
-        loglik = observed_loglik(state, data, config.enumeration_cap) if log.exact_regime else float("nan")
+        log.converged = delta < config.tol
+        last = log.converged or it == config.max_iterations
+        # E(theta_t) gives the next moments and, when exact, l(theta_t);
+        # outside the exact regime the last one would only be thrown away
+        if log.exact_regime or not last:
+            expected, V, _, loglik = e_step(state, data, config, rng)
         log.history.append((it, loglik, delta))
         log.iterations = it
         previous = current
-        if delta < config.tol:
-            log.converged = True
+        if last:
             break
     if not log.converged:
         logger.warning("EM did not converge in %d iterations", config.max_iterations)

@@ -17,7 +17,7 @@ absorbed by one re-factorization.
 The Gibbs sampler does not use these kernels: phi^2 changes every sweep,
 so it keeps Z'R^{-1}Z exact instead and factors the precision per draw
 (see ``gibbs.sample_gamma``). They are kept as the tested reproduction of
-the update identity and for the ``bench`` subcommand.
+the update identity.
 
 All kernels here are pure except InverseCache, which is single-owner
 mutable state with periodic drift-controlled refreshes.

@@ -404,6 +404,31 @@ class TestSelectCommand:
         )
         assert code == 3
 
+    def test_repeated_candidates_scored_once(self, tmp_path):
+        sim = simulate_inputs(tmp_path)
+        base = [
+            "--genotypes", sim / "genotypes.csv",
+            "--phenotypes", sim / "phenotypes.csv",
+            "--families", sim / "families.csv",
+            "--coding", "additive_dominance",
+            "--iters", "400", "--burnin", "100", "--thin", "2", "--seed", "4",
+        ]
+        run_out = tmp_path / "run"
+        assert run_cli("run", *base, "--out-dir", run_out) == 0
+        # the second list has 21 entries, 2 of them distinct ("0" is snp1:a):
+        # only distinct candidates count toward the exhaustive limit of 20
+        specs = {"sel": "snp1:a,snp1:a,snp2:a", "sel_many": ",".join(["snp1:a", "snp2:a"] + ["0"] * 19)}
+        for name, spec in specs.items():
+            out = tmp_path / name
+            assert run_cli(
+                "select", *base, "--samples", run_out / "samples.csv",
+                "--candidates", spec, "--exhaustive",
+                "--min-samples-per-bf", "100", "--out-dir", out,
+            ) == 0
+            trace = read_noncomment_lines(out / "trace.csv")
+            assert len(trace) == 1 + 4
+            assert len({row.split(",")[1] for row in trace[1:]}) == 4
+
 
 class TestKinshipCommand:
     def test_three_record_pedigree(self, tmp_path):
@@ -462,16 +487,6 @@ class TestEmCommand:
 
 
 class TestBenchCommand:
-    def test_bench_writes_rows(self, tmp_path):
-        out = tmp_path / "bench"
-        code = run_cli(
-            "bench", "--sizes", "16,32", "--bench-n", "24", "--bench-iters", "4",
-            "--out-dir", out,
-        )
-        assert code == 0
-        rows = read_noncomment_lines(out / "bench.csv")
-        assert len(rows) == 1 + 2
-
     def test_update_path_beats_dense_at_256(self):
         # machine-dependent timing: assert ordering only, not magnitude
         from snpgibbs.linalg import benchmark_column_update

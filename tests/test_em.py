@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import snpgibbs.em as em
 from snpgibbs.em import (
     EmConfig,
     EmState,
@@ -116,7 +117,7 @@ class TestEStep:
     def test_no_missing_data(self):
         data, _ = make_dataset(n=10, s=3, seed=5)
         state = em_state(data)
-        expected, V, exact = e_step(state, data)
+        expected, V, exact, _ = e_step(state, data)
         assert exact
         assert np.array_equal(expected, snp_design_matrix(data.genotypes.codes, "signed"))
         assert np.array_equal(V, np.zeros((3, 3)))
@@ -142,7 +143,7 @@ class TestEStep:
         # posterior is symmetric on {-1, +1} with P(0) ~ 0: E = 0, Var = 1
         data = dataclasses.replace(data, snp_coding="additive_dominance")
         state = em_state(data, gamma=[0.0, -8.0], sigma2=0.5)
-        expected, V, exact = e_step(state, data)
+        expected, V, exact, _ = e_step(state, data)
         assert exact
         assert abs(expected[0, 0]) < 1e-12
         assert abs(V[0, 0] - 1.0) < 1e-10
@@ -159,10 +160,10 @@ class TestEStep:
             data, genotypes=GenotypeMatrix(data.genotypes.codes, mask)
         )
         state = em_state(data, gamma=[0.8, -0.5, 0.3], sigma2=1.0)
-        exp_exact, V_exact, exact = e_step(state, data, EmConfig())
+        exp_exact, V_exact, exact, _ = e_step(state, data, EmConfig())
         assert exact
         config = EmConfig(enumeration_cap=2, mc_samples=4000, mc_burn_in=100, seed=0)
-        exp_mc, V_mc, exact_mc = e_step(state, data, config)
+        exp_mc, V_mc, exact_mc, _ = e_step(state, data, config)
         assert not exact_mc
         cols = [0, 1, 2]
         se = np.sqrt(np.diag(V_exact)[cols] / 4000) + 1e-3
@@ -171,11 +172,22 @@ class TestEStep:
     def test_covariance_zero_for_observed(self):
         data, _ = make_dataset(n=8, s=3, missing=0.2, seed=7)
         state = em_state(data, gamma=[0.5, 0.5, 0.5])
-        expected, V, _ = e_step(state, data)
+        expected, V, _, _ = e_step(state, data)
         mask = data.genotypes.missing_mask
         fully_observed_cols = [j for j in range(3) if not mask[:, j].any()]
         for j in fully_observed_cols:
             assert np.allclose(V[j], 0.0) and np.allclose(V[:, j], 0.0)
+
+    @pytest.mark.parametrize("coding", ["signed", "additive_dominance"])
+    def test_loglik_matches_observed_loglik(self, coding):
+        data, _ = make_dataset(n=12, s=3, p=2, missing=0.2, seed=15, coding=coding)
+        assert data.genotypes.missing_mask.any()
+        dim = snp_design_matrix(data.genotypes.codes, coding).shape[1]
+        gamma = np.linspace(-1.0, 1.2, dim)
+        state = em_state(data, beta=[0.4, -0.3], gamma=gamma, sigma2=0.7)
+        _, _, exact, loglik = e_step(state, data)
+        assert exact
+        assert abs(loglik - observed_loglik(state, data)) < 1e-12
 
 
 class TestMStep:
@@ -323,3 +335,40 @@ class TestRunEm:
         assert state.gamma.shape == (4,)
         logliks = [h[1] for h in log.history]
         assert np.diff(logliks).min() > -1e-9
+
+    def test_one_pass_records_loglik_of_final_state(self, monkeypatch):
+        data, _ = make_dataset(n=14, s=3, missing=0.15, seed=16, coding="additive_dominance")
+        calls = []
+        e_step_fn = em.e_step
+        monkeypatch.setattr(em, "e_step", lambda *a: calls.append(1) or e_step_fn(*a))
+
+        def no_second_pass(*a):
+            raise AssertionError("run_em must take the log likelihood from the E-step")
+
+        monkeypatch.setattr(em, "observed_loglik", no_second_pass)
+        state, log = run_em(data, EmConfig(tol=0.0, max_iterations=7))
+        monkeypatch.undo()
+        assert log.exact_regime and log.iterations == 7
+        assert len(calls) == log.iterations + 1
+        # the last row is l(theta_t) of the returned state, not l(theta_{t-1})
+        assert abs(log.history[-1][1] - observed_loglik(state, data)) < 1e-12
+
+    def test_monte_carlo_regime_runs_one_e_step_per_iteration(self, monkeypatch):
+        data, _ = make_dataset(n=10, s=3, seed=17)
+        mask = np.zeros((10, 3), dtype=bool)
+        mask[2, :2] = mask[5, 1] = True  # 9 and 3 completions, cap 2
+        import dataclasses
+
+        from snpgibbs.model import GenotypeMatrix
+
+        data = dataclasses.replace(
+            data, genotypes=GenotypeMatrix(data.genotypes.codes, mask)
+        )
+        calls = []
+        e_step_fn = em.e_step
+        monkeypatch.setattr(em, "e_step", lambda *a: calls.append(1) or e_step_fn(*a))
+        config = EmConfig(tol=0.0, max_iterations=4, enumeration_cap=2, mc_samples=50, mc_burn_in=5)
+        _, log = run_em(data, config)
+        assert not log.exact_regime
+        assert len(calls) == log.iterations == 4
+        assert all(np.isnan(h[1]) for h in log.history)
