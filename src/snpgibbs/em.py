@@ -27,6 +27,7 @@ which is what guarantees the observed log likelihood never decreases.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Optional
@@ -188,40 +189,43 @@ def missing_distribution(
 def _moments_mc(state, data, base, i, config, rng):
     """Gibbs-scan Monte Carlo moments of the missing design entries.
 
-    ``base`` is individual i's residual without its missing cells.
+    ``base`` is individual i's residual without its missing cells. Each
+    cell's three candidate contributions are Python floats and the scan
+    carries the sum of the current ones, so one cell costs O(1); the sum
+    is recomputed at the start of every sweep, so rounding cannot build
+    up. One uniform per cell, drawn a sweep at a time.
     """
     missing = tuple(np.flatnonzero(data.genotypes.missing_mask[i]))
     k = len(missing)
-    cols = _missing_design_cols(data, missing)
-    gam = state.gamma[cols]
-    per_snp = len(cols) // k
-    current = np.zeros(k)  # genotype codes of the missing SNPs
-    design_rows = genotype_column_values(GENOTYPE_CODES, data.snp_coding)  # (3, per_snp)
-    samples = np.zeros((config.mc_samples, len(cols)))
-    n_kept = 0
+    gam = state.gamma[_missing_design_cols(data, missing)]
+    values = genotype_column_values(GENOTYPE_CODES, data.snp_coding)  # (3, per_snp)
+    per_snp = values.shape[1]
+    cand = [(values @ gam[t * per_snp : (t + 1) * per_snp]).tolist() for t in range(k)]
+    two_sigma2 = 2.0 * state.sigma2
+    picks = [1] * k  # index into GENOTYPE_CODES of each missing SNP: code 0
+    kept = np.empty((config.mc_samples, k), dtype=np.intp)
     for sweep in range(config.mc_burn_in + config.mc_samples):
-        for t in range(k):
-            gsub = gam[t * per_snp : (t + 1) * per_snp]
-            others = 0.0
-            for t2 in range(k):
-                if t2 == t:
-                    continue
-                row = genotype_column_values(current[t2 : t2 + 1], data.snp_coding)[0]
-                others += float(row @ gam[t2 * per_snp : (t2 + 1) * per_snp])
-            r = base - others
-            cand = design_rows @ gsub
-            logw = -((r - cand) ** 2) / (2.0 * state.sigma2)
-            logw -= logw.max()
-            p = np.exp(logw)
-            p /= p.sum()
-            draw = int((p.cumsum() < rng.random()).sum())
-            current[t] = GENOTYPE_CODES[min(draw, 2)]
+        total = sum(a[pick] for a, pick in zip(cand, picks))
+        for t, x in enumerate(rng.random(k).tolist()):
+            a = cand[t]
+            r = base - (total - a[picks[t]])  # less the other cells' contributions
+            d0, d1, d2 = r - a[0], r - a[1], r - a[2]
+            l0 = -(d0 * d0) / two_sigma2
+            l1 = -(d1 * d1) / two_sigma2
+            l2 = -(d2 * d2) / two_sigma2
+            top = max(l0, l1, l2)
+            e0, e1, e2 = math.exp(l0 - top), math.exp(l1 - top), math.exp(l2 - top)
+            norm = e0 + e1 + e2
+            p0 = e0 / norm
+            pick = (p0 < x) + (p0 + e1 / norm < x)  # cumulative bins below x
+            total += a[pick] - a[picks[t]]
+            picks[t] = pick
         if sweep >= config.mc_burn_in:
-            samples[n_kept] = _tuple_design(current[None, :], data.snp_coding)[0]
-            n_kept += 1
+            kept[sweep - config.mc_burn_in] = picks
+    samples = values[kept].reshape(config.mc_samples, k * per_snp)
     mean = samples.mean(axis=0)
     centered = samples - mean
-    cov = centered.T @ centered / max(n_kept - 1, 1)
+    cov = centered.T @ centered / max(config.mc_samples - 1, 1)
     return mean, cov
 
 

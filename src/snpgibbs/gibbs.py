@@ -16,9 +16,12 @@ re-draws one SNP column (cycling), each masked cell in turn from its
 exact discrete conditional over the three genotype classes; under a
 kinship R that conditional couples the cells through R^-1. The chain
 keeps the Gram matrix G = Z'R^-1 Z exact by recomputing the row and
-column of every design column an imputation changes, and each gamma draw
-factors the precision M = G + I/phi^2 afresh, so a new phi^2 costs
-nothing extra.
+column of every design column an imputation changes. Each gamma draw
+takes one Cholesky factorization: of M = G + I/phi^2 bordered by the
+right-hand side Z'R^-1 (Y - X beta), whose last row then holds L^-1 of
+that right-hand side, so one back-substitution with L' gives the mean and
+the noise together (the canonical-form sampler of Rue, JRSS-B 2001). A
+new phi^2 costs nothing extra.
 """
 
 from __future__ import annotations
@@ -58,6 +61,9 @@ __all__ = [
     "autocorrelations",
     "batch_mean_stderr",
 ]
+
+# width of the diagonal blocks in the gamma draw's back-substitution
+GAMMA_BLOCK = 32
 
 
 class ChainNumericalError(RuntimeError):
@@ -284,23 +290,42 @@ def sample_gamma(
     design: Optional[np.ndarray] = None,
     gram: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Draw gamma from N(M^-1 Z'R^-1(Y - X beta), sigma^2 M^-1).
+    """Draw gamma from N(M^-1 r, sigma^2 M^-1), M = G + I/phi^2,
+    r = Z'R^-1 (Y - X beta).
 
-    The precision M = G + I/phi^2 is factored as LL'; the draw
-    M^-1 (rhs + sigma L z) has covariance sigma^2 M^-1 L L' M^-1 =
-    sigma^2 M^-1. ``gram`` is G = Z'R^-1 Z when the caller maintains it;
-    otherwise it is built from the design. A precision that is not
-    positive definite raises ``np.linalg.LinAlgError``.
+    One lower Cholesky factorization of the bordered matrix
+    [[M, r], [r', c]] gives M = LL' and, in its last row, w = L^-1 r.
+    Back-substituting L' gamma = w + sigma z then yields the mean
+    L^-T w = M^-1 r plus noise sigma L^-T z of covariance sigma^2 M^-1,
+    with no second factorization.
+
+    The corner is c = 2 phi^2 |r|^2 + 1. Since M >= I/phi^2,
+    r'M^-1 r <= phi^2 |r|^2, so the corner's Schur complement
+    c - r'M^-1 r is at least c/2: the factorization fails only when M
+    itself is not positive definite (or a value is not finite), and then
+    raises ``np.linalg.LinAlgError``. ``gram`` is G = Z'R^-1 Z when the
+    caller maintains it; otherwise it is built from the design.
     """
     work = workspace or ChainWorkspace(data)
     Zd = _design_of(state, data, design)
     if gram is None:
         gram = Zd.T @ (work.Rinv @ Zd)
-    M = gram + np.eye(gram.shape[0]) / state.phi2
-    L = np.linalg.cholesky(M)
+    s = gram.shape[0]
     rhs = Zd.T @ (work.Rinv @ (data.y - data.X @ state.beta))
-    noise = L @ rng.standard_normal(rhs.shape[0])
-    return np.linalg.solve(M, rhs + np.sqrt(state.sigma2) * noise)
+    bordered = np.empty((s + 1, s + 1))
+    bordered[:s, :s] = gram
+    bordered.ravel()[: s * (s + 2) : s + 2] += 1.0 / state.phi2  # M's diagonal
+    bordered[:s, s] = rhs
+    bordered[s, :s] = rhs
+    bordered[s, s] = 2.0 * state.phi2 * float(rhs @ rhs) + 1.0
+    F = np.linalg.cholesky(bordered)
+    b = F[s, :s] + np.sqrt(state.sigma2) * rng.standard_normal(s)
+    gamma = np.empty(s)
+    for j in range(s, 0, -GAMMA_BLOCK):  # L' gamma = b, last block first
+        i = max(j - GAMMA_BLOCK, 0)
+        rest = b[i:j] - F[j:s, i:j].T @ gamma[j:]
+        gamma[i:j] = np.linalg.solve(F[i:j, i:j].T, rest)
+    return gamma
 
 
 def sample_sigma2(
@@ -502,9 +527,9 @@ def run_chain(
     j = t mod s) or for every column (``impute_mode="all"``), recompute
     the row and column of G = Z'R^-1 Z for each design column that
     changed, then draw gamma (one Cholesky factorization of
-    G + I/phi^2), beta, sigma^2, phi^2. A numerical failure raises
-    ChainNumericalError carrying the iteration and the state. Fully
-    deterministic for a given seed.
+    G + I/phi^2, bordered by the right-hand side), beta, sigma^2, phi^2.
+    A numerical failure raises ChainNumericalError carrying the iteration
+    and the state. Fully deterministic for a given seed.
     """
     validate_dataset(data).raise_for_errors()
     work = ChainWorkspace(data)

@@ -241,13 +241,14 @@ def write_samples(path, samples: PosteriorSamples, ids=(), manifest_lines=()):
     imputed genotype codes of every masked cell."""
     names, cols = samples.coefficient_table()
     header = list(names) + _masked_cell_labels(samples, ids)
-    body = []
-    for i in range(samples.retained_count):
-        row = [fmt(v) for v in cols[i]]
-        if samples.masked_values.shape[1]:
-            row += [str(int(v)) for v in samples.masked_values[i]]
-        body.append(row)
-    write_table(path, header, body, manifest_lines)
+    # the cells fmt would write: repr of each float, str of each code
+    rows = zip(cols.tolist(), samples.masked_values.tolist(), strict=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        for line in manifest_lines:
+            fh.write(line + "\n")
+        fh.write(",".join(header) + "\n")
+        for values, codes in rows:
+            fh.write(",".join([*map(repr, values), *map(str, codes)]) + "\n")
 
 
 def read_samples(path, data: Dataset, config: Optional[GibbsConfig] = None) -> PosteriorSamples:
@@ -261,7 +262,7 @@ def read_samples(path, data: Dataset, config: Optional[GibbsConfig] = None) -> P
         raise DataValidationError(
             f"{path}: expected {expected_cols} columns for this dataset, got {len(header)}"
         )
-    values = np.array([[float(c) for c in row] for row in rows])
+    values = np.array(rows, dtype=float)
     observed = data.genotypes.codes.copy()
     observed[data.genotypes.missing_mask] = 0
     return PosteriorSamples(

@@ -5,10 +5,13 @@ tensor-product Gauss-Hermite quadrature of the beta-marginalized likelihood
 over the coefficient prior, posterior state streams come from exact
 conjugate Gaussian draws (sigma^2 and phi^2 held fixed), and the genotype
 conditional is drawn by a per-cell numpy loop over the full residual image.
+The gamma draw, EM's Monte Carlo E-step and the samples writer each have
+their earlier, plainer form here as the reference for the faster one.
 """
 
 import numpy as np
 
+from snpgibbs import io
 from snpgibbs.gibbs import ParameterState
 from snpgibbs.linalg import ColumnDelta
 from snpgibbs.model import GENOTYPE_CODES, genotype_column_values, snp_design_matrix
@@ -135,6 +138,80 @@ def sequential_impute(state, data, j, rng, prior):
         if np.any(d):
             deltas.append(ColumnDelta(col, d))
     return deltas
+
+
+def two_factorization_gamma(state, data, rng):
+    """Reference gamma draw: M = Z'R^-1 Z + I/phi^2 factored as LL' for the
+    noise, then solve(M, rhs + sigma L z), an LU of M, for the draw."""
+    Zd = snp_design_matrix(state.z_imputed, data.snp_coding)
+    Rinv = np.linalg.inv(data.R)
+    M = Zd.T @ Rinv @ Zd + np.eye(Zd.shape[1]) / state.phi2
+    L = np.linalg.cholesky(M)
+    rhs = Zd.T @ (Rinv @ (data.y - data.X @ state.beta))
+    noise = L @ rng.standard_normal(rhs.shape[0])
+    return np.linalg.solve(M, rhs + np.sqrt(state.sigma2) * noise)
+
+
+def gibbs_scan_moments(state, data, base, i, config, rng):
+    """Reference Monte Carlo E-step moments for individual i: a Gibbs scan
+    over the missing SNPs that recomputes the other k - 1 contributions
+    through ``genotype_column_values`` for every cell, one ``rng.random()``
+    per cell. ``base`` is i's residual without its missing cells."""
+    missing = tuple(np.flatnonzero(data.genotypes.missing_mask[i]))
+    k = len(missing)
+    cols = [c for j in missing for c in data.design_columns_of_snp(int(j))]
+    gam = state.gamma[cols]
+    per_snp = len(cols) // k
+    current = np.zeros(k)  # genotype codes of the missing SNPs
+    design_rows = genotype_column_values(GENOTYPE_CODES, data.snp_coding)  # (3, per_snp)
+    samples = np.zeros((config.mc_samples, len(cols)))
+    n_kept = 0
+    for sweep in range(config.mc_burn_in + config.mc_samples):
+        for t in range(k):
+            gsub = gam[t * per_snp : (t + 1) * per_snp]
+            others = 0.0
+            for t2 in range(k):
+                if t2 == t:
+                    continue
+                row = genotype_column_values(current[t2 : t2 + 1], data.snp_coding)[0]
+                others += float(row @ gam[t2 * per_snp : (t2 + 1) * per_snp])
+            r = base - others
+            cand = design_rows @ gsub
+            logw = -((r - cand) ** 2) / (2.0 * state.sigma2)
+            logw -= logw.max()
+            p = np.exp(logw)
+            p /= p.sum()
+            draw = int((p.cumsum() < rng.random()).sum())
+            current[t] = GENOTYPE_CODES[min(draw, 2)]
+        if sweep >= config.mc_burn_in:
+            samples[n_kept] = np.concatenate(
+                [genotype_column_values(current[t : t + 1], data.snp_coding)[0]
+                 for t in range(k)]
+            )
+            n_kept += 1
+    mean = samples.mean(axis=0)
+    centered = samples - mean
+    cov = centered.T @ centered / max(n_kept - 1, 1)
+    return mean, cov
+
+
+def table_write_samples(path, samples, ids=(), manifest_lines=()):
+    """Reference samples writer: every cell through ``io.fmt`` into
+    ``io.write_table``, which formats it once more."""
+    names, cols = samples.coefficient_table()
+    header = list(names)
+    s = samples.missing_mask.shape[1]
+    for flat in np.flatnonzero(samples.missing_mask.ravel()):
+        i, j = divmod(int(flat), s)
+        rid = ids[i] if ids else str(i)
+        header.append(f"zimp_{rid}_{samples.snp_names[j]}")
+    body = []
+    for i in range(samples.retained_count):
+        row = [io.fmt(v) for v in cols[i]]
+        if samples.masked_values.shape[1]:
+            row += [str(int(v)) for v in samples.masked_values[i]]
+        body.append(row)
+    io.write_table(path, header, body, manifest_lines)
 
 
 def dense_inverse(A):

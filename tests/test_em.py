@@ -19,6 +19,7 @@ from snpgibbs.gibbs import ParameterState, imputation_probabilities
 from snpgibbs.model import ImputationPrior, snp_design_matrix
 
 from conftest import make_dataset
+from _oracles import gibbs_scan_moments
 
 
 def em_state(data, beta=None, gamma=None, sigma2=1.0):
@@ -168,6 +169,42 @@ class TestEStep:
         cols = [0, 1, 2]
         se = np.sqrt(np.diag(V_exact)[cols] / 4000) + 1e-3
         assert np.all(np.abs(exp_mc[1, cols] - exp_exact[1, cols]) < 4 * se + 0.05)
+
+    @pytest.mark.parametrize("coding", ["signed", "additive_dominance"])
+    def test_mc_scan_matches_reference(self, coding):
+        import dataclasses
+
+        from snpgibbs.simulator import (
+            MissingnessMask,
+            apply_missingness,
+            five_signal_design,
+            simulate_dataset,
+        )
+
+        data, _ = simulate_dataset(five_signal_design(), seed=1)
+        data = apply_missingness(data, MissingnessMask(0.2, seed=1))
+        data = dataclasses.replace(data, snp_coding=coding)
+        setup = np.random.default_rng(3)
+        state = em_state(data, gamma=setup.normal(size=data.design_dim), sigma2=0.6)
+        _, residual = em._observed(state, data)
+        config = EmConfig(mc_samples=150, mc_burn_in=20)
+        pattern = MissingPattern.from_dataset(data)
+        wide = [
+            i for i in pattern.individuals_with_missing()
+            if pattern.enumeration_size(i) > config.enumeration_cap
+        ]
+        assert len(wide) >= 10
+        for seed in (1, 2):
+            rng_ours, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            for i in wide:
+                args = (state, data, residual[i], i, config)
+                mean, cov = em._moments_mc(*args, rng_ours)
+                ref_mean, ref_cov = gibbs_scan_moments(*args, rng_ref)
+                # the kept draws are exact design values, so identical draws
+                # give bitwise-equal means
+                assert np.array_equal(mean, ref_mean)
+                np.testing.assert_allclose(cov, ref_cov, rtol=0, atol=1e-12)
+                assert rng_ours.bit_generator.state == rng_ref.bit_generator.state
 
     def test_covariance_zero_for_observed(self):
         data, _ = make_dataset(n=8, s=3, missing=0.2, seed=7)

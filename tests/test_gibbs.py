@@ -35,7 +35,7 @@ from snpgibbs.model import (
 from snpgibbs.pedigree import RelationshipMatrix
 
 from conftest import make_dataset, poison_phi2
-from _oracles import sequential_impute
+from _oracles import sequential_impute, two_factorization_gamma
 
 
 def state_for(data, beta=None, gamma=None, sigma2=1.0, phi2=1.0, codes=None):
@@ -155,6 +155,42 @@ class TestSampleGamma:
         for k in range(2):
             z = (draws[:, k] - mean[k]) / np.sqrt(cov[k, k])
             assert st.kstest(z, "norm").pvalue > 0.001
+
+    @pytest.mark.parametrize("kinship", ["identity", "correlated"])
+    @pytest.mark.parametrize("coding", ["signed", "additive_dominance"])
+    def test_matches_two_factorization_reference(self, coding, kinship):
+        # 70 design columns: two full blocks of the back-substitution and a
+        # partial one
+        snps = 70 if coding == "signed" else 35
+        data, _ = make_dataset(
+            n=90, s=snps, p=2, seed=31, missing=0.1, coding=coding, kinship=kinship
+        )
+        assert data.design_dim == 70
+        setup = np.random.default_rng(4)
+        rng_ours, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(5):
+            state = state_for(
+                data,
+                beta=setup.normal(size=2),
+                sigma2=float(setup.uniform(0.1, 4.0)),
+                phi2=float(10.0 ** setup.uniform(-2, 2)),
+            )
+            got = sample_gamma(state, data, rng_ours)
+            want = two_factorization_gamma(state, data, rng_ref)
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+            assert rng_ours.bit_generator.state == rng_ref.bit_generator.state
+
+    def test_border_never_fails_a_definite_precision(self):
+        data, _ = make_dataset(n=40, s=6, p=1, seed=32, kinship="correlated")
+        big = dataclasses.replace(data, phenotypes=PhenotypeVector(1e6 * data.y))
+        state = state_for(big, sigma2=1.0, phi2=1e6)
+        Zd = snp_design_matrix(state.z_imputed, big.snp_coding)
+        r = Zd.T @ np.linalg.solve(big.R, big.y)
+        assert 1e7 < np.linalg.norm(r) < 1e9
+        got = sample_gamma(state, big, np.random.default_rng(2))
+        want = two_factorization_gamma(state, big, np.random.default_rng(2))
+        assert np.isfinite(got).all()
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 class TestVarianceDraws:

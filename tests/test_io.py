@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,20 @@ from snpgibbs.simulator import (
     simulate_dataset,
     six_family_design,
 )
+
+from conftest import make_dataset
+from _oracles import table_write_samples
+
+
+def chain_samples(coding, missing):
+    """A short chain's samples with awkward floats in the gamma columns."""
+    data, _ = make_dataset(n=14, s=3, p=2, seed=41, missing=missing, coding=coding)
+    cfg = GibbsConfig(total_iterations=60, burn_in=20, thinning=2, seed=4)
+    post = run_chain(data, default_priors(), cfg)
+    gammas = post.gammas.copy()
+    awkward = [-0.0, 5e-324, 1e-300, -1.7976931348623157e308, 0.1, 1.0 / 3.0]
+    gammas[0, : len(awkward)] = awkward[: gammas.shape[1]]
+    return data, dataclasses.replace(post, gammas=gammas)
 
 
 class TestTables:
@@ -153,6 +169,39 @@ class TestSamplesRoundTrip:
         assert np.array_equal(back.sigma2s, post.sigma2s)
         assert np.array_equal(back.phi2s, post.phi2s)
         assert np.array_equal(back.masked_values, post.masked_values)
+
+    @pytest.mark.parametrize("missing", [0.0, 0.2])
+    @pytest.mark.parametrize("coding", ["signed", "additive_dominance"])
+    def test_round_trip_bitwise(self, tmp_path, coding, missing):
+        data, post = chain_samples(coding, missing)
+        assert bool(post.masked_values.shape[1]) == bool(missing)
+        path = tmp_path / "samples.csv"
+        io.write_samples(path, post, data.ids)
+        back = io.read_samples(path, data)
+        for name in ("betas", "gammas", "sigma2s", "phi2s"):
+            want = getattr(post, name)
+            assert np.array_equal(getattr(back, name).view(np.int64), want.view(np.int64))
+        assert np.array_equal(back.masked_values, post.masked_values)
+
+    @pytest.mark.parametrize("missing", [0.0, 0.2])
+    @pytest.mark.parametrize("coding", ["signed", "additive_dominance"])
+    def test_writer_matches_table_reference(self, tmp_path, coding, missing):
+        data, post = chain_samples(coding, missing)
+        manifest = ["# subcommand=run", "# seed=4"]
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        io.write_samples(ours, post, data.ids, manifest)
+        table_write_samples(ref, post, data.ids, manifest)
+        assert ours.read_bytes() == ref.read_bytes()
+
+    def test_malformed_cell_rejected(self, tmp_path):
+        data, post = chain_samples("signed", 0.2)
+        path = tmp_path / "samples.csv"
+        io.write_samples(path, post, data.ids)
+        header, *rows = path.read_text().splitlines()
+        rows[1] = rows[1].replace(",", ",x", 1)
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(ValueError, match="could not convert"):
+            io.read_samples(path, data)
 
     def test_wrong_shape_rejected(self, tmp_path):
         data, _ = simulate_dataset(six_family_design(), seed=5)
