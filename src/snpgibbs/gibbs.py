@@ -236,19 +236,21 @@ class MaskedCells(NamedTuple):
 
 
 class ChainWorkspace:
-    """Quantities fixed for a dataset: R^-1, the X-side factorizations, the
-    design values of the three genotype codes and, per SNP column, the
-    masked cells with their block of R^-1."""
+    """Quantities fixed for a dataset: R^-1, the beta draw's GLS map
+    (X'R^-1X)^-1 X'R^-1 and Lx^-T, the design values of the three genotype
+    codes and, per SNP column, the masked cells with their block of R^-1."""
 
     def __init__(self, data: Dataset):
         self.data = data
         self.Rinv = np.linalg.inv(data.R)
-        self.XtRinv = data.X.T @ self.Rinv
-        self.XtRinvX = self.XtRinv @ data.X
+        XtRinv = data.X.T @ self.Rinv
+        XtRinvX = XtRinv @ data.X
         try:
-            self.Lx = np.linalg.cholesky(self.XtRinvX)
+            Lx = np.linalg.cholesky(XtRinvX)
         except np.linalg.LinAlgError as exc:
             raise ChainNumericalError(f"X'R^-1X factorization failed: {exc}") from exc
+        self.gls = np.linalg.solve(XtRinvX, XtRinv)  # (X'R^-1X)^-1 X'R^-1
+        self.Lx_inv_t = np.linalg.inv(Lx).T  # Lx^-T, with Lx Lx' = X'R^-1X
         self.code_values = genotype_column_values(GENOTYPE_CODES, data.snp_coding)
         mask = data.genotypes.missing_mask
         self.masked = [self._cells(np.flatnonzero(mask[:, j])) for j in range(data.s)]
@@ -273,12 +275,13 @@ def sample_beta(
     workspace: Optional[ChainWorkspace] = None,
     design: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Draw beta from its Gaussian full conditional (GLS mean)."""
+    """Draw beta from its Gaussian full conditional: the GLS mean
+    (X'R^-1X)^-1 X'R^-1 (Y - Z gamma) plus sigma Lx^-T z, both products with
+    matrices the workspace holds for the whole chain."""
     work = workspace or ChainWorkspace(data)
     Zd = _design_of(state, data, design)
-    resid = data.y - Zd @ state.gamma
-    mean = np.linalg.solve(work.XtRinvX, work.XtRinv @ resid)
-    noise = np.linalg.solve(work.Lx.T, rng.standard_normal(mean.shape[0]))
+    mean = work.gls @ (data.y - Zd @ state.gamma)
+    noise = work.Lx_inv_t @ rng.standard_normal(mean.shape[0])
     return mean + np.sqrt(state.sigma2) * noise
 
 

@@ -302,8 +302,12 @@ def snp_design_matrix(codes: np.ndarray, coding: str) -> np.ndarray:
     codes = np.asarray(codes, dtype=float)
     if coding == SIGNED:
         return codes.copy()
-    cols = [genotype_column_values(codes[:, j], coding) for j in range(codes.shape[1])]
-    return np.hstack(cols)
+    if coding == ADDITIVE_DOMINANCE:  # columns 2j, 2j + 1 belong to SNP j
+        design = np.empty((codes.shape[0], 2 * codes.shape[1]))
+        design[:, 0::2] = codes
+        design[:, 1::2] = codes == 0
+        return design
+    raise DataValidationError(f"unknown snp coding {coding!r}")
 
 
 @dataclass
@@ -372,13 +376,24 @@ def encode_genotypes(
         raise DataValidationError("raw genotype table must be 2-d")
     n, s = calls.shape
     names = tuple(snp_names) if snp_names else tuple(f"snp{j + 1}" for j in range(s))
-    codes = np.zeros((n, s), dtype=np.int8)
-    mask = np.zeros((n, s), dtype=bool)
+    # factor the table once: every cell becomes the index of its distinct call
+    cells = calls.ravel().tolist()
+    distinct = list(dict.fromkeys(cells))
+    if not all(isinstance(x, str) for x in distinct):
+        cells = list(map(str, cells))  # non-string calls compare by their text
+        distinct = list(dict.fromkeys(cells))
+    index = {x: u for u, x in enumerate(distinct)}
+    inverse = np.fromiter(map(index.__getitem__, cells), dtype=np.intp, count=n * s)
+    inverse = inverse.reshape(n, s)
+    text = [str(x).strip() for x in distinct]
+    missing = np.array([not x or x == missing_marker for x in text], dtype=bool)
+    present = np.zeros((s, len(distinct)), dtype=bool)
+    present[np.arange(s), inverse] = True
+    code_of = np.zeros((s, len(distinct)), dtype=np.int8)
     categories: list[dict] = []
     warnings: list[str] = []
     for j in range(s):
-        col = [str(x).strip() for x in calls[:, j]]
-        observed = sorted({x for x in col if x and x != missing_marker})
+        observed = sorted({text[u] for u in np.flatnonzero(present[j] & ~missing)})
         if not observed:
             raise DataValidationError(f"SNP column {names[j]!r} has no observed calls")
         if len(observed) > 3:
@@ -406,12 +421,10 @@ def encode_genotypes(
             mapping[hets[0]] = 0
         if len(observed) == 1:
             warnings.append(f"SNP column {names[j]!r} is monomorphic")
-        for i, call in enumerate(col):
-            if not call or call == missing_marker:
-                mask[i, j] = True
-            else:
-                codes[i, j] = mapping[call]
+        code_of[j] = [mapping.get(x, 0) for x in text]
         categories.append({code: call for call, code in mapping.items()})
+    codes = code_of[np.arange(s), inverse]
+    mask = missing[inverse]
     gm = GenotypeMatrix(codes, mask, names, tuple(categories))
     return gm, warnings
 

@@ -22,10 +22,13 @@ consistent for the Bayes factor. Everything accumulates in log space.
 A search reduces each posterior state once to statistics of its whitened
 completed design (W the inverse Cholesky factor of R): H = Z'R^-1Z and
 h = Z'R^-1(Y - X beta). The columns every model of the search excludes
-(F, the non-candidates) are eliminated from H once per completed design
-(once per search when no genotype is missing), leaving candidate-sized
-arrays; a model is then a batched log-determinant and solve
-on the Schur complement of its excluded candidates.
+(F, the non-candidates) are eliminated from H by one Cholesky factor per
+completed design (one per search when no genotype is missing), leaving
+candidate-sized arrays. The designs are walked in window order: a state
+rewhitens only the design columns that changed since the previous state
+and recomputes only their rows and columns of H. A model is then a
+batched log-determinant and solve on the Schur complement of its
+excluded candidates.
 
 The search chain accepts a proposal with min{1, BF'/BF}; proposals flip a
 random coefficient with probability a and jump to an independent uniform
@@ -267,7 +270,9 @@ class BayesFactorStatistics:
     design, the statistics are log|H_FF|, M = H_KF H_FF^-1 H_FK and the
     Schur complement S = H_KK - M, which depend on the design only, and
     q0 = h_F'H_FF^-1 h_F, b = H_KF H_FF^-1 h_F, g = h_K - b, gamma, sigma^2
-    and phi^2, which depend on the state. With no missing genotype every
+    and phi^2, which depend on the state. All of them are read from one
+    Cholesky factor L_FF of H_FF per design (see
+    ``bayes_factor_statistics``). With no missing genotype every
     state shares the observed design, otherwise each state has its own; the
     design arrays hold one row per design whose H_FF is positive definite
     (D rows) and the state arrays are grouped under them (D x L, L states
@@ -300,8 +305,16 @@ def bayes_factor_statistics(
     """Reduce each state to the candidate-sized statistics that score every
     model including only columns from ``candidates``.
 
-    F is eliminated once per completed design: once per search when no
-    genotype is missing, once per state otherwise.
+    The window is walked in order. A = W[Z_F | Z_K | X | y] is whitened in
+    full for the first design; a later design rewhitens only the columns
+    whose design values changed and recomputes their rows and columns of
+    A'A. Each design then takes one lower Cholesky factor of A'A with 1
+    added to the diagonal of its trailing (K, X, y) block. That block's
+    Schur complement is then at least I, so the factorization fails exactly
+    when H_FF is singular. The factor's first |F| columns hold L_FF (hence
+    log|H_FF|) and, below it, V = L_FF^-1 Z_F'R^-1[Z_K X y], from which every
+    statistic follows with matrix products: M = V_K'V_K and, per state,
+    v = V_y - V_X beta, q0 = |v|^2 and b = V_K'v.
     """
     s = data.design_dim
     K = sorted({int(j) for j in candidates})
@@ -309,11 +322,10 @@ def bayes_factor_statistics(
         if not 0 <= j < s:
             raise ValueError(f"candidate index {j} out of range")
     F = sorted(set(range(s)) - set(K))
-    k = len(K)
+    f, k, p = len(F), len(K), data.X.shape[1]
     W = np.linalg.inv(np.linalg.cholesky(data.R))
-    wy = W @ data.y
-    wX = W @ data.X
-    ix_ff, ix_fk, ix_kk = np.ix_(F, F), np.ix_(F, K), np.ix_(K, K)
+    position = np.empty(s, dtype=int)  # design column -> column of A
+    position[F + K] = np.arange(s)
 
     states = list(states)
     if data.genotypes.missing_mask.any():
@@ -326,33 +338,42 @@ def bayes_factor_statistics(
     def per_state(values, *shape):
         return np.array(values, dtype=float).reshape(D, L, *shape)
 
-    betas = per_state([state.beta for state in states], data.X.shape[1])
+    betas = per_state([state.beta for state in states], p)
     logdet_f = np.empty(D)
     M, S = np.empty((D, k, k)), np.empty((D, k, k))
     q0, b, g = np.empty((D, L)), np.empty((D, L, k)), np.empty((D, L, k))
     valid = np.ones(D, dtype=bool)
+    A = np.zeros((data.n, s + p + 1))
+    A[:, s:s + p] = W @ data.X
+    A[:, -1] = W @ data.y
+    H = A.T @ A
+    previous = np.full((data.n, s), np.nan)  # NaN != anything: the first design fills A
+    lift = np.arange(f, s + p + 1)
     for r, codes in enumerate(designs):
-        Z = W @ snp_design_matrix(codes, data.snp_coding)
-        H = Z.T @ Z
-        H_ff = H[ix_ff]
-        sign, logdet = np.linalg.slogdet(H_ff)
-        if sign <= 0 or not np.isfinite(logdet):
-            valid[r] = False
-            continue
-        h = (wy - betas[r] @ wX.T) @ Z
-        h_f = h[:, F]
-        H_fk = H[ix_fk]
+        Z = snp_design_matrix(codes, data.snp_coding)
+        changed = np.flatnonzero((Z != previous).any(axis=0))
+        previous = Z
+        cols = position[changed]
+        A[:, cols] = W @ Z[:, changed]
+        cross = A.T @ A[:, cols]
+        H[:, cols] = cross
+        H[cols, :] = cross.T
+        lifted = H.copy()
+        lifted[lift, lift] += 1.0
         try:
-            sol = np.linalg.solve(H_ff, np.column_stack([H_fk, h_f.T]))
+            factor = np.linalg.cholesky(lifted)
         except np.linalg.LinAlgError:
             valid[r] = False
             continue
-        logdet_f[r] = logdet
-        M[r] = H_fk.T @ sol[:, :k]
-        S[r] = H[ix_kk] - M[r]
-        b[r] = sol[:, k:].T @ H_fk
-        g[r] = h[:, K] - b[r]
-        q0[r] = np.einsum("lf,fl->l", h_f, sol[:, k:])
+        # V' = Z_F'R^-1[Z_K X y] L_FF^-T lies below L_FF, by blocks
+        V_k, V_x, V_y = factor[f:s, :f], factor[s:s + p, :f], factor[-1, :f]
+        logdet_f[r] = 2.0 * np.log(factor.diagonal()[:f]).sum()
+        M[r] = V_k @ V_k.T
+        S[r] = H[f:s, f:s] - M[r]
+        v = V_y - betas[r] @ V_x
+        q0[r] = np.einsum("lf,lf->l", v, v)
+        b[r] = v @ V_k.T
+        g[r] = H[-1, f:s] - betas[r] @ H[s:s + p, f:s] - b[r]
     return BayesFactorStatistics(
         s, tuple(K), tuple(F),
         logdet_f=logdet_f[valid],

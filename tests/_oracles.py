@@ -5,8 +5,9 @@ tensor-product Gauss-Hermite quadrature of the beta-marginalized likelihood
 over the coefficient prior, posterior state streams come from exact
 conjugate Gaussian draws (sigma^2 and phi^2 held fixed), and the genotype
 conditional is drawn by a per-cell numpy loop over the full residual image.
-The gamma draw, EM's Monte Carlo E-step and the samples writer each have
-their earlier, plainer form here as the reference for the faster one.
+The beta and gamma draws, EM's Monte Carlo E-step, the samples writer and
+the genotype coding each have their earlier, plainer form here as the
+reference for the faster one.
 """
 
 import numpy as np
@@ -14,7 +15,13 @@ import numpy as np
 from snpgibbs import io
 from snpgibbs.gibbs import ParameterState
 from snpgibbs.linalg import ColumnDelta
-from snpgibbs.model import GENOTYPE_CODES, genotype_column_values, snp_design_matrix
+from snpgibbs.model import (
+    GENOTYPE_CODES,
+    DataValidationError,
+    GenotypeMatrix,
+    genotype_column_values,
+    snp_design_matrix,
+)
 
 
 def _projector_complement(X, R):
@@ -152,6 +159,18 @@ def two_factorization_gamma(state, data, rng):
     return np.linalg.solve(M, rhs + np.sqrt(state.sigma2) * noise)
 
 
+def two_solve_beta(state, data, rng):
+    """Reference beta draw: an LU solve of X'R^-1X for the GLS mean and a
+    triangular solve with its Cholesky factor for the noise."""
+    Zd = snp_design_matrix(state.z_imputed, data.snp_coding)
+    XtRinv = data.X.T @ np.linalg.inv(data.R)
+    XtRinvX = XtRinv @ data.X
+    mean = np.linalg.solve(XtRinvX, XtRinv @ (data.y - Zd @ state.gamma))
+    Lx = np.linalg.cholesky(XtRinvX)
+    noise = np.linalg.solve(Lx.T, rng.standard_normal(mean.shape[0]))
+    return mean + np.sqrt(state.sigma2) * noise
+
+
 def gibbs_scan_moments(state, data, base, i, config, rng):
     """Reference Monte Carlo E-step moments for individual i: a Gibbs scan
     over the missing SNPs that recomputes the other k - 1 contributions
@@ -212,6 +231,58 @@ def table_write_samples(path, samples, ids=(), manifest_lines=()):
             row += [str(int(v)) for v in samples.masked_values[i]]
         body.append(row)
     io.write_table(path, header, body, manifest_lines)
+
+
+def loop_encode_genotypes(raw, missing_marker="NA", snp_names=()):
+    """Reference genotype coding: every cell through ``str(x).strip()``, a
+    set of observed calls and a Python mapping loop per column."""
+    calls = np.asarray(raw, dtype=object)
+    if calls.ndim != 2:
+        raise DataValidationError("raw genotype table must be 2-d")
+    n, s = calls.shape
+    names = tuple(snp_names) if snp_names else tuple(f"snp{j + 1}" for j in range(s))
+    codes = np.zeros((n, s), dtype=np.int8)
+    mask = np.zeros((n, s), dtype=bool)
+    categories: list[dict] = []
+    warnings: list[str] = []
+    for j in range(s):
+        col = [str(x).strip() for x in calls[:, j]]
+        observed = sorted({x for x in col if x and x != missing_marker})
+        if not observed:
+            raise DataValidationError(f"SNP column {names[j]!r} has no observed calls")
+        if len(observed) > 3:
+            raise DataValidationError(
+                f"SNP column {names[j]!r} has {len(observed)} categories: "
+                + ", ".join(observed)
+            )
+        homs = [c for c in observed if len(set(c)) == 1]
+        hets = [c for c in observed if len(set(c)) > 1]
+        if len(hets) > 1:
+            raise DataValidationError(
+                f"SNP column {names[j]!r} has multiple heterozygous calls: "
+                + ", ".join(hets)
+            )
+        if len(homs) > 2:
+            raise DataValidationError(
+                f"SNP column {names[j]!r} has {len(homs)} homozygous calls"
+            )
+        mapping: dict[str, int] = {}
+        if homs:
+            mapping[max(homs)] = 1
+            if len(homs) == 2:
+                mapping[min(homs)] = -1
+        if hets:
+            mapping[hets[0]] = 0
+        if len(observed) == 1:
+            warnings.append(f"SNP column {names[j]!r} is monomorphic")
+        for i, call in enumerate(col):
+            if not call or call == missing_marker:
+                mask[i, j] = True
+            else:
+                codes[i, j] = mapping[call]
+        categories.append({code: call for call, code in mapping.items()})
+    gm = GenotypeMatrix(codes, mask, names, tuple(categories))
+    return gm, warnings
 
 
 def dense_inverse(A):

@@ -35,7 +35,7 @@ from snpgibbs.model import (
 from snpgibbs.pedigree import RelationshipMatrix
 
 from conftest import make_dataset, poison_phi2
-from _oracles import sequential_impute, two_factorization_gamma
+from _oracles import sequential_impute, two_factorization_gamma, two_solve_beta
 
 
 def state_for(data, beta=None, gamma=None, sigma2=1.0, phi2=1.0, codes=None):
@@ -90,15 +90,31 @@ class TestSampleBeta:
     def test_exact_conditional_distribution(self, rng):
         data, _ = make_dataset(n=8, s=2, p=2, seed=5, kinship="correlated")
         state = state_for(data, gamma=[0.5, -0.2], sigma2=1.7)
-        work = ChainWorkspace(data)
         Zd = snp_design_matrix(state.z_imputed, "signed")
+        XtRinv = data.X.T @ np.linalg.inv(data.R)
         resid = data.y - Zd @ state.gamma
-        mean = np.linalg.solve(work.XtRinvX, work.XtRinv @ resid)
-        cov = state.sigma2 * np.linalg.inv(work.XtRinvX)
+        mean = np.linalg.solve(XtRinv @ data.X, XtRinv @ resid)
+        cov = state.sigma2 * np.linalg.inv(XtRinv @ data.X)
         draws = np.array([sample_beta(state, data, rng) for _ in range(20000)])
         for k in range(2):
             z = (draws[:, k] - mean[k]) / np.sqrt(cov[k, k])
             assert st.kstest(z, "norm").pvalue > 0.001
+
+    @pytest.mark.parametrize("coding", ["signed", "additive_dominance"])
+    @pytest.mark.parametrize("kinship", ["identity", "correlated"])
+    def test_matches_two_solve_reference(self, coding, kinship):
+        data, _ = make_dataset(n=15, s=3, p=3, seed=8, coding=coding, kinship=kinship)
+        setup = np.random.default_rng(2)
+        work = ChainWorkspace(data)
+        for _ in range(5):
+            state = state_for(
+                data, gamma=setup.normal(size=data.design_dim),
+                sigma2=float(setup.uniform(0.5, 2.0)),
+            )
+            seed = int(setup.integers(2**32))
+            ours = sample_beta(state, data, np.random.default_rng(seed), workspace=work)
+            ref = two_solve_beta(state, data, np.random.default_rng(seed))
+            assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 class TestSampleGamma:

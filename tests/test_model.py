@@ -19,6 +19,7 @@ from snpgibbs.model import (
     validate_dataset,
 )
 from conftest import make_dataset
+from _oracles import loop_encode_genotypes
 
 
 class TestEncode:
@@ -58,6 +59,55 @@ class TestEncode:
         assert np.array_equal(gm.codes[~gm.missing_mask], gm2.codes[~gm2.missing_mask])
         assert np.array_equal(gm.missing_mask, gm2.missing_mask)
         assert np.array_equal(back[~gm.missing_mask], raw[~gm.missing_mask])
+
+
+def _encode_outcome(encode, raw, **kwargs):
+    try:
+        gm, warnings = encode(raw, **kwargs)
+    except DataValidationError as exc:
+        return "error", str(exc)
+    return gm.codes.dtype, gm.codes.tolist(), gm.missing_mask.tolist(), gm.snp_names, \
+        gm.categories, warnings
+
+
+class TestEncodeMatchesLoopReference:
+    @pytest.mark.parametrize("missing_marker", ["NA", "-"])
+    def test_random_tables(self, missing_marker):
+        rng = np.random.default_rng(11)
+        pool = np.array(
+            ["AA", " AA", "AA  ", "AG", "GA ", "GG", "\tGG", "NA", " NA ", "", "  ", "-"],
+            dtype=object,
+        )
+        for _ in range(40):
+            s = int(rng.integers(1, 6))
+            raw = np.empty((int(rng.integers(1, 12)), s), dtype=object)
+            for j in range(s):
+                # a few calls per column, so some columns are monomorphic and
+                # some break a rule
+                raw[:, j] = rng.choice(rng.choice(pool, size=int(rng.integers(2, 6))),
+                                       size=raw.shape[0])
+            kwargs = {"missing_marker": missing_marker}
+            assert _encode_outcome(encode_genotypes, raw, **kwargs) == _encode_outcome(
+                loop_encode_genotypes, raw, **kwargs
+            )
+
+    @pytest.mark.parametrize("raw", [
+        [[" GG", "AT"], ["GC ", "TT"], ["CC", "NA"], ["", " AA"], ["NA", "TA"]],
+        [["GG", "AA"], [" GG ", ""], ["NA", "AA"]],  # monomorphic columns
+        [["AA"], ["AT"], ["TT"], ["CC"]],  # four categories
+        [["NA"], [""], ["  "]],  # no observed call
+        [["AT"], ["TA"], ["AA"]],  # two heterozygotes
+        [["A"], ["C"], ["G"]],  # three homozygotes
+        [["AA", "CC"], ["AT", "TA"]],  # second column fails
+        ["AA", "AT"],  # not 2-d
+        [[1, 1.0], [2, "2"], [None, "NA"]],  # non-string calls compare by text
+    ])
+    def test_cases(self, raw):
+        names = ("first", "second")[: np.asarray(raw, dtype=object).shape[-1]]
+        for kwargs in ({}, {"snp_names": names}):
+            assert _encode_outcome(encode_genotypes, raw, **kwargs) == _encode_outcome(
+                loop_encode_genotypes, raw, **kwargs
+            )
 
 
 class TestDesignCoding:

@@ -11,6 +11,8 @@ from snpgibbs.selector import (
     ModelIndicator,
     SearchConfig,
     _SingularGram,
+    _log_terms,
+    bayes_factor_statistics,
     bf_sample_term,
     estimate_bayes_factor,
     exhaustive_search,
@@ -282,6 +284,96 @@ class TestBlockElimination:
         monkeypatch.setattr(PosteriorSamples, "state", counting_state)
         exhaustive_search(post.states, data, [0, 1], SearchConfig(min_samples_per_bf=50))
         assert sorted(loaded) == list(range(150, 200))
+
+
+def _reference_terms(states, data, delta):
+    """Per-state ``bf_sample_term``s of the states whose excluded Gram
+    matrix is nonsingular, in window order."""
+    terms = []
+    for state in states:
+        try:
+            terms.append(bf_sample_term(state, data, delta))
+        except _SingularGram:
+            pass
+    return terms
+
+
+def _assert_walk_matches_reference(states, data, candidates):
+    """Every model over ``candidates``: the walk keeps the reference's
+    valid states, and each of its per-state terms equals the reference
+    within 1e-9. Returns how many terms each model kept."""
+    stats = bayes_factor_statistics(states, data, candidates)
+    kept = {}
+    for mask in range(2 ** len(candidates)):
+        included = [c for k, c in enumerate(candidates) if mask >> k & 1]
+        delta = ModelIndicator.from_included(data.design_dim, included)
+        reference = _reference_terms(states, data, delta)
+        terms = _log_terms(stats, delta)
+        assert len(terms) == len(reference)
+        assert np.max(np.abs(terms - reference), initial=0.0) < 1e-9
+        kept[tuple(included)] = len(terms)
+    return kept
+
+
+def chain_window(kinship, thinning, count=60, seed=4):
+    """The last ``count`` states of a cycle-mode chain with missing
+    genotypes, under additive-dominance coding."""
+    data, _ = make_dataset(
+        n=30, s=8, p=2, seed=seed, missing=0.2, coding="additive_dominance",
+        kinship=kinship,
+    )
+    config = GibbsConfig(
+        total_iterations=100 + count * thinning, burn_in=100, thinning=thinning, seed=seed
+    )
+    post = run_chain(data, default_priors(), config)
+    return data, [post.state(i) for i in range(post.retained_count)]
+
+
+def changed_design_columns(data, states):
+    designs = [snp_design_matrix(state.z_imputed, data.snp_coding) for state in states]
+    return [int((a != b).any(axis=0).sum()) for a, b in zip(designs, designs[1:])]
+
+
+class TestWindowWalk:
+    @pytest.mark.parametrize("thinning", [1, 4])
+    @pytest.mark.parametrize("kinship", ["identity", "correlated"])
+    def test_chain_window_matches_per_state_reference(self, kinship, thinning):
+        data, states = chain_window(kinship, thinning)
+        changed = changed_design_columns(data, states)
+        if thinning == 1:  # one SNP redrawn per sweep: 0-2 design columns change
+            assert 0 in changed and max(changed) == 2
+        else:
+            assert min(changed) < data.design_dim and max(changed) > 2
+        candidates = data.design_columns_of_snp(1) + data.design_columns_of_snp(3)
+        kept = _assert_walk_matches_reference(states, data, candidates)
+        assert set(kept.values()) == {len(states)}
+
+    def test_singular_design_mid_window(self):
+        data, states = chain_window("correlated", 4)
+        # a monomorphic completion of never-candidate SNP 4 makes the
+        # always-excluded block of that one state singular
+        states[30].z_imputed = states[30].z_imputed.copy()
+        states[30].z_imputed[:, 4] = 0
+        candidates = data.design_columns_of_snp(0) + data.design_columns_of_snp(2)
+        stats = bayes_factor_statistics(states, data, candidates)
+        assert stats.invalid == 1 and stats.q0.shape == (len(states) - 1, 1)
+        kept = _assert_walk_matches_reference(states, data, candidates)
+        assert set(kept.values()) == {len(states) - 1}
+
+    def test_all_zero_candidate_column(self):
+        import dataclasses
+
+        from snpgibbs.model import GenotypeMatrix
+
+        data, states = imputed_states("signed", "correlated")
+        codes = data.genotypes.codes.copy()
+        mask = data.genotypes.missing_mask.copy()
+        codes[:, 2], mask[:, 2] = 0, False
+        data = dataclasses.replace(data, genotypes=GenotypeMatrix(codes, mask))
+        for state in states:
+            state.z_imputed[:, 2] = 0
+        kept = _assert_walk_matches_reference(states, data, [0, 2])
+        assert kept == {(): 0, (0,): 0, (2,): len(states), (0, 2): len(states)}
 
 
 class TestProposal:
