@@ -2,8 +2,9 @@
 
 A Gibbs sampler for the linear mixed model Y = X beta + Z gamma + eps
 with pedigree-based residual correlation, multiple imputation of missing
-genotypes inside the chain, Bayes-factor-driven model search, rank-one
-inverse updating for the per-sweep covariance, and an EM baseline.
+genotypes inside the chain, Bayes-factor-driven model search, and an EM
+baseline. The chain keeps Z'R^-1 Z exact as imputation rewrites design
+columns and draws gamma from one Cholesky factorization per sweep.
 """
 
 __version__ = "0.1.0"

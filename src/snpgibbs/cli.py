@@ -25,7 +25,6 @@ from .gibbs import (
     PosteriorSamples,
     run_chain,
 )
-from .linalg import SingularUpdateError
 from .model import (
     ADDITIVE_DOMINANCE,
     SIGNED,
@@ -323,22 +322,12 @@ def _run_chains(settings, data) -> list[PosteriorSamples]:
 
 
 def _merge_chains(chains: list[PosteriorSamples]) -> PosteriorSamples:
-    first = chains[0]
     if len(chains) == 1:
-        return first
+        return chains[0]
+    draws = ("betas", "gammas", "sigma2s", "phi2s", "masked_values")
     return PosteriorSamples(
-        betas=np.concatenate([c.betas for c in chains]),
-        gammas=np.concatenate([c.gammas for c in chains]),
-        sigma2s=np.concatenate([c.sigma2s for c in chains]),
-        phi2s=np.concatenate([c.phi2s for c in chains]),
-        masked_values=np.concatenate([c.masked_values for c in chains]),
-        observed_codes=first.observed_codes,
-        missing_mask=first.missing_mask,
-        snp_coding=first.snp_coding,
-        beta_labels=first.beta_labels,
-        gamma_labels=first.gamma_labels,
-        snp_names=first.snp_names,
-        config=first.config,
+        chains[0].data,
+        *(np.concatenate([getattr(c, name) for c in chains]) for name in draws),
     )
 
 
@@ -361,10 +350,10 @@ def cmd_run(args) -> int:
     merged = _merge_chains(chains)
     level = settings["level"]
     if len(chains) == 1:
-        io.write_samples(out / "samples.csv", chains[0], data.ids, lines)
+        io.write_samples(out / "samples.csv", chains[0], lines)
     else:
         for k, chain in enumerate(chains, start=1):
-            io.write_samples(out / f"samples_chain{k}.csv", chain, data.ids, lines)
+            io.write_samples(out / f"samples_chain{k}.csv", chain, lines)
     io.write_summary(out / "summary.csv", merged, level, lines)
     io.write_intervals(out / "intervals.csv", merged, level, lines)
     io.write_autocorrelations(out / "autocorr.csv", chains[0], 20, lines)
@@ -374,7 +363,7 @@ def cmd_run(args) -> int:
 
 
 def _parse_candidates(spec: str, samples: PosteriorSamples, level: float) -> list[int]:
-    labels = list(samples.gamma_labels)
+    labels = list(samples.data.gamma_labels())
     if spec == "significant":
         rows = samples.summary(level)
         p = samples.betas.shape[1]
@@ -437,13 +426,14 @@ def cmd_select(args) -> int:
         trace = mh_model_search(states, data, config, candidates=candidates)
     io.write_trace(out / "trace.csv", trace, lines)
     io.write_bf_diagnostics(out / "bf_diagnostics.csv", trace, lines)
-    io.write_best_model(out / "best_model.txt", trace, samples.gamma_labels, lines)
+    labels = samples.data.gamma_labels()
+    io.write_best_model(out / "best_model.txt", trace, labels, lines)
     io.write_manifest_file(out / "manifest.txt", manifest)
     best_ess = trace.estimates[trace.best[0]].weight_ess
     if best_ess < THIN_BF_ESS:
         print(f"warning: the best model's Bayes factor rests on an importance-weight "
               f"ESS of {best_ess:.1f} states (< {THIN_BF_ESS})", file=sys.stderr)
-    best_labels = [samples.gamma_labels[j] for j in trace.best[0].included()]
+    best_labels = [labels[j] for j in trace.best[0].included()]
     print("best model: " + (";".join(best_labels) if best_labels else "<empty>"))
     return EXIT_OK
 
@@ -543,7 +533,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ChainNumericalError, SingularUpdateError, EstimationError, np.linalg.LinAlgError) as exc:
+    except (ChainNumericalError, EstimationError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

@@ -123,12 +123,6 @@ def _genotype_tuples(k: int) -> np.ndarray:
     return np.array(list(product(GENOTYPE_CODES.tolist(), repeat=k)), dtype=float)
 
 
-def _tuple_design(tuples: np.ndarray, coding: str) -> np.ndarray:
-    """Design contributions of genotype tuples, shape (m, k * cols_per_snp)."""
-    pieces = [genotype_column_values(tuples[:, t], coding) for t in range(tuples.shape[1])]
-    return np.hstack(pieces) if pieces else np.zeros((tuples.shape[0], 0))
-
-
 def _observed(state: EmState, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Z0, the SNP design with every design column of a masked cell zeroed,
     and every individual's residual y - X beta - Z0 gamma."""
@@ -163,7 +157,7 @@ def _completions(
         raise EnumerationCapError(
             f"individual {i} has {len(missing)} missing SNPs ({size} completions > cap {cap})"
         )
-    rows = _tuple_design(_genotype_tuples(len(missing)), data.snp_coding)
+    rows = snp_design_matrix(_genotype_tuples(len(missing)), data.snp_coding)
     cols = _missing_design_cols(data, missing)
     logw = -((residual[i] - rows @ state.gamma[cols]) ** 2) / (2.0 * state.sigma2)
     top = logw.max()

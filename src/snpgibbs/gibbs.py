@@ -32,7 +32,6 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .linalg import ColumnDelta
 from .model import (
     GENOTYPE_CODES,
     Dataset,
@@ -165,24 +164,19 @@ class _StateView(Sequence):
 
 @dataclass
 class PosteriorSamples:
-    """Thinned post-burn-in draws, stored compactly.
+    """Thinned post-burn-in draws of the chain run on ``data``, stored
+    compactly.
 
-    Genotype completions are kept only at the masked cells; ``state(i)``
-    re-materializes the full ParameterState.
+    Genotype completions are kept only at the dataset's masked cells;
+    ``state(i)`` re-materializes the full ParameterState.
     """
 
+    data: Dataset
     betas: np.ndarray
     gammas: np.ndarray
     sigma2s: np.ndarray
     phi2s: np.ndarray
     masked_values: np.ndarray  # retained x n_masked, int8
-    observed_codes: np.ndarray
-    missing_mask: np.ndarray
-    snp_coding: str
-    beta_labels: tuple
-    gamma_labels: tuple
-    snp_names: tuple
-    config: GibbsConfig
 
     @property
     def retained_count(self) -> int:
@@ -193,9 +187,8 @@ class PosteriorSamples:
         return _StateView(self)
 
     def state(self, i: int) -> ParameterState:
-        z = self.observed_codes.copy()
-        if self.masked_values.shape[1]:
-            z[self.missing_mask] = self.masked_values[i]
+        z = self.data.genotypes.codes.copy()
+        z[self.data.genotypes.missing_mask] = self.masked_values[i]
         return ParameterState(
             self.betas[i].copy(),
             self.gammas[i].copy(),
@@ -205,7 +198,7 @@ class PosteriorSamples:
         )
 
     def coefficient_table(self) -> tuple[tuple, np.ndarray]:
-        names = tuple(self.beta_labels) + tuple(self.gamma_labels) + ("sigma2", "phi2")
+        names = (*self.data.design.names(), *self.data.gamma_labels(), "sigma2", "phi2")
         cols = np.column_stack(
             [self.betas, self.gammas, self.sigma2s[:, None], self.phi2s[:, None]]
         )
@@ -411,7 +404,7 @@ def impute_snp_column(
     prior: ImputationPrior,
     design: Optional[np.ndarray] = None,
     workspace: Optional[ChainWorkspace] = None,
-) -> list[ColumnDelta]:
+) -> list[int]:
     """Re-draw the masked cells of SNP column j; observed cells untouched.
 
     The cells are drawn in turn, each from its exact conditional given the
@@ -423,8 +416,9 @@ def impute_snp_column(
     product forms u; the rest is O(k) scalar work per cell, with one
     uniform per cell taken from a single ``rng.random(k)``.
 
-    Mutates ``state.z_imputed`` in place and returns the net ColumnDelta
-    per changed *design* column (at most one for signed coding, two for
+    Mutates ``state.z_imputed`` in place, writes the SNP's design columns
+    at the masked rows into ``design`` and returns the indices of the
+    design columns that changed (at most one for signed coding, two for
     additive + dominance coding); an unchanged column yields an empty list.
     """
     work = workspace or ChainWorkspace(data)
@@ -468,14 +462,10 @@ def impute_snp_column(
     if picks == old_picks:
         return []
     state.z_imputed[rows, j] = GENOTYPE_CODES[picks]
-    change = values[picks] - values[old_picks]
-    deltas = []
-    for k, col in enumerate(cols):
-        if change[:, k].any():
-            d = np.zeros(data.n)
-            d[rows] = change[:, k]
-            deltas.append(ColumnDelta(col, d))
-    return deltas
+    new = values[picks]
+    moved = (new != values[old_picks]).any(axis=0)
+    Zd[rows, cols[0] : cols[-1] + 1] = new  # a SNP's design columns are adjacent
+    return [col for col, m in zip(cols, moved.tolist()) if m]
 
 
 def initial_state(
@@ -540,8 +530,7 @@ def run_chain(
     state = initial_state(data, config, rng)
     Zd = snp_design_matrix(state.z_imputed, data.snp_coding)
     G = Zd.T @ (work.Rinv @ Zd)
-    mask = data.genotypes.missing_mask
-    masked_flat = np.flatnonzero(mask.ravel())
+    masked_flat = np.flatnonzero(data.genotypes.missing_mask.ravel())
     n_masked = masked_flat.size
     impute = n_masked > 0 and config.impute_mode != "off"
 
@@ -562,7 +551,7 @@ def run_chain(
                 else:
                     cols = range(data.s)
                 for j in cols:
-                    deltas = impute_snp_column(
+                    changed = impute_snp_column(
                         state,
                         data,
                         j,
@@ -571,9 +560,7 @@ def run_chain(
                         design=Zd,
                         workspace=work,
                     )
-                    for delta in deltas:
-                        c = delta.column_index
-                        Zd[:, c] += delta.delta
+                    for c in changed:
                         g = Zd.T @ (work.Rinv @ Zd[:, c])  # exact, no drift
                         G[c, :] = g
                         G[:, c] = g
@@ -600,22 +587,7 @@ def run_chain(
                 masked_values[keep_idx] = state.z_imputed.ravel()[masked_flat]
             keep_idx += 1
 
-    observed = data.genotypes.codes.copy()
-    observed[mask] = 0
-    return PosteriorSamples(
-        betas=betas,
-        gammas=gammas,
-        sigma2s=sigma2s,
-        phi2s=phi2s,
-        masked_values=masked_values,
-        observed_codes=observed,
-        missing_mask=mask,
-        snp_coding=data.snp_coding,
-        beta_labels=data.design.names(),
-        gamma_labels=data.gamma_labels(),
-        snp_names=data.genotypes.names(),
-        config=config,
-    )
+    return PosteriorSamples(data, betas, gammas, sigma2s, phi2s, masked_values)
 
 
 def hpd_interval(samples: np.ndarray, level: float = 0.95) -> CredibleInterval:

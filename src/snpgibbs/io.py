@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .gibbs import GibbsConfig, PosteriorSamples, autocorrelations, hpd_interval
+from .gibbs import PosteriorSamples, autocorrelations, hpd_interval
 from .model import (
     Dataset,
     DataValidationError,
@@ -226,21 +226,20 @@ def read_imputation_prior(path, ids, snp_names) -> ImputationPrior:
 # -- posterior samples ---------------------------------------------------------
 
 
-def _masked_cell_labels(samples: PosteriorSamples, ids) -> list[str]:
-    n, s = samples.missing_mask.shape
+def _masked_cell_labels(data: Dataset) -> list[str]:
+    snp_names = data.genotypes.names()
     labels = []
-    for flat in np.flatnonzero(samples.missing_mask.ravel()):
-        i, j = divmod(int(flat), s)
-        rid = ids[i] if ids else str(i)
-        labels.append(f"zimp_{rid}_{samples.snp_names[j]}")
+    for i, j in zip(*np.nonzero(data.genotypes.missing_mask)):
+        rid = data.ids[i] if data.ids else str(i)
+        labels.append(f"zimp_{rid}_{snp_names[j]}")
     return labels
 
 
-def write_samples(path, samples: PosteriorSamples, ids=(), manifest_lines=()):
+def write_samples(path, samples: PosteriorSamples, manifest_lines=()):
     """One row per retained state: coefficients, variances, then the
     imputed genotype codes of every masked cell."""
     names, cols = samples.coefficient_table()
-    header = list(names) + _masked_cell_labels(samples, ids)
+    header = list(names) + _masked_cell_labels(samples.data)
     # the cells fmt would write: repr of each float, str of each code
     rows = zip(cols.tolist(), samples.masked_values.tolist(), strict=True)
     with open(path, "w", encoding="utf-8") as fh:
@@ -251,33 +250,39 @@ def write_samples(path, samples: PosteriorSamples, ids=(), manifest_lines=()):
             fh.write(",".join([*map(repr, values), *map(str, codes)]) + "\n")
 
 
-def read_samples(path, data: Dataset, config: Optional[GibbsConfig] = None) -> PosteriorSamples:
-    """Rebuild PosteriorSamples from a dump, aligned to the dataset shape."""
-    header, rows = read_table(path)
+def read_samples(path, data: Dataset) -> PosteriorSamples:
+    """Rebuild PosteriorSamples from a dump, aligned to the dataset shape.
+
+    The first line that is neither blank nor a '#' comment is the header;
+    the rows below it are parsed in one ``np.loadtxt``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = [line for line in fh if line.strip() and not line.startswith("#")]
+    if not lines:
+        raise DataValidationError(f"{path}: empty file")
     p = data.X.shape[1]
     sd = data.design_dim
     n_masked = int(data.genotypes.missing_mask.sum())
     expected_cols = p + sd + 2 + n_masked
-    if len(header) != expected_cols:
+    n_cols = len(lines[0].split(","))
+    if n_cols != expected_cols:
         raise DataValidationError(
-            f"{path}: expected {expected_cols} columns for this dataset, got {len(header)}"
+            f"{path}: expected {expected_cols} columns for this dataset, got {n_cols}"
         )
-    values = np.array(rows, dtype=float)
-    observed = data.genotypes.codes.copy()
-    observed[data.genotypes.missing_mask] = 0
+    if len(lines) == 1:
+        raise DataValidationError(f"{path}: header but no sample rows")
+    values = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
+    if values.shape[1] != expected_cols:
+        raise DataValidationError(
+            f"{path}: sample rows have {values.shape[1]} columns, the header {n_cols}"
+        )
     return PosteriorSamples(
+        data,
         betas=values[:, :p],
         gammas=values[:, p : p + sd],
         sigma2s=values[:, p + sd],
         phi2s=values[:, p + sd + 1],
         masked_values=values[:, p + sd + 2 :].astype(np.int8),
-        observed_codes=observed,
-        missing_mask=data.genotypes.missing_mask,
-        snp_coding=data.snp_coding,
-        beta_labels=data.design.names(),
-        gamma_labels=data.gamma_labels(),
-        snp_names=data.genotypes.names(),
-        config=config or GibbsConfig(total_iterations=2, burn_in=1, thinning=1),
     )
 
 
@@ -298,7 +303,7 @@ def write_summary(path, samples: PosteriorSamples, level=0.95, manifest_lines=()
 def write_intervals(path, samples: PosteriorSamples, level=0.95, manifest_lines=()):
     """Per-SNP-coefficient interval rows (lower / mean / upper)."""
     rows = []
-    for k, name in enumerate(samples.gamma_labels):
+    for k, name in enumerate(samples.data.gamma_labels()):
         draws = samples.gammas[:, k]
         interval = hpd_interval(draws, level)
         rows.append(

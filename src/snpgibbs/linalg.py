@@ -14,10 +14,12 @@ so three rank-one inverse updates refresh the cached inverse without any
 re-inversion. An identity shift from a phi^2 change is full rank, so it is
 absorbed by one re-factorization.
 
-The Gibbs sampler does not use these kernels: phi^2 changes every sweep,
-so it keeps Z'R^{-1}Z exact instead and factors the precision per draw
-(see ``gibbs.sample_gamma``). They are kept as the tested reproduction of
-the update identity.
+The package does not use these kernels: phi^2 changes every sweep, so
+the Gibbs sampler keeps Z'R^{-1}Z exact instead and factors the precision
+per draw (see ``gibbs.sample_gamma``), and no module of ``snpgibbs``
+imports this one. Only acceptance criterion 02, ``tests/test_linalg.py``,
+the kernel benchmark test in ``tests/test_cli.py`` and the per-layer
+benchmark wrappers in ``perfbench/layers.py`` import it.
 
 All kernels here are pure except InverseCache, which is single-owner
 mutable state with periodic drift-controlled refreshes.

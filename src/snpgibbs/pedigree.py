@@ -113,9 +113,6 @@ class RelationshipMatrix:
         except KeyError:
             raise KeyError(f"unknown individual id {individual_id!r}") from None
 
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries)[0])
-
     def is_positive_definite(self) -> bool:
         try:
             np.linalg.cholesky(self.entries)

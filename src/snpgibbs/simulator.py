@@ -270,16 +270,13 @@ class RecoveryReport:
 def recovery_report(
     truth: SimTruth,
     posterior: PosteriorSamples,
-    imputation_log: Optional[np.ndarray] = None,
     level: float = 0.95,
 ) -> RecoveryReport:
     """Score posterior recovery of the simulation truth.
 
-    ``imputation_log`` is the missingness mask of the analyzed dataset;
-    when omitted it is taken from the posterior. Imputation frequency per
-    SNP is the fraction of retained states whose completion matches the
-    true genotype, averaged over that SNP's masked cells (None when the
-    SNP has none).
+    Imputation frequency per SNP is the fraction of retained states whose
+    completion matches the true genotype, averaged over that SNP's masked
+    cells in the posterior's dataset (None when the SNP has none).
     """
     report = RecoveryReport()
     names, cols = posterior.coefficient_table()
@@ -305,11 +302,9 @@ def recovery_report(
             }
         )
 
-    mask = imputation_log if imputation_log is not None else posterior.missing_mask
-    mask = np.asarray(mask, dtype=bool)
     s = truth.true_codes.shape[1]
-    masked_flat = np.flatnonzero(mask.ravel())
-    if masked_flat.size and posterior.masked_values.shape[1] == masked_flat.size:
+    masked_flat = np.flatnonzero(posterior.data.genotypes.missing_mask.ravel())
+    if masked_flat.size:
         true_vals = truth.true_codes.ravel()[masked_flat]
         correct = posterior.masked_values == true_vals[None, :]
         cell_cols = masked_flat % s

@@ -214,16 +214,18 @@ def gibbs_scan_moments(state, data, base, i, config, rng):
     return mean, cov
 
 
-def table_write_samples(path, samples, ids=(), manifest_lines=()):
+def table_write_samples(path, samples, manifest_lines=()):
     """Reference samples writer: every cell through ``io.fmt`` into
     ``io.write_table``, which formats it once more."""
     names, cols = samples.coefficient_table()
     header = list(names)
-    s = samples.missing_mask.shape[1]
-    for flat in np.flatnonzero(samples.missing_mask.ravel()):
+    data = samples.data
+    mask, ids = data.genotypes.missing_mask, data.ids
+    s = mask.shape[1]
+    for flat in np.flatnonzero(mask.ravel()):
         i, j = divmod(int(flat), s)
         rid = ids[i] if ids else str(i)
-        header.append(f"zimp_{rid}_{samples.snp_names[j]}")
+        header.append(f"zimp_{rid}_{data.genotypes.names()[j]}")
     body = []
     for i in range(samples.retained_count):
         row = [io.fmt(v) for v in cols[i]]

@@ -206,7 +206,7 @@ def six_family_campaign():
                 seed=seed + 7,
             )
             post = run_chain(data, default_priors(), config)
-            per_seed.append(recovery_report(truth, post, data.genotypes.missing_mask))
+            per_seed.append(recovery_report(truth, post))
         results[level] = (truth, per_seed)
     return results
 

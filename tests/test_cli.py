@@ -1,6 +1,10 @@
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
+
+import snpgibbs
 
 from snpgibbs.cli import THIN_BF_ESS, main
 
@@ -404,6 +408,29 @@ class TestSelectCommand:
         )
         assert code == 3
 
+    def test_samples_file_without_rows_exit_3(self, tmp_path, capsys):
+        sim = simulate_inputs(tmp_path)
+        data = [
+            "--genotypes", sim / "genotypes.csv",
+            "--phenotypes", sim / "phenotypes.csv",
+            "--families", sim / "families.csv",
+            "--kinship", "identity",
+        ]
+        run_out = tmp_path / "run"
+        assert run_cli(
+            "run", *data, "--iters", "300", "--burnin", "100", "--thin", "2",
+            "--out-dir", run_out,
+        ) == 0
+        samples = run_out / "samples.csv"
+        manifest = [l for l in samples.read_text().splitlines() if l.startswith("#")]
+        header_only = tmp_path / "header_only.csv"
+        header_only.write_text("\n".join([*manifest, read_noncomment_lines(samples)[0]]) + "\n")
+        code = run_cli(
+            "select", *data, "--samples", header_only, "--out-dir", tmp_path / "sel"
+        )
+        assert code == 3
+        assert "no sample rows" in capsys.readouterr().err
+
     def test_repeated_candidates_scored_once(self, tmp_path):
         sim = simulate_inputs(tmp_path)
         base = [
@@ -484,6 +511,17 @@ class TestEmCommand:
             "--out-dir", out,
         )
         assert code == 0
+
+
+class TestImports:
+    def test_cli_does_not_load_linalg(self):
+        # the column-update kernels are tested and benchmarked, never run
+        src = str(Path(snpgibbs.__file__).parents[1])
+        code = (
+            f"import sys; sys.path.insert(0, {src!r}); import snpgibbs.cli; "
+            "sys.exit('snpgibbs.linalg' in sys.modules)"
+        )
+        assert subprocess.run([sys.executable, "-c", code]).returncode == 0
 
 
 class TestBenchCommand:

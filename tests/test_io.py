@@ -162,7 +162,7 @@ class TestSamplesRoundTrip:
         cfg = GibbsConfig(total_iterations=60, burn_in=20, thinning=2, seed=4)
         post = run_chain(data, default_priors(), cfg)
         path = tmp_path / "samples.csv"
-        io.write_samples(path, post, data.ids, ["# run=1"])
+        io.write_samples(path, post, ["# run=1"])
         back = io.read_samples(path, data)
         assert np.array_equal(back.betas, post.betas)
         assert np.array_equal(back.gammas, post.gammas)
@@ -176,7 +176,7 @@ class TestSamplesRoundTrip:
         data, post = chain_samples(coding, missing)
         assert bool(post.masked_values.shape[1]) == bool(missing)
         path = tmp_path / "samples.csv"
-        io.write_samples(path, post, data.ids)
+        io.write_samples(path, post)
         back = io.read_samples(path, data)
         for name in ("betas", "gammas", "sigma2s", "phi2s"):
             want = getattr(post, name)
@@ -189,18 +189,28 @@ class TestSamplesRoundTrip:
         data, post = chain_samples(coding, missing)
         manifest = ["# subcommand=run", "# seed=4"]
         ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
-        io.write_samples(ours, post, data.ids, manifest)
-        table_write_samples(ref, post, data.ids, manifest)
+        io.write_samples(ours, post, manifest)
+        table_write_samples(ref, post, manifest)
         assert ours.read_bytes() == ref.read_bytes()
 
     def test_malformed_cell_rejected(self, tmp_path):
         data, post = chain_samples("signed", 0.2)
         path = tmp_path / "samples.csv"
-        io.write_samples(path, post, data.ids)
+        io.write_samples(path, post)
         header, *rows = path.read_text().splitlines()
         rows[1] = rows[1].replace(",", ",x", 1)
         path.write_text("\n".join([header, *rows]) + "\n")
         with pytest.raises(ValueError, match="could not convert"):
+            io.read_samples(path, data)
+
+    def test_rows_narrower_than_header_rejected(self, tmp_path):
+        data, post = chain_samples("signed", 0.2)
+        path = tmp_path / "samples.csv"
+        io.write_samples(path, post)
+        header, *rows = path.read_text().splitlines()
+        rows = [row.rsplit(",", 1)[0] for row in rows]
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(DataValidationError, match="columns"):
             io.read_samples(path, data)
 
     def test_wrong_shape_rejected(self, tmp_path):

@@ -195,7 +195,7 @@ class TestRecoveryReport:
             default_priors(),
             GibbsConfig(total_iterations=400, burn_in=200, thinning=2, seed=3),
         )
-        report = recovery_report(truth, post, masked.genotypes.missing_mask)
+        report = recovery_report(truth, post)
         mask = masked.genotypes.missing_mask
         for j, name in enumerate(truth.snp_names):
             freq = report.imputation_frequencies[name]
