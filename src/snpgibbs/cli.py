@@ -314,6 +314,8 @@ def _priors(settings) -> PriorHyperparams:
 def _run_chains(settings, data) -> list[PosteriorSamples]:
     # one after another: the work is many small GIL-bound numpy calls, so
     # threads only add hand-over cost
+    if settings["chains"] < 1:
+        raise DataValidationError(f"--chains must be at least 1, got {settings['chains']}")
     priors = _priors(settings)
     return [
         run_chain(data, priors, _gibbs_config(settings, data, settings["seed"] + k))

@@ -29,7 +29,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Optional
 
 import numpy as np
@@ -95,6 +94,13 @@ class EmConfig:
     mc_burn_in: int = 50
     seed: int = 0
 
+    def __post_init__(self):
+        for name, low in (
+            ("max_iterations", 1), ("enumeration_cap", 1), ("mc_samples", 1), ("mc_burn_in", 0)
+        ):
+            if getattr(self, name) < low:
+                raise ValueError(f"EM {name} must be at least {low}, got {getattr(self, name)}")
+
 
 @dataclass
 class EmState:
@@ -119,8 +125,25 @@ class EmRunLog:
 
 
 def _genotype_tuples(k: int) -> np.ndarray:
-    """All genotype code tuples of length k, shape (3^k, k)."""
-    return np.array(list(product(GENOTYPE_CODES.tolist(), repeat=k)), dtype=float)
+    """All genotype code tuples of length k, shape (3^k, k), the last SNP
+    varying fastest."""
+    index = np.indices((GENOTYPE_ARITY,) * k).reshape(k, GENOTYPE_ARITY**k)
+    return GENOTYPE_CODES.astype(float)[index.T]
+
+
+def _max_exact_k(cap: int) -> int:
+    """The largest missing count whose 3^k completions fit under the cap
+    (-1 when not even a complete individual's one completion does)."""
+    k = -1
+    while GENOTYPE_ARITY ** (k + 1) <= cap:
+        k += 1
+    return k
+
+
+def _cap_error(i: int, k: int, cap: int) -> EnumerationCapError:
+    return EnumerationCapError(
+        f"individual {i} has {k} missing SNPs ({GENOTYPE_ARITY**k} completions > cap {cap})"
+    )
 
 
 def _observed(state: EmState, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -139,31 +162,45 @@ def _missing_design_cols(data: Dataset, missing: tuple[int, ...]) -> list[int]:
     return cols
 
 
-def _completions(
-    state: EmState, data: Dataset, residual: np.ndarray, i: int, cap: int
-) -> tuple[np.ndarray, list[int], np.ndarray, float]:
-    """Individual i's completion design rows, missing design columns,
-    completion probabilities and log normaliser.
+def _missing_groups(mask: np.ndarray, k_max: int):
+    """The individuals with 1 to k_max missing SNPs, grouped by that count:
+    yields (members, missing) with missing the (m, k) SNP indices of each
+    member in index order."""
+    counts = mask.sum(axis=1)
+    for k in np.unique(counts[(counts > 0) & (counts <= k_max)]):
+        members = np.flatnonzero(counts == k)
+        yield members, np.nonzero(mask[members])[1].reshape(members.size, k)
 
-    One row per genotype tuple of the missing SNPs in index order (a
-    complete individual has one empty row), weighted by
-    exp(-(r_i - row . gamma)^2 / (2 sigma^2)). The log-sum-exp of the
-    weights is i's observed log-likelihood term less the Gaussian constant.
-    Raises EnumerationCapError when 3^k exceeds the cap.
+
+def _enumerate(
+    state: EmState, data: Dataset, residual: np.ndarray, members: np.ndarray,
+    missing: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact completion moments of m individuals sharing a missing count k.
+
+    ``missing`` holds each member's k missing SNPs in index order. Every
+    member's 3^k completions share one table of design rows; completion c
+    of member i is weighted by exp(-(r_i - gamma_i . row_c)^2 / (2 sigma^2))
+    with gamma_i the member's missing-column effects. Returns the (m, k d)
+    missing design columns, the (m, 3^k) completion probabilities, the
+    (m, k d) means, the (m, k d, k d) covariances and the log normalisers:
+    each member's observed log-likelihood term less the Gaussian constant.
     """
-    missing = tuple(np.flatnonzero(data.genotypes.missing_mask[i]))
-    size = GENOTYPE_ARITY ** len(missing)
-    if size > cap:
-        raise EnumerationCapError(
-            f"individual {i} has {len(missing)} missing SNPs ({size} completions > cap {cap})"
-        )
-    rows = snp_design_matrix(_genotype_tuples(len(missing)), data.snp_coding)
-    cols = _missing_design_cols(data, missing)
-    logw = -((residual[i] - rows @ state.gamma[cols]) ** 2) / (2.0 * state.sigma2)
-    top = logw.max()
-    w = np.exp(logw - top)
-    total = w.sum()
-    return rows, cols, w / total, float(top + np.log(total))
+    m, k = missing.shape
+    rows = snp_design_matrix(_genotype_tuples(k), data.snp_coding)  # (3^k, k d)
+    per_snp = rows.shape[1] // max(k, 1)
+    cols = (per_snp * missing[:, :, None] + np.arange(per_snp)).reshape(m, -1)
+    fit = state.gamma[cols] @ rows.T
+    logw = -((residual[members, None] - fit) ** 2) / (2.0 * state.sigma2)
+    top = logw.max(axis=1)
+    w = np.exp(logw - top[:, None])
+    total = w.sum(axis=1)
+    probs = w / total[:, None]
+    means = probs @ rows
+    outer = (rows[:, :, None] * rows[:, None, :]).reshape(rows.shape[0], -1)
+    covs = (probs @ outer).reshape(m, cols.shape[1], cols.shape[1])
+    covs -= means[:, :, None] * means[:, None, :]
+    return cols, probs, means, covs, top + np.log(total)
 
 
 def missing_distribution(
@@ -175,9 +212,12 @@ def missing_distribution(
     individual's missing SNPs in index order. Raises EnumerationCapError
     when 3^k exceeds the cap (use the Monte Carlo E-step instead).
     """
+    missing = np.flatnonzero(data.genotypes.missing_mask[i])
+    if missing.size > _max_exact_k(cap):
+        raise _cap_error(i, missing.size, cap)
     _, residual = _observed(state, data)
-    probs = _completions(state, data, residual, i, cap)[2]
-    return _genotype_tuples(int(data.genotypes.missing_mask[i].sum())), probs
+    probs = _enumerate(state, data, residual, np.array([i]), missing[None, :])[1]
+    return _genotype_tuples(missing.size), probs[0]
 
 
 def _moments_mc(state, data, base, i, config, rng):
@@ -232,36 +272,37 @@ def e_step(
     """Expected completed design, summed covariance and observed log likelihood.
 
     Uses exact enumeration whenever an individual's completion count fits
-    under the cap, otherwise a per-individual Gibbs-scan Monte Carlo
-    estimate. The normaliser of each enumeration is that individual's
+    under the cap, one pass for all individuals that share a missing
+    count, otherwise a per-individual Gibbs-scan Monte Carlo estimate.
+    The normaliser of each enumeration is that individual's
     log-likelihood term, so the same pass yields the observed log
     likelihood at ``state``. Returns (expected_Z, V_Z, exact_everywhere,
     loglik); loglik is nan unless exact_everywhere.
     """
     config = config or EmConfig()
-    pattern = MissingPattern.from_dataset(data)
     expected, residual = _observed(state, data)
     dim = expected.shape[1]
     V = np.zeros((dim, dim))
     # a complete individual's one (empty) completion
     terms = -(residual**2) / (2.0 * state.sigma2)
-    exact_everywhere = True
-    for i in pattern.individuals_with_missing():
-        if pattern.enumeration_size(i) <= config.enumeration_cap:
-            rows, cols, probs, terms[i] = _completions(
-                state, data, residual, i, config.enumeration_cap
-            )
-            mean = probs @ rows
-            centered = rows - mean
-            cov = (centered * probs[:, None]).T @ centered
-        else:
-            exact_everywhere = False
-            if rng is None:
-                rng = np.random.default_rng(config.seed)
-            cols = _missing_design_cols(data, pattern.missing_indices[i])
-            mean, cov = _moments_mc(state, data, residual[i], i, config, rng)
+    mask = data.genotypes.missing_mask
+    k_max = _max_exact_k(config.enumeration_cap)
+    for members, missing in _missing_groups(mask, k_max):
+        cols, _, means, covs, terms[members] = _enumerate(
+            state, data, residual, members, missing
+        )
+        expected[members[:, None], cols] = means
+        np.add.at(V, (cols[:, :, None], cols[:, None, :]), covs)
+    # beyond the cap, one Monte Carlo scan per individual in index order
+    wide = np.flatnonzero(mask.sum(axis=1) > k_max)
+    if wide.size and rng is None:
+        rng = np.random.default_rng(config.seed)
+    for i in wide:
+        cols = _missing_design_cols(data, tuple(np.flatnonzero(mask[i])))
+        mean, cov = _moments_mc(state, data, residual[i], i, config, rng)
         expected[i, cols] = mean
         V[np.ix_(cols, cols)] += cov
+    exact_everywhere = wide.size == 0
     loglik = float("nan")
     if exact_everywhere:
         loglik = float(-0.5 * data.n * np.log(2.0 * np.pi * state.sigma2) + terms.sum())
@@ -296,12 +337,14 @@ def observed_loglik(
 ) -> float:
     """Observed-data log likelihood, summing each individual's completions.
 
-    Only available in the exact-enumeration regime; the per-individual sums
-    are evaluated with log-sum-exp.
+    Only available in the exact-enumeration regime: the E-step's log
+    likelihood at ``state``, each individual's sum taken by log-sum-exp.
     """
-    _, residual = _observed(state, data)
-    terms = [_completions(state, data, residual, i, cap)[3] for i in range(data.n)]
-    return float(-0.5 * data.n * np.log(2.0 * np.pi * state.sigma2) + sum(terms))
+    counts = data.genotypes.missing_mask.sum(axis=1)
+    over = np.flatnonzero(counts > _max_exact_k(cap))
+    if over.size:
+        raise _cap_error(int(over[0]), int(counts[over[0]]), cap)
+    return e_step(state, data, EmConfig(enumeration_cap=cap))[3]
 
 
 def run_em(data: Dataset, config: Optional[EmConfig] = None) -> tuple[EmState, EmRunLog]:

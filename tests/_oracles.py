@@ -5,10 +5,12 @@ tensor-product Gauss-Hermite quadrature of the beta-marginalized likelihood
 over the coefficient prior, posterior state streams come from exact
 conjugate Gaussian draws (sigma^2 and phi^2 held fixed), and the genotype
 conditional is drawn by a per-cell numpy loop over the full residual image.
-The beta and gamma draws, EM's Monte Carlo E-step, the samples writer and
-the genotype coding each have their earlier, plainer form here as the
-reference for the faster one.
+The beta and gamma draws, EM's exact and Monte Carlo E-steps, the samples
+writer and the genotype coding each have their earlier, plainer form here
+as the reference for the faster one.
 """
+
+import itertools
 
 import numpy as np
 
@@ -212,6 +214,65 @@ def gibbs_scan_moments(state, data, base, i, config, rng):
     centered = samples - mean
     cov = centered.T @ centered / max(n_kept - 1, 1)
     return mean, cov
+
+
+def enumerate_completions(state, data, residual, i):
+    """Reference exact enumeration for individual i alone: its genotype
+    tuples (3^k, k) from ``itertools.product``, their design rows, the
+    completion probabilities and the log normaliser. ``residual`` is
+    y - X beta - Z0 gamma with every masked design entry zeroed."""
+    missing = np.flatnonzero(data.genotypes.missing_mask[i])
+    tuples = np.array(
+        list(itertools.product(GENOTYPE_CODES.tolist(), repeat=len(missing))), dtype=float
+    )
+    rows = snp_design_matrix(tuples, data.snp_coding)
+    cols = [c for j in missing for c in data.design_columns_of_snp(int(j))]
+    logw = -((residual[i] - rows @ state.gamma[cols]) ** 2) / (2.0 * state.sigma2)
+    top = logw.max()
+    w = np.exp(logw - top)
+    total = w.sum()
+    return tuples, rows, w / total, float(top + np.log(total))
+
+
+def observed_residual(state, data):
+    """Z0, the design with masked entries zeroed, and y - X beta - Z0 gamma."""
+    design = snp_design_matrix(data.genotypes.codes, data.snp_coding)
+    per_snp = design.shape[1] // data.s
+    design[np.repeat(data.genotypes.missing_mask, per_snp, axis=1)] = 0.0
+    return design, data.y - data.X @ state.beta - design @ state.gamma
+
+
+def per_individual_e_step(state, data, config, rng=None):
+    """Reference E-step: every individual with missing genotypes on its own
+    in index order, enumerated by ``enumerate_completions`` when its 3^k
+    completions fit under the cap and otherwise scanned by
+    ``gibbs_scan_moments`` (the generator made from ``config.seed`` at the
+    first such individual when none is given). Returns (expected_Z, V_Z,
+    exact everywhere, observed log likelihood or nan)."""
+    expected, residual = observed_residual(state, data)
+    mask = data.genotypes.missing_mask
+    V = np.zeros((expected.shape[1], expected.shape[1]))
+    terms = -(residual**2) / (2.0 * state.sigma2)
+    exact = True
+    for i in np.flatnonzero(mask.any(axis=1)):
+        missing = np.flatnonzero(mask[i])
+        cols = [c for j in missing for c in data.design_columns_of_snp(int(j))]
+        if 3 ** len(missing) <= config.enumeration_cap:
+            _, rows, probs, terms[i] = enumerate_completions(state, data, residual, i)
+            mean = probs @ rows
+            centered = rows - mean
+            cov = (centered * probs[:, None]).T @ centered
+        else:
+            exact = False
+            if rng is None:
+                rng = np.random.default_rng(config.seed)
+            mean, cov = gibbs_scan_moments(state, data, residual[i], i, config, rng)
+        expected[i, cols] = mean
+        V[np.ix_(cols, cols)] += cov
+    loglik = float("nan")
+    if exact:
+        loglik = float(-0.5 * data.n * np.log(2.0 * np.pi * state.sigma2) + terms.sum())
+    return expected, V, exact, loglik
 
 
 def table_write_samples(path, samples, manifest_lines=()):

@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import snpgibbs
 
@@ -128,6 +129,18 @@ class TestRunCommand:
             "--phenotypes", tmp_path / "nope2.csv", "--out-dir", tmp_path / "x",
         )
         assert code == 3
+
+    def test_zero_chains_exit_3(self, tmp_path, capsys):
+        sim = simulate_inputs(tmp_path, missing="0")
+        out = tmp_path / "run"
+        code = run_cli(
+            "run", "--genotypes", sim / "genotypes.csv",
+            "--phenotypes", sim / "phenotypes.csv",
+            "--kinship", "identity", "--chains", "0", "--out-dir", out,
+        )
+        assert code == 3
+        assert "--chains" in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()
 
     def test_usage_error_exit_2(self):
         assert run_cli("run", "--not-a-flag") == 2
@@ -431,6 +444,18 @@ class TestSelectCommand:
         assert code == 3
         assert "no sample rows" in capsys.readouterr().err
 
+    def test_live_select_zero_chains_exit_3(self, tmp_path, capsys):
+        sim = simulate_inputs(tmp_path, missing="0")
+        out = tmp_path / "sel"
+        code = run_cli(
+            "select", "--genotypes", sim / "genotypes.csv",
+            "--phenotypes", sim / "phenotypes.csv",
+            "--kinship", "identity", "--chains", "0", "--out-dir", out,
+        )
+        assert code == 3
+        assert "--chains" in capsys.readouterr().err
+        assert not (out / "trace.csv").exists()
+
     def test_repeated_candidates_scored_once(self, tmp_path):
         sim = simulate_inputs(tmp_path)
         base = [
@@ -511,6 +536,22 @@ class TestEmCommand:
             "--out-dir", out,
         )
         assert code == 0
+
+
+    @pytest.mark.parametrize("max_iter", ["0", "-1"])
+    def test_max_iter_below_one_exit_3(self, tmp_path, capsys, max_iter):
+        sim = simulate_inputs(tmp_path)
+        out = tmp_path / "em"
+        code = run_cli(
+            "em", "--genotypes", sim / "genotypes.csv",
+            "--phenotypes", sim / "phenotypes.csv",
+            "--families", sim / "families.csv",
+            "--max-iter", max_iter, "--out-dir", out,
+        )
+        assert code == 3
+        assert "max_iterations" in capsys.readouterr().err
+        assert not (out / "em_estimates.csv").exists()
+        assert not (out / "em_log.csv").exists()
 
 
 class TestImports:

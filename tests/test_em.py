@@ -19,7 +19,12 @@ from snpgibbs.gibbs import ParameterState, imputation_probabilities
 from snpgibbs.model import ImputationPrior, snp_design_matrix
 
 from conftest import make_dataset
-from _oracles import gibbs_scan_moments
+from _oracles import (
+    enumerate_completions,
+    gibbs_scan_moments,
+    observed_residual,
+    per_individual_e_step,
+)
 
 
 def em_state(data, beta=None, gamma=None, sigma2=1.0):
@@ -225,6 +230,142 @@ class TestEStep:
         _, _, exact, loglik = e_step(state, data)
         assert exact
         assert abs(loglik - observed_loglik(state, data)) < 1e-12
+
+
+# missing SNPs per individual of an n = 20, s = 8 dataset: every count
+# k = 0..6, and individuals that share a count but not their SNPs
+MIXED_PATTERN = (
+    (), (0,), (5,), (7,), (0, 1), (3, 6), (2, 4, 7), (0, 5, 6),
+    (1, 2, 3, 4), (0, 3, 5, 7), (0, 1, 2, 3, 4), (3, 4, 5, 6, 7),
+    (0, 1, 2, 3, 4, 5), (1, 2, 4, 5, 6, 7), (), (6,), (), (2,), (), (),
+)
+
+
+def mixed_pattern_case(coding, sigma2, seed=31):
+    import dataclasses
+
+    from snpgibbs.model import GenotypeMatrix
+
+    data, _ = make_dataset(n=len(MIXED_PATTERN), s=8, p=2, seed=seed, coding=coding)
+    mask = np.zeros((data.n, data.s), dtype=bool)
+    for i, missing in enumerate(MIXED_PATTERN):
+        mask[i, list(missing)] = True
+    data = dataclasses.replace(data, genotypes=GenotypeMatrix(data.genotypes.codes, mask))
+    setup = np.random.default_rng(seed)
+    state = em_state(
+        data, beta=setup.normal(size=2), gamma=setup.normal(size=data.design_dim),
+        sigma2=sigma2,
+    )
+    return data, state
+
+
+def assert_relative(actual, reference, rtol=1e-12):
+    """Entrywise within rtol of the reference's largest magnitude."""
+    scale = max(float(np.abs(reference).max(initial=0.0)), 1e-300)
+    np.testing.assert_allclose(actual, reference, rtol=rtol, atol=rtol * scale)
+
+
+class TestGroupedEnumeration:
+    """The E-step enumerates all individuals that share a missing count in
+    one pass; the reference enumerates each individual on its own."""
+
+    @pytest.mark.parametrize("sigma2", [0.08, 1.5])
+    @pytest.mark.parametrize("coding", ["signed", "additive_dominance"])
+    def test_exact_regime_matches_per_individual_reference(self, coding, sigma2):
+        data, state = mixed_pattern_case(coding, sigma2)
+        config = EmConfig()
+        expected, V, exact, loglik = e_step(state, data, config)
+        ref_expected, ref_V, ref_exact, ref_loglik = per_individual_e_step(state, data, config)
+        assert exact and ref_exact
+        assert_relative(expected, ref_expected)
+        assert_relative(V, ref_V)
+        assert abs(loglik - ref_loglik) <= 1e-12 * abs(ref_loglik)
+
+    @pytest.mark.parametrize("seeded", [True, False])
+    @pytest.mark.parametrize("coding", ["signed", "additive_dominance"])
+    def test_mixed_regime_monte_carlo_rows_bitwise(self, coding, seeded):
+        data, state = mixed_pattern_case(coding, 0.7)
+        config = EmConfig(enumeration_cap=27, mc_samples=60, mc_burn_in=10, seed=4)
+        rng_ours = np.random.default_rng(9) if seeded else None
+        rng_ref = np.random.default_rng(9) if seeded else None
+        expected, V, exact, loglik = e_step(state, data, config, rng_ours)
+        ref_expected, ref_V, ref_exact, ref_loglik = per_individual_e_step(
+            state, data, config, rng_ref
+        )
+        assert not exact and not ref_exact
+        assert np.isnan(loglik) and np.isnan(ref_loglik)
+        wide = [i for i, missing in enumerate(MIXED_PATTERN) if len(missing) > 3]
+        narrow = [i for i in range(data.n) if i not in wide]
+        assert np.array_equal(expected[wide], ref_expected[wide])
+        assert_relative(expected[narrow], ref_expected[narrow])
+        # the Monte Carlo covariances agree to 1e-12 with the reference scan's
+        assert_relative(V, ref_V)
+        if seeded:
+            assert rng_ours.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("cap", [729, 27])
+    def test_five_signal_mixed_regime(self, cap):
+        import dataclasses
+
+        from snpgibbs.simulator import (
+            MissingnessMask,
+            apply_missingness,
+            five_signal_design,
+            simulate_dataset,
+        )
+
+        data, _ = simulate_dataset(five_signal_design(), seed=1)
+        data = apply_missingness(data, MissingnessMask(0.2, seed=1))
+        data = dataclasses.replace(data, snp_coding="additive_dominance")
+        setup = np.random.default_rng(5)
+        state = em_state(data, gamma=setup.normal(size=data.design_dim), sigma2=0.6)
+        config = EmConfig(enumeration_cap=cap, mc_samples=30, mc_burn_in=5)
+        rng_ours, rng_ref = np.random.default_rng(2), np.random.default_rng(2)
+        expected, V, exact, _ = e_step(state, data, config, rng_ours)
+        ref_expected, ref_V, _, _ = per_individual_e_step(state, data, config, rng_ref)
+        pattern = MissingPattern.from_dataset(data)
+        wide = [
+            i for i in pattern.individuals_with_missing()
+            if pattern.enumeration_size(i) > cap
+        ]
+        assert not exact and len(wide) >= 10
+        narrow = [i for i in range(data.n) if i not in wide]
+        assert np.array_equal(expected[wide], ref_expected[wide])
+        assert_relative(expected[narrow], ref_expected[narrow])
+        assert_relative(V, ref_V)
+        assert rng_ours.bit_generator.state == rng_ref.bit_generator.state
+
+    @pytest.mark.parametrize("coding", ["signed", "additive_dominance"])
+    def test_missing_distribution_matches_reference(self, coding):
+        data, state = mixed_pattern_case(coding, 0.3)
+        _, residual = observed_residual(state, data)
+        for i in range(data.n):
+            tuples, probs = missing_distribution(state, data, i)
+            ref_tuples, _, ref_probs, _ = enumerate_completions(state, data, residual, i)
+            assert np.array_equal(tuples, ref_tuples)
+            assert_relative(probs, ref_probs)
+
+    @pytest.mark.parametrize("coding", ["signed", "additive_dominance"])
+    def test_observed_loglik_matches_reference_and_keeps_the_cap(self, coding):
+        data, state = mixed_pattern_case(coding, 0.9)
+        ref_loglik = per_individual_e_step(state, data, EmConfig())[3]
+        loglik = observed_loglik(state, data)
+        assert abs(loglik - ref_loglik) <= 1e-12 * abs(ref_loglik)
+        with pytest.raises(EnumerationCapError, match="individual 8 has 4 missing SNPs"):
+            observed_loglik(state, data, cap=27)
+        with pytest.raises(EnumerationCapError):
+            missing_distribution(state, data, 12, cap=27)
+        assert missing_distribution(state, data, 7, cap=27)[1].shape == (27,)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("max_iterations", 0), ("max_iterations", -1), ("enumeration_cap", 0),
+         ("mc_samples", 0), ("mc_burn_in", -1)],
+    )
+    def test_config_rejects_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            EmConfig(**{field: value})
+        EmConfig(tol=0.0, mc_burn_in=0)  # both in range
 
 
 class TestMStep:
