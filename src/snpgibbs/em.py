@@ -380,9 +380,10 @@ def run_em(data: Dataset, config: Optional[EmConfig] = None) -> tuple[EmState, E
         # an exactly zero variance (perfect fit) would break the next E-step
         state = EmState(beta, gamma, max(sigma2, 1e-300), expected, V)
         current = state.params_vector()
-        delta = float(
-            np.max(np.abs(current - previous) / (np.abs(previous) + 1e-12))
-        )
+        # relative to the larger of the two, so a parameter leaving zero
+        # (gamma starts there) reads 1, not 1e12
+        scale = np.maximum(np.abs(previous), np.abs(current)) + 1e-12
+        delta = float(np.max(np.abs(current - previous) / scale))
         log.converged = delta < config.tol
         last = log.converged or it == config.max_iterations
         # E(theta_t) gives the next moments and, when exact, l(theta_t);

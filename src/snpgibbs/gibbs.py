@@ -14,18 +14,28 @@ conditional:
 Missing genotypes are multiply imputed inside the chain: each sweep
 re-draws one SNP column (cycling), each masked cell in turn from its
 exact discrete conditional over the three genotype classes; under a
-kinship R that conditional couples the cells through R^-1. The chain
-keeps the Gram matrix G = Z'R^-1 Z exact by recomputing the row and
-column of every design column an imputation changes. Each gamma draw
-takes one Cholesky factorization: of M = G + I/phi^2 bordered by the
-right-hand side Z'R^-1 (Y - X beta), whose last row then holds L^-1 of
-that right-hand side, so one back-substitution with L' gives the mean and
-the noise together (the canonical-form sampler of Rue, JRSS-B 2001). A
-new phi^2 costs nothing extra.
+kinship R that conditional couples the cells through R^-1.
+
+No block multiplies an n-sized residual by R^-1. One ``DesignStatistics``
+per chain keeps W = [Z | X | Y], R^-1 W and the cross-products W'R^-1 W,
+whose blocks are G = Z'R^-1 Z, X'R^-1 Z, Z'R^-1 Y and X'R^-1 Y; when an
+imputation changes design column c, that column's products are recomputed
+from v = R^-1 W[:, c] (exactly, so nothing drifts). ``ChainWorkspace``
+keeps what is fixed for the dataset: R^-1, (X'R^-1 X)^-1 and Lx^-T. The
+blocks read these: the gamma right-hand side is Z'R^-1 Y - (X'R^-1 Z)'
+beta, the beta mean (X'R^-1 X)^-1 (X'R^-1 Y - X'R^-1 Z gamma), and the
+residual e = Y - X beta - Z gamma and its image R^-1 e are W and R^-1 W
+times (-gamma, -beta, 1). Each gamma draw takes one Cholesky
+factorization: of M = G + I/phi^2 bordered by its right-hand side, whose
+last row then holds L^-1 of that right-hand side, so one
+back-substitution with L' gives the mean and the noise together (the
+canonical-form sampler of Rue, JRSS-B 2001). A new phi^2 costs nothing
+extra.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
@@ -48,6 +58,8 @@ __all__ = [
     "GibbsConfig",
     "PosteriorSamples",
     "CredibleInterval",
+    "ChainWorkspace",
+    "DesignStatistics",
     "sample_beta",
     "sample_gamma",
     "sample_sigma2",
@@ -223,42 +235,104 @@ class MaskedCells(NamedTuple):
     """The masked rows of one SNP column and their block of R^-1."""
 
     rows: np.ndarray
-    columns: np.ndarray  # k x k, row m is R^-1[rows, rows[m]]
+    columns: list  # k lists of k floats, row m is R^-1[rows, rows[m]]
     diag: list  # R^-1[rows[m], rows[m]] as Python floats
     coupled: bool  # some off-diagonal entry of the block is non-zero
 
 
 class ChainWorkspace:
-    """Quantities fixed for a dataset: R^-1, the beta draw's GLS map
-    (X'R^-1X)^-1 X'R^-1 and Lx^-T, the design values of the three genotype
-    codes and, per SNP column, the masked cells with their block of R^-1."""
+    """Quantities fixed for a dataset: R^-1, (X'R^-1X)^-1 and Lx^-T, the
+    design values of the three genotype codes and, per SNP column, the
+    masked cells with their block of R^-1."""
 
     def __init__(self, data: Dataset):
         self.data = data
         self.Rinv = np.linalg.inv(data.R)
-        XtRinv = data.X.T @ self.Rinv
-        XtRinvX = XtRinv @ data.X
+        XtRinvX = data.X.T @ (self.Rinv @ data.X)
         try:
             Lx = np.linalg.cholesky(XtRinvX)
         except np.linalg.LinAlgError as exc:
             raise ChainNumericalError(f"X'R^-1X factorization failed: {exc}") from exc
-        self.gls = np.linalg.solve(XtRinvX, XtRinv)  # (X'R^-1X)^-1 X'R^-1
         self.Lx_inv_t = np.linalg.inv(Lx).T  # Lx^-T, with Lx Lx' = X'R^-1X
+        self.XtRinvX_inv = self.Lx_inv_t @ self.Lx_inv_t.T
         self.code_values = genotype_column_values(GENOTYPE_CODES, data.snp_coding)
+        self.moved_columns = _moved_columns(data.snp_coding)
         mask = data.genotypes.missing_mask
         self.masked = [self._cells(np.flatnonzero(mask[:, j])) for j in range(data.s)]
 
     def _cells(self, rows: np.ndarray) -> MaskedCells:
-        columns = self.Rinv[np.ix_(rows, rows)].T.copy()
+        columns = self.Rinv[np.ix_(rows, rows)].T
         diag = np.diag(columns)
-        coupled = bool(np.any(columns - np.diag(diag)))
-        return MaskedCells(rows, columns, diag.tolist(), coupled)
+        coupled = np.count_nonzero(columns) > np.count_nonzero(diag)
+        return MaskedCells(rows, columns.tolist(), diag.tolist(), coupled)
 
 
-def _design_of(state: ParameterState, data: Dataset, design: Optional[np.ndarray]):
-    if design is not None:
-        return design
-    return snp_design_matrix(state.z_imputed, data.snp_coding)
+@functools.cache
+def _moved_columns(coding: str) -> tuple:
+    """[new][old] genotype code index: offsets of a SNP's design columns
+    whose values differ between the two codes."""
+    values = genotype_column_values(GENOTYPE_CODES, coding)
+    return tuple(
+        tuple(tuple(np.flatnonzero(a != b).tolist()) for b in values) for a in values
+    )
+
+
+_ONE = np.ones(1)
+
+
+def _residual_weights(state: ParameterState) -> np.ndarray:
+    """(-gamma, -beta, 1): W = [Z | X | Y] times it is the residual
+    Y - X beta - Z gamma, R^-1 W times it the residual's image under R^-1."""
+    return np.concatenate((-state.gamma, -state.beta, _ONE))
+
+
+class DesignStatistics:
+    """W = [Z | X | Y] for the chain's current design Z (a copy of
+    ``design``), R^-1 W and the cross-products W'R^-1 W, kept by one chain.
+
+    The views ``gram`` (G = Z'R^-1 Z), ``Xt_Rinv_Z``, ``Zt_Rinv_y`` and
+    ``Xt_Rinv_y`` are blocks of the cross-products, ``design`` the first
+    s columns of W, so R^-1 Z is those of R^-1 W. ``impute_snp_column``
+    writes the design in place and calls ``refresh`` on the columns it
+    changed. ``bordered`` is the gamma draw's (s+1) x (s+1) work matrix.
+    """
+
+    def __init__(self, work: ChainWorkspace, design: np.ndarray):
+        data = work.data
+        s, p = design.shape[1], data.X.shape[1]
+        self.work = work
+        self.W = np.column_stack([design, data.X, data.y])
+        self.Rinv_W = work.Rinv @ self.W
+        self.cross = self.W.T @ self.Rinv_W
+        self.design = self.W[:, :s]
+        self.gram = self.cross[:s, :s]
+        self.Xt_Rinv_Z = self.cross[s : s + p, :s]
+        self.Zt_Rinv_y = self.cross[:s, -1]
+        self.Xt_Rinv_y = self.cross[s : s + p, -1]
+        self.bordered = np.empty((s + 1, s + 1))
+
+    def refresh(self, cols) -> None:
+        """Recompute every product of the design column (index) or columns
+        (slice) ``cols`` from V = R^-1 W[:, cols]; nothing is updated
+        incrementally, so nothing drifts."""
+        V = self.work.Rinv @ self.W[:, cols]
+        self.Rinv_W[:, cols] = V
+        h = self.W.T @ V
+        self.cross[:, cols] = h
+        self.cross[cols, :] = h.T
+
+
+def _statistics(
+    state: ParameterState,
+    data: Dataset,
+    workspace: Optional[ChainWorkspace],
+    stats: Optional[DesignStatistics],
+) -> DesignStatistics:
+    """The chain's statistics, or fresh ones of the state's design."""
+    if stats is not None:
+        return stats
+    work = workspace or ChainWorkspace(data)
+    return DesignStatistics(work, snp_design_matrix(state.z_imputed, data.snp_coding))
 
 
 def sample_beta(
@@ -266,14 +340,13 @@ def sample_beta(
     data: Dataset,
     rng: np.random.Generator,
     workspace: Optional[ChainWorkspace] = None,
-    design: Optional[np.ndarray] = None,
+    stats: Optional[DesignStatistics] = None,
 ) -> np.ndarray:
     """Draw beta from its Gaussian full conditional: the GLS mean
-    (X'R^-1X)^-1 X'R^-1 (Y - Z gamma) plus sigma Lx^-T z, both products with
-    matrices the workspace holds for the whole chain."""
-    work = workspace or ChainWorkspace(data)
-    Zd = _design_of(state, data, design)
-    mean = work.gls @ (data.y - Zd @ state.gamma)
+    (X'R^-1X)^-1 (X'R^-1 Y - X'R^-1 Z gamma) plus sigma Lx^-T z."""
+    stats = _statistics(state, data, workspace, stats)
+    work = stats.work
+    mean = work.XtRinvX_inv @ (stats.Xt_Rinv_y - stats.Xt_Rinv_Z @ state.gamma)
     noise = work.Lx_inv_t @ rng.standard_normal(mean.shape[0])
     return mean + np.sqrt(state.sigma2) * noise
 
@@ -283,11 +356,10 @@ def sample_gamma(
     data: Dataset,
     rng: np.random.Generator,
     workspace: Optional[ChainWorkspace] = None,
-    design: Optional[np.ndarray] = None,
-    gram: Optional[np.ndarray] = None,
+    stats: Optional[DesignStatistics] = None,
 ) -> np.ndarray:
     """Draw gamma from N(M^-1 r, sigma^2 M^-1), M = G + I/phi^2,
-    r = Z'R^-1 (Y - X beta).
+    r = Z'R^-1 Y - (X'R^-1 Z)' beta.
 
     One lower Cholesky factorization of the bordered matrix
     [[M, r], [r', c]] gives M = LL' and, in its last row, w = L^-1 r.
@@ -299,17 +371,13 @@ def sample_gamma(
     r'M^-1 r <= phi^2 |r|^2, so the corner's Schur complement
     c - r'M^-1 r is at least c/2: the factorization fails only when M
     itself is not positive definite (or a value is not finite), and then
-    raises ``np.linalg.LinAlgError``. ``gram`` is G = Z'R^-1 Z when the
-    caller maintains it; otherwise it is built from the design.
+    raises ``np.linalg.LinAlgError``.
     """
-    work = workspace or ChainWorkspace(data)
-    Zd = _design_of(state, data, design)
-    if gram is None:
-        gram = Zd.T @ (work.Rinv @ Zd)
-    s = gram.shape[0]
-    rhs = Zd.T @ (work.Rinv @ (data.y - data.X @ state.beta))
-    bordered = np.empty((s + 1, s + 1))
-    bordered[:s, :s] = gram
+    stats = _statistics(state, data, workspace, stats)
+    s = stats.gram.shape[0]
+    rhs = stats.Zt_Rinv_y - stats.Xt_Rinv_Z.T @ state.beta
+    bordered = stats.bordered
+    bordered[:s, :s] = stats.gram
     bordered.ravel()[: s * (s + 2) : s + 2] += 1.0 / state.phi2  # M's diagonal
     bordered[:s, s] = rhs
     bordered[s, :s] = rhs
@@ -319,7 +387,7 @@ def sample_gamma(
     gamma = np.empty(s)
     for j in range(s, 0, -GAMMA_BLOCK):  # L' gamma = b, last block first
         i = max(j - GAMMA_BLOCK, 0)
-        rest = b[i:j] - F[j:s, i:j].T @ gamma[j:]
+        rest = b[i:j] - F[j:s, i:j].T @ gamma[j:] if j < s else b[i:j]
         gamma[i:j] = np.linalg.solve(F[i:j, i:j].T, rest)
     return gamma
 
@@ -330,13 +398,14 @@ def sample_sigma2(
     priors: PriorHyperparams,
     rng: np.random.Generator,
     workspace: Optional[ChainWorkspace] = None,
-    design: Optional[np.ndarray] = None,
+    stats: Optional[DesignStatistics] = None,
 ) -> float:
-    """Inverted-gamma draw for sigma^2 given all other blocks."""
-    work = workspace or ChainWorkspace(data)
-    Zd = _design_of(state, data, design)
-    resid = data.y - data.X @ state.beta - Zd @ state.gamma
-    quad = float(resid @ (work.Rinv @ resid))
+    """Inverted-gamma draw for sigma^2 given all other blocks; the quadratic
+    form is e . R^-1 e, e = Y - X beta - Z gamma, with R^-1 e read from
+    the statistics' R^-1 W."""
+    stats = _statistics(state, data, workspace, stats)
+    weights = _residual_weights(state)
+    quad = float((stats.W @ weights) @ (stats.Rinv_W @ weights))
     s_dim = state.gamma.shape[0]
     shape = data.n / 2 + s_dim / 2 + priors.a
     scale = (quad + float(state.gamma @ state.gamma) / state.phi2 + 2 * priors.b) / 2
@@ -359,7 +428,6 @@ def imputation_probabilities(
     j: int,
     prior: ImputationPrior,
     rows: Optional[np.ndarray] = None,
-    design: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-individual genotype-class probabilities for the masked cells of
     SNP column j.
@@ -380,7 +448,7 @@ def imputation_probabilities(
         rows = np.flatnonzero(data.genotypes.missing_mask[:, j])
     if rows.size == 0:
         return rows, np.zeros((0, 3))
-    Zd = _design_of(state, data, design)
+    Zd = snp_design_matrix(state.z_imputed, data.snp_coding)
     cols = list(data.design_columns_of_snp(j))
     gsub = state.gamma[cols]
     contrib_old = Zd[np.ix_(rows, cols)] @ gsub
@@ -402,8 +470,8 @@ def impute_snp_column(
     j: int,
     rng: np.random.Generator,
     prior: ImputationPrior,
-    design: Optional[np.ndarray] = None,
     workspace: Optional[ChainWorkspace] = None,
+    stats: Optional[DesignStatistics] = None,
 ) -> list[int]:
     """Re-draw the masked cells of SNP column j; observed cells untouched.
 
@@ -412,41 +480,49 @@ def impute_snp_column(
     a(c) the contribution of code c, cell i weighs c by
     prior(c) * exp((2 a(c) t_i - a(c)^2 R^-1_ii) / (2 sigma^2)), where
     t_i = u_i + R^-1_ii a(old code) removes the cell's own term. When a
-    cell changes, u moves by its column of the R^-1 block. One k x n
-    product forms u; the rest is O(k) scalar work per cell, with one
-    uniform per cell taken from a single ``rng.random(k)``.
+    cell changes, u moves by its column of the R^-1 block. u is read from
+    the statistics' R^-1 W at the masked rows, at O(k (p + s)); the rest is
+    O(k) scalar work per cell, with one uniform per cell taken from a
+    single ``rng.random(k)``.
 
     Mutates ``state.z_imputed`` in place, writes the SNP's design columns
-    at the masked rows into ``design`` and returns the indices of the
-    design columns that changed (at most one for signed coding, two for
-    additive + dominance coding); an unchanged column yields an empty list.
+    at the masked rows into the statistics' design, refreshes the
+    statistics of every design column that changed and returns their
+    indices (at most one for signed coding, two for additive + dominance
+    coding); an unchanged column yields an empty list.
     """
-    work = workspace or ChainWorkspace(data)
+    stats = _statistics(state, data, workspace, stats)
+    work = stats.work
     cells = work.masked[j]
     rows = cells.rows
     if rows.size == 0:
         return []
-    Zd = _design_of(state, data, design)
     cols = data.design_columns_of_snp(j)
+    first, last = cols[0], cols[-1] + 1  # a SNP's design columns are adjacent
     values = work.code_values
-    cand = (values @ state.gamma[list(cols)]).tolist()
+    cand = (values @ state.gamma[first:last]).tolist()
     a0, a1, a2 = cand
     b0, b1, b2 = 2.0 * a0, 2.0 * a1, 2.0 * a2
     q0, q1, q2 = a0 * a0, a1 * a1, a2 * a2
     two_sigma2 = 2.0 * state.sigma2
-    mu = data.X @ state.beta + Zd @ state.gamma
-    u = (work.Rinv[rows] @ (data.y - mu)).tolist()
+    u = (stats.Rinv_W[rows] @ _residual_weights(state)).tolist()
     old_picks = (state.z_imputed[rows, j] + 1).tolist()  # code index into cand
     picks = old_picks.copy()
-    logprior = prior.log_weights(rows, j).tolist()
-    draws = zip(cells.diag, logprior, rng.random(rows.size).tolist())
+    # a uniform prior's log weights are all zero: adding them changes nothing
+    logprior = None if prior.mode == "uniform" else prior.log_weights(rows, j).tolist()
+    draws = zip(cells.diag, rng.random(rows.size).tolist())
     coupled, k_cells = cells.coupled, rows.size
-    for k, (r, lp, x) in enumerate(draws):
+    for k, (r, x) in enumerate(draws):
         a_old = cand[picks[k]]
         t = u[k] + r * a_old  # residual image with cell k's term removed
-        l0 = lp[0] + (b0 * t - q0 * r) / two_sigma2
-        l1 = lp[1] + (b1 * t - q1 * r) / two_sigma2
-        l2 = lp[2] + (b2 * t - q2 * r) / two_sigma2
+        l0 = (b0 * t - q0 * r) / two_sigma2
+        l1 = (b1 * t - q1 * r) / two_sigma2
+        l2 = (b2 * t - q2 * r) / two_sigma2
+        if logprior is not None:
+            lp = logprior[k]
+            l0 += lp[0]
+            l1 += lp[1]
+            l2 += lp[2]
         top = max(l0, l1, l2)
         e0, e1, e2 = math.exp(l0 - top), math.exp(l1 - top), math.exp(l2 - top)
         total = e0 + e1 + e2
@@ -455,17 +531,21 @@ def impute_snp_column(
         picks[k] = pick
         step = cand[pick] - a_old
         if step != 0.0 and coupled:
-            coupling = cells.columns[k].tolist()
+            coupling = cells.columns[k]
             for m in range(k + 1, k_cells):
                 u[m] -= coupling[m] * step
 
     if picks == old_picks:
         return []
-    state.z_imputed[rows, j] = GENOTYPE_CODES[picks]
-    new = values[picks]
-    moved = (new != values[old_picks]).any(axis=0)
-    Zd[rows, cols[0] : cols[-1] + 1] = new  # a SNP's design columns are adjacent
-    return [col for col, m in zip(cols, moved.tolist()) if m]
+    offsets = set()
+    for new, old in zip(picks, old_picks):
+        offsets.update(work.moved_columns[new][old])
+    index = np.array(picks)
+    state.z_imputed[rows, j] = GENOTYPE_CODES[index]
+    stats.design[rows, first:last] = values[index]
+    changed = [first + w for w in sorted(offsets)]
+    stats.refresh(slice(changed[0], changed[-1] + 1))
+    return changed
 
 
 def initial_state(
@@ -516,26 +596,30 @@ def run_chain(
 ) -> PosteriorSamples:
     """Run one seeded Gibbs chain and return the thinned retained states.
 
-    Per iteration: re-draw missing genotypes for one SNP column (cycling
-    j = t mod s) or for every column (``impute_mode="all"``), recompute
-    the row and column of G = Z'R^-1 Z for each design column that
-    changed, then draw gamma (one Cholesky factorization of
-    G + I/phi^2, bordered by the right-hand side), beta, sigma^2, phi^2.
-    A numerical failure raises ChainNumericalError carrying the iteration
-    and the state. Fully deterministic for a given seed.
+    The chain keeps one ``DesignStatistics``: W = [Z | X | Y] for its
+    design Z, R^-1 W and the cross-products W'R^-1 W, whose blocks are
+    G = Z'R^-1 Z, X'R^-1 Z, Z'R^-1 Y and X'R^-1 Y. Per iteration: re-draw
+    missing genotypes for one SNP column (cycling j = t mod s) or for every
+    column (``impute_mode="all"``), each imputation recomputing the
+    statistics of the design columns it changed before the next column is
+    drawn; then draw gamma (one Cholesky factorization of G + I/phi^2,
+    bordered by Z'R^-1 Y - (X'R^-1 Z)' beta), beta, sigma^2, phi^2, each
+    from the statistics rather than from an n-sized residual. A numerical
+    failure raises ChainNumericalError carrying the iteration and the
+    state. Fully deterministic for a given seed.
     """
     validate_dataset(data).raise_for_errors()
     work = ChainWorkspace(data)
     rng = np.random.default_rng(config.seed)
     state = initial_state(data, config, rng)
-    Zd = snp_design_matrix(state.z_imputed, data.snp_coding)
-    G = Zd.T @ (work.Rinv @ Zd)
+    stats = DesignStatistics(work, snp_design_matrix(state.z_imputed, data.snp_coding))
     masked_flat = np.flatnonzero(data.genotypes.missing_mask.ravel())
     n_masked = masked_flat.size
     impute = n_masked > 0 and config.impute_mode != "off"
+    prior = config.imputation_prior
 
     kept = config.retained_count
-    p, sd = data.X.shape[1], Zd.shape[1]
+    p, sd = data.X.shape[1], stats.design.shape[1]
     betas = np.empty((kept, p))
     gammas = np.empty((kept, sd))
     sigma2s = np.empty(kept)
@@ -546,32 +630,12 @@ def run_chain(
     for t in range(config.total_iterations):
         try:
             if impute:
-                if config.impute_mode == "cycle":
-                    cols = (t % data.s,)
-                else:
-                    cols = range(data.s)
+                cols = (t % data.s,) if config.impute_mode == "cycle" else range(data.s)
                 for j in cols:
-                    changed = impute_snp_column(
-                        state,
-                        data,
-                        j,
-                        rng,
-                        config.imputation_prior,
-                        design=Zd,
-                        workspace=work,
-                    )
-                    for c in changed:
-                        g = Zd.T @ (work.Rinv @ Zd[:, c])  # exact, no drift
-                        G[c, :] = g
-                        G[:, c] = g
-
-            state.gamma = sample_gamma(
-                state, data, rng, workspace=work, design=Zd, gram=G
-            )
-            state.beta = sample_beta(state, data, rng, workspace=work, design=Zd)
-            state.sigma2 = sample_sigma2(
-                state, data, priors, rng, workspace=work, design=Zd
-            )
+                    impute_snp_column(state, data, j, rng, prior, stats=stats)
+            state.gamma = sample_gamma(state, data, rng, stats=stats)
+            state.beta = sample_beta(state, data, rng, stats=stats)
+            state.sigma2 = sample_sigma2(state, data, priors, rng, stats=stats)
             state.phi2 = sample_phi2(state, priors, rng)
         except np.linalg.LinAlgError as exc:
             raise ChainNumericalError(

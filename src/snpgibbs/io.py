@@ -235,19 +235,28 @@ def _masked_cell_labels(data: Dataset) -> list[str]:
     return labels
 
 
+# each masked genotype code's cell with its leading comma, by code + 1
+_CODE_CELLS = np.array([b",-1", b",0", b",1"])
+
+
 def write_samples(path, samples: PosteriorSamples, manifest_lines=()):
     """One row per retained state: coefficients, variances, then the
     imputed genotype codes of every masked cell."""
     names, cols = samples.coefficient_table()
     header = list(names) + _masked_cell_labels(samples.data)
-    # the cells fmt would write: repr of each float, str of each code
-    rows = zip(cols.tolist(), samples.masked_values.tolist(), strict=True)
+    codes = samples.masked_values
+    if codes.size and (codes.min() < -1 or codes.max() > 1):
+        raise ValueError("masked genotype codes must be -1, 0 or 1")
     with open(path, "w", encoding="utf-8") as fh:
         for line in manifest_lines:
             fh.write(line + "\n")
         fh.write(",".join(header) + "\n")
-        for values, codes in rows:
-            fh.write(",".join([*map(repr, values), *map(str, codes)]) + "\n")
+        # the cells fmt would write: repr of each float, str of each code;
+        # a row's codes come from the byte table, which pads its shorter
+        # cells with NUL bytes
+        for values, row in zip(cols.tolist(), codes, strict=True):
+            text = _CODE_CELLS[row + 1].tobytes().replace(b"\0", b"").decode("ascii")
+            fh.write(",".join(map(repr, values)) + text + "\n")
 
 
 def read_samples(path, data: Dataset) -> PosteriorSamples:

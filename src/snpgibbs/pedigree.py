@@ -144,24 +144,29 @@ def order_pedigree(records: Iterable[PedigreeRecord]) -> OrderedPedigree:
                     f"parent id {pid!r} of {rec.individual_id!r} not in pedigree"
                 )
 
-    placed: set[str] = set()
+    # Kahn's algorithm one generation at a time: a record joins the
+    # generation after the last of its parents, ids sorted within each
+    children: dict[str, list[str]] = {rid: [] for rid in by_id}
+    waiting = {}  # parent links not yet placed
+    for rid, rec in by_id.items():
+        waiting[rid] = len(rec.parents())
+        for pid in rec.parents():
+            children[pid].append(rid)
+    generation = sorted(rid for rid, count in waiting.items() if count == 0)
+    base_count = len(generation)  # founders are exactly the first generation
     ordered: list[PedigreeRecord] = []
-    pending = set(by_id)
-    base_count = 0
-    while pending:
-        ready = sorted(
-            rid for rid in pending if all(p in placed for p in by_id[rid].parents())
-        )
-        if not ready:
-            raise PedigreeError(_describe_cycle(by_id, pending))
-        for rid in ready:
-            rec = by_id[rid]
-            if not rec.parents():
-                base_count += 1
-            ordered.append(rec)
-            placed.add(rid)
-            pending.discard(rid)
-    # founders are all ready in the first pass, hence already leading
+    while generation:
+        ordered.extend(by_id[rid] for rid in generation)
+        following = []
+        for rid in generation:
+            for child in children[rid]:
+                waiting[child] -= 1
+                if waiting[child] == 0:
+                    following.append(child)
+        generation = sorted(following)
+    if len(ordered) < len(by_id):
+        placed = {rec.individual_id for rec in ordered}
+        raise PedigreeError(_describe_cycle(by_id, set(by_id) - placed))
     return OrderedPedigree(tuple(ordered), base_count)
 
 
@@ -185,7 +190,10 @@ def _describe_cycle(by_id: dict[str, PedigreeRecord], pending: set[str]) -> str:
 
 
 def build_numerator_matrix(ped: OrderedPedigree) -> RelationshipMatrix:
-    """Apply the three-case kinship recursion over an ordered pedigree."""
+    """Apply the three-case kinship recursion over an ordered pedigree.
+
+    Each new row reads its parents' rows ``R[g, :j]``, which are complete
+    because every step writes its row and column alike."""
     n = len(ped)
     pos = {rid: k for k, rid in enumerate(ped.ids)}
     R = np.zeros((n, n))
@@ -193,11 +201,11 @@ def build_numerator_matrix(ped: OrderedPedigree) -> RelationshipMatrix:
         parents = [pos[p] for p in rec.parents()]
         if len(parents) == 2:
             g, h = parents
-            row = 0.5 * (R[:j, g] + R[:j, h])
+            row = 0.5 * (R[g, :j] + R[h, :j])
             R[j, j] = 1.0 + 0.5 * R[g, h]
         elif len(parents) == 1:
             g = parents[0]
-            row = 0.5 * R[:j, g]
+            row = 0.5 * R[g, :j]
             R[j, j] = 1.0
         else:
             row = np.zeros(j)

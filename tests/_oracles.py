@@ -5,9 +5,10 @@ tensor-product Gauss-Hermite quadrature of the beta-marginalized likelihood
 over the coefficient prior, posterior state streams come from exact
 conjugate Gaussian draws (sigma^2 and phi^2 held fixed), and the genotype
 conditional is drawn by a per-cell numpy loop over the full residual image.
-The beta and gamma draws, EM's exact and Monte Carlo E-steps, the samples
-writer and the genotype coding each have their earlier, plainer form here
-as the reference for the faster one.
+The beta and gamma draws, the chain's per-block sweep, EM's exact and
+Monte Carlo E-steps, the samples writer, the genotype coding and the
+pedigree ordering and kinship recursion each have their earlier, plainer
+form here as the reference for the faster one.
 """
 
 import itertools
@@ -15,7 +16,7 @@ import itertools
 import numpy as np
 
 from snpgibbs import io
-from snpgibbs.gibbs import ParameterState
+from snpgibbs.gibbs import ParameterState, initial_state
 from snpgibbs.linalg import ColumnDelta
 from snpgibbs.model import (
     GENOTYPE_CODES,
@@ -23,6 +24,12 @@ from snpgibbs.model import (
     GenotypeMatrix,
     genotype_column_values,
     snp_design_matrix,
+)
+from snpgibbs.pedigree import (
+    OrderedPedigree,
+    PedigreeError,
+    RelationshipMatrix,
+    _describe_cycle,
 )
 
 
@@ -171,6 +178,47 @@ def two_solve_beta(state, data, rng):
     Lx = np.linalg.cholesky(XtRinvX)
     noise = np.linalg.solve(Lx.T, rng.standard_normal(mean.shape[0]))
     return mean + np.sqrt(state.sigma2) * noise
+
+
+def per_block_chain(data, priors, config, rng):
+    """Reference chain: the sweep of ``run_chain`` with every block drawn
+    from the full residual y - X beta - Z gamma and R^-1 itself. Imputation
+    goes through ``sequential_impute`` (column by column in ``all`` mode),
+    gamma through ``two_factorization_gamma``, beta through
+    ``two_solve_beta``, the variances from their inverted-gamma laws. It
+    takes the same normals and uniforms in the same order as ``run_chain``
+    and returns (betas, gammas, sigma2s, phi2s, masked values) of the
+    retained states."""
+    state = initial_state(data, config, rng)
+    Rinv = np.linalg.inv(data.R)
+    mask = data.genotypes.missing_mask
+    impute = mask.any() and config.impute_mode != "off"
+    kept = []
+    for t in range(config.total_iterations):
+        if impute:
+            cols = (t % data.s,) if config.impute_mode == "cycle" else range(data.s)
+            for j in cols:
+                sequential_impute(state, data, j, rng, config.imputation_prior)
+        state.gamma = two_factorization_gamma(state, data, rng)
+        state.beta = two_solve_beta(state, data, rng)
+        Zd = snp_design_matrix(state.z_imputed, data.snp_coding)
+        resid = data.y - data.X @ state.beta - Zd @ state.gamma
+        g2 = float(state.gamma @ state.gamma)
+        shape = data.n / 2 + state.gamma.size / 2 + priors.a
+        scale = (float(resid @ Rinv @ resid) + g2 / state.phi2 + 2 * priors.b) / 2
+        state.sigma2 = float(scale / rng.gamma(shape))
+        shape = state.gamma.size / 2 + priors.c
+        scale = (g2 / state.sigma2 + 2 * priors.d) / 2
+        state.phi2 = float(scale / rng.gamma(shape))
+        if t >= config.burn_in and (t - config.burn_in + 1) % config.thinning == 0:
+            kept.append(state.copy())
+    return (
+        np.array([s.beta for s in kept]),
+        np.array([s.gamma for s in kept]),
+        np.array([s.sigma2 for s in kept]),
+        np.array([s.phi2 for s in kept]),
+        np.array([s.z_imputed[mask] for s in kept]),
+    )
 
 
 def gibbs_scan_moments(state, data, base, i, config, rng):
@@ -346,6 +394,58 @@ def loop_encode_genotypes(raw, missing_marker="NA", snp_names=()):
         categories.append({code: call for call, code in mapping.items()})
     gm = GenotypeMatrix(codes, mask, names, tuple(categories))
     return gm, warnings
+
+
+def ready_set_order(records):
+    """Reference pedigree ordering: rescan every pending record for
+    placeable ones until none is left, ids sorted within each pass."""
+    by_id = {}
+    for rec in records:
+        if rec.individual_id in by_id:
+            raise PedigreeError(f"duplicate individual id {rec.individual_id!r}")
+        by_id[rec.individual_id] = rec
+    for rec in by_id.values():
+        for pid in rec.parents():
+            if pid not in by_id:
+                raise PedigreeError(
+                    f"parent id {pid!r} of {rec.individual_id!r} not in pedigree"
+                )
+    placed, ordered, pending = set(), [], set(by_id)
+    base_count = 0
+    while pending:
+        ready = sorted(
+            rid for rid in pending if all(p in placed for p in by_id[rid].parents())
+        )
+        if not ready:
+            raise PedigreeError(_describe_cycle(by_id, pending))
+        for rid in ready:
+            base_count += not by_id[rid].parents()
+            ordered.append(by_id[rid])
+            placed.add(rid)
+            pending.discard(rid)
+    return OrderedPedigree(tuple(ordered), base_count)
+
+
+def column_read_numerator_matrix(ped):
+    """Reference kinship recursion reading the parents' columns R[:j, g]."""
+    n = len(ped)
+    pos = {rid: k for k, rid in enumerate(ped.ids)}
+    R = np.zeros((n, n))
+    for j, rec in enumerate(ped.records):
+        parents = [pos[p] for p in rec.parents()]
+        if len(parents) == 2:
+            g, h = parents
+            row = 0.5 * (R[:j, g] + R[:j, h])
+            R[j, j] = 1.0 + 0.5 * R[g, h]
+        elif len(parents) == 1:
+            row = 0.5 * R[:j, parents[0]]
+            R[j, j] = 1.0
+        else:
+            row = np.zeros(j)
+            R[j, j] = 1.0
+        R[j, :j] = row
+        R[:j, j] = row
+    return RelationshipMatrix(ped.ids, R)
 
 
 def dense_inverse(A):

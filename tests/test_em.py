@@ -514,6 +514,16 @@ class TestRunEm:
         logliks = [h[1] for h in log.history]
         assert np.diff(logliks).min() > -1e-9
 
+    @pytest.mark.parametrize("coding", ["signed", "additive_dominance"])
+    def test_logged_deltas_are_relative_changes(self, coding):
+        # gamma starts at zero: the first change is relative to the new value
+        data, _ = make_dataset(n=20, s=3, p=2, missing=0.15, seed=18, coding=coding)
+        _, log = run_em(data, EmConfig(max_iterations=30))
+        deltas = np.array([h[2] for h in log.history])
+        assert np.isfinite(deltas).all()
+        assert deltas.max() <= 2.0
+        assert deltas[0] == pytest.approx(1.0)
+
     def test_one_pass_records_loglik_of_final_state(self, monkeypatch):
         data, _ = make_dataset(n=14, s=3, missing=0.15, seed=16, coding="additive_dominance")
         calls = []

@@ -8,6 +8,7 @@ import snpgibbs.gibbs as gibbs
 from snpgibbs.gibbs import (
     ChainNumericalError,
     ChainWorkspace,
+    DesignStatistics,
     GibbsConfig,
     ParameterState,
     autocorrelations,
@@ -35,7 +36,12 @@ from snpgibbs.model import (
 from snpgibbs.pedigree import RelationshipMatrix
 
 from conftest import make_dataset, poison_phi2
-from _oracles import sequential_impute, two_factorization_gamma, two_solve_beta
+from _oracles import (
+    per_block_chain,
+    sequential_impute,
+    two_factorization_gamma,
+    two_solve_beta,
+)
 
 
 def state_for(data, beta=None, gamma=None, sigma2=1.0, phi2=1.0, codes=None):
@@ -152,10 +158,14 @@ class TestSampleGamma:
             n=9, s=3, p=1, seed=14, coding="additive_dominance", kinship="correlated"
         )
         state = state_for(data, beta=[0.4], sigma2=0.8, phi2=1.5)
-        Zd = snp_design_matrix(state.z_imputed, data.snp_coding)
-        G = Zd.T @ np.linalg.inv(data.R) @ Zd
+        # statistics of another design, brought to the state's design one
+        # column refresh at a time, draw as the ones built from it
+        stats = DesignStatistics(ChainWorkspace(data), np.ones((data.n, data.design_dim)))
+        stats.design[:] = snp_design_matrix(state.z_imputed, data.snp_coding)
+        for c in range(data.design_dim):
+            stats.refresh(c)
         built = sample_gamma(state, data, np.random.default_rng(7))
-        given = sample_gamma(state, data, np.random.default_rng(7), gram=G)
+        given = sample_gamma(state, data, np.random.default_rng(7), stats=stats)
         np.testing.assert_allclose(given, built, rtol=1e-12, atol=1e-12)
 
     def test_exact_conditional_distribution(self, rng):
@@ -231,8 +241,10 @@ class TestVarianceDraws:
         quad = resid @ work.Rinv @ resid
         shape = 10 / 2 + 3 / 2 + priors.a
         scale = (quad + state.gamma @ state.gamma / state.phi2 + 2 * priors.b) / 2
+        # the design's statistics once, as a chain keeps them
+        stats = DesignStatistics(work, Zd)
         draws = np.array(
-            [sample_sigma2(state, data, priors, rng, work) for _ in range(1_000_000)]
+            [sample_sigma2(state, data, priors, rng, stats=stats) for _ in range(1_000_000)]
         )
         expected_mean = scale / (shape - 1)
         assert abs(draws.mean() - expected_mean) / expected_mean < 0.01
@@ -331,14 +343,21 @@ class TestImputation:
     def test_delta_reflects_code_changes(self, rng):
         data, _ = make_dataset(n=30, s=3, missing=0.4, seed=10, coding="additive_dominance")
         state = state_for(data, gamma=rng.normal(size=6), sigma2=0.3)
-        Zd = snp_design_matrix(state.z_imputed, "additive_dominance")
-        before = Zd.copy()
-        changed = impute_snp_column(state, data, 1, rng, ImputationPrior(), design=Zd)
-        # the design written in place is the design of the new codes, and
-        # the returned columns are exactly the ones that moved
+        before = snp_design_matrix(state.z_imputed, "additive_dominance")
+        stats = DesignStatistics(ChainWorkspace(data), before)
+        changed = impute_snp_column(state, data, 1, rng, ImputationPrior(), stats=stats)
+        # the design written in place is the design of the new codes, the
+        # returned columns are exactly the ones that moved, and the
+        # statistics are those of the new design
+        Zd = stats.design
         assert np.array_equal(Zd, snp_design_matrix(state.z_imputed, "additive_dominance"))
         assert changed == np.flatnonzero((Zd != before).any(axis=0)).tolist()
         assert changed
+        fresh = DesignStatistics(stats.work, Zd)
+        for name in ("Rinv_W", "cross"):
+            np.testing.assert_allclose(
+                getattr(stats, name), getattr(fresh, name), rtol=1e-13, atol=1e-13
+            )
 
     @pytest.mark.parametrize("prior_mode", ["uniform", "file"])
     @pytest.mark.parametrize("kinship", ["identity", "correlated"])
@@ -353,11 +372,12 @@ class TestImputation:
             w = setup.dirichlet(np.ones(3), size=(data.n, data.s))
             w[::4, :, 0] = 0.0  # impossible classes: -inf log weights
             prior = ImputationPrior("weighted", w / w.sum(axis=2, keepdims=True))
-        work = ChainWorkspace(data)
         ours = state_for(data, beta=setup.normal(size=2))
         ref = ours.copy()
-        design = snp_design_matrix(ours.z_imputed, data.snp_coding)
-        ref_design = design.copy()
+        stats = DesignStatistics(
+            ChainWorkspace(data), snp_design_matrix(ours.z_imputed, data.snp_coding)
+        )
+        ref_design = stats.design.copy()
         rng_ours, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
         changed = 0
         for t in range(200):
@@ -366,15 +386,13 @@ class TestImputation:
             ours.gamma, ours.sigma2 = gamma.copy(), sigma2
             ref.gamma, ref.sigma2 = gamma.copy(), sigma2
             j = t % data.s
-            got = impute_snp_column(
-                ours, data, j, rng_ours, prior, design=design, workspace=work
-            )
+            got = impute_snp_column(ours, data, j, rng_ours, prior, stats=stats)
             want = sequential_impute(ref, data, j, rng_ref, prior)
             assert np.array_equal(ours.z_imputed, ref.z_imputed)
             assert got == [d.column_index for d in want]
             for d in want:
                 ref_design[:, d.column_index] += d.delta
-            assert np.array_equal(design, ref_design)
+            assert np.array_equal(stats.design, ref_design)
             assert rng_ours.bit_generator.state == rng_ref.bit_generator.state
             changed += bool(got)
         assert changed > 50
@@ -431,14 +449,32 @@ class TestRunChain:
         errors, designs = [], set()
         real = gibbs.sample_gamma
 
-        def checked(state, data, rng, workspace=None, design=None, gram=None):
+        def checked(state, data, rng, workspace=None, stats=None):
+            design = stats.design
             assert np.array_equal(
                 design, snp_design_matrix(state.z_imputed, data.snp_coding)
             )
-            fresh = design.T @ Rinv @ design
-            errors.append(np.max(np.abs(gram - fresh)) / np.max(np.abs(fresh)))
+            RinvZ = Rinv @ design
+            fresh = {
+                "Rinv_Z": RinvZ,
+                "gram": design.T @ RinvZ,
+                "Xt_Rinv_Z": data.X.T @ RinvZ,
+                "Zt_Rinv_y": RinvZ.T @ data.y,
+                "Xt_Rinv_y": data.X.T @ Rinv @ data.y,
+            }
+            kept = {
+                "Rinv_Z": stats.Rinv_W[:, : design.shape[1]],
+                "gram": stats.gram,
+                "Xt_Rinv_Z": stats.Xt_Rinv_Z,
+                "Zt_Rinv_y": stats.Zt_Rinv_y,
+                "Xt_Rinv_y": stats.Xt_Rinv_y,
+            }
+            errors.append(max(
+                np.max(np.abs(kept[name] - want)) / np.max(np.abs(want))
+                for name, want in fresh.items()
+            ))
             designs.add(design.tobytes())
-            return real(state, data, rng, workspace=workspace, design=design, gram=gram)
+            return real(state, data, rng, workspace=workspace, stats=stats)
 
         monkeypatch.setattr(gibbs, "sample_gamma", checked)
         cfg = GibbsConfig(
@@ -448,6 +484,34 @@ class TestRunChain:
         assert len(errors) == 1500
         assert len(designs) > 100  # imputation kept changing the design
         assert max(errors) < 1e-12
+
+    @pytest.mark.parametrize("kinship", ["identity", "correlated"])
+    @pytest.mark.parametrize("coding", ["signed", "additive_dominance"])
+    @pytest.mark.parametrize("mode", ["cycle", "all", "off"])
+    def test_matches_per_block_reference(self, monkeypatch, mode, coding, kinship):
+        data, _ = make_dataset(
+            n=30, s=4, p=2, seed=17, missing=0.3, coding=coding, kinship=kinship
+        )
+        priors = default_priors()
+        cfg = GibbsConfig(
+            total_iterations=300, burn_in=100, thinning=2, seed=4, impute_mode=mode
+        )
+        made, real_rng = [], np.random.default_rng
+        monkeypatch.setattr(
+            gibbs.np.random, "default_rng", lambda seed: made.append(real_rng(seed)) or made[-1]
+        )
+        post = run_chain(data, priors, cfg)
+        rng_ref = real_rng(cfg.seed)
+        betas, gammas, sigma2s, phi2s, masked = per_block_chain(data, priors, cfg, rng_ref)
+        for got, want in [
+            (post.betas, betas), (post.gammas, gammas),
+            (post.sigma2s, sigma2s), (post.phi2s, phi2s),
+        ]:
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        assert np.array_equal(post.masked_values, masked)
+        assert made[0].bit_generator.state == rng_ref.bit_generator.state
+        if mode != "off":  # the imputation moved the design
+            assert len({row.tobytes() for row in masked}) > 10
 
     def test_gamma_failure_carries_iteration(self, monkeypatch):
         data, _ = make_dataset(n=12, s=3, p=2, seed=26, missing=0.2)

@@ -10,6 +10,8 @@ from snpgibbs.pedigree import (
     order_pedigree,
 )
 
+from _oracles import column_read_numerator_matrix, ready_set_order
+
 
 def rec(i, s=None, d=None):
     return PedigreeRecord(i, s, d)
@@ -119,6 +121,35 @@ class TestRecursion:
             R = build_numerator_matrix(_random_pedigree(300, seed=seed))
             eig = np.linalg.eigvalsh(R.entries)
             assert eig[0] > 1e-10 * eig[-1]
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("n, seed", [(40, 1), (300, 2), (600, 3)])
+    def test_order_and_matrix_match_reference(self, n, seed):
+        records = list(_random_pedigree(n, seed).records)
+        np.random.default_rng(seed).shuffle(records)
+        ped = order_pedigree(records)
+        ref = ready_set_order(records)
+        assert ped == ref
+        assert np.array_equal(
+            build_numerator_matrix(ped).entries, column_read_numerator_matrix(ref).entries
+        )
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [rec("C", "A", "B"), rec("A", "C"), rec("B")],
+            [rec("A", "A"), rec("B")],
+            [rec("A"), rec("B", "A", "D"), rec("D", "B"), rec("E", "D")],
+            [rec("A"), rec("B", "ghost")],
+        ],
+    )
+    def test_errors_match_reference(self, records):
+        with pytest.raises(PedigreeError) as ours:
+            order_pedigree(records)
+        with pytest.raises(PedigreeError) as ref:
+            ready_set_order(records)
+        assert str(ours.value) == str(ref.value)
 
 
 class TestExtract:
