@@ -41,6 +41,7 @@ from .selector import (
     ModelIndicator,
     SearchConfig,
     SearchTrace,
+    bayes_factor_statistics,
     estimate_bayes_factor,
     exhaustive_search,
     mh_model_search,
@@ -73,6 +74,7 @@ __all__ = [
     "ModelIndicator",
     "SearchConfig",
     "SearchTrace",
+    "bayes_factor_statistics",
     "estimate_bayes_factor",
     "exhaustive_search",
     "mh_model_search",

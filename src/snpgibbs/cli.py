@@ -421,11 +421,10 @@ def cmd_select(args) -> int:
         seed=settings["seed"],
         min_samples_per_bf=settings["min_samples_per_bf"],
     )
-    states = samples.states  # the searches materialise only their window
     if settings["exhaustive"]:
-        trace = exhaustive_search(states, data, candidates, config)
+        trace = exhaustive_search(samples, candidates, config)
     else:
-        trace = mh_model_search(states, data, config, candidates=candidates)
+        trace = mh_model_search(samples, candidates, config)
     io.write_trace(out / "trace.csv", trace, lines)
     io.write_bf_diagnostics(out / "bf_diagnostics.csv", trace, lines)
     labels = samples.data.gamma_labels()

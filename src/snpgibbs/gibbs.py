@@ -38,7 +38,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -64,7 +64,6 @@ __all__ = [
     "sample_gamma",
     "sample_sigma2",
     "sample_phi2",
-    "imputation_probabilities",
     "impute_snp_column",
     "initial_state",
     "run_chain",
@@ -155,32 +154,14 @@ class CredibleInterval:
             raise ValueError("level must lie in (0, 1)")
 
 
-class _StateView(Sequence):
-    """Lazy sequence of ParameterStates backed by compact sample arrays."""
-
-    def __init__(self, samples: "PosteriorSamples"):
-        self._s = samples
-
-    def __len__(self) -> int:
-        return self._s.retained_count
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
-        if i < 0:
-            i += len(self)
-        if not 0 <= i < len(self):
-            raise IndexError(i)
-        return self._s.state(i)
-
-
 @dataclass
 class PosteriorSamples:
     """Thinned post-burn-in draws of the chain run on ``data``, stored
     compactly.
 
     Genotype completions are kept only at the dataset's masked cells;
-    ``state(i)`` re-materializes the full ParameterState.
+    ``state(i)`` re-materializes the full ParameterState. A slice of rows,
+    ``samples[-k:]``, is PosteriorSamples of views of those draws.
     """
 
     data: Dataset
@@ -194,9 +175,17 @@ class PosteriorSamples:
     def retained_count(self) -> int:
         return self.betas.shape[0]
 
-    @property
-    def states(self) -> Sequence[ParameterState]:
-        return _StateView(self)
+    def __getitem__(self, rows: slice) -> "PosteriorSamples":
+        if not isinstance(rows, slice):
+            raise TypeError("select PosteriorSamples rows with a slice; state(i) gives one")
+        return PosteriorSamples(
+            self.data,
+            self.betas[rows],
+            self.gammas[rows],
+            self.sigma2s[rows],
+            self.phi2s[rows],
+            self.masked_values[rows],
+        )
 
     def state(self, i: int) -> ParameterState:
         z = self.data.genotypes.codes.copy()
@@ -420,48 +409,6 @@ def sample_phi2(
     shape = s_dim / 2 + priors.c
     scale = (float(state.gamma @ state.gamma) / state.sigma2 + 2 * priors.d) / 2
     return _draw_inverse_gamma(rng, shape, scale)
-
-
-def imputation_probabilities(
-    state: ParameterState,
-    data: Dataset,
-    j: int,
-    prior: ImputationPrior,
-    rows: Optional[np.ndarray] = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-individual genotype-class probabilities for the masked cells of
-    SNP column j.
-
-    For each masked individual the three candidate codes c are weighted by
-    prior(c) * exp(-(r - contrib(c))^2 / (2 sigma^2)), where r is the
-    phenotype residual with SNP j's contribution removed. Normalization is
-    done in log space with max subtraction. This is the conditional
-    ``impute_snp_column`` draws when R = I; under any other kinship the
-    cells couple through R^-1 and these probabilities are not exact.
-
-    Returns (rows, probs) with probs of shape (len(rows), 3) over codes
-    (-1, 0, +1).
-    """
-    if not 0 <= j < data.s:
-        raise IndexError(f"SNP index {j} out of range")
-    if rows is None:
-        rows = np.flatnonzero(data.genotypes.missing_mask[:, j])
-    if rows.size == 0:
-        return rows, np.zeros((0, 3))
-    Zd = snp_design_matrix(state.z_imputed, data.snp_coding)
-    cols = list(data.design_columns_of_snp(j))
-    gsub = state.gamma[cols]
-    contrib_old = Zd[np.ix_(rows, cols)] @ gsub
-    full_resid = data.y - data.X @ state.beta - Zd @ state.gamma
-    r = full_resid[rows] + contrib_old
-    cand = genotype_column_values(GENOTYPE_CODES, data.snp_coding) @ gsub  # (3,)
-    logw = prior.log_weights(rows, j) - (r[:, None] - cand[None, :]) ** 2 / (
-        2.0 * state.sigma2
-    )
-    logw -= logw.max(axis=1, keepdims=True)
-    probs = np.exp(logw)
-    probs /= probs.sum(axis=1, keepdims=True)
-    return rows, probs
 
 
 def impute_snp_column(

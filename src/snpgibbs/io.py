@@ -84,8 +84,9 @@ def file_digest(path) -> str:
     return h.hexdigest()
 
 
-def read_table(path) -> tuple[list[str], list[list[str]]]:
-    """Comma-separated file as (header, rows); '#' lines skipped."""
+def read_table(path, short_rows: bool = False) -> tuple[list[str], list[list[str]]]:
+    """Comma-separated file as (header, rows); '#' lines skipped. A row with
+    fewer cells than the header is an error unless ``short_rows``."""
     header: Optional[list[str]] = None
     rows: list[list[str]] = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -96,6 +97,10 @@ def read_table(path) -> tuple[list[str], list[list[str]]]:
             cells = [c.strip() for c in line.split(",")]
             if header is None:
                 header = cells
+            elif len(cells) < len(header) and not short_rows:
+                raise DataValidationError(
+                    f"{path}: row {line!r} has {len(cells)} of the header's {len(header)} cells"
+                )
             else:
                 rows.append(cells)
     if header is None:
@@ -116,7 +121,7 @@ def write_table(path, header: Sequence[str], rows: Iterable[Sequence], manifest_
 
 
 def read_pedigree(path) -> list[PedigreeRecord]:
-    header, rows = read_table(path)
+    header, rows = read_table(path, short_rows=True)  # a missing parent may be left off
     if [h.lower() for h in header[:3]] != ["id", "sire", "dam"]:
         raise DataValidationError(f"{path}: expected header id,sire,dam")
     records = []
@@ -186,6 +191,10 @@ def write_families(path, ids, families, manifest_lines=()):
 def read_kinship_matrix(path) -> RelationshipMatrix:
     header, rows = read_table(path)
     ids = header[1:]
+    if len(rows) > len(ids):
+        raise DataValidationError(
+            f"{path}: row {','.join(rows[len(ids)])!r} is beyond the header's {len(ids)} ids"
+        )
     if any(row[0] != ids[k] for k, row in enumerate(rows)):
         raise DataValidationError(f"{path}: kinship row ids must match header order")
     entries = np.array([[float(c) for c in row[1:]] for row in rows])
@@ -263,7 +272,8 @@ def read_samples(path, data: Dataset) -> PosteriorSamples:
     """Rebuild PosteriorSamples from a dump, aligned to the dataset shape.
 
     The first line that is neither blank nor a '#' comment is the header;
-    the rows below it are parsed in one ``np.loadtxt``.
+    the rows below it are parsed in one ``np.loadtxt``. Every sigma^2 and
+    phi^2 must be finite and positive, every imputed code -1, 0 or 1.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line for line in fh if line.strip() and not line.startswith("#")]
@@ -285,13 +295,21 @@ def read_samples(path, data: Dataset) -> PosteriorSamples:
         raise DataValidationError(
             f"{path}: sample rows have {values.shape[1]} columns, the header {n_cols}"
         )
+    variances, codes = values[:, p + sd : p + sd + 2], values[:, p + sd + 2 :]
+    bad_variances = ~(np.isfinite(variances) & (variances > 0))
+    bad_codes = ~np.isin(codes, (-1.0, 0.0, 1.0))
+    for bad, what in ((bad_variances, "sigma2 and phi2 must be finite and positive"),
+                      (bad_codes, "imputed genotype codes must be -1, 0 or 1")):
+        if bad.any():
+            row = int(np.flatnonzero(bad.any(axis=1))[0])
+            raise DataValidationError(f"{path}: sample row {row + 1}: {what}")
     return PosteriorSamples(
         data,
         betas=values[:, :p],
         gammas=values[:, p : p + sd],
-        sigma2s=values[:, p + sd],
-        phi2s=values[:, p + sd + 1],
-        masked_values=values[:, p + sd + 2 :].astype(np.int8),
+        sigma2s=variances[:, 0],
+        phi2s=variances[:, 1],
+        masked_values=codes.astype(np.int8),
     )
 
 

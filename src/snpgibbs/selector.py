@@ -19,9 +19,10 @@ whose integral over the excluded coefficients reproduces the reduced-model
 likelihood; averaging it over full-model posterior draws is strongly
 consistent for the Bayes factor. Everything accumulates in log space.
 
-A search reduces each posterior state once to statistics of its whitened
-completed design (W the inverse Cholesky factor of R): H = Z'R^-1Z and
-h = Z'R^-1(Y - X beta). The columns every model of the search excludes
+A search reads the last ``min_samples_per_bf`` rows of the posterior's
+arrays (its window) and reduces each state once to statistics of its
+whitened completed design (W the inverse Cholesky factor of R):
+H = Z'R^-1Z and h = Z'R^-1(Y - X beta). The columns every model excludes
 (F, the non-candidates) are eliminated from H by one Cholesky factor per
 completed design (one per search when no genotype is missing), leaving
 candidate-sized arrays. The designs are walked in window order: a state
@@ -37,7 +38,6 @@ model otherwise (a symmetric kernel).
 
 from __future__ import annotations
 
-import collections
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -45,7 +45,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gibbs import ParameterState
+from .gibbs import ParameterState, PosteriorSamples
 from .model import Dataset, snp_design_matrix
 
 __all__ = [
@@ -55,7 +55,6 @@ __all__ = [
     "BayesFactorStatistics",
     "SearchConfig",
     "SearchTrace",
-    "g_weight",
     "bf_sample_term",
     "bayes_factor_statistics",
     "estimate_bayes_factor",
@@ -68,7 +67,7 @@ EXHAUSTIVE_CANDIDATE_LIMIT = 20
 
 
 class EstimationError(RuntimeError):
-    """Bayes-factor estimation failed (no valid terms, or too few states)."""
+    """Bayes-factor estimation failed (no states, or no valid terms)."""
 
 
 class _SingularGram(ArithmeticError):
@@ -213,25 +212,6 @@ def _excluded_pieces(state, data, delta):
     return len(exc), logdet, quad
 
 
-def g_weight(state: ParameterState, data: Dataset, delta: ModelIndicator) -> float:
-    """Bridge weight g(theta) for one state (computed in log space).
-
-    g = (2 pi sigma^2)^{-dc/2} |Z_c'R^-1Z_c|^{1/2} exp(-C'P_c C / (2 sigma^2)),
-    with P_c the R^-1-weighted projection onto the excluded columns.
-    Requires a nonempty excluded set; the full model is the caller's
-    trivial case.
-    """
-    if delta.is_full():
-        raise ValueError("g_weight requires a nonempty excluded set")
-    dc, logdet, quad = _excluded_pieces(state, data, delta)
-    log_g = (
-        -0.5 * dc * math.log(2.0 * math.pi * state.sigma2)
-        + 0.5 * logdet
-        - quad / (2.0 * state.sigma2)
-    )
-    return math.exp(log_g)
-
-
 def bf_sample_term(state: ParameterState, data: Dataset, delta: ModelIndicator) -> float:
     """Log of one state's Bayes-factor summand (prior ratio times g).
 
@@ -244,7 +224,7 @@ def bf_sample_term(state: ParameterState, data: Dataset, delta: ModelIndicator) 
 
     For the full model the term is identically 0 (empty products). This is
     the direct per-state evaluation; ``estimate_bayes_factor`` computes the
-    same terms from per-state statistics.
+    same terms from ``BayesFactorStatistics``.
     """
     if delta.is_full():
         return 0.0
@@ -300,12 +280,13 @@ class BayesFactorStatistics:
 
 
 def bayes_factor_statistics(
-    states: Iterable[ParameterState], data: Dataset, candidates: Iterable[int]
+    samples: PosteriorSamples, candidates: Iterable[int]
 ) -> BayesFactorStatistics:
-    """Reduce each state to the candidate-sized statistics that score every
-    model including only columns from ``candidates``.
+    """Reduce each state of ``samples`` to the candidate-sized statistics
+    that score every model including only columns from ``candidates``.
 
-    The window is walked in order. A = W[Z_F | Z_K | X | y] is whitened in
+    The rows are walked in order; a row's design is its ``masked_values``
+    written into one code buffer. A = W[Z_F | Z_K | X | y] is whitened in
     full for the first design; a later design rewhitens only the columns
     whose design values changed and recomputes their rows and columns of
     A'A. Each design then takes one lower Cholesky factor of A'A with 1
@@ -316,6 +297,10 @@ def bayes_factor_statistics(
     statistic follows with matrix products: M = V_K'V_K and, per state,
     v = V_y - V_X beta, q0 = |v|^2 and b = V_K'v.
     """
+    data = samples.data
+    count = samples.retained_count
+    if count == 0:
+        raise EstimationError("no posterior states to estimate from")
     s = data.design_dim
     K = sorted({int(j) for j in candidates})
     for j in K:
@@ -327,18 +312,12 @@ def bayes_factor_statistics(
     position = np.empty(s, dtype=int)  # design column -> column of A
     position[F + K] = np.arange(s)
 
-    states = list(states)
-    if data.genotypes.missing_mask.any():
-        designs = [state.z_imputed for state in states]
-    else:
-        designs = [data.genotypes.codes] if states else []
-    D = len(designs)
-    L = len(states) // max(D, 1)
-
-    def per_state(values, *shape):
-        return np.array(values, dtype=float).reshape(D, L, *shape)
-
-    betas = per_state([state.beta for state in states], p)
+    # with no missing genotype every state shares the observed design
+    mask = data.genotypes.missing_mask
+    D = count if mask.any() else 1
+    L = count // D
+    codes = data.genotypes.codes.copy()
+    betas = samples.betas.reshape(D, L, p)
     logdet_f = np.empty(D)
     M, S = np.empty((D, k, k)), np.empty((D, k, k))
     q0, b, g = np.empty((D, L)), np.empty((D, L, k)), np.empty((D, L, k))
@@ -349,7 +328,8 @@ def bayes_factor_statistics(
     H = A.T @ A
     previous = np.full((data.n, s), np.nan)  # NaN != anything: the first design fills A
     lift = np.arange(f, s + p + 1)
-    for r, codes in enumerate(designs):
+    for r in range(D):
+        codes[mask] = samples.masked_values[r]
         Z = snp_design_matrix(codes, data.snp_coding)
         changed = np.flatnonzero((Z != previous).any(axis=0))
         previous = Z
@@ -382,9 +362,9 @@ def bayes_factor_statistics(
         q0=q0[valid],
         b=b[valid],
         g=g[valid],
-        gamma=per_state([state.gamma for state in states], s)[valid],
-        sigma2=per_state([state.sigma2 for state in states])[valid],
-        phi2=per_state([state.phi2 for state in states])[valid],
+        gamma=samples.gammas.reshape(D, L, s)[valid],
+        sigma2=samples.sigma2s.reshape(D, L)[valid],
+        phi2=samples.phi2s.reshape(D, L)[valid],
         invalid=L * int((~valid).sum()),
     )
 
@@ -421,31 +401,18 @@ def _log_terms(stats: BayesFactorStatistics, delta: ModelIndicator) -> np.ndarra
 
 
 def estimate_bayes_factor(
-    states,
-    data: Dataset,
-    delta: ModelIndicator,
-    min_samples: int = 1,
+    stats: BayesFactorStatistics, delta: ModelIndicator
 ) -> BayesFactorEstimate:
-    """Average the per-state terms over a posterior sample (log-sum-exp).
+    """Average the model's per-state terms over the states of ``stats``
+    (log-sum-exp); its candidates must cover the model's included columns.
 
-    ``states`` is either an iterable of ParameterStates or the
-    BayesFactorStatistics of a search whose candidates cover the model's
-    included columns. States with a singular excluded-column Gram matrix
-    (for example a monomorphic imputed column) invalidate that term only;
-    the invalid count is reported on the estimate.
+    States with a singular excluded-column Gram matrix (for example a
+    monomorphic imputed column) invalidate that term only; the invalid
+    count is reported on the estimate.
     """
-    if isinstance(states, BayesFactorStatistics):
-        stats = states
-    else:
-        stats = bayes_factor_statistics(states, data, delta.included())
-    total = stats.state_count
-    if total < min_samples:
-        raise EstimationError(
-            f"needed at least {min_samples} states, got {total}"
-        )
     terms = _log_terms(stats, delta)
     count = terms.shape[0]
-    invalid = total - count
+    invalid = stats.state_count - count
     if count == 0:
         raise EstimationError(
             f"all {invalid} terms invalid for model {delta.bitstring()}"
@@ -481,41 +448,27 @@ def propose_model(
     return ModelIndicator(tuple(int(b) for b in rng.integers(0, 2, size=s)))
 
 
-def _window(states, config: SearchConfig) -> list:
-    """The last ``min_samples_per_bf`` states; a sequence is sliced before
-    any state outside the window is materialised."""
-    size = config.min_samples_per_bf
-    if isinstance(states, Sequence):
-        window = list(states[-size:])
-    else:
-        window = list(collections.deque(states, maxlen=size))
-    if not window:
-        raise EstimationError("empty posterior state stream")
-    return window
-
-
 def mh_model_search(
-    states: Iterable[ParameterState],
-    data: Dataset,
+    samples: PosteriorSamples,
+    candidates: Optional[Sequence[int]],
     config: SearchConfig,
-    candidates: Optional[Sequence[int]] = None,
 ) -> SearchTrace:
     """Metropolis-Hastings walk over inclusion vectors, targeting the
     estimated Bayes factor.
 
     ``candidates`` restricts proposals to a coefficient subset (everything
-    else stays excluded); by default the full coefficient space is
-    searched. Candidate and incumbent are always scored over the same
-    window of states, and accept/reject uses only log-BF differences, so
-    rescaling every estimate by a common factor changes nothing.
+    else stays excluded); None searches the full coefficient space.
+    Candidate and incumbent are always scored over the same window, the
+    last ``min_samples_per_bf`` rows of ``samples``, and accept/reject uses
+    only log-BF differences, so rescaling every estimate by a common factor
+    changes nothing.
     """
-    window = _window(states, config)
-    s_full = data.design_dim
+    s_full = samples.data.design_dim
     if candidates is None:
         candidates = tuple(range(s_full))
     else:
         candidates = tuple(int(j) for j in candidates)
-    stats = bayes_factor_statistics(window, data, candidates)
+    stats = bayes_factor_statistics(samples[-config.min_samples_per_bf:], candidates)
     rng = np.random.default_rng(config.seed)
     trace = SearchTrace()
     cache: dict[tuple, BayesFactorEstimate] = {}
@@ -528,7 +481,7 @@ def mh_model_search(
 
     def evaluate(delta: ModelIndicator) -> BayesFactorEstimate:
         if delta.bits not in cache:
-            cache[delta.bits] = estimate_bayes_factor(stats, data, delta)
+            cache[delta.bits] = estimate_bayes_factor(stats, delta)
         return cache[delta.bits]
 
     if not candidates:
@@ -556,12 +509,12 @@ def mh_model_search(
 
 
 def exhaustive_search(
-    states: Iterable[ParameterState],
-    data: Dataset,
+    samples: PosteriorSamples,
     candidate_snps: Sequence[int],
     config: Optional[SearchConfig] = None,
 ) -> SearchTrace:
-    """Score every subset of the candidate coefficients (others excluded).
+    """Score every subset of the candidate coefficients (others excluded)
+    over the last ``min_samples_per_bf`` rows of ``samples``.
 
     Refuses more than 20 candidates; use mh_model_search for larger spaces.
     The trace is ranked by decreasing log Bayes factor.
@@ -573,16 +526,15 @@ def exhaustive_search(
             f"{EXHAUSTIVE_CANDIDATE_LIMIT}; use mh_model_search instead"
         )
     config = config or SearchConfig()
-    window = _window(states, config)
-    s_full = data.design_dim
-    stats = bayes_factor_statistics(window, data, candidates)
+    s_full = samples.data.design_dim
+    stats = bayes_factor_statistics(samples[-config.min_samples_per_bf:], candidates)
     results = []
     skipped = 0
     for mask in range(2 ** len(candidates)):
         included = [candidates[k] for k in range(len(candidates)) if mask >> k & 1]
         delta = ModelIndicator.from_included(s_full, included)
         try:
-            est = estimate_bayes_factor(stats, data, delta)
+            est = estimate_bayes_factor(stats, delta)
         except EstimationError:
             skipped += 1
             continue

@@ -21,7 +21,6 @@ import numpy as np
 from snpgibbs.gibbs import (
     ParameterState,
     impute_snp_column,
-    imputation_probabilities,
     sample_gamma,
     sample_phi2,
     sample_sigma2,
@@ -34,6 +33,8 @@ from snpgibbs.model import (
     PriorHyperparams,
     snp_design_matrix,
 )
+
+from _oracles import imputation_probabilities
 
 
 def _draw_inverse_gamma(rng, shape, scale):

@@ -8,15 +8,18 @@ conditional is drawn by a per-cell numpy loop over the full residual image.
 The beta and gamma draws, the chain's per-block sweep, EM's exact and
 Monte Carlo E-steps, the samples writer, the genotype coding and the
 pedigree ordering and kinship recursion each have their earlier, plainer
-form here as the reference for the faster one.
+form here as the reference for the faster one. The per-individual
+genotype conditional (exact only at R = I) and the Bayes-factor bridge
+weight g live here too: only tests use them.
 """
 
 import itertools
+import math
 
 import numpy as np
 
 from snpgibbs import io
-from snpgibbs.gibbs import ParameterState, initial_state
+from snpgibbs.gibbs import PosteriorSamples, initial_state
 from snpgibbs.linalg import ColumnDelta
 from snpgibbs.model import (
     GENOTYPE_CODES,
@@ -25,6 +28,7 @@ from snpgibbs.model import (
     genotype_column_values,
     snp_design_matrix,
 )
+from snpgibbs.selector import _excluded_pieces
 from snpgibbs.pedigree import (
     OrderedPedigree,
     PedigreeError,
@@ -73,11 +77,14 @@ def quadrature_log_bayes_factor(y, X, Z, R, sigma2, phi2, included, nodes=48):
     return num - den
 
 
-def conjugate_posterior_states(y, X, Z, R, sigma2, phi2, count, seed, codes):
-    """Independent draws from the exact (beta, gamma) posterior with sigma^2
-    and phi^2 fixed: gamma from its Gaussian marginal (flat-prior beta
-    integrated out), then beta from its Gaussian conditional."""
+def conjugate_posterior_states(data, sigma2, phi2, count, seed):
+    """Independent draws from the exact (beta, gamma) posterior of the
+    dataset's observed design with sigma^2 and phi^2 fixed: gamma from its
+    Gaussian marginal (flat-prior beta integrated out), then beta from its
+    Gaussian conditional. Every state keeps the observed codes."""
     rng = np.random.default_rng(seed)
+    y, X, R = data.y, data.X, data.R
+    Z = snp_design_matrix(data.genotypes.codes, data.snp_coding)
     n, s = Z.shape
     K = _projector_complement(X, R)
     prec = (Z.T @ K @ Z + np.eye(s) / phi2) / sigma2
@@ -90,13 +97,71 @@ def conjugate_posterior_states(y, X, Z, R, sigma2, phi2, count, seed, codes):
     cov_b = sigma2 * np.linalg.inv(XtRinvX)
     Lb = np.linalg.cholesky(0.5 * (cov_b + cov_b.T))
 
-    states = []
-    for _ in range(count):
-        gamma = mean_g + Lg @ rng.standard_normal(s)
-        mean_b = np.linalg.solve(XtRinvX, X.T @ Rinv @ (y - Z @ gamma))
-        beta = mean_b + Lb @ rng.standard_normal(X.shape[1])
-        states.append(ParameterState(beta, gamma, float(sigma2), float(phi2), codes.copy()))
-    return states
+    betas, gammas = np.empty((count, X.shape[1])), np.empty((count, s))
+    for k in range(count):
+        gammas[k] = mean_g + Lg @ rng.standard_normal(s)
+        mean_b = np.linalg.solve(XtRinvX, X.T @ Rinv @ (y - Z @ gammas[k]))
+        betas[k] = mean_b + Lb @ rng.standard_normal(X.shape[1])
+    mask = data.genotypes.missing_mask
+    return PosteriorSamples(
+        data, betas, gammas, np.full(count, float(sigma2)), np.full(count, float(phi2)),
+        np.tile(data.genotypes.codes[mask], (count, 1)),
+    )
+
+
+def imputation_probabilities(state, data, j, prior, rows=None):
+    """Per-individual genotype-class probabilities for the masked cells of
+    SNP column j.
+
+    For each masked individual the three candidate codes c are weighted by
+    prior(c) * exp(-(r - contrib(c))^2 / (2 sigma^2)), where r is the
+    phenotype residual with SNP j's contribution removed. Normalization is
+    done in log space with max subtraction. This is the conditional
+    ``impute_snp_column`` draws when R = I; under any other kinship the
+    cells couple through R^-1 and these probabilities are not exact.
+
+    Returns (rows, probs) with probs of shape (len(rows), 3) over codes
+    (-1, 0, +1).
+    """
+    if not 0 <= j < data.s:
+        raise IndexError(f"SNP index {j} out of range")
+    if rows is None:
+        rows = np.flatnonzero(data.genotypes.missing_mask[:, j])
+    if rows.size == 0:
+        return rows, np.zeros((0, 3))
+    Zd = snp_design_matrix(state.z_imputed, data.snp_coding)
+    cols = list(data.design_columns_of_snp(j))
+    gsub = state.gamma[cols]
+    contrib_old = Zd[np.ix_(rows, cols)] @ gsub
+    full_resid = data.y - data.X @ state.beta - Zd @ state.gamma
+    r = full_resid[rows] + contrib_old
+    cand = genotype_column_values(GENOTYPE_CODES, data.snp_coding) @ gsub  # (3,)
+    logw = prior.log_weights(rows, j) - (r[:, None] - cand[None, :]) ** 2 / (
+        2.0 * state.sigma2
+    )
+    logw -= logw.max(axis=1, keepdims=True)
+    probs = np.exp(logw)
+    probs /= probs.sum(axis=1, keepdims=True)
+    return rows, probs
+
+
+def g_weight(state, data, delta):
+    """Bridge weight g(theta) for one state (computed in log space).
+
+    g = (2 pi sigma^2)^{-dc/2} |Z_c'R^-1Z_c|^{1/2} exp(-C'P_c C / (2 sigma^2)),
+    with P_c the R^-1-weighted projection onto the excluded columns.
+    Requires a nonempty excluded set; the full model is the caller's
+    trivial case.
+    """
+    if delta.is_full():
+        raise ValueError("g_weight requires a nonempty excluded set")
+    dc, logdet, quad = _excluded_pieces(state, data, delta)
+    log_g = (
+        -0.5 * dc * math.log(2.0 * math.pi * state.sigma2)
+        + 0.5 * logdet
+        - quad / (2.0 * state.sigma2)
+    )
+    return math.exp(log_g)
 
 
 def sequential_impute(state, data, j, rng, prior):

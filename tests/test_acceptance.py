@@ -21,7 +21,6 @@ from snpgibbs.gibbs import (
     ParameterState,
     batch_mean_stderr,
     hpd_interval,
-    imputation_probabilities,
     impute_snp_column,
     run_chain,
 )
@@ -42,7 +41,13 @@ from snpgibbs.model import (
     snp_design_matrix,
 )
 from snpgibbs.pedigree import build_numerator_matrix, order_pedigree
-from snpgibbs.selector import ModelIndicator, SearchConfig, estimate_bayes_factor, exhaustive_search
+from snpgibbs.selector import (
+    ModelIndicator,
+    SearchConfig,
+    bayes_factor_statistics,
+    estimate_bayes_factor,
+    exhaustive_search,
+)
 from snpgibbs.simulator import (
     MissingnessMask,
     apply_missingness,
@@ -55,7 +60,12 @@ from snpgibbs.simulator import (
 from conftest import make_dataset
 from test_pedigree import _random_pedigree
 from _geweke import geweke_compare
-from _oracles import conjugate_posterior_states, quadrature_log_bayes_factor, random_spd
+from _oracles import (
+    conjugate_posterior_states,
+    imputation_probabilities,
+    quadrature_log_bayes_factor,
+    random_spd,
+)
 
 SEEDS = (101, 202, 303)
 MISSING_LEVELS = (0.0, 0.05, 0.10, 0.15, 0.20)
@@ -264,11 +274,12 @@ def test_criterion_06_bayes_factor_correctness():
     data, _ = make_dataset(n=12, s=3, p=2, seed=40, gamma=[1.0, -0.8, 0.0], sigma2=1.0)
     Z = snp_design_matrix(data.genotypes.codes, "signed")
     sigma2, phi2 = 1.0, 1.5
-    states = conjugate_posterior_states(
-        data.y, data.X, Z, data.R, sigma2, phi2, 100_000, seed=7, codes=data.genotypes.codes
-    )
+    samples = conjugate_posterior_states(data, sigma2, phi2, 100_000, seed=7)
 
-    full = estimate_bayes_factor(states[:1000], data, ModelIndicator.full(3))
+    def estimate(window, delta):
+        return estimate_bayes_factor(bayes_factor_statistics(window, delta.included()), delta)
+
+    full = estimate(samples[:1000], ModelIndicator.full(3))
     exact_one = full.value == 1.0
 
     lines = [f"BF(full)={full.value}"]
@@ -278,10 +289,8 @@ def test_criterion_06_bayes_factor_correctness():
             data.y, data.X, Z, data.R, sigma2, phi2, included, nodes=48
         )
         delta = ModelIndicator.from_included(3, included)
-        err4 = abs(
-            math.exp(estimate_bayes_factor(states[:10_000], data, delta).log_value - oracle) - 1
-        )
-        err5 = abs(math.exp(estimate_bayes_factor(states, data, delta).log_value - oracle) - 1)
+        err4 = abs(math.exp(estimate(samples[:10_000], delta).log_value - oracle) - 1)
+        err5 = abs(math.exp(estimate(samples, delta).log_value - oracle) - 1)
         ok &= err4 < 0.10 and err5 < 0.03
         lines.append(f"keep{included}: err@1e4 {err4:.3%}, err@1e5 {err5:.3%}")
     elapsed = time.perf_counter() - t0
@@ -310,10 +319,7 @@ def test_criterion_07_two_stage_search_subset_property():
             if not hpd_interval(post.gammas[:, k], 0.95).contains_zero
         ]
         assert significant, "stage one found no significant SNPs"
-        states = list(post.states)
-        trace = exhaustive_search(
-            states, data, significant, SearchConfig(min_samples_per_bf=2000)
-        )
+        trace = exhaustive_search(post, significant, SearchConfig(min_samples_per_bf=2000))
         best = set(trace.best[0].included())
         subset_ok = best.issubset(set(significant))
         ok &= subset_ok

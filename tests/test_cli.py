@@ -167,6 +167,48 @@ class TestRunCommand:
         )
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "kind", ["phenotypes", "families", "kinship_short", "kinship_extra", "prior"]
+    )
+    def test_short_input_row_exit_3(self, tmp_path, capsys, kind):
+        # a row with fewer cells than its header, or a kinship row beyond
+        # the header's ids, names the file and the row
+        sim = simulate_inputs(tmp_path)
+        ids = [row.split(",")[0] for row in read_noncomment_lines(sim / "genotypes.csv")[1:]]
+        kinship = ["id," + ",".join(ids)] + [
+            f"{i}," + ",".join("1.0" if i == j else "0.0" for j in ids) for i in ids
+        ]
+        inputs = {"phenotypes": sim / "phenotypes.csv", "families": sim / "families.csv"}
+        bad = tmp_path / "bad.csv"
+        extra = []
+        if kind in inputs:  # the second data row loses its value
+            lines = read_noncomment_lines(inputs[kind])
+            row = ids[1]
+            lines[2] = row
+            inputs[kind] = bad
+        elif kind == "kinship_short":
+            lines = kinship
+            row = lines[2] = lines[2].rsplit(",", 1)[0]
+            extra = ["--kinship", "file", "--kinship-file", bad]
+        elif kind == "kinship_extra":
+            row = "X," + kinship[1].split(",", 1)[1]
+            lines = kinship + [row]
+            extra = ["--kinship", "file", "--kinship-file", bad]
+        else:
+            row = f"{ids[0]},snp1,0.2,0.3"
+            lines = ["id,snp,w_minus1,w_0,w_plus1", row]
+            extra = ["--imputation-prior", "file", "--imputation-prior-file", bad]
+        bad.write_text("\n".join(lines) + "\n")
+        code = run_cli(
+            "run", "--genotypes", sim / "genotypes.csv",
+            "--phenotypes", inputs["phenotypes"], "--families", inputs["families"],
+            *extra, "--iters", "20", "--burnin", "10", "--thin", "1",
+            "--out-dir", tmp_path / "x",
+        )
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error:") and str(bad) in err and repr(row) in err
+
     def test_numerical_failure_exit_4(self, tmp_path):
         # a SNP column of all heterozygotes is a zero design column, so every
         # Bayes-factor term for models excluding it has a singular Gram matrix

@@ -15,13 +15,14 @@ from snpgibbs.em import (
     observed_loglik,
     run_em,
 )
-from snpgibbs.gibbs import ParameterState, imputation_probabilities
+from snpgibbs.gibbs import ParameterState
 from snpgibbs.model import ImputationPrior, snp_design_matrix
 
 from conftest import make_dataset
 from _oracles import (
     enumerate_completions,
     gibbs_scan_moments,
+    imputation_probabilities,
     observed_residual,
     per_individual_e_step,
 )

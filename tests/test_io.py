@@ -213,6 +213,32 @@ class TestSamplesRoundTrip:
         with pytest.raises(DataValidationError, match="columns"):
             io.read_samples(path, data)
 
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("zimp_", "2.7", "codes must be -1, 0 or 1"),
+            ("zimp_", "2", "codes must be -1, 0 or 1"),
+            ("zimp_", "-2", "codes must be -1, 0 or 1"),
+            ("zimp_", "nan", "codes must be -1, 0 or 1"),
+            ("sigma2", "0.0", "finite and positive"),
+            ("sigma2", "-1.5", "finite and positive"),
+            ("phi2", "inf", "finite and positive"),
+            ("phi2", "nan", "finite and positive"),
+        ],
+    )
+    def test_impossible_sample_rejected(self, tmp_path, column, value, message):
+        data, post = chain_samples("signed", 0.2)
+        path = tmp_path / "samples.csv"
+        io.write_samples(path, post)
+        header, *rows = path.read_text().splitlines()
+        k = next(i for i, name in enumerate(header.split(",")) if name.startswith(column))
+        cells = rows[3].split(",")
+        cells[k] = value
+        rows[3] = ",".join(cells)
+        path.write_text("\n".join([header, *rows]) + "\n")
+        with pytest.raises(DataValidationError, match=f"sample row 4: .*{message}"):
+            io.read_samples(path, data)
+
     def test_wrong_shape_rejected(self, tmp_path):
         data, _ = simulate_dataset(six_family_design(), seed=5)
         path = tmp_path / "samples.csv"

@@ -1,11 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 import scipy.stats as st
 
-from snpgibbs.gibbs import GibbsConfig, ParameterState, PosteriorSamples, run_chain
-from snpgibbs.model import default_priors, snp_design_matrix
+from snpgibbs.gibbs import GibbsConfig, PosteriorSamples, run_chain
+from snpgibbs.model import GenotypeMatrix, PhenotypeVector, default_priors, snp_design_matrix
 from snpgibbs.selector import (
     EstimationError,
     ModelIndicator,
@@ -16,13 +17,12 @@ from snpgibbs.selector import (
     bf_sample_term,
     estimate_bayes_factor,
     exhaustive_search,
-    g_weight,
     mh_model_search,
     propose_model,
 )
 
 from conftest import make_dataset
-from _oracles import conjugate_posterior_states, quadrature_log_bayes_factor
+from _oracles import conjugate_posterior_states, g_weight, quadrature_log_bayes_factor
 
 
 def toy_states(
@@ -32,10 +32,16 @@ def toy_states(
         n=n, s=s, p=2, seed=seed, gamma=list(gamma), sigma2=1.0, kinship=kinship
     )
     Z = snp_design_matrix(data.genotypes.codes, "signed")
-    states = conjugate_posterior_states(
-        data.y, data.X, Z, data.R, 1.0, phi2, count, seed=7, codes=data.genotypes.codes
-    )
-    return data, Z, states
+    return data, Z, conjugate_posterior_states(data, 1.0, phi2, count, seed=7)
+
+
+def estimate(samples, delta):
+    """The Bayes-factor estimate of ``delta`` over every state of ``samples``."""
+    return estimate_bayes_factor(bayes_factor_statistics(samples, delta.included()), delta)
+
+
+def states_of(samples):
+    return [samples.state(i) for i in range(samples.retained_count)]
 
 
 class TestModelIndicator:
@@ -55,8 +61,8 @@ class TestModelIndicator:
 class TestGWeight:
     def test_orthogonal_excluded_column(self):
         # one excluded column orthogonal to the residual: weight = (2 pi s2)^{-1/2} |z'z|^{1/2}
-        data, Z, states = toy_states()
-        state = states[0]
+        data, Z, samples = toy_states()
+        state = samples.state(0)
         state.beta = np.zeros(2)
         state.gamma = np.zeros(3)
         zc = Z[:, 2]
@@ -67,8 +73,8 @@ class TestGWeight:
         assert abs(g_weight(state, data, delta) - expected) < 1e-12 * expected
 
     def test_hand_evaluation(self):
-        data, Z, states = toy_states(n=4, s=2, seed=2, gamma=(0.5, 0.0), count=10)
-        state = states[0]
+        data, Z, samples = toy_states(n=4, s=2, seed=2, gamma=(0.5, 0.0), count=10)
+        state = samples.state(0)
         delta = ModelIndicator((1, 0))
         zc = Z[:, 1]
         C = data.y - data.X @ state.beta - Z[:, [0]] @ state.gamma[[0]]
@@ -81,20 +87,16 @@ class TestGWeight:
         assert abs(g_weight(state, data, delta) - expected) < 1e-10 * expected
 
     def test_full_model_rejected(self):
-        data, _, states = toy_states(count=10)
+        data, _, samples = toy_states(count=10)
         with pytest.raises(ValueError):
-            g_weight(states[0], data, ModelIndicator.full(3))
+            g_weight(samples.state(0), data, ModelIndicator.full(3))
 
     def test_determinant_scaling(self):
         # duplicating all rows doubles Z_c'Z_c, scaling the weight by sqrt(2)^dc
-        import dataclasses
-
-        from snpgibbs.model import GenotypeMatrix, PhenotypeVector
-
-        data, Z, states = toy_states(count=5)
+        data, Z, samples = toy_states(count=5)
         delta = ModelIndicator((1, 1, 0))
         zero_y = dataclasses.replace(data, phenotypes=PhenotypeVector(np.zeros(12)))
-        state = states[0]
+        state = samples.state(0)
         state.gamma = np.zeros(3)
         state.beta = np.zeros(2)
         w1 = g_weight(state, zero_y, delta)
@@ -106,7 +108,7 @@ class TestGWeight:
             genotypes=GenotypeMatrix(doubled, np.zeros_like(doubled, dtype=bool)),
             phenotypes=PhenotypeVector(np.zeros(24)),
         )
-        state2 = states[1]
+        state2 = samples.state(1)
         state2.beta = np.zeros(2)
         state2.gamma = np.zeros(3)
         state2.sigma2 = state.sigma2
@@ -118,12 +120,12 @@ class TestGWeight:
 
 class TestBfTerm:
     def test_full_model_term_is_zero(self):
-        data, _, states = toy_states(count=5)
-        assert bf_sample_term(states[0], data, ModelIndicator.full(3)) == 0.0
+        data, _, samples = toy_states(count=5)
+        assert bf_sample_term(samples.state(0), data, ModelIndicator.full(3)) == 0.0
 
     def test_direct_arithmetic(self):
-        data, Z, states = toy_states(count=5)
-        state = states[0]
+        data, Z, samples = toy_states(count=5)
+        state = samples.state(0)
         delta = ModelIndicator((1, 0, 0))
         exc = [1, 2]
         Zc = Z[:, exc]
@@ -140,8 +142,8 @@ class TestBfTerm:
         assert abs(bf_sample_term(state, data, delta) - expected) < 1e-10
 
     def test_zero_gamma_orthogonal_reduction(self):
-        data, Z, states = toy_states(count=5)
-        state = states[0]
+        data, Z, samples = toy_states(count=5)
+        state = samples.state(0)
         state.gamma = np.zeros(3)
         state.beta = np.zeros(2)
         object.__setattr__(data.phenotypes, "values", np.zeros(12))
@@ -153,137 +155,154 @@ class TestBfTerm:
 
 class TestEstimator:
     def test_full_model_exactly_one(self):
-        data, _, states = toy_states(count=500)
-        est = estimate_bayes_factor(states, data, ModelIndicator.full(3))
+        _, _, samples = toy_states(count=500)
+        est = estimate(samples, ModelIndicator.full(3))
         assert est.value == 1.0
         assert est.log_value == 0.0
 
     @pytest.mark.parametrize("kinship", ["identity", "correlated"])
     def test_matches_quadrature_oracle(self, kinship):
-        data, Z, states = toy_states(count=100_000, kinship=kinship)
+        data, Z, samples = toy_states(count=100_000, kinship=kinship)
         for included, tol_1e4, tol_1e5 in [((0, 1), 0.10, 0.03), ((), 0.10, 0.03)]:
             oracle = quadrature_log_bayes_factor(
                 data.y, data.X, Z, data.R, 1.0, 1.5, included, nodes=48
             )
             delta = ModelIndicator.from_included(3, included)
-            est4 = estimate_bayes_factor(states[:10_000], data, delta)
-            est5 = estimate_bayes_factor(states, data, delta)
+            est4 = estimate(samples[:10_000], delta)
+            est5 = estimate(samples, delta)
             assert abs(math.exp(est4.log_value - oracle) - 1) < tol_1e4
             assert abs(math.exp(est5.log_value - oracle) - 1) < tol_1e5
 
     def test_determinism_over_fixed_stream(self):
-        data, _, states = toy_states(count=2000)
+        _, _, samples = toy_states(count=2000)
         delta = ModelIndicator((1, 0, 1))
-        a = estimate_bayes_factor(states, data, delta)
-        b = estimate_bayes_factor(states, data, delta)
+        a = estimate(samples, delta)
+        b = estimate(samples, delta)
         assert a.log_value == b.log_value
         assert a.sample_count == b.sample_count
 
-    def test_min_samples_enforced(self):
-        data, _, states = toy_states(count=10)
-        with pytest.raises(EstimationError):
-            estimate_bayes_factor(states, data, ModelIndicator((1, 0, 1)), min_samples=50)
+    def test_empty_window_rejected(self):
+        _, _, samples = toy_states(count=10)
+        with pytest.raises(EstimationError, match="no posterior states"):
+            estimate(samples[:0], ModelIndicator((1, 0, 1)))
+        with pytest.raises(EstimationError, match="no posterior states"):
+            exhaustive_search(samples[10:], [0, 1])
 
     def test_singular_gram_terms_invalidated(self):
-        # an excluded all-zero column makes the Gram matrix singular for all states
-        data, _, states = toy_states(count=50)
-        for state in states:
-            state.z_imputed = np.zeros_like(state.z_imputed)
-        # dataset with an all-zero observed column
-        import dataclasses
-
-        from snpgibbs.model import GenotypeMatrix
-
+        # an excluded all-zero observed column makes the Gram matrix singular
+        # for all states
+        data, _, samples = toy_states(count=50)
         codes = data.genotypes.codes.copy()
         codes[:, 2] = 0
         data = dataclasses.replace(
-            data, genotypes=GenotypeMatrix(codes, np.zeros_like(codes, dtype=bool))
+            data, genotypes=dataclasses.replace(data.genotypes, codes=codes)
         )
+        samples = dataclasses.replace(samples, data=data)
         with pytest.raises(EstimationError, match="invalid"):
-            estimate_bayes_factor(states, data, ModelIndicator((1, 1, 0)))
+            estimate(samples, ModelIndicator((1, 1, 0)))
 
 
-def imputed_states(coding, kinship, count=40, seed=5, missing=0.2):
-    """States that each complete the missing genotypes differently, so every
-    state has its own design (with ``missing=0`` all share the observed one)."""
+def imputed_states(coding, kinship, count=40, seed=5, missing=0.2, constant_snp=None):
+    """PosteriorSamples whose states each complete the missing genotypes
+    differently, so every state has its own design (with ``missing=0`` all
+    share the observed one).
+
+    With ``constant_snp`` that SNP's observed cells are all 0 and state 7
+    completes its masked cells with 0 as well, so the SNP's additive design
+    column is all-zero in that state's design only; every other state
+    completes one of its cells with 1."""
     data, _ = make_dataset(
         n=20, s=5, p=2, seed=seed, missing=missing, coding=coding, kinship=kinship
     )
     rng = np.random.default_rng(seed)
     mask = data.genotypes.missing_mask
-    states = []
-    for _ in range(count):
-        z = data.genotypes.codes.copy()
-        z[mask] = rng.integers(-1, 2, size=int(mask.sum()))
-        states.append(ParameterState(
-            rng.normal(size=2),
-            rng.normal(0.0, 0.5, size=data.design_dim),
-            float(rng.uniform(0.5, 2.0)),
-            float(rng.uniform(0.5, 3.0)),
-            z,
-        ))
-    return data, states
+    p, sd = data.X.shape[1], data.design_dim
+    betas, gammas = np.empty((count, p)), np.empty((count, sd))
+    sigma2s, phi2s = np.empty(count), np.empty(count)
+    masked = np.empty((count, int(mask.sum())), dtype=np.int8)
+    for k in range(count):
+        masked[k] = rng.integers(-1, 2, size=masked.shape[1])
+        betas[k] = rng.normal(size=p)
+        gammas[k] = rng.normal(0.0, 0.5, size=sd)
+        sigma2s[k] = rng.uniform(0.5, 2.0)
+        phi2s[k] = rng.uniform(0.5, 3.0)
+    if constant_snp is not None:
+        codes = data.genotypes.codes.copy()
+        codes[:, constant_snp] = 0
+        data = dataclasses.replace(
+            data, genotypes=dataclasses.replace(data.genotypes, codes=codes)
+        )
+        cells = np.flatnonzero(np.nonzero(mask)[1] == constant_snp)  # in masked_values order
+        assert cells.size > 1
+        masked[:, cells[0]] = 1
+        masked[7, cells] = 0
+    return data, PosteriorSamples(data, betas, gammas, sigma2s, phi2s, masked)
+
+
+def reference_log_bf(states, data, delta):
+    """Log mean of the per-state ``bf_sample_term``s of the states whose
+    excluded Gram matrix is nonsingular, and how many those are."""
+    terms = _reference_terms(states, data, delta)
+    top = max(terms)
+    return top + math.log(sum(math.exp(t - top) for t in terms) / len(terms)), len(terms)
 
 
 class TestBlockElimination:
     @pytest.mark.parametrize("coding", ["signed", "additive_dominance"])
     @pytest.mark.parametrize("kinship", ["identity", "correlated"])
     def test_search_matches_per_state_reference(self, coding, kinship):
-        data, states = imputed_states(coding, kinship)
+        # SNP 4 is never a candidate: its monomorphic completion in state 7
+        # makes the always-excluded block of that one state singular
+        data, samples = imputed_states(coding, kinship, constant_snp=4)
+        states = states_of(samples)
         assert len({state.z_imputed.tobytes() for state in states}) == len(states)
-        # SNP 4 is never a candidate; a monomorphic completion of it makes
-        # the always-excluded block of that one state singular
-        states[7].z_imputed[:, 4] = 0
+        assert not states[7].z_imputed[:, 4].any()
         candidates = data.design_columns_of_snp(0) + data.design_columns_of_snp(2)
         trace = exhaustive_search(
-            states, data, candidates, SearchConfig(min_samples_per_bf=len(states))
+            samples, candidates, SearchConfig(min_samples_per_bf=len(states))
         )
         assert len(trace.estimates) == 2 ** len(candidates)
         for delta, est in trace.estimates.items():
-            terms = []
-            for state in states:
-                try:
-                    terms.append(bf_sample_term(state, data, delta))
-                except _SingularGram:
-                    pass
-            assert len(terms) == len(states) - 1
-            top = max(terms)
-            reference = top + math.log(sum(math.exp(t - top) for t in terms) / len(terms))
+            reference, valid = reference_log_bf(states, data, delta)
+            assert valid == len(states) - 1
             assert abs(est.log_value - reference) < 1e-9
             assert est.invalid_count == 1
             assert est.sample_count == len(states) - 1
 
     @pytest.mark.parametrize("kinship", ["identity", "correlated"])
     def test_shared_design_matches_per_state_reference(self, kinship):
-        data, states = imputed_states("additive_dominance", kinship, missing=0.0)
+        data, samples = imputed_states("additive_dominance", kinship, missing=0.0)
+        states = states_of(samples)
         candidates = data.design_columns_of_snp(1) + data.design_columns_of_snp(3)
         trace = exhaustive_search(
-            states, data, candidates, SearchConfig(min_samples_per_bf=len(states))
+            samples, candidates, SearchConfig(min_samples_per_bf=len(states))
         )
         assert len(trace.estimates) == 2 ** len(candidates)
         for delta, est in trace.estimates.items():
-            terms = [bf_sample_term(state, data, delta) for state in states]
-            top = max(terms)
-            reference = top + math.log(sum(math.exp(t - top) for t in terms) / len(terms))
+            reference, _ = reference_log_bf(states, data, delta)
             assert abs(est.log_value - reference) < 1e-9
             assert est.sample_count == len(states) and est.invalid_count == 0
 
-    def test_window_materialises_only_the_window(self, monkeypatch):
+    def test_search_reads_only_the_window(self):
         data, _ = make_dataset(n=15, s=3, seed=3, missing=0.2)
         post = run_chain(
             data, default_priors(),
             GibbsConfig(total_iterations=300, burn_in=100, thinning=1, seed=1),
         )
-        loaded = []
-        original = PosteriorSamples.state
-
-        def counting_state(self, i):
-            loaded.append(i)
-            return original(self, i)
-
-        monkeypatch.setattr(PosteriorSamples, "state", counting_state)
-        exhaustive_search(post.states, data, [0, 1], SearchConfig(min_samples_per_bf=50))
-        assert sorted(loaded) == list(range(150, 200))
+        config = SearchConfig(search_iterations=60, seed=2, min_samples_per_bf=50)
+        window = post[150:]  # the last min_samples_per_bf of 200 rows
+        assert window.retained_count == 50
+        for search in (
+            lambda samples: exhaustive_search(samples, [0, 1], config),
+            lambda samples: mh_model_search(samples, None, config),
+        ):
+            whole, part = search(post), search(window)
+            assert whole.visited == part.visited
+            assert whole.estimates == part.estimates
+        # a different window scores differently
+        assert exhaustive_search(post[100:150], [0, 1], config).estimates != (
+            exhaustive_search(window, [0, 1], config).estimates
+        )
 
 
 def _reference_terms(states, data, delta):
@@ -298,11 +317,12 @@ def _reference_terms(states, data, delta):
     return terms
 
 
-def _assert_walk_matches_reference(states, data, candidates):
+def _assert_walk_matches_reference(samples, candidates):
     """Every model over ``candidates``: the walk keeps the reference's
     valid states, and each of its per-state terms equals the reference
     within 1e-9. Returns how many terms each model kept."""
-    stats = bayes_factor_statistics(states, data, candidates)
+    data, states = samples.data, states_of(samples)
+    stats = bayes_factor_statistics(samples, candidates)
     kept = {}
     for mask in range(2 ** len(candidates)):
         included = [c for k, c in enumerate(candidates) if mask >> k & 1]
@@ -325,12 +345,14 @@ def chain_window(kinship, thinning, count=60, seed=4):
     config = GibbsConfig(
         total_iterations=100 + count * thinning, burn_in=100, thinning=thinning, seed=seed
     )
-    post = run_chain(data, default_priors(), config)
-    return data, [post.state(i) for i in range(post.retained_count)]
+    return run_chain(data, default_priors(), config)
 
 
-def changed_design_columns(data, states):
-    designs = [snp_design_matrix(state.z_imputed, data.snp_coding) for state in states]
+def changed_design_columns(samples):
+    designs = [
+        snp_design_matrix(state.z_imputed, samples.data.snp_coding)
+        for state in states_of(samples)
+    ]
     return [int((a != b).any(axis=0).sum()) for a, b in zip(designs, designs[1:])]
 
 
@@ -338,42 +360,51 @@ class TestWindowWalk:
     @pytest.mark.parametrize("thinning", [1, 4])
     @pytest.mark.parametrize("kinship", ["identity", "correlated"])
     def test_chain_window_matches_per_state_reference(self, kinship, thinning):
-        data, states = chain_window(kinship, thinning)
-        changed = changed_design_columns(data, states)
+        samples = chain_window(kinship, thinning)
+        data = samples.data
+        changed = changed_design_columns(samples)
         if thinning == 1:  # one SNP redrawn per sweep: 0-2 design columns change
             assert 0 in changed and max(changed) == 2
         else:
             assert min(changed) < data.design_dim and max(changed) > 2
         candidates = data.design_columns_of_snp(1) + data.design_columns_of_snp(3)
-        kept = _assert_walk_matches_reference(states, data, candidates)
-        assert set(kept.values()) == {len(states)}
+        kept = _assert_walk_matches_reference(samples, candidates)
+        assert set(kept.values()) == {samples.retained_count}
 
     def test_singular_design_mid_window(self):
-        data, states = chain_window("correlated", 4)
-        # a monomorphic completion of never-candidate SNP 4 makes the
-        # always-excluded block of that one state singular
-        states[30].z_imputed = states[30].z_imputed.copy()
-        states[30].z_imputed[:, 4] = 0
+        samples = chain_window("correlated", 4)
+        # with the observed cells of never-candidate SNP 4 all 0, state 30's
+        # all-0 completion of it makes the always-excluded block of that one
+        # state singular
+        data = samples.data
+        codes = data.genotypes.codes.copy()
+        codes[:, 4] = 0
+        data = dataclasses.replace(
+            data, genotypes=dataclasses.replace(data.genotypes, codes=codes)
+        )
+        masked = samples.masked_values.copy()
+        masked[30, np.nonzero(data.genotypes.missing_mask)[1] == 4] = 0
+        samples = dataclasses.replace(samples, data=data, masked_values=masked)
+        count = samples.retained_count
         candidates = data.design_columns_of_snp(0) + data.design_columns_of_snp(2)
-        stats = bayes_factor_statistics(states, data, candidates)
-        assert stats.invalid == 1 and stats.q0.shape == (len(states) - 1, 1)
-        kept = _assert_walk_matches_reference(states, data, candidates)
-        assert set(kept.values()) == {len(states) - 1}
+        stats = bayes_factor_statistics(samples, candidates)
+        assert stats.invalid == 1 and stats.q0.shape == (count - 1, 1)
+        kept = _assert_walk_matches_reference(samples, candidates)
+        assert set(kept.values()) == {count - 1}
 
     def test_all_zero_candidate_column(self):
-        import dataclasses
-
-        from snpgibbs.model import GenotypeMatrix
-
-        data, states = imputed_states("signed", "correlated")
+        data, samples = imputed_states("signed", "correlated")
         codes = data.genotypes.codes.copy()
         mask = data.genotypes.missing_mask.copy()
+        kept_cells = np.nonzero(mask)[1] != 2  # column 2 loses its masked cells
         codes[:, 2], mask[:, 2] = 0, False
         data = dataclasses.replace(data, genotypes=GenotypeMatrix(codes, mask))
-        for state in states:
-            state.z_imputed[:, 2] = 0
-        kept = _assert_walk_matches_reference(states, data, [0, 2])
-        assert kept == {(): 0, (0,): 0, (2,): len(states), (0, 2): len(states)}
+        samples = dataclasses.replace(
+            samples, data=data, masked_values=samples.masked_values[:, kept_cells]
+        )
+        count = samples.retained_count
+        kept = _assert_walk_matches_reference(samples, [0, 2])
+        assert kept == {(): 0, (0,): 0, (2,): count, (0, 2): count}
 
 
 class TestProposal:
@@ -413,50 +444,50 @@ class TestProposal:
 class TestSearch:
     def test_two_model_occupancy(self):
         # s = 1: strong null; dominant model occupied > 95% of the time
-        data, Z, states = toy_states(n=24, s=1, seed=3, gamma=(0.0,), count=4000, phi2=400.0)
+        _, _, samples = toy_states(n=24, s=1, seed=3, gamma=(0.0,), count=4000, phi2=400.0)
         config = SearchConfig(mixture_prob=0.5, search_iterations=4000, seed=1, min_samples_per_bf=4000)
         null = ModelIndicator((0,))
-        bf_null = estimate_bayes_factor(states, data, null).log_value
+        bf_null = estimate(samples, null).log_value
         assert bf_null > math.log(50.0)  # engineered dominance
-        trace = mh_model_search(states, data, config)
+        trace = mh_model_search(samples, None, config)
         occupancy = _occupancy(trace, null, config.search_iterations)
         assert occupancy > 0.95
         assert trace.best[0] == null
 
     def test_degenerate_single_snp_explores_both(self):
-        data, _, states = toy_states(n=14, s=1, seed=3, gamma=(0.0,), count=2000)
+        _, _, samples = toy_states(n=14, s=1, seed=3, gamma=(0.0,), count=2000)
         config = SearchConfig(search_iterations=500, seed=2)
-        trace = mh_model_search(states, data, config)
+        trace = mh_model_search(samples, None, config)
         seen = {d.bits for d, _, _ in trace.visited}
         assert len(seen) == 2
-        ex = exhaustive_search(states, data, [0], config)
+        ex = exhaustive_search(samples, [0], config)
         assert trace.best[0] == ex.best[0]
 
     def test_exhaustive_counts_and_ranking(self):
-        data, _, states = toy_states(count=3000)
+        _, _, samples = toy_states(count=3000)
         config = SearchConfig(min_samples_per_bf=3000)
-        trace = exhaustive_search(states, data, [0, 1], config)
+        trace = exhaustive_search(samples, [0, 1], config)
         assert len(trace.visited) == 4
         log_bfs = [lb for _, lb, _ in trace.visited]
         assert log_bfs == sorted(log_bfs, reverse=True)
         assert trace.best[1] == log_bfs[0]
 
     def test_exhaustive_zero_candidates_single_null_eval(self):
-        data, _, states = toy_states(count=500)
-        trace = exhaustive_search(states, data, [])
+        _, _, samples = toy_states(count=500)
+        trace = exhaustive_search(samples, [])
         assert len(trace.visited) == 1
         assert trace.visited[0][0] == ModelIndicator.null(3)
 
     def test_exhaustive_refuses_large_candidate_list(self):
-        data, _, states = toy_states(count=200)
+        _, _, samples = toy_states(count=200)
         with pytest.raises(ValueError, match="mh_model_search"):
-            exhaustive_search(states, data, list(range(21)))
+            exhaustive_search(samples, list(range(21)))
 
     def test_mh_argmax_matches_exhaustive(self):
-        data, _, states = toy_states(n=15, s=3, seed=8, gamma=(2.0, 0.0, 0.0), count=4000)
+        _, _, samples = toy_states(n=15, s=3, seed=8, gamma=(2.0, 0.0, 0.0), count=4000)
         config = SearchConfig(search_iterations=800, seed=5, min_samples_per_bf=4000)
-        mh = mh_model_search(states, data, config)
-        ex = exhaustive_search(states, data, [0, 1, 2], config)
+        mh = mh_model_search(samples, None, config)
+        ex = exhaustive_search(samples, [0, 1, 2], config)
         assert mh.best[0] == ex.best[0]
         assert abs(mh.best[1] - ex.best[1]) < 1e-12
 
@@ -474,9 +505,9 @@ class TestSearch:
             rng2.normal(size=2), rng2.random(), rng2.normal()
 
     def test_candidate_restriction(self):
-        data, _, states = toy_states(count=1500)
+        _, _, samples = toy_states(count=1500)
         config = SearchConfig(search_iterations=300, seed=9, min_samples_per_bf=1500)
-        trace = mh_model_search(states, data, config, candidates=[0, 2])
+        trace = mh_model_search(samples, [0, 2], config)
         for delta, _, _ in trace.visited:
             assert delta.bits[1] == 0  # non-candidate stays excluded
 
@@ -512,9 +543,7 @@ class TestSearch:
         assert significant
         true_hits = truth_nonzero & set(significant)
         assert len(true_hits) >= max(1, len(significant) // 2)
-        trace = exhaustive_search(
-            list(post.states), data, significant, SearchConfig(min_samples_per_bf=2000)
-        )
+        trace = exhaustive_search(post, significant, SearchConfig(min_samples_per_bf=2000))
         assert set(trace.best[0].included()).issubset(set(significant))
 
 
