@@ -26,7 +26,6 @@ from .model import (
     PriorHyperparams,
     default_priors,
     encode_genotypes,
-    validate_dataset,
 )
 from .pedigree import (
     OrderedPedigree,
@@ -63,7 +62,6 @@ __all__ = [
     "PriorHyperparams",
     "default_priors",
     "encode_genotypes",
-    "validate_dataset",
     "OrderedPedigree",
     "PedigreeRecord",
     "RelationshipMatrix",

@@ -26,12 +26,11 @@ from .gibbs import (
     run_chain,
 )
 from .model import (
-    ADDITIVE_DOMINANCE,
+    CODINGS,
     SIGNED,
     DataValidationError,
     ImputationPrior,
     PriorHyperparams,
-    validate_dataset,
 )
 from .pedigree import PedigreeError, build_numerator_matrix, extract_submatrix, order_pedigree
 from .selector import EstimationError, SearchConfig, exhaustive_search, mh_model_search
@@ -54,6 +53,17 @@ EXIT_NUMERIC = 4
 # `select` warns when the best model's importance-weight ESS is below this
 # many states: its log BF then carries a large Monte Carlo error
 THIN_BF_ESS = 10
+
+# the settings that name an input file: a manifest digests every one given
+INPUT_FILE_KEYS = (
+    "genotypes",
+    "phenotypes",
+    "pedigree",
+    "families",
+    "kinship_file",
+    "imputation_prior_file",
+    "samples",
+)
 
 PRESETS = {
     "six-family": six_family_design,
@@ -97,16 +107,16 @@ class Settings:
     def __getitem__(self, key):
         return self.effective[key]
 
-    def manifest(self, subcommand: str, input_paths: dict) -> dict:
+    def manifest(self, subcommand: str) -> dict:
         manifest = {"version": __version__, "subcommand": subcommand}
         for key in sorted(self.effective):
             if key == "out_dir":  # output routing, not part of the run definition
                 continue
             value = self.effective[key]
             manifest[key] = "" if value is None else io.fmt(value)
-        for name, path in sorted(input_paths.items()):
-            if path:
-                manifest[f"digest_{name}"] = io.file_digest(path)
+        for key in sorted(INPUT_FILE_KEYS):
+            if self.effective.get(key):
+                manifest[f"digest_{key}"] = io.file_digest(self.effective[key])
         return manifest
 
 
@@ -177,7 +187,7 @@ def _add_common_data_flags(p: argparse.ArgumentParser):
     p.add_argument("--phenotypes", help="phenotype file (id,value)")
     p.add_argument("--pedigree", help="pedigree file (id,sire,dam)")
     p.add_argument("--families", help="family membership file (id,family)")
-    p.add_argument("--coding", choices=[SIGNED, ADDITIVE_DOMINANCE], help="SNP design coding")
+    p.add_argument("--coding", choices=list(CODINGS), help="SNP design coding")
 
 
 def _add_run_flags(p: argparse.ArgumentParser):
@@ -275,10 +285,8 @@ def _load_dataset(settings):
         families_path=settings["families"],
         snp_coding=settings["coding"],
     )
-    report = validate_dataset(data)
-    for w in warnings + report.warnings:
+    for w in warnings:
         print(f"warning: {w}", file=sys.stderr)
-    report.raise_for_errors()
     return data
 
 
@@ -336,16 +344,7 @@ def _merge_chains(chains: list[PosteriorSamples]) -> PosteriorSamples:
 def cmd_run(args) -> int:
     settings = Settings(args, _RUN_DEFAULTS)
     data = _load_dataset(settings)
-    manifest = settings.manifest(
-        "run",
-        {
-            "genotypes": settings["genotypes"],
-            "phenotypes": settings["phenotypes"],
-            "pedigree": settings["pedigree"],
-            "families": settings["families"],
-            "kinship_file": settings["kinship_file"],
-        },
-    )
+    manifest = settings.manifest("run")
     lines = _manifest_lines(manifest)
     out = _outdir(settings)
     chains = _run_chains(settings, data)
@@ -395,17 +394,7 @@ def _parse_candidates(spec: str, samples: PosteriorSamples, level: float) -> lis
 def cmd_select(args) -> int:
     settings = Settings(args, {**_RUN_DEFAULTS, **_SELECT_EXTRA})
     data = _load_dataset(settings)
-    manifest = settings.manifest(
-        "select",
-        {
-            "genotypes": settings["genotypes"],
-            "phenotypes": settings["phenotypes"],
-            "pedigree": settings["pedigree"],
-            "families": settings["families"],
-            "kinship_file": settings["kinship_file"],
-            "samples": settings["samples"],
-        },
-    )
+    manifest = settings.manifest("select")
     lines = _manifest_lines(manifest)
     out = _outdir(settings)
 
@@ -441,7 +430,7 @@ def cmd_select(args) -> int:
 
 def cmd_kinship(args) -> int:
     settings = Settings(args, _KINSHIP_DEFAULTS)
-    manifest = settings.manifest("kinship", {"pedigree": settings["pedigree"]})
+    manifest = settings.manifest("kinship")
     lines = _manifest_lines(manifest)
     out = _outdir(settings)
     records = io.read_pedigree(settings["pedigree"])
@@ -458,15 +447,7 @@ def cmd_em(args) -> int:
     settings = Settings(args, _EM_DEFAULTS)
     # EM ignores kinship, so the dataset is assembled with identity R
     data = _load_dataset(settings)
-    manifest = settings.manifest(
-        "em",
-        {
-            "genotypes": settings["genotypes"],
-            "phenotypes": settings["phenotypes"],
-            "pedigree": settings["pedigree"],
-            "families": settings["families"],
-        },
-    )
+    manifest = settings.manifest("em")
     lines = _manifest_lines(manifest)
     out = _outdir(settings)
     config = EmConfig(
@@ -490,7 +471,7 @@ def cmd_em(args) -> int:
 
 def cmd_simulate(args) -> int:
     settings = Settings(args, _SIMULATE_DEFAULTS)
-    manifest = settings.manifest("simulate", {})
+    manifest = settings.manifest("simulate")
     lines = _manifest_lines(manifest)
     out = _outdir(settings)
     design = PRESETS[settings["preset"]]()

@@ -33,13 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import (
-    GENOTYPE_CODES,
-    Dataset,
-    genotype_column_values,
-    snp_design_matrix,
-    validate_dataset,
-)
+from .model import GENOTYPE_CODES, Dataset, snp_design_matrix
 
 logger = logging.getLogger(__name__)
 
@@ -150,8 +144,7 @@ def _observed(state: EmState, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Z0, the SNP design with every design column of a masked cell zeroed,
     and every individual's residual y - X beta - Z0 gamma."""
     design = snp_design_matrix(data.genotypes.codes, data.snp_coding)
-    per_snp = design.shape[1] // max(data.s, 1)
-    design[np.repeat(data.genotypes.missing_mask, per_snp, axis=1)] = 0.0
+    design[np.repeat(data.genotypes.missing_mask, data.columns_per_snp, axis=1)] = 0.0
     return design, data.y - data.X @ state.beta - design @ state.gamma
 
 
@@ -188,7 +181,7 @@ def _enumerate(
     """
     m, k = missing.shape
     rows = snp_design_matrix(_genotype_tuples(k), data.snp_coding)  # (3^k, k d)
-    per_snp = rows.shape[1] // max(k, 1)
+    per_snp = data.columns_per_snp
     cols = (per_snp * missing[:, :, None] + np.arange(per_snp)).reshape(m, -1)
     fit = state.gamma[cols] @ rows.T
     logw = -((residual[members, None] - fit) ** 2) / (2.0 * state.sigma2)
@@ -232,8 +225,8 @@ def _moments_mc(state, data, base, i, config, rng):
     missing = tuple(np.flatnonzero(data.genotypes.missing_mask[i]))
     k = len(missing)
     gam = state.gamma[_missing_design_cols(data, missing)]
-    values = genotype_column_values(GENOTYPE_CODES, data.snp_coding)  # (3, per_snp)
-    per_snp = values.shape[1]
+    values = data.coding.values  # (3, per_snp)
+    per_snp = data.columns_per_snp
     cand = [(values @ gam[t * per_snp : (t + 1) * per_snp]).tolist() for t in range(k)]
     two_sigma2 = 2.0 * state.sigma2
     picks = [1] * k  # index into GENOTYPE_CODES of each missing SNP: code 0
@@ -356,20 +349,19 @@ def run_em(data: Dataset, config: Optional[EmConfig] = None) -> tuple[EmState, E
     with the log flagged unconverged.
     """
     config = config or EmConfig()
-    validate_dataset(data).raise_for_errors()
     rng = np.random.default_rng(config.seed)
 
     X, y = data.X, data.y
     beta = np.linalg.solve(X.T @ X, X.T @ y)
     resid = y - X @ beta
     sigma2 = float(resid @ resid) / max(data.n, 1) or 1.0
-    design = snp_design_matrix(data.genotypes.codes, data.snp_coding)
+    dim = data.design_dim
     state = EmState(
         beta=beta,
-        gamma=np.zeros(design.shape[1]),
+        gamma=np.zeros(dim),
         sigma2=sigma2,
-        expected_Z=design.astype(float),
-        V_Z=np.zeros((design.shape[1], design.shape[1])),
+        expected_Z=snp_design_matrix(data.genotypes.codes, data.snp_coding),
+        V_Z=np.zeros((dim, dim)),
     )
 
     log = EmRunLog()

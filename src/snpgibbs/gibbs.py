@@ -35,7 +35,6 @@ extra.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
@@ -47,9 +46,7 @@ from .model import (
     Dataset,
     ImputationPrior,
     PriorHyperparams,
-    genotype_column_values,
     snp_design_matrix,
-    validate_dataset,
 )
 
 __all__ = [
@@ -244,8 +241,12 @@ class ChainWorkspace:
             raise ChainNumericalError(f"X'R^-1X factorization failed: {exc}") from exc
         self.Lx_inv_t = np.linalg.inv(Lx).T  # Lx^-T, with Lx Lx' = X'R^-1X
         self.XtRinvX_inv = self.Lx_inv_t @ self.Lx_inv_t.T
-        self.code_values = genotype_column_values(GENOTYPE_CODES, data.snp_coding)
-        self.moved_columns = _moved_columns(data.snp_coding)
+        self.code_values = values = data.coding.values
+        # [new][old] genotype code index: offsets of a SNP's design columns
+        # whose values differ between the two codes
+        self.moved_columns = [
+            [np.flatnonzero(a != b).tolist() for b in values] for a in values
+        ]
         mask = data.genotypes.missing_mask
         self.masked = [self._cells(np.flatnonzero(mask[:, j])) for j in range(data.s)]
 
@@ -254,16 +255,6 @@ class ChainWorkspace:
         diag = np.diag(columns)
         coupled = np.count_nonzero(columns) > np.count_nonzero(diag)
         return MaskedCells(rows, columns.tolist(), diag.tolist(), coupled)
-
-
-@functools.cache
-def _moved_columns(coding: str) -> tuple:
-    """[new][old] genotype code index: offsets of a SNP's design columns
-    whose values differ between the two codes."""
-    values = genotype_column_values(GENOTYPE_CODES, coding)
-    return tuple(
-        tuple(tuple(np.flatnonzero(a != b).tolist()) for b in values) for a in values
-    )
 
 
 _ONE = np.ones(1)
@@ -444,8 +435,8 @@ def impute_snp_column(
     rows = cells.rows
     if rows.size == 0:
         return []
-    cols = data.design_columns_of_snp(j)
-    first, last = cols[0], cols[-1] + 1  # a SNP's design columns are adjacent
+    per_snp = data.columns_per_snp
+    first, last = per_snp * j, per_snp * (j + 1)
     values = work.code_values
     cand = (values @ state.gamma[first:last]).tolist()
     a0, a1, a2 = cand
@@ -555,7 +546,6 @@ def run_chain(
     failure raises ChainNumericalError carrying the iteration and the
     state. Fully deterministic for a given seed.
     """
-    validate_dataset(data).raise_for_errors()
     work = ChainWorkspace(data)
     rng = np.random.default_rng(config.seed)
     state = initial_state(data, config, rng)

@@ -25,6 +25,7 @@ from .model import (
     decode_genotypes,
     encode_genotypes,
     family_design,
+    missingness_warnings,
 )
 from .pedigree import (
     PedigreeRecord,
@@ -108,6 +109,18 @@ def read_table(path, short_rows: bool = False) -> tuple[list[str], list[list[str
     return header, rows
 
 
+def _numbers(path, rows, first: int, last: Optional[int] = None) -> list[list[float]]:
+    """The cells row[first:last] of every row as floats; a cell that is not
+    a number names the file and its row."""
+    out = []
+    for row in rows:
+        try:
+            out.append([float(c) for c in row[first:last]])
+        except ValueError as exc:
+            raise DataValidationError(f"{path}: row {','.join(row)!r}: {exc}") from None
+    return out
+
+
 def write_table(path, header: Sequence[str], rows: Iterable[Sequence], manifest_lines=()):
     with open(path, "w", encoding="utf-8") as fh:
         for line in manifest_lines:
@@ -163,10 +176,10 @@ def read_phenotypes(path) -> dict[str, float]:
     if [h.lower() for h in header[:2]] != ["id", "value"]:
         raise DataValidationError(f"{path}: expected header id,value")
     out: dict[str, float] = {}
-    for row in rows:
+    for row, (value,) in zip(rows, _numbers(path, rows, 1, 2)):
         if row[0] in out:
             raise DataValidationError(f"{path}: duplicate id {row[0]!r}")
-        out[row[0]] = float(row[1])
+        out[row[0]] = value
     return out
 
 
@@ -178,7 +191,12 @@ def read_families(path) -> dict[str, str]:
     header, rows = read_table(path)
     if [h.lower() for h in header[:2]] != ["id", "family"]:
         raise DataValidationError(f"{path}: expected header id,family")
-    return {row[0]: row[1] for row in rows}
+    out: dict[str, str] = {}
+    for row in rows:
+        if row[0] in out:
+            raise DataValidationError(f"{path}: duplicate id {row[0]!r}")
+        out[row[0]] = row[1]
+    return out
 
 
 def write_families(path, ids, families, manifest_lines=()):
@@ -197,7 +215,7 @@ def read_kinship_matrix(path) -> RelationshipMatrix:
         )
     if any(row[0] != ids[k] for k, row in enumerate(rows)):
         raise DataValidationError(f"{path}: kinship row ids must match header order")
-    entries = np.array([[float(c) for c in row[1:]] for row in rows])
+    entries = np.array(_numbers(path, rows, 1))
     return RelationshipMatrix(ids, entries)
 
 
@@ -221,13 +239,12 @@ def read_imputation_prior(path, ids, snp_names) -> ImputationPrior:
     id_index = {x: i for i, x in enumerate(ids)}
     snp_index = {x: j for j, x in enumerate(snp_names)}
     weights = np.full((len(ids), len(snp_names), 3), 1.0 / 3.0)
-    for row in rows:
+    for row, triple in zip(rows, _numbers(path, rows, 2, 5)):
         rid, snp = row[0], row[1]
         if rid not in id_index:
             raise DataValidationError(f"{path}: unknown individual id {rid!r}")
         if snp not in snp_index:
             raise DataValidationError(f"{path}: unknown SNP name {snp!r}")
-        triple = np.array([float(row[2]), float(row[3]), float(row[4])])
         weights[id_index[rid], snp_index[snp]] = triple
     return ImputationPrior(mode="weighted", weights=weights)
 
@@ -485,7 +502,8 @@ def assemble_dataset(
     the families file when given, else from pedigree parent pairs, else a
     plain intercept. Kinship: 'pedigree' builds the numerator matrix and
     extracts the genotyped ids, 'file' loads a matrix, 'identity' uses I.
-    Returns the dataset and accumulated warnings.
+    Returns the dataset and the warnings about its genotypes: monomorphic
+    columns and high overall missingness.
     """
     ids, snp_names, calls = read_genotype_calls(genotypes_path, missing_marker)
     genotypes, warnings = encode_genotypes(calls, missing_marker, snp_names)
@@ -545,4 +563,4 @@ def assemble_dataset(
         snp_coding=snp_coding,
         ids=tuple(ids),
     )
-    return data, warnings
+    return data, warnings + missingness_warnings(genotypes)

@@ -4,13 +4,19 @@ Genotypes are coded -1/0/+1 (the two homozygotes and the heterozygote).
 A dataset can expose SNPs to the linear model either directly through that
 signed coding (one design column per SNP) or through an additive +
 dominance pair per SNP (additive -1/0/+1 and dominance 0/1/0), which
-separates allele-dosage effects from heterozygote deviation.
+separates allele-dosage effects from heterozygote deviation. ``CODINGS``
+is the one table of both: per coding, the design values of each genotype
+code (row code + 1) and the label suffix of each of a SNP's columns. SNP
+j's columns are j * columns_per_snp onwards, in the table's order.
+
+A ``Dataset`` is valid by construction: matching dimensions, a design of
+full rank, a positive-definite kinship and a known coding.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -24,10 +30,12 @@ __all__ = [
     "PriorHyperparams",
     "ImputationPrior",
     "Dataset",
-    "ValidationReport",
+    "SnpCoding",
+    "CODINGS",
+    "snp_coding",
     "encode_genotypes",
     "decode_genotypes",
-    "validate_dataset",
+    "missingness_warnings",
     "default_priors",
     "family_design",
     "snp_design_matrix",
@@ -50,12 +58,47 @@ class DataValidationError(ValueError):
     """Dataset contents violate a hard structural requirement."""
 
 
+class SnpCoding(NamedTuple):
+    """One coding's design columns of a SNP: ``values[g + 1]`` holds the
+    values of genotype code g, ``suffixes`` each column's label suffix."""
+
+    values: np.ndarray  # (3, columns per SNP)
+    suffixes: tuple[str, ...]
+
+    @property
+    def columns_per_snp(self) -> int:
+        return len(self.suffixes)
+
+
+def _table(rows) -> np.ndarray:
+    values = np.array(rows, dtype=float)
+    values.setflags(write=False)  # shared by every dataset of the coding
+    return values
+
+
+CODINGS = {
+    SIGNED: SnpCoding(_table([[-1.0], [0.0], [1.0]]), ("",)),
+    ADDITIVE_DOMINANCE: SnpCoding(
+        _table([[-1.0, 0.0], [0.0, 1.0], [1.0, 0.0]]), (":a", ":d")
+    ),
+}
+
+
+def snp_coding(name: str) -> SnpCoding:
+    """The table entry of a coding; the one place an unknown one is rejected."""
+    try:
+        return CODINGS[name]
+    except KeyError:
+        raise DataValidationError(f"unknown snp coding {name!r}") from None
+
+
 @dataclass(frozen=True)
 class GenotypeMatrix:
     """n x s coded genotypes plus an explicit missingness mask.
 
-    ``codes`` holds -1/0/+1 for observed cells; masked cells may hold any
-    placeholder (by convention 0) and are defined only through the mask.
+    ``codes`` holds -1/0/+1 for observed cells; masked cells are defined
+    only through the mask, and whatever placeholder they are given is
+    stored as 0.
     """
 
     codes: np.ndarray
@@ -77,7 +120,7 @@ class GenotypeMatrix:
             col = int(np.flatnonzero(mask.all(axis=0))[0])
             name = self.snp_names[col] if self.snp_names else str(col)
             raise DataValidationError(f"SNP column {name!r} has no observed entries")
-        object.__setattr__(self, "codes", codes.astype(np.int8))
+        object.__setattr__(self, "codes", np.where(mask, 0, codes).astype(np.int8))
         object.__setattr__(self, "missing_mask", mask)
         if self.snp_names and len(self.snp_names) != codes.shape[1]:
             raise DataValidationError("snp_names length does not match column count")
@@ -93,9 +136,6 @@ class GenotypeMatrix:
     @property
     def missing_fraction(self) -> float:
         return float(self.missing_mask.mean()) if self.missing_mask.size else 0.0
-
-    def column_missing_fractions(self) -> np.ndarray:
-        return self.missing_mask.mean(axis=0)
 
     def names(self) -> tuple[str, ...]:
         if self.snp_names:
@@ -222,7 +262,12 @@ class ImputationPrior:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Genotypes, phenotypes, covariate design and kinship, dimension-checked."""
+    """Genotypes, phenotypes, covariate design and kinship.
+
+    Valid by construction: a known coding, one row per individual in every
+    member and a positive-definite kinship (the design's rank is checked by
+    ``FamilyDesign``).
+    """
 
     genotypes: GenotypeMatrix
     phenotypes: PhenotypeVector
@@ -232,8 +277,7 @@ class Dataset:
     ids: tuple[str, ...] = ()
 
     def __post_init__(self):
-        if self.snp_coding not in (SIGNED, ADDITIVE_DOMINANCE):
-            raise DataValidationError(f"unknown snp coding {self.snp_coding!r}")
+        snp_coding(self.snp_coding)
         n = self.genotypes.n
         if self.phenotypes.n != n or self.design.n != n or self.kinship.dim != n:
             raise DataValidationError(
@@ -243,6 +287,8 @@ class Dataset:
             )
         if self.ids and len(self.ids) != n:
             raise DataValidationError("ids length does not match n")
+        if not self.kinship.is_positive_definite():
+            raise DataValidationError("kinship matrix is not positive definite")
 
     @property
     def n(self) -> int:
@@ -253,8 +299,16 @@ class Dataset:
         return self.genotypes.s
 
     @property
+    def coding(self) -> SnpCoding:
+        return snp_coding(self.snp_coding)
+
+    @property
+    def columns_per_snp(self) -> int:
+        return self.coding.columns_per_snp
+
+    @property
     def design_dim(self) -> int:
-        return self.s if self.snp_coding == SIGNED else 2 * self.s
+        return self.s * self.columns_per_snp
 
     @property
     def y(self) -> np.ndarray:
@@ -269,96 +323,40 @@ class Dataset:
         return self.kinship.entries
 
     def gamma_labels(self) -> tuple[str, ...]:
-        names = self.genotypes.names()
-        if self.snp_coding == SIGNED:
-            return names
-        out = []
-        for name in names:
-            out.extend((f"{name}:a", f"{name}:d"))
-        return tuple(out)
+        suffixes = self.coding.suffixes
+        return tuple(name + tail for name in self.genotypes.names() for tail in suffixes)
 
     def design_columns_of_snp(self, j: int) -> tuple[int, ...]:
-        if self.snp_coding == SIGNED:
-            return (j,)
-        return (2 * j, 2 * j + 1)
+        k = self.columns_per_snp
+        return tuple(range(k * j, k * j + k))
 
 
 def genotype_column_values(codes: np.ndarray, coding: str) -> np.ndarray:
-    """Design values contributed by one SNP column of genotype codes.
-
-    Returns shape (n, 1) for signed coding and (n, 2) for additive +
-    dominance coding.
-    """
-    codes = np.asarray(codes, dtype=float)
-    if coding == SIGNED:
-        return codes[:, None]
-    if coding == ADDITIVE_DOMINANCE:
-        return np.column_stack([codes, (codes == 0).astype(float)])
-    raise DataValidationError(f"unknown snp coding {coding!r}")
+    """Design values of genotype codes, one table row per code: shape
+    codes.shape + (columns per SNP,), so (n, 1) for one signed SNP column
+    and (n, 2) for one additive + dominance one."""
+    index = np.asarray(codes, dtype=np.int8) + 1
+    return np.take(snp_coding(coding).values, index, axis=0)
 
 
 def snp_design_matrix(codes: np.ndarray, coding: str) -> np.ndarray:
-    """Full SNP design matrix from an n x s genotype code matrix."""
-    codes = np.asarray(codes, dtype=float)
-    if coding == SIGNED:
-        return codes.copy()
-    if coding == ADDITIVE_DOMINANCE:  # columns 2j, 2j + 1 belong to SNP j
-        design = np.empty((codes.shape[0], 2 * codes.shape[1]))
-        design[:, 0::2] = codes
-        design[:, 1::2] = codes == 0
-        return design
-    raise DataValidationError(f"unknown snp coding {coding!r}")
+    """Full SNP design matrix from an n x s genotype code matrix: SNP j's
+    columns are j * columns_per_snp onwards."""
+    values = genotype_column_values(codes, coding)
+    n, s, k = values.shape
+    return values.reshape(n, s * k)
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of dataset validation: hard errors, warnings, missingness."""
-
-    errors: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
-    overall_missingness: float = 0.0
-    column_missingness: Optional[np.ndarray] = None
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def raise_for_errors(self) -> None:
-        if self.errors:
-            raise DataValidationError("; ".join(self.errors))
-
-
-def validate_dataset(d: Dataset) -> ValidationReport:
-    """Check dataset invariants; pure and idempotent.
-
-    Dimension mismatches are caught at Dataset construction; this re-checks
-    the numerically expensive invariants (design rank, kinship positive
-    definiteness) and reports missingness statistics, warning when overall
-    missingness exceeds the level beyond which estimates become unreliable.
-    """
-    report = ValidationReport()
-    X = d.X
-    if np.linalg.matrix_rank(X) < X.shape[1]:
-        report.errors.append("design matrix is rank deficient")
-    if not d.kinship.is_positive_definite():
-        report.errors.append("kinship matrix is not positive definite")
-    if d.phenotypes.n != d.n or d.design.n != d.n or d.kinship.dim != d.n:
-        report.errors.append("dimension mismatch across dataset members")
-    report.overall_missingness = d.genotypes.missing_fraction
-    report.column_missingness = d.genotypes.column_missing_fractions()
-    if report.overall_missingness > MISSINGNESS_WARN_FRACTION:
-        report.warnings.append(
-            f"overall missingness {report.overall_missingness:.1%} exceeds "
-            f"{MISSINGNESS_WARN_FRACTION:.0%}; interpret estimates with caution"
-        )
-    mono = [
-        name
-        for j, name in enumerate(d.genotypes.names())
-        if len(np.unique(d.genotypes.codes[~d.genotypes.missing_mask[:, j], j])) == 1
+def missingness_warnings(genotypes: GenotypeMatrix) -> list[str]:
+    """A warning when overall missingness exceeds the level beyond which
+    estimates become unreliable."""
+    fraction = genotypes.missing_fraction
+    if fraction <= MISSINGNESS_WARN_FRACTION:
+        return []
+    return [
+        f"overall missingness {fraction:.1%} exceeds "
+        f"{MISSINGNESS_WARN_FRACTION:.0%}; interpret estimates with caution"
     ]
-    if mono:
-        report.warnings.append("monomorphic SNP columns: " + ", ".join(mono))
-    return report
 
 
 def encode_genotypes(

@@ -21,6 +21,7 @@ from .model import (
     GenotypeMatrix,
     PhenotypeVector,
     family_design,
+    snp_coding,
     snp_design_matrix,
 )
 from .pedigree import (
@@ -54,9 +55,9 @@ class SimDesign:
     """Layout of a simulated dataset.
 
     ``genotype_freqs`` holds one probability triple per SNP over the codes
-    (-1, 0, +1). ``gamma_true`` is one value per design column: length s
-    for signed coding, length 2s (additive, dominance interleaved) for
-    additive + dominance coding.
+    (-1, 0, +1). ``gamma_true`` is one value per design column, in the
+    coding's column order: length s for signed coding, length 2s
+    (additive, dominance interleaved) for additive + dominance coding.
     """
 
     family_sizes: tuple[int, ...]
@@ -81,7 +82,7 @@ class SimDesign:
                 raise ValueError(f"genotype frequencies of SNP {j} must sum to 1")
         if len(self.beta_true) != len(self.family_sizes):
             raise ValueError("one family effect per family required")
-        expected = self.snp_count if self.coding == SIGNED else 2 * self.snp_count
+        expected = self.snp_count * snp_coding(self.coding).columns_per_snp
         if len(self.gamma_true) != expected:
             raise ValueError(
                 f"gamma_true needs {expected} entries for coding {self.coding!r}"
@@ -173,10 +174,7 @@ def _equicorrelation_kinship(family_sizes, ids, rho) -> RelationshipMatrix:
         np.fill_diagonal(block, 1.0)
         R[offset : offset + size, offset : offset + size] = block
         offset += size
-    matrix = RelationshipMatrix(ids, R)
-    if not matrix.is_positive_definite():
-        raise ValueError("equicorrelation kinship is not positive definite")
-    return matrix
+    return RelationshipMatrix(ids, R)
 
 
 def simulate_dataset(design: SimDesign, seed: int = 0) -> tuple[Dataset, SimTruth]:

@@ -1,3 +1,4 @@
+import hashlib
 import subprocess
 import sys
 from pathlib import Path
@@ -146,7 +147,7 @@ class TestRunCommand:
         assert run_cli("run", "--not-a-flag") == 2
         assert run_cli() == 2
 
-    def test_non_pd_kinship_file_exit_3(self, tmp_path):
+    def test_non_pd_kinship_file_exit_3(self, tmp_path, capsys):
         sim = simulate_inputs(tmp_path, missing="0")
         kin = tmp_path / "bad_kin.csv"
         ids = read_noncomment_lines(sim / "genotypes.csv")[1:]
@@ -156,7 +157,7 @@ class TestRunCommand:
         np.fill_diagonal(entries, 1.0)  # symmetric, diag in bounds, not PD
         lines = ["id," + ",".join(ids)]
         for i in range(n):
-            lines.append(ids[i] + "," + ",".join(repr(x) for x in entries[i]))
+            lines.append(ids[i] + "," + ",".join(map(repr, entries[i].tolist())))
         kin.write_text("\n".join(lines) + "\n")
         code = run_cli(
             "run", "--genotypes", sim / "genotypes.csv",
@@ -166,6 +167,29 @@ class TestRunCommand:
             "--out-dir", tmp_path / "x",
         )
         assert code == 3
+        assert "kinship matrix is not positive definite" in capsys.readouterr().err
+
+    def test_imputation_prior_file_digested(self, tmp_path):
+        sim = simulate_inputs(tmp_path)
+        ids = [row.split(",")[0] for row in read_noncomment_lines(sim / "genotypes.csv")[1:]]
+        prior = tmp_path / "prior.csv"
+        prior.write_text(f"id,snp,w_minus1,w_0,w_plus1\n{ids[0]},snp1,0.5,0.25,0.25\n")
+        base = [
+            "run", "--genotypes", sim / "genotypes.csv",
+            "--phenotypes", sim / "phenotypes.csv",
+            "--iters", "110", "--burnin", "10", "--thin", "1",
+        ]
+        with_prior, plain = tmp_path / "with_prior", tmp_path / "plain"
+        assert run_cli(
+            *base, "--imputation-prior", "file", "--imputation-prior-file", prior,
+            "--out-dir", with_prior,
+        ) == 0
+        assert run_cli(*base, "--out-dir", plain) == 0
+        digest = hashlib.sha256(prior.read_bytes()).hexdigest()
+        assert f"digest_imputation_prior_file={digest}" in (
+            (with_prior / "manifest.txt").read_text().splitlines()
+        )
+        assert "digest_imputation_prior_file" not in (plain / "manifest.txt").read_text()
 
     @pytest.mark.parametrize(
         "kind", ["phenotypes", "families", "kinship_short", "kinship_extra", "prior"]
@@ -579,6 +603,25 @@ class TestEmCommand:
         )
         assert code == 0
 
+
+    def test_monomorphic_column_warns_once(self, tmp_path, capsys):
+        sim = simulate_inputs(tmp_path, missing="0.05")
+        lines = read_noncomment_lines(sim / "genotypes.csv")
+        mono = tmp_path / "mono.csv"
+        rows = [lines[0]]
+        for line in lines[1:]:
+            cells = line.split(",")
+            cells[1] = cells[1] if cells[1] == "NA" else "AA"
+            rows.append(",".join(cells))
+        mono.write_text("\n".join(rows) + "\n")
+        capsys.readouterr()
+        code = run_cli(
+            "em", "--genotypes", mono, "--phenotypes", sim / "phenotypes.csv",
+            "--max-iter", "2", "--out-dir", tmp_path / "em",
+        )
+        assert code == 0
+        warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
+        assert warnings == ["warning: SNP column 'snp1' is monomorphic"]
 
     @pytest.mark.parametrize("max_iter", ["0", "-1"])
     def test_max_iter_below_one_exit_3(self, tmp_path, capsys, max_iter):

@@ -85,6 +85,28 @@ class TestKinshipFile:
         assert back.ids == ("a", "b", "c")
         assert np.array_equal(back.entries, entries)
 
+    def test_cell_not_a_number_names_file_and_row(self, tmp_path):
+        path = tmp_path / "kin.csv"
+        path.write_text("id,a,b\na,1.0,0.5\nb,half,1.0\n")
+        with pytest.raises(DataValidationError) as info:
+            io.read_kinship_matrix(path)
+        assert str(path) in str(info.value) and "'b,half,1.0'" in str(info.value)
+
+
+class TestPhenotypeAndFamilyFiles:
+    def test_value_not_a_number_names_file_and_row(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("id,value\nF1_01,abc\nF1_02,1.5\n")
+        with pytest.raises(DataValidationError) as info:
+            io.read_phenotypes(path)
+        assert str(path) in str(info.value) and "'F1_01,abc'" in str(info.value)
+
+    def test_duplicate_family_id_rejected(self, tmp_path):
+        path = tmp_path / "f.csv"
+        path.write_text("id,family\nF1_01,F1\nF1_02,F1\nF1_01,F6\n")
+        with pytest.raises(DataValidationError, match="duplicate id 'F1_01'"):
+            io.read_families(path)
+
 
 class TestDatasetFiles:
     def _write_inputs(self, tmp_path, missing=0.1, seed=0):
@@ -277,6 +299,13 @@ class TestImputationPriorFile:
         path.write_text("id,snp,w_minus1,w_0,w_plus1\nwho,snp1,1,0,0\n")
         with pytest.raises(DataValidationError, match="unknown individual"):
             io.read_imputation_prior(path, ["i0"], ["snp1"])
+
+    def test_weight_not_a_number_names_file_and_row(self, tmp_path):
+        path = tmp_path / "prior.csv"
+        path.write_text("id,snp,w_minus1,w_0,w_plus1\ni0,snp1,0.5,x,0.5\n")
+        with pytest.raises(DataValidationError) as info:
+            io.read_imputation_prior(path, ["i0"], ["snp1"])
+        assert str(path) in str(info.value) and "'i0,snp1,0.5,x,0.5'" in str(info.value)
 
 
 class TestConfigFile:

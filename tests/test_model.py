@@ -15,9 +15,11 @@ from snpgibbs.model import (
     encode_genotypes,
     family_design,
     genotype_column_values,
+    missingness_warnings,
+    snp_coding,
     snp_design_matrix,
-    validate_dataset,
 )
+from snpgibbs.pedigree import RelationshipMatrix
 from conftest import make_dataset
 from _oracles import loop_encode_genotypes
 
@@ -131,6 +133,26 @@ class TestDesignCoding:
         data, _ = make_dataset(n=10, s=2, coding=ADDITIVE_DOMINANCE)
         assert data.gamma_labels() == ("snp1:a", "snp1:d", "snp2:a", "snp2:d")
 
+    @pytest.mark.parametrize("coding", ["signed", ADDITIVE_DOMINANCE])
+    def test_columns_of_a_snp_follow_the_table(self, coding):
+        data, _ = make_dataset(n=10, s=3, coding=coding)
+        k = data.columns_per_snp
+        assert k == snp_coding(coding).values.shape[1]
+        assert data.design_dim == 3 * k
+        Zd = snp_design_matrix(data.genotypes.codes, coding)
+        for j in range(3):
+            cols = data.design_columns_of_snp(j)
+            assert cols == tuple(range(k * j, k * j + k))
+            values = genotype_column_values(data.genotypes.codes[:, j], coding)
+            assert np.array_equal(Zd[:, list(cols)], values)
+
+    def test_unknown_coding_rejected(self):
+        data, _ = make_dataset(n=10, s=2)
+        with pytest.raises(DataValidationError, match="unknown snp coding"):
+            snp_design_matrix(data.genotypes.codes, "dominant")
+        with pytest.raises(DataValidationError, match="unknown snp coding"):
+            Dataset(data.genotypes, data.phenotypes, data.design, data.kinship, "dominant")
+
 
 class TestPriors:
     def test_defaults(self):
@@ -170,15 +192,21 @@ class TestImputationPrior:
 class TestValidation:
     def test_clean_dataset_passes(self):
         data, _ = make_dataset(n=20, s=4, missing=0.10, seed=2)
-        report = validate_dataset(data)
-        assert report.ok
-        assert abs(report.overall_missingness - 0.10) < 0.01
+        assert abs(data.genotypes.missing_fraction - 0.10) < 0.01
+        assert missingness_warnings(data.genotypes) == []
 
     def test_high_missingness_warns(self):
         data, _ = make_dataset(n=20, s=5, missing=0.20, seed=2)
-        report = validate_dataset(data)
-        assert report.ok
-        assert any("missingness" in w for w in report.warnings)
+        assert missingness_warnings(data.genotypes) == [
+            "overall missingness 20.0% exceeds 15%; interpret estimates with caution"
+        ]
+
+    def test_indefinite_kinship_rejected(self):
+        data, _ = make_dataset(n=3, s=1, p=1)
+        entries = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
+        kinship = RelationshipMatrix(data.ids, entries)  # symmetric, unit diagonal
+        with pytest.raises(DataValidationError, match="not positive definite"):
+            Dataset(data.genotypes, data.phenotypes, data.design, kinship)
 
     def test_duplicate_design_column_fails_construction(self):
         X = np.ones((10, 2))
@@ -194,13 +222,6 @@ class TestValidation:
                 design=data.design,
                 kinship=data.kinship,
             )
-
-    def test_validation_idempotent(self):
-        data, _ = make_dataset(n=15, s=3, missing=0.1, seed=4)
-        r1 = validate_dataset(data)
-        r2 = validate_dataset(data)
-        assert r1.errors == r2.errors and r1.warnings == r2.warnings
-        assert r1.overall_missingness == r2.overall_missingness
 
     def test_phenotype_nan_rejected(self):
         with pytest.raises(DataValidationError, match="finite"):
@@ -220,6 +241,13 @@ class TestGenotypeMatrix:
         mask[:, 1] = True
         with pytest.raises(DataValidationError, match="no observed"):
             GenotypeMatrix(codes, mask)
+
+    def test_masked_placeholder_stored_as_zero(self):
+        codes = np.array([[1, -9], [-1, 0]])
+        mask = np.array([[False, True], [False, False]])
+        gm = GenotypeMatrix(codes, mask)
+        assert gm.codes.tolist() == [[1, 0], [-1, 0]]
+        assert snp_design_matrix(gm.codes, ADDITIVE_DOMINANCE)[0].tolist() == [1, 0, 0, 1]
 
     def test_bad_code_rejected(self):
         codes = np.array([[2]], dtype=np.int8)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from snpgibbs.gibbs import GibbsConfig, run_chain
-from snpgibbs.model import default_priors, validate_dataset
+from snpgibbs.model import default_priors
 from snpgibbs.simulator import (
     MissingnessMask,
     SimDesign,
@@ -62,7 +62,6 @@ class TestDesigns:
 class TestSimulate:
     def test_dataset_validates_and_dimensions(self):
         data, truth = simulate_dataset(six_family_design(), seed=0)
-        assert validate_dataset(data).ok
         assert data.n == 120 and data.s == 5
         assert data.design_dim == 10
         assert len(truth.ids) == 120
