@@ -1,9 +1,11 @@
 """Command-line surface: run, select, kinship, em, simulate.
 
-Every run writes a manifest (tool version, every effective setting, seed,
-input digests) both as '#'-prefixed header lines at the top of each output
-file and as a standalone ``manifest.txt`` that can be fed back through
-``--config`` to reproduce the run bit-exactly.
+Each setting is declared once, in ``SETTINGS`` (default, kind, help); the
+flags of every subcommand, the parsing of config values and the manifest
+all read that table. Every run writes a manifest (tool version, every
+effective setting, seed, input digests) both as '#'-prefixed header lines
+at the top of each output file and as a standalone ``manifest.txt`` that
+can be fed back through ``--config`` to reproduce the run bit-exactly.
 
 Exit codes: 0 success, 2 usage, 3 data validation/parse, 4 numerical.
 """
@@ -14,6 +16,7 @@ import argparse
 import logging
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,149 +75,120 @@ PRESETS = {
 }
 
 
-class Settings:
-    """Effective option values: flag > config file > default."""
+class Setting(NamedTuple):
+    """A settable value. ``kind`` is a type, a tuple of choices, or ``bool``
+    for a switch; it parses the flag and the config value alike."""
 
-    def __init__(self, args: argparse.Namespace, defaults: dict):
-        self.defaults = dict(defaults)
-        self.file_config = {}
-        if getattr(args, "config", None):
-            self.file_config = io.read_config_file(args.config)
-        self.args = args
-        self.effective: dict = {}
-        for key, default in self.defaults.items():
-            flag_val = getattr(args, key, None)
-            if flag_val is not None:
-                value = flag_val
-            elif key in self.file_config:
-                value = self._cast(self.file_config[key], default)
-            else:
-                value = default
-            self.effective[key] = value
+    default: object
+    kind: object
+    help: str
 
-    @staticmethod
-    def _cast(raw: str, default):
-        if isinstance(default, bool):
-            return raw.lower() in ("1", "true", "yes")
-        if isinstance(default, int):
-            return int(raw)
-        if isinstance(default, float):
-            return float(raw)
-        if raw == "":
-            return None
+
+SETTINGS = {
+    "genotypes": Setting(None, str, "genotype call file (csv)"),
+    "phenotypes": Setting(None, str, "phenotype file (id,value)"),
+    "pedigree": Setting(None, str, "pedigree file (id,sire,dam)"),
+    "families": Setting(None, str, "family membership file (id,family)"),
+    "coding": Setting(SIGNED, tuple(CODINGS), "SNP design coding"),
+    "kinship": Setting("identity", ("pedigree", "identity", "file"), "relationship matrix R"),
+    "kinship_file": Setting(None, str, "dense kinship matrix file (csv)"),
+    "iters": Setting(50_000, int, "sweeps per chain, burn-in included"),
+    "burnin": Setting(10_000, int, "sweeps discarded at the start of a chain"),
+    "thin": Setting(4, int, "keep every thin-th sweep after burn-in"),
+    "seed": Setting(0, int, "random seed"),
+    "chains": Setting(1, int, "chains run one after another, seeded seed, seed+1, ..."),
+    "prior_a": Setting(2.0, float, "inverted-gamma shape of sigma^2"),
+    "prior_b": Setting(1.0, float, "inverted-gamma scale of sigma^2"),
+    "prior_c": Setting(2.0, float, "inverted-gamma shape of phi^2"),
+    "prior_d": Setting(1.0, float, "inverted-gamma scale of phi^2"),
+    "imputation_prior": Setting("uniform", ("uniform", "file"), "missing-genotype prior"),
+    "imputation_prior_file": Setting(None, str, "id,snp,w_minus1,w_0,w_plus1 weights file"),
+    "impute_mode": Setting("cycle", ("cycle", "all", "off"), "SNP columns re-imputed per sweep"),
+    "level": Setting(0.95, float, "credible interval level"),
+    "samples": Setting(None, str, "recorded samples file (skip the live chain)"),
+    "candidates": Setting("significant", str, "'significant', or comma list of names/indices"),
+    "exhaustive": Setting(False, bool, "score every subset of the candidates"),
+    "mixture_prob": Setting(0.5, float, "probability of a one-coefficient flip move"),
+    "search_iters": Setting(500, int, "Metropolis-Hastings search steps"),
+    "min_samples_per_bf": Setting(2000, int, "posterior states behind each Bayes factor"),
+    "tol": Setting(1e-8, float, "EM convergence tolerance"),
+    "max_iter": Setting(500, int, "EM iteration limit"),
+    "ids": Setting(None, str, "comma list: extract this principal submatrix"),
+    "preset": Setting("six-family", tuple(sorted(PRESETS)), "simulated design"),
+    "missing": Setting(0.0, float, "fraction of genotype calls masked"),
+    "mask_seed": Setting(None, int, "seed of the missingness mask (default: --seed)"),
+    "out_dir": Setting("out", str, "output directory"),
+}
+
+_DATA = ("genotypes", "phenotypes", "pedigree", "families", "coding")
+_CHAIN = (
+    *_DATA, "kinship", "kinship_file", "iters", "burnin", "thin", "seed", "chains",
+    "prior_a", "prior_b", "prior_c", "prior_d", "imputation_prior",
+    "imputation_prior_file", "impute_mode", "level", "out_dir",
+)
+# EM ignores kinship by design, so it has no kinship setting and runs at R = I
+SUBCOMMAND_SETTINGS = {
+    "run": _CHAIN,
+    "select": (
+        *_CHAIN, "samples", "candidates", "exhaustive", "mixture_prob",
+        "search_iters", "min_samples_per_bf",
+    ),
+    "kinship": ("pedigree", "ids", "out_dir"),
+    "em": (*_DATA, "tol", "max_iter", "seed", "out_dir"),
+    "simulate": ("preset", "missing", "seed", "mask_seed", "out_dir"),
+}
+
+
+def _parse_config_value(name: str, raw: str):
+    default, kind, _ = SETTINGS[name]
+    if kind is bool:
+        return raw.lower() in ("1", "true", "yes")
+    if raw == "" and default is None:
+        return None
+    if isinstance(kind, tuple):
+        if raw not in kind:
+            raise DataValidationError(f"config {name}={raw!r} is not one of {', '.join(kind)}")
         return raw
+    try:
+        return kind(raw)
+    except ValueError:
+        raise DataValidationError(f"config {name}={raw!r} is not {kind.__name__}") from None
+
+
+class Settings:
+    """Effective values of a subcommand's settings: flag > config file > default."""
+
+    def __init__(self, args: argparse.Namespace):
+        file_config = io.read_config_file(args.config) if args.config else {}
+        self.subcommand = args.subcommand
+        self.effective: dict = {}
+        for name in SUBCOMMAND_SETTINGS[args.subcommand]:
+            value = getattr(args, name)
+            if value is None and name in file_config:
+                value = _parse_config_value(name, file_config[name])
+            self.effective[name] = SETTINGS[name].default if value is None else value
 
     def __getitem__(self, key):
         return self.effective[key]
 
-    def manifest(self, subcommand: str) -> dict:
-        manifest = {"version": __version__, "subcommand": subcommand}
+    def get(self, key, default=None):
+        return self.effective.get(key, default)
+
+    def manifest(self) -> dict:
+        manifest = {"version": __version__, "subcommand": self.subcommand}
         for key in sorted(self.effective):
             if key == "out_dir":  # output routing, not part of the run definition
                 continue
             value = self.effective[key]
             manifest[key] = "" if value is None else io.fmt(value)
         for key in sorted(INPUT_FILE_KEYS):
-            if self.effective.get(key):
+            if self.get(key):
                 manifest[f"digest_{key}"] = io.file_digest(self.effective[key])
         return manifest
 
 
 def _manifest_lines(manifest: dict) -> list[str]:
     return [f"# {k}={v}" for k, v in manifest.items()]
-
-
-_RUN_DEFAULTS = {
-    "genotypes": None,
-    "phenotypes": None,
-    "pedigree": None,
-    "families": None,
-    "kinship": "identity",
-    "kinship_file": None,
-    "coding": SIGNED,
-    "iters": 50_000,
-    "burnin": 10_000,
-    "thin": 4,
-    "seed": 0,
-    "chains": 1,
-    "prior_a": 2.0,
-    "prior_b": 1.0,
-    "prior_c": 2.0,
-    "prior_d": 1.0,
-    "imputation_prior": "uniform",
-    "imputation_prior_file": None,
-    "impute_mode": "cycle",
-    "level": 0.95,
-    "out_dir": "out",
-}
-
-_SELECT_EXTRA = {
-    "samples": None,
-    "candidates": "significant",
-    "exhaustive": False,
-    "mixture_prob": 0.5,
-    "search_iters": 500,
-    "min_samples_per_bf": 2000,
-}
-
-_SIMULATE_DEFAULTS = {
-    "preset": "six-family",
-    "missing": 0.0,
-    "seed": 0,
-    "mask_seed": None,
-    "out_dir": "out",
-}
-
-_EM_DEFAULTS = {
-    "genotypes": None,
-    "phenotypes": None,
-    "pedigree": None,
-    "families": None,
-    "kinship": "identity",
-    "kinship_file": None,
-    "coding": SIGNED,
-    "tol": 1e-8,
-    "max_iter": 500,
-    "seed": 0,
-    "out_dir": "out",
-}
-
-_KINSHIP_DEFAULTS = {"pedigree": None, "ids": None, "out_dir": "out"}
-
-
-def _add_common_data_flags(p: argparse.ArgumentParser):
-    p.add_argument("--genotypes", help="genotype call file (csv)")
-    p.add_argument("--phenotypes", help="phenotype file (id,value)")
-    p.add_argument("--pedigree", help="pedigree file (id,sire,dam)")
-    p.add_argument("--families", help="family membership file (id,family)")
-    p.add_argument("--coding", choices=list(CODINGS), help="SNP design coding")
-
-
-def _add_run_flags(p: argparse.ArgumentParser):
-    _add_common_data_flags(p)
-    p.add_argument("--kinship", choices=["pedigree", "identity", "file"])
-    p.add_argument("--kinship-file", dest="kinship_file")
-    p.add_argument("--iters", type=int)
-    p.add_argument("--burnin", type=int)
-    p.add_argument("--thin", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--chains", type=int)
-    p.add_argument("--prior-a", dest="prior_a", type=float)
-    p.add_argument("--prior-b", dest="prior_b", type=float)
-    p.add_argument("--prior-c", dest="prior_c", type=float)
-    p.add_argument("--prior-d", dest="prior_d", type=float)
-    p.add_argument("--imputation-prior", dest="imputation_prior", choices=["uniform", "file"])
-    p.add_argument("--imputation-prior-file", dest="imputation_prior_file")
-    p.add_argument("--impute-mode", dest="impute_mode", choices=["cycle", "all", "off"])
-    p.add_argument(
-        "--r-weighted-imputation",
-        action="store_true",
-        help="no effect, kept so that old command lines still run: missing "
-        "genotypes are always drawn from the exact kinship-coupled conditional",
-    )
-    p.add_argument("--level", type=float, help="credible interval level")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--config", help="key=value settings file; flags win")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,46 +198,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p_run = sub.add_parser("run", help="run the Gibbs sampler")
-    _add_run_flags(p_run)
-    p_run.set_defaults(func=cmd_run)
-
-    p_sel = sub.add_parser("select", help="Bayes-factor model search")
-    _add_run_flags(p_sel)
-    p_sel.add_argument("--samples", help="recorded samples file (skip the live chain)")
-    p_sel.add_argument("--candidates", help="'significant', or comma list of names/indices")
-    p_sel.add_argument("--exhaustive", action="store_const", const=True)
-    p_sel.add_argument("--mixture-prob", dest="mixture_prob", type=float)
-    p_sel.add_argument("--search-iters", dest="search_iters", type=int)
-    p_sel.add_argument("--min-samples-per-bf", dest="min_samples_per_bf", type=int)
-    p_sel.set_defaults(func=cmd_select)
-
-    p_kin = sub.add_parser("kinship", help="build a numerator relationship matrix")
-    p_kin.add_argument("--pedigree", required=True)
-    p_kin.add_argument("--ids", help="comma list: extract this principal submatrix")
-    p_kin.add_argument("--out-dir", dest="out_dir")
-    p_kin.add_argument("--config")
-    p_kin.set_defaults(func=cmd_kinship)
-
-    p_em = sub.add_parser("em", help="EM maximum-likelihood baseline")
-    _add_common_data_flags(p_em)
-    p_em.add_argument("--tol", type=float)
-    p_em.add_argument("--max-iter", dest="max_iter", type=int)
-    p_em.add_argument("--seed", type=int)
-    p_em.add_argument("--out-dir", dest="out_dir")
-    p_em.add_argument("--config")
-    p_em.set_defaults(func=cmd_em)
-
-    p_sim = sub.add_parser("simulate", help="emit a synthetic benchmark dataset")
-    p_sim.add_argument("--preset", choices=sorted(PRESETS))
-    p_sim.add_argument("--missing", type=float)
-    p_sim.add_argument("--seed", type=int)
-    p_sim.add_argument("--mask-seed", dest="mask_seed", type=int)
-    p_sim.add_argument("--out-dir", dest="out_dir")
-    p_sim.add_argument("--config")
-    p_sim.set_defaults(func=cmd_simulate)
-
+    commands = {
+        "run": (cmd_run, "run the Gibbs sampler"),
+        "select": (cmd_select, "Bayes-factor model search"),
+        "kinship": (cmd_kinship, "build a numerator relationship matrix"),
+        "em": (cmd_em, "EM maximum-likelihood baseline"),
+        "simulate": (cmd_simulate, "emit a synthetic benchmark dataset"),
+    }
+    for name, (func, description) in commands.items():
+        p = sub.add_parser(name, help=description)
+        for key in SUBCOMMAND_SETTINGS[name]:
+            _, kind, help_text = SETTINGS[key]
+            flag = "--" + key.replace("_", "-")
+            # every flag defaults to None, so Settings can tell "not given"
+            if kind is bool:
+                p.add_argument(flag, dest=key, action="store_const", const=True, help=help_text)
+            elif isinstance(kind, tuple):
+                p.add_argument(flag, dest=key, choices=kind, help=help_text)
+            else:
+                p.add_argument(flag, dest=key, type=kind, help=help_text)
+        if name in ("run", "select"):
+            p.add_argument(
+                "--r-weighted-imputation",
+                action="store_true",
+                help="no effect, kept so that old command lines still run: missing "
+                "genotypes are always drawn from the exact kinship-coupled conditional",
+            )
+        p.add_argument("--config", help="key=value settings file; flags win")
+        p.set_defaults(func=func)
     return parser
 
 
@@ -279,9 +241,10 @@ def _load_dataset(settings):
     data, warnings = io.assemble_dataset(
         settings["genotypes"],
         settings["phenotypes"],
-        kinship_mode=settings["kinship"],
+        # `em` has no kinship setting: it runs at R = I
+        kinship_mode=settings.get("kinship", "identity"),
         pedigree_path=settings["pedigree"],
-        kinship_path=settings["kinship_file"],
+        kinship_path=settings.get("kinship_file"),
         families_path=settings["families"],
         snp_coding=settings["coding"],
     )
@@ -341,10 +304,9 @@ def _merge_chains(chains: list[PosteriorSamples]) -> PosteriorSamples:
     )
 
 
-def cmd_run(args) -> int:
-    settings = Settings(args, _RUN_DEFAULTS)
+def cmd_run(settings: Settings) -> int:
     data = _load_dataset(settings)
-    manifest = settings.manifest("run")
+    manifest = settings.manifest()
     lines = _manifest_lines(manifest)
     out = _outdir(settings)
     chains = _run_chains(settings, data)
@@ -391,10 +353,9 @@ def _parse_candidates(spec: str, samples: PosteriorSamples, level: float) -> lis
     return picked
 
 
-def cmd_select(args) -> int:
-    settings = Settings(args, {**_RUN_DEFAULTS, **_SELECT_EXTRA})
+def cmd_select(settings: Settings) -> int:
     data = _load_dataset(settings)
-    manifest = settings.manifest("select")
+    manifest = settings.manifest()
     lines = _manifest_lines(manifest)
     out = _outdir(settings)
 
@@ -428,9 +389,10 @@ def cmd_select(args) -> int:
     return EXIT_OK
 
 
-def cmd_kinship(args) -> int:
-    settings = Settings(args, _KINSHIP_DEFAULTS)
-    manifest = settings.manifest("kinship")
+def cmd_kinship(settings: Settings) -> int:
+    if not settings["pedigree"]:
+        raise DataValidationError("--pedigree is required")
+    manifest = settings.manifest()
     lines = _manifest_lines(manifest)
     out = _outdir(settings)
     records = io.read_pedigree(settings["pedigree"])
@@ -443,11 +405,9 @@ def cmd_kinship(args) -> int:
     return EXIT_OK
 
 
-def cmd_em(args) -> int:
-    settings = Settings(args, _EM_DEFAULTS)
-    # EM ignores kinship, so the dataset is assembled with identity R
+def cmd_em(settings: Settings) -> int:
     data = _load_dataset(settings)
-    manifest = settings.manifest("em")
+    manifest = settings.manifest()
     lines = _manifest_lines(manifest)
     out = _outdir(settings)
     config = EmConfig(
@@ -469,16 +429,14 @@ def cmd_em(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    settings = Settings(args, _SIMULATE_DEFAULTS)
-    manifest = settings.manifest("simulate")
+def cmd_simulate(settings: Settings) -> int:
+    manifest = settings.manifest()
     lines = _manifest_lines(manifest)
     out = _outdir(settings)
     design = PRESETS[settings["preset"]]()
     data, truth = simulate_dataset(design, settings["seed"])
     if settings["missing"]:
-        mask_seed = settings["mask_seed"]
-        mask_seed = settings["seed"] if mask_seed is None else int(mask_seed)
+        mask_seed = settings["seed"] if settings["mask_seed"] is None else settings["mask_seed"]
         data = apply_missingness(data, MissingnessMask(settings["missing"], mask_seed))
 
     io.write_genotypes(out / "genotypes.csv", data.ids, data.genotypes, manifest_lines=lines)
@@ -508,11 +466,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
-        return args.func(args)
-    except (DataValidationError, PedigreeError, FileNotFoundError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+        return args.func(Settings(args))
+    except (DataValidationError, PedigreeError, FileNotFoundError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ChainNumericalError, EstimationError, np.linalg.LinAlgError) as exc:

@@ -17,6 +17,7 @@ import numpy as np
 from .gibbs import PosteriorSamples, autocorrelations, hpd_interval
 from .model import (
     Dataset,
+    KINSHIP_SYMMETRY_TOL,
     DataValidationError,
     FamilyDesign,
     GenotypeMatrix,
@@ -216,7 +217,11 @@ def read_kinship_matrix(path) -> RelationshipMatrix:
     if any(row[0] != ids[k] for k, row in enumerate(rows)):
         raise DataValidationError(f"{path}: kinship row ids must match header order")
     entries = np.array(_numbers(path, rows, 1))
-    return RelationshipMatrix(ids, entries)
+    R = RelationshipMatrix(ids, entries)  # checks the shape
+    # symmetrise what a decimal round trip leaves; Dataset rejects anything more
+    if np.max(np.abs(entries - entries.T)) <= KINSHIP_SYMMETRY_TOL:
+        R = RelationshipMatrix(ids, 0.5 * (entries + entries.T))
+    return R
 
 
 def write_kinship_matrix(path, R: RelationshipMatrix, manifest_lines=()):

@@ -53,6 +53,9 @@ GENOTYPE_CODES = np.array([-1, 0, 1], dtype=np.int8)
 
 MISSINGNESS_WARN_FRACTION = 0.15
 
+# a kinship matrix may be this far from symmetric (a file round trip), no further
+KINSHIP_SYMMETRY_TOL = 1e-12
+
 
 class DataValidationError(ValueError):
     """Dataset contents violate a hard structural requirement."""
@@ -265,8 +268,8 @@ class Dataset:
     """Genotypes, phenotypes, covariate design and kinship.
 
     Valid by construction: a known coding, one row per individual in every
-    member and a positive-definite kinship (the design's rank is checked by
-    ``FamilyDesign``).
+    member and a symmetric, positive-definite kinship with its diagonal in
+    [1, 1.5] (the design's rank is checked by ``FamilyDesign``).
     """
 
     genotypes: GenotypeMatrix
@@ -287,6 +290,12 @@ class Dataset:
             )
         if self.ids and len(self.ids) != n:
             raise DataValidationError("ids length does not match n")
+        R = self.kinship.entries
+        if np.max(np.abs(R - R.T)) > KINSHIP_SYMMETRY_TOL:
+            raise DataValidationError("kinship matrix is not symmetric")
+        diag = np.diag(R)
+        if diag.min() < 1.0 - 1e-12 or diag.max() > 1.5 + 1e-12:
+            raise DataValidationError("kinship diagonal must lie in [1, 1.5]")
         if not self.kinship.is_positive_definite():
             raise DataValidationError("kinship matrix is not positive definite")
 

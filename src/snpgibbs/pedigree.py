@@ -79,7 +79,8 @@ class OrderedPedigree:
 
 
 class RelationshipMatrix:
-    """Dense symmetric kinship matrix keyed by individual ids."""
+    """Dense kinship matrix keyed by individual ids. Only its shape is checked
+    here: ``Dataset`` checks the symmetry, diagonal and definiteness of R."""
 
     def __init__(self, ids: Sequence[str], entries: np.ndarray):
         entries = np.asarray(entries, dtype=float)
@@ -87,14 +88,6 @@ class RelationshipMatrix:
             raise ValueError("kinship entries must be a square matrix")
         if len(ids) != entries.shape[0]:
             raise ValueError("id count does not match matrix dimension")
-        if not np.array_equal(entries, entries.T):
-            # tolerate tiny asymmetry from file round trips, nothing more
-            if np.max(np.abs(entries - entries.T)) > 1e-12:
-                raise ValueError("kinship matrix is not symmetric")
-            entries = 0.5 * (entries + entries.T)
-        diag = np.diag(entries)
-        if entries.size and (diag.min() < 1.0 - 1e-12 or diag.max() > 1.5 + 1e-12):
-            raise ValueError("kinship diagonal must lie in [1, 1.5]")
         self.ids = tuple(str(i) for i in ids)
         self.entries = entries
         self._index = {rid: k for k, rid in enumerate(self.ids)}

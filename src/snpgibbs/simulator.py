@@ -90,6 +90,8 @@ class SimDesign:
         if self.sigma2_true <= 0:
             raise ValueError("sigma2_true must be positive")
         if self.kinship_mode == "equicorrelation":
+            if max(self.family_sizes) < 2:
+                raise ValueError("equicorrelation needs a family of at least two members")
             low = -1.0 / (max(self.family_sizes) - 1)
             if not low < self.rho < 1.0:
                 raise ValueError(f"rho must lie in ({low:.4f}, 1)")

@@ -31,6 +31,14 @@ def read_noncomment_lines(path):
     return [l for l in Path(path).read_text().splitlines() if not l.startswith("#")]
 
 
+def assert_replays(subcommand, out, names):
+    """Feed ``out/manifest.txt`` back through --config: the same bytes."""
+    replay = out.with_name(out.name + "_replay")
+    assert run_cli(subcommand, "--config", out / "manifest.txt", "--out-dir", replay) == 0
+    for name in (*names, "manifest.txt"):
+        assert (out / name).read_bytes() == (replay / name).read_bytes(), name
+
+
 class TestSimulateCommand:
     def test_emits_expected_files(self, tmp_path):
         out = simulate_inputs(tmp_path)
@@ -49,14 +57,17 @@ class TestSimulateCommand:
         assert (out / "kinship.csv").exists()
 
     def test_manifest_replay_bitwise(self, tmp_path):
-        s1, s2 = tmp_path / "s1", tmp_path / "s2"
+        # mask_seed is an int whose default is None: the replay must read
+        # it back as 5, not fall back to the seed
+        s1 = tmp_path / "s1"
         assert run_cli(
             "simulate", "--preset", "six-family", "--missing", "0.1",
-            "--seed", "3", "--mask-seed", "9", "--out-dir", s1,
+            "--seed", "3", "--mask-seed", "5", "--out-dir", s1,
         ) == 0
-        assert run_cli("simulate", "--config", s1 / "manifest.txt", "--out-dir", s2) == 0
-        for f in ("genotypes.csv", "phenotypes.csv", "truth.txt"):
-            assert (s1 / f).read_bytes() == (s2 / f).read_bytes()
+        assert "mask_seed=5" in (s1 / "manifest.txt").read_text().splitlines()
+        assert_replays("simulate", s1, (
+            "genotypes.csv", "phenotypes.csv", "families.csv", "pedigree.csv", "truth.txt",
+        ))
 
 
 class TestRunCommand:
@@ -294,11 +305,22 @@ class TestRunCommand:
             "--iters", "300", "--burnin", "50", "--thin", "2", "--seed", "13",
             "--out-dir", out1,
         ) == 0
-        out2 = tmp_path / "r2"
-        assert run_cli(
-            "run", "--config", out1 / "manifest.txt", "--out-dir", out2
-        ) == 0
-        assert (out1 / "samples.csv").read_bytes() == (out2 / "samples.csv").read_bytes()
+        assert_replays(
+            "run", out1, ("samples.csv", "summary.csv", "intervals.csv", "autocorr.csv")
+        )
+
+    @pytest.mark.parametrize("line", ["iters=many", "kinship=bogus"])
+    def test_bad_config_value_exit_3(self, tmp_path, capsys, line):
+        sim = simulate_inputs(tmp_path, missing="0")
+        config = tmp_path / "config.txt"
+        config.write_text(line + "\n")
+        code = run_cli(
+            "run", "--genotypes", sim / "genotypes.csv",
+            "--phenotypes", sim / "phenotypes.csv",
+            "--config", config, "--out-dir", tmp_path / "x",
+        )
+        assert code == 3
+        assert f"config {line.split('=')[0]}=" in capsys.readouterr().err
 
     def test_r_weighted_flag_and_manifest_key_have_no_effect(self, tmp_path):
         sim = simulate_inputs(tmp_path)
@@ -477,6 +499,28 @@ class TestSelectCommand:
             if accepted == "1":
                 incumbent = delta
 
+    def test_exhaustive_replays_from_manifest(self, tmp_path):
+        # exhaustive is a switch: the manifest's exhaustive=1 must read back
+        sim = simulate_inputs(tmp_path)
+        base = [
+            "--genotypes", sim / "genotypes.csv",
+            "--phenotypes", sim / "phenotypes.csv",
+            "--families", sim / "families.csv",
+            "--pedigree", sim / "pedigree.csv", "--kinship", "pedigree",
+            "--coding", "additive_dominance",
+            "--iters", "300", "--burnin", "100", "--thin", "2", "--seed", "4",
+        ]
+        run_out, sel_out = tmp_path / "run", tmp_path / "sel"
+        assert run_cli("run", *base, "--out-dir", run_out) == 0
+        assert run_cli(
+            "select", *base, "--samples", run_out / "samples.csv",
+            "--candidates", "snp1:a,snp2:a,snp3:a", "--exhaustive",
+            "--min-samples-per-bf", "100", "--out-dir", sel_out,
+        ) == 0
+        assert "exhaustive=1" in (sel_out / "manifest.txt").read_text().splitlines()
+        assert len(read_noncomment_lines(sel_out / "trace.csv")) == 1 + 8
+        assert_replays("select", sel_out, ("trace.csv", "bf_diagnostics.csv", "best_model.txt"))
+
     def test_too_many_exhaustive_candidates_exit_3(self, tmp_path):
         code, run_out, _, base = self._run_and_select(tmp_path)
         out = tmp_path / "sel_big"
@@ -572,6 +616,19 @@ class TestKinshipCommand:
         ped.write_text("id,sire,dam\nA,B,\nB,A,\n")
         assert run_cli("kinship", "--pedigree", ped, "--out-dir", tmp_path / "k") == 3
 
+    def test_replays_from_manifest(self, tmp_path):
+        sim = simulate_inputs(tmp_path)
+        out = tmp_path / "kin"
+        assert run_cli(
+            "kinship", "--pedigree", sim / "pedigree.csv", "--ids", "F1_01,F1_02,F2_01",
+            "--out-dir", out,
+        ) == 0
+        assert_replays("kinship", out, ("kinship.csv",))
+
+    def test_missing_pedigree_exit_3(self, tmp_path, capsys):
+        assert run_cli("kinship", "--out-dir", tmp_path / "k") == 3
+        assert "--pedigree" in capsys.readouterr().err
+
 
 class TestEmCommand:
     def test_complete_data_one_step_convergence(self, tmp_path):
@@ -622,6 +679,32 @@ class TestEmCommand:
         assert code == 0
         warnings = [l for l in capsys.readouterr().err.splitlines() if l.startswith("warning:")]
         assert warnings == ["warning: SNP column 'snp1' is monomorphic"]
+
+    def test_replays_from_manifest(self, tmp_path):
+        sim = simulate_inputs(tmp_path)
+        out = tmp_path / "em"
+        assert run_cli(
+            "em", "--genotypes", sim / "genotypes.csv",
+            "--phenotypes", sim / "phenotypes.csv",
+            "--families", sim / "families.csv", "--coding", "additive_dominance",
+            "--max-iter", "5", "--seed", "2", "--out-dir", out,
+        ) == 0
+        assert_replays("em", out, ("em_estimates.csv", "em_log.csv"))
+
+    def test_config_kinship_ignored(self, tmp_path):
+        # EM runs at R = I: a config's kinship keys are not em settings
+        sim = simulate_inputs(tmp_path)
+        config = tmp_path / "config.txt"
+        config.write_text(
+            f"genotypes={sim / 'genotypes.csv'}\nphenotypes={sim / 'phenotypes.csv'}\n"
+            f"kinship=file\nkinship_file={tmp_path / 'nope.csv'}\nmax_iter=2\n"
+        )
+        out = tmp_path / "em"
+        assert run_cli("em", "--config", config, "--out-dir", out) == 0
+        assert not any(
+            line.startswith("kinship") for line in (out / "manifest.txt").read_text().splitlines()
+        )
+        assert run_cli("em", "--config", config, "--kinship", "file", "--out-dir", out) == 2
 
     @pytest.mark.parametrize("max_iter", ["0", "-1"])
     def test_max_iter_below_one_exit_3(self, tmp_path, capsys, max_iter):

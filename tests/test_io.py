@@ -85,6 +85,13 @@ class TestKinshipFile:
         assert back.ids == ("a", "b", "c")
         assert np.array_equal(back.entries, entries)
 
+    def test_round_trip_asymmetry_symmetrised(self, tmp_path):
+        path = tmp_path / "kin.csv"
+        path.write_text("id,a,b\na,1.0,0.5\nb,0.5000000000000004,1.0\n")
+        back = io.read_kinship_matrix(path)
+        assert np.array_equal(back.entries, back.entries.T)
+        assert back.entries[0, 1] == 0.5 * (0.5 + 0.5000000000000004)
+
     def test_cell_not_a_number_names_file_and_row(self, tmp_path):
         path = tmp_path / "kin.csv"
         path.write_text("id,a,b\na,1.0,0.5\nb,half,1.0\n")
@@ -167,6 +174,17 @@ class TestDatasetFiles:
         )
         assert loaded.design.design.shape == (120, 1)
         assert np.array_equal(loaded.R, np.eye(120))
+
+    def test_asymmetric_kinship_file_rejected(self, tmp_path):
+        data, _ = self._write_inputs(tmp_path)
+        entries = np.eye(data.n)
+        entries[0, 1] = 0.2
+        io.write_kinship_matrix(tmp_path / "k.csv", RelationshipMatrix(data.ids, entries))
+        with pytest.raises(DataValidationError, match="not symmetric"):
+            io.assemble_dataset(
+                tmp_path / "g.csv", tmp_path / "p.csv",
+                kinship_mode="file", kinship_path=tmp_path / "k.csv",
+            )
 
     def test_missing_phenota_id_rejected(self, tmp_path):
         self._write_inputs(tmp_path)

@@ -208,6 +208,20 @@ class TestValidation:
         with pytest.raises(DataValidationError, match="not positive definite"):
             Dataset(data.genotypes, data.phenotypes, data.design, kinship)
 
+    def test_asymmetric_kinship_rejected(self):
+        data, _ = make_dataset(n=3, s=1, p=1)
+        entries = np.eye(3)
+        entries[0, 1] = 0.2
+        kinship = RelationshipMatrix(data.ids, entries)
+        with pytest.raises(DataValidationError, match="symmetric"):
+            Dataset(data.genotypes, data.phenotypes, data.design, kinship)
+
+    def test_kinship_diagonal_out_of_range_rejected(self):
+        data, _ = make_dataset(n=2, s=1, p=1)
+        kinship = RelationshipMatrix(data.ids, np.eye(2) * 0.5)
+        with pytest.raises(DataValidationError, match="diagonal"):
+            Dataset(data.genotypes, data.phenotypes, data.design, kinship)
+
     def test_duplicate_design_column_fails_construction(self):
         X = np.ones((10, 2))
         with pytest.raises(DataValidationError, match="rank"):

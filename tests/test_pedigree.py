@@ -180,17 +180,6 @@ class TestExtract:
 
 
 class TestRelationshipMatrix:
-    def test_rejects_asymmetric(self):
-        bad = np.eye(3)
-        bad[0, 1] = 0.2
-        with pytest.raises(ValueError, match="symmetric"):
-            RelationshipMatrix(["a", "b", "c"], bad)
-
-    def test_rejects_bad_diagonal(self):
-        bad = np.eye(2) * 0.5
-        with pytest.raises(ValueError, match="diagonal"):
-            RelationshipMatrix(["a", "b"], bad)
-
     def test_identity_constructor(self):
         R = RelationshipMatrix.identity(["x", "y"])
         assert np.array_equal(R.entries, np.eye(2))

@@ -58,6 +58,18 @@ class TestDesigns:
                 rho=-0.5,
             )
 
+    def test_equicorrelation_of_single_member_families_rejected(self):
+        with pytest.raises(ValueError, match="at least two members"):
+            SimDesign(
+                family_sizes=(1, 1),
+                snp_count=1,
+                genotype_freqs=((0.25, 0.5, 0.25),),
+                beta_true=(1.0, 2.0),
+                gamma_true=(0.5,),
+                kinship_mode="equicorrelation",
+                rho=0.5,
+            )
+
 
 class TestSimulate:
     def test_dataset_validates_and_dimensions(self):
