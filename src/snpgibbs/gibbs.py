@@ -367,7 +367,7 @@ def sample_gamma(
     gamma = np.empty(s)
     for j in range(s, 0, -GAMMA_BLOCK):  # L' gamma = b, last block first
         i = max(j - GAMMA_BLOCK, 0)
-        rest = b[i:j] - F[j:s, i:j].T @ gamma[j:] if j < s else b[i:j]
+        rest = b[i:j] - gamma[j:] @ F[j:s, i:j] if j < s else b[i:j]
         gamma[i:j] = np.linalg.solve(F[i:j, i:j].T, rest)
     return gamma
 

@@ -27,9 +27,16 @@ H = Z'R^-1Z and h = Z'R^-1(Y - X beta). The columns every model excludes
 completed design (one per search when no genotype is missing), leaving
 candidate-sized arrays. The designs are walked in window order: a state
 rewhitens only the design columns that changed since the previous state
-and recomputes only their rows and columns of H. A model is then a
-batched log-determinant and solve on the Schur complement of its
-excluded candidates.
+and recomputes only their rows and columns of H.
+
+A model is then scored on the Schur complement S_ee of its excluded
+candidates, and its term on a design is valid only when S_ee is positive
+definite. One kernel scores a batch of models that exclude the same
+number of candidates: a Cholesky of every S_ee, written as a loop over
+the excluded columns and vectorised over every (model, design, state),
+gives log|S_ee| and the solves the terms need. An exhaustive search
+scores its models in batches of equal excluded-set size; the
+Metropolis-Hastings walk scores each proposal as a batch of one.
 
 The search chain accepts a proposal with min{1, BF'/BF}; proposals flip a
 random coefficient with probability a and jump to an independent uniform
@@ -64,6 +71,9 @@ __all__ = [
 ]
 
 EXHAUSTIVE_CANDIDATE_LIMIT = 20
+# entries of a model batch's largest gathered array: an exhaustive search's
+# memory stays flat however many models it scores
+BATCH_ENTRIES = 2**17
 
 
 class EstimationError(RuntimeError):
@@ -369,35 +379,104 @@ def bayes_factor_statistics(
     )
 
 
-def _log_terms(stats: BayesFactorStatistics, delta: ModelIndicator) -> np.ndarray:
-    """Log Bayes-factor terms of ``delta`` for the states whose excluded
-    Gram matrix is nonsingular."""
-    if delta.s != stats.s or any(delta.bits[j] for j in stats.fixed):
-        raise ValueError(
-            f"model {delta.bitstring()} includes columns outside the candidates"
-        )
-    d = np.array([k for k, j in enumerate(stats.candidates) if delta.bits[j]], dtype=int)
-    e = np.array([k for k, j in enumerate(stats.candidates) if not delta.bits[j]], dtype=int)
-    gd = stats.gamma[..., list(delta.included())]
-    gc = stats.gamma[..., list(delta.excluded())]
-    S_ee = stats.S[:, e[:, None], e]
-    sign, logdet_e = np.linalg.slogdet(S_ee)
-    valid = (sign > 0) & np.isfinite(logdet_e)
-    S_ee[~valid] = np.eye(len(e))  # placeholder so the batched solve runs
-    v = stats.g[..., e] - np.einsum("dlj,dje->dle", gd, stats.S[:, d[:, None], e])
-    w = np.linalg.solve(S_ee, v.transpose(0, 2, 1))
+def _batch_size(stats: BayesFactorStatistics) -> int:
+    """Models per kernel call: a model's largest gathered array has at most
+    D * max(L, K) * K entries, and a batch keeps them within BATCH_ENTRIES."""
+    D, L = stats.q0.shape
+    k = max(len(stats.candidates), 1)
+    return max(1, BATCH_ENTRIES // max(D * max(L, k) * k, 1))
+
+
+def _batch_log_terms(
+    stats: BayesFactorStatistics, included: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Log Bayes-factor terms of a batch of B models that exclude the same
+    number E of candidates; row b of ``included`` (B, K) marks the
+    candidates model b keeps.
+
+    Returns the terms (B, D, L) and whether each model's excluded Schur
+    complement S_ee is positive definite on each design (B, D, 1); a term
+    is valid only then. One right-looking Cholesky of every S_ee, a loop
+    over its E columns vectorised over every (model, design), also
+    eliminates the rows v = g_e - S_ed gamma_d of every state below it (a
+    forward solve L w = v), giving log|S_ee| = sum of the log pivots and
+    v'S_ee^-1 v = |w|^2. The gathered arrays put the model, design and
+    state axes last, so each step is one operation on contiguous arrays.
+    """
+    B = included.shape[0]
+    inc = np.nonzero(included)[1].reshape(B, -1).T  # (d, B) candidate positions
+    exc = np.nonzero(~included)[1].reshape(B, -1).T  # (E, B)
+    E = exc.shape[0]
+    S, M = np.moveaxis(stats.S, 0, -1), np.moveaxis(stats.M, 0, -1)  # (K, K, D)
+    gamma = np.moveaxis(stats.gamma, -1, 0)  # (s, D, L)
+    candidates = np.array(stats.candidates, dtype=int)
+    gamma_d, gamma_e = gamma[candidates[inc]], gamma[candidates[exc]]  # (., B, D, L)
+    gamma_f = gamma[list(stats.fixed)]  # (|F|, D, L)
+    A = S[exc[:, None], exc[None, :]]  # (E, E, B, D), factored in place
+    v = np.moveaxis(stats.g, -1, 0)[exc] - np.einsum(
+        "ibdl,iebd->ebdl", gamma_d, S[inc[:, None], exc[None, :]]
+    )
     quad = (
         stats.q0
-        - 2.0 * np.einsum("dli,dli->dl", gd, stats.b[..., d])
-        + np.einsum("dli,dij,dlj->dl", gd, stats.M[:, d[:, None], d], gd)
-        + np.einsum("dli,dil->dl", v, w)
+        - 2.0 * np.einsum("ibdl,ibdl->bdl", gamma_d, np.moveaxis(stats.b, -1, 0)[inc])
+        + np.einsum("ibdl,ijbd,jbdl->bdl", gamma_d, M[inc[:, None], inc[None, :]], gamma_d)
+    )
+    # a non-positive pivot makes NaN or inf of its own (model, design) only
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(E):
+            root = np.sqrt(A[j, j])
+            A[j + 1:, j] /= root  # column j of L below the diagonal
+            A[j + 1:, j + 1:] -= A[j + 1:, None, j] * A[None, j + 1:, j]
+            v[j] /= root[..., None]  # w_j
+            v[j + 1:] -= v[j] * A[j + 1:, j, ..., None]
+        pivots = A[np.arange(E), np.arange(E)]  # (E, B, D)
+        logdet = np.log(pivots).sum(axis=0)
+    valid = (pivots > 0.0).all(axis=0) & np.isfinite(logdet)
+    quad += np.einsum("ebdl,ebdl->bdl", v, v)
+    gamma_c2 = np.einsum("fdl,fdl->dl", gamma_f, gamma_f) + np.einsum(
+        "ebdl,ebdl->bdl", gamma_e, gamma_e
     )
     terms = (
-        0.5 * gc.shape[-1] * np.log(stats.phi2)
-        + 0.5 * (stats.logdet_f + logdet_e)[:, None]
-        + (np.einsum("dli,dli->dl", gc, gc) / stats.phi2 - quad) / (2.0 * stats.sigma2)
+        0.5 * (len(stats.fixed) + E) * np.log(stats.phi2)
+        + 0.5 * (stats.logdet_f + logdet)[..., None]
+        + (gamma_c2 / stats.phi2 - quad) / (2.0 * stats.sigma2)
     )
-    return terms[valid].ravel()
+    return terms, valid[..., None]
+
+
+def _summaries(
+    stats: BayesFactorStatistics, terms: np.ndarray, valid: np.ndarray
+) -> list[Optional[BayesFactorEstimate]]:
+    """Average each model's valid terms (log-sum-exp); None for a model
+    with no valid term."""
+    B = terms.shape[0]
+    valid = np.broadcast_to(valid, terms.shape).reshape(B, -1)
+    terms = np.where(valid, terms.reshape(B, -1), -np.inf)
+    count = valid.sum(axis=1)
+    top = terms.max(axis=1, initial=-np.inf)
+    top[count == 0] = 0.0  # no valid term: the model is dropped below
+    weights = np.exp(terms - top[:, None])
+    weight_sum = weights.sum(axis=1)
+    kept = np.maximum(count, 1)
+    mean = np.where(valid, terms, 0.0).sum(axis=1) / kept
+    squares = (np.where(valid, terms - mean[:, None], 0.0) ** 2).sum(axis=1)
+    variance = squares / np.maximum(count - 1, 1)  # 0 for a single term
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_value = top + np.log(weight_sum) - np.log(kept)
+        ess = weight_sum**2 / (weights * weights).sum(axis=1)
+    return [
+        BayesFactorEstimate(
+            log_value=float(log_value[b]),
+            sample_count=int(count[b]),
+            log_term_mean=float(mean[b]),
+            log_term_variance=float(variance[b]),
+            invalid_count=stats.state_count - int(count[b]),
+            weight_ess=float(ess[b]),
+        )
+        if count[b]
+        else None
+        for b in range(B)
+    ]
 
 
 def estimate_bayes_factor(
@@ -406,28 +485,22 @@ def estimate_bayes_factor(
     """Average the model's per-state terms over the states of ``stats``
     (log-sum-exp); its candidates must cover the model's included columns.
 
-    States with a singular excluded-column Gram matrix (for example a
-    monomorphic imputed column) invalidate that term only; the invalid
-    count is reported on the estimate.
+    States whose excluded Schur complement is not positive definite (for
+    example with a monomorphic imputed column) invalidate that term only;
+    the invalid count is reported on the estimate. The model is scored by
+    the batch kernel as a batch of one.
     """
-    terms = _log_terms(stats, delta)
-    count = terms.shape[0]
-    invalid = stats.state_count - count
-    if count == 0:
-        raise EstimationError(
-            f"all {invalid} terms invalid for model {delta.bitstring()}"
+    if delta.s != stats.s or any(delta.bits[j] for j in stats.fixed):
+        raise ValueError(
+            f"model {delta.bitstring()} includes columns outside the candidates"
         )
-    top = float(terms.max())
-    weights = np.exp(terms - top)
-    weight_sum = float(weights.sum())
-    return BayesFactorEstimate(
-        log_value=top + math.log(weight_sum) - math.log(count),
-        sample_count=count,
-        log_term_mean=float(terms.mean()),
-        log_term_variance=float(terms.var(ddof=1)) if count > 1 else 0.0,
-        invalid_count=invalid,
-        weight_ess=weight_sum**2 / float(weights @ weights),
-    )
+    included = np.array([[delta.bits[j] == 1 for j in stats.candidates]], dtype=bool)
+    (estimate,) = _summaries(stats, *_batch_log_terms(stats, included))
+    if estimate is None:
+        raise EstimationError(
+            f"all {stats.state_count} terms invalid for model {delta.bitstring()}"
+        )
+    return estimate
 
 
 # -- search -------------------------------------------------------------------
@@ -528,17 +601,30 @@ def exhaustive_search(
     config = config or SearchConfig()
     s_full = samples.data.design_dim
     stats = bayes_factor_statistics(samples[-config.min_samples_per_bf:], candidates)
+    # row m: the candidates (in stats' order) that mask m's model includes
+    position = {j: k for k, j in enumerate(stats.candidates)}
+    masks = np.arange(2 ** len(candidates))
+    included = np.zeros((masks.size, len(stats.candidates)), dtype=bool)
+    for k, j in enumerate(candidates):
+        included[:, position[j]] |= (masks >> k & 1).astype(bool)
+    estimates: list[Optional[BayesFactorEstimate]] = [None] * masks.size
+    batch = _batch_size(stats)
+    sizes = included.sum(axis=1)
+    for size in np.unique(sizes):
+        group = np.flatnonzero(sizes == size)
+        for start in range(0, group.size, batch):
+            rows = group[start:start + batch]
+            scored = _summaries(stats, *_batch_log_terms(stats, included[rows]))
+            for m, est in zip(rows, scored):
+                estimates[m] = est
     results = []
-    skipped = 0
-    for mask in range(2 ** len(candidates)):
-        included = [candidates[k] for k in range(len(candidates)) if mask >> k & 1]
-        delta = ModelIndicator.from_included(s_full, included)
-        try:
-            est = estimate_bayes_factor(stats, delta)
-        except EstimationError:
-            skipped += 1
-            continue
-        results.append((delta, est))
+    for m, est in enumerate(estimates):
+        if est is not None:
+            delta = ModelIndicator.from_included(
+                s_full, [c for k, c in enumerate(candidates) if m >> k & 1]
+            )
+            results.append((delta, est))
+    skipped = masks.size - len(results)
     if not results:
         raise EstimationError(
             f"every candidate model failed estimation ({skipped} skipped)"

@@ -11,8 +11,10 @@ from snpgibbs.selector import (
     EstimationError,
     ModelIndicator,
     SearchConfig,
+    BayesFactorStatistics,
     _SingularGram,
-    _log_terms,
+    _batch_log_terms,
+    _batch_size,
     bayes_factor_statistics,
     bf_sample_term,
     estimate_bayes_factor,
@@ -201,6 +203,29 @@ class TestEstimator:
         with pytest.raises(EstimationError, match="invalid"):
             estimate(samples, ModelIndicator((1, 1, 0)))
 
+    def test_indefinite_schur_complement_invalid(self):
+        # S = -I_2 has determinant +1, yet it is not positive definite: a
+        # model excluding both candidates has no valid term
+        L = 3
+        stats = BayesFactorStatistics(
+            2, (0, 1), (),
+            logdet_f=np.zeros(1),
+            M=np.zeros((1, 2, 2)),
+            S=-np.eye(2)[None],
+            q0=np.zeros((1, L)),
+            b=np.zeros((1, L, 2)),
+            g=np.ones((1, L, 2)),
+            gamma=np.full((1, L, 2), 0.5),
+            sigma2=np.ones((1, L)),
+            phi2=np.ones((1, L)),
+            invalid=0,
+        )
+        assert np.linalg.slogdet(stats.S[0])[0] > 0
+        for delta in (ModelIndicator((0, 0)), ModelIndicator((1, 0))):
+            with pytest.raises(EstimationError, match=f"all {L} terms invalid"):
+                estimate_bayes_factor(stats, delta)
+        assert estimate_bayes_factor(stats, ModelIndicator((1, 1))).log_value == 0.0
+
 
 def imputed_states(coding, kinship, count=40, seed=5, missing=0.2, constant_snp=None):
     """PosteriorSamples whose states each complete the missing genotypes
@@ -305,6 +330,62 @@ class TestBlockElimination:
         )
 
 
+ESTIMATE_FIELDS = (
+    "log_value", "sample_count", "invalid_count",
+    "log_term_mean", "log_term_variance", "weight_ess",
+)
+
+
+def _assert_batches_match_single_models(samples, candidates, window):
+    """Each model of an exhaustive search (scored in batches) equals its
+    single-model ``estimate_bayes_factor`` field by field, within 1e-12
+    relative."""
+    trace = exhaustive_search(samples, candidates, SearchConfig(min_samples_per_bf=window))
+    assert len(trace.estimates) == 2 ** len(candidates)
+    stats = bayes_factor_statistics(samples[-window:], candidates)
+    for delta, est in trace.estimates.items():
+        single = estimate_bayes_factor(stats, delta)
+        for name in ESTIMATE_FIELDS:
+            assert math.isclose(
+                getattr(est, name), getattr(single, name), rel_tol=1e-12, abs_tol=0.0
+            ), (delta.bitstring(), name)
+    return stats
+
+
+class TestBatchedScoring:
+    @pytest.mark.parametrize("kinship", ["identity", "correlated"])
+    def test_missing_genotypes(self, kinship):
+        data, samples = imputed_states("additive_dominance", kinship)
+        candidates = data.design_columns_of_snp(0) + data.design_columns_of_snp(3)
+        stats = _assert_batches_match_single_models(samples, candidates, 40)
+        assert stats.q0.shape == (40, 1)
+
+    @pytest.mark.parametrize("kinship", ["identity", "correlated"])
+    def test_shared_design(self, kinship):
+        data, samples = imputed_states("additive_dominance", kinship, missing=0.0)
+        candidates = data.design_columns_of_snp(1) + data.design_columns_of_snp(2)
+        stats = _assert_batches_match_single_models(samples, candidates, 40)
+        assert stats.q0.shape == (1, 40)
+
+    def test_pedigree_kinship_over_several_batches(self):
+        from snpgibbs.simulator import (
+            MissingnessMask, apply_missingness, simulate_dataset, six_family_design,
+        )
+
+        data, _ = simulate_dataset(six_family_design(), seed=3)
+        data = apply_missingness(data, MissingnessMask(0.1, seed=3))
+        post = run_chain(
+            data, default_priors(),
+            GibbsConfig(total_iterations=300, burn_in=100, thinning=1, seed=3),
+        )
+        candidates = list(range(data.design_dim))  # 10 columns, 1024 models
+        stats = _assert_batches_match_single_models(post, candidates, 200)
+        # the largest excluded-set group spans several batches of the cap
+        assert stats.q0.shape == (200, 1)
+        batch = _batch_size(stats)
+        assert 1 < batch and 4 * batch < math.comb(len(candidates), len(candidates) // 2)
+
+
 def _reference_terms(states, data, delta):
     """Per-state ``bf_sample_term``s of the states whose excluded Gram
     matrix is nonsingular, in window order."""
@@ -318,20 +399,31 @@ def _reference_terms(states, data, delta):
 
 
 def _assert_walk_matches_reference(samples, candidates):
-    """Every model over ``candidates``: the walk keeps the reference's
-    valid states, and each of its per-state terms equals the reference
-    within 1e-9. Returns how many terms each model kept."""
+    """Every model over ``candidates``: the batch kernel, scoring the models
+    of each excluded-set size as one batch, keeps the reference's valid
+    states, and each of its per-state terms equals the reference within
+    1e-9. Returns how many terms each model kept."""
     data, states = samples.data, states_of(samples)
     stats = bayes_factor_statistics(samples, candidates)
+    position = [stats.candidates.index(c) for c in candidates]
+    masks = range(2 ** len(candidates))
+    included = np.zeros((len(masks), len(stats.candidates)), dtype=bool)
+    for mask in masks:
+        for k in range(len(candidates)):
+            included[mask, position[k]] = bool(mask >> k & 1)
     kept = {}
-    for mask in range(2 ** len(candidates)):
-        included = [c for k, c in enumerate(candidates) if mask >> k & 1]
-        delta = ModelIndicator.from_included(data.design_dim, included)
-        reference = _reference_terms(states, data, delta)
-        terms = _log_terms(stats, delta)
-        assert len(terms) == len(reference)
-        assert np.max(np.abs(terms - reference), initial=0.0) < 1e-9
-        kept[tuple(included)] = len(terms)
+    for size in set(included.sum(axis=1)):
+        rows = np.flatnonzero(included.sum(axis=1) == size)
+        terms, valid = _batch_log_terms(stats, included[rows])
+        valid = np.broadcast_to(valid, terms.shape)
+        for b, mask in enumerate(rows):
+            chosen = [c for k, c in enumerate(candidates) if mask >> k & 1]
+            delta = ModelIndicator.from_included(data.design_dim, chosen)
+            reference = _reference_terms(states, data, delta)
+            model_terms = terms[b][valid[b]]
+            assert len(model_terms) == len(reference)
+            assert np.max(np.abs(model_terms - reference), initial=0.0) < 1e-9
+            kept[tuple(chosen)] = len(model_terms)
     return kept
 
 
