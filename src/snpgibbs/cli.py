@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__, io
 from .em import EmConfig, run_em
 from .gibbs import (
+    HPD_MIN_DRAWS,
     ChainNumericalError,
     GibbsConfig,
     PosteriorSamples,
@@ -36,7 +37,13 @@ from .model import (
     PriorHyperparams,
 )
 from .pedigree import PedigreeError, build_numerator_matrix, extract_submatrix, order_pedigree
-from .selector import EstimationError, SearchConfig, exhaustive_search, mh_model_search
+from .selector import (
+    EXHAUSTIVE_CANDIDATE_LIMIT,
+    EstimationError,
+    SearchConfig,
+    exhaustive_search,
+    mh_model_search,
+)
 from .simulator import (
     MissingnessMask,
     apply_missingness,
@@ -265,33 +272,41 @@ def _imputation_prior(settings, data) -> ImputationPrior:
     return ImputationPrior()
 
 
-def _gibbs_config(settings, data, seed) -> GibbsConfig:
-    return GibbsConfig(
-        total_iterations=settings["iters"],
-        burn_in=settings["burnin"],
-        thinning=settings["thin"],
-        seed=seed,
-        imputation_prior=_imputation_prior(settings, data),
-        impute_mode=settings["impute_mode"],
-    )
-
-
 def _priors(settings) -> PriorHyperparams:
     return PriorHyperparams(
         settings["prior_a"], settings["prior_b"], settings["prior_c"], settings["prior_d"]
     )
 
 
-def _run_chains(settings, data) -> list[PosteriorSamples]:
+def _chain_configs(settings, data, summary: bool) -> list[GibbsConfig]:
+    """One config per live chain, seeded seed, seed+1, ..., checked before
+    any chain runs: --chains below 1, a bad imputation prior file, chain
+    lengths GibbsConfig refuses and, when the draws feed HPD intervals
+    (``summary``), fewer than HPD_MIN_DRAWS draws in all exit 3."""
+    chains = settings["chains"]
+    if chains < 1:
+        raise DataValidationError(f"--chains must be at least 1, got {chains}")
+    prior = _imputation_prior(settings, data)
+    iters, burnin, thin = settings["iters"], settings["burnin"], settings["thin"]
+    configs = [
+        GibbsConfig(iters, burnin, thin, seed=settings["seed"] + k,
+                    imputation_prior=prior, impute_mode=settings["impute_mode"])
+        for k in range(chains)
+    ]
+    draws = chains * configs[0].retained_count
+    if summary and draws < HPD_MIN_DRAWS:
+        raise DataValidationError(
+            f"--iters {iters} --burnin {burnin} --thin {thin} keep {draws} draws "
+            f"over {chains} chain(s); HPD intervals need at least {HPD_MIN_DRAWS}"
+        )
+    return configs
+
+
+def _run_chains(settings, data, configs) -> list[PosteriorSamples]:
     # one after another: the work is many small GIL-bound numpy calls, so
     # threads only add hand-over cost
-    if settings["chains"] < 1:
-        raise DataValidationError(f"--chains must be at least 1, got {settings['chains']}")
     priors = _priors(settings)
-    return [
-        run_chain(data, priors, _gibbs_config(settings, data, settings["seed"] + k))
-        for k in range(settings["chains"])
-    ]
+    return [run_chain(data, priors, config) for config in configs]
 
 
 def _merge_chains(chains: list[PosteriorSamples]) -> PosteriorSamples:
@@ -306,10 +321,11 @@ def _merge_chains(chains: list[PosteriorSamples]) -> PosteriorSamples:
 
 def cmd_run(settings: Settings) -> int:
     data = _load_dataset(settings)
+    configs = _chain_configs(settings, data, summary=True)
     manifest = settings.manifest()
     lines = _manifest_lines(manifest)
     out = _outdir(settings)
-    chains = _run_chains(settings, data)
+    chains = _run_chains(settings, data, configs)
     merged = _merge_chains(chains)
     level = settings["level"]
     if len(chains) == 1:
@@ -355,14 +371,17 @@ def _parse_candidates(spec: str, samples: PosteriorSamples, level: float) -> lis
 
 def cmd_select(settings: Settings) -> int:
     data = _load_dataset(settings)
+    live = not settings["samples"]
+    if live:
+        configs = _chain_configs(settings, data, settings["candidates"] == "significant")
     manifest = settings.manifest()
     lines = _manifest_lines(manifest)
     out = _outdir(settings)
 
-    if settings["samples"]:
-        samples = io.read_samples(settings["samples"], data)
+    if live:
+        samples = _merge_chains(_run_chains(settings, data, configs))
     else:
-        samples = _merge_chains(_run_chains(settings, data))
+        samples = io.read_samples(settings["samples"], data)
 
     candidates = _parse_candidates(settings["candidates"], samples, settings["level"])
     config = SearchConfig(
@@ -372,6 +391,12 @@ def cmd_select(settings: Settings) -> int:
         min_samples_per_bf=settings["min_samples_per_bf"],
     )
     if settings["exhaustive"]:
+        if len(candidates) > EXHAUSTIVE_CANDIDATE_LIMIT:
+            raise DataValidationError(
+                f"{len(candidates)} candidates exceed the exhaustive limit of "
+                f"{EXHAUSTIVE_CANDIDATE_LIMIT}; drop --exhaustive to search them "
+                "by Metropolis-Hastings"
+            )
         trace = exhaustive_search(samples, candidates, config)
     else:
         trace = mh_model_search(samples, candidates, config)

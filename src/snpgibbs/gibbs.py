@@ -72,6 +72,9 @@ __all__ = [
 # width of the diagonal blocks in the gamma draw's back-substitution
 GAMMA_BLOCK = 32
 
+# draws an HPD interval needs
+HPD_MIN_DRAWS = 100
+
 
 class ChainNumericalError(RuntimeError):
     """Numerical failure inside the chain; carries iteration and last state."""
@@ -595,8 +598,8 @@ def hpd_interval(samples: np.ndarray, level: float = 0.95) -> CredibleInterval:
     """Shortest interval containing ``level`` posterior mass (sorted-window scan)."""
     draws = np.sort(np.asarray(samples, dtype=float))
     n = draws.shape[0]
-    if n < 100:
-        raise ValueError(f"need at least 100 draws for an HPD interval, got {n}")
+    if n < HPD_MIN_DRAWS:
+        raise ValueError(f"need at least {HPD_MIN_DRAWS} draws for an HPD interval, got {n}")
     if not 0 < level < 1:
         raise ValueError("level must lie in (0, 1)")
     m = int(np.ceil(level * n))

@@ -25,9 +25,15 @@ whitened completed design (W the inverse Cholesky factor of R):
 H = Z'R^-1Z and h = Z'R^-1(Y - X beta). The columns every model excludes
 (F, the non-candidates) are eliminated from H by one Cholesky factor per
 completed design (one per search when no genotype is missing), leaving
-candidate-sized arrays. The designs are walked in window order: a state
-rewhitens only the design columns that changed since the previous state
-and recomputes only their rows and columns of H.
+candidate-sized arrays. The designs are walked in window order by the
+masked cells whose imputed code changed since the previous state: only
+those cells' design values are written, and only the design columns whose
+values changed are rewhitened and have their rows and columns of H
+recomputed. The designs' Grams are reduced in chunks of at most
+``BATCH_ENTRIES`` entries, one batched Cholesky factorization and one set
+of batched products per chunk. A design whose H_FF is singular is dropped
+with its states; a chunk whose batched factorization fails is factored
+design by design, so the other designs stay.
 
 A model is then scored on the Schur complement S_ee of its excluded
 candidates, and its term on a design is valid only when S_ee is positive
@@ -71,8 +77,9 @@ __all__ = [
 ]
 
 EXHAUSTIVE_CANDIDATE_LIMIT = 20
-# entries of a model batch's largest gathered array: an exhaustive search's
-# memory stays flat however many models it scores
+# entries of a model batch's largest gathered array, and of the chunk of
+# design Grams the statistics reduce at once: a search's memory stays flat
+# however many models it scores and however long its window
 BATCH_ENTRIES = 2**17
 
 
@@ -261,13 +268,14 @@ class BayesFactorStatistics:
     Schur complement S = H_KK - M, which depend on the design only, and
     q0 = h_F'H_FF^-1 h_F, b = H_KF H_FF^-1 h_F, g = h_K - b, gamma, sigma^2
     and phi^2, which depend on the state. All of them are read from one
-    Cholesky factor L_FF of H_FF per design (see
-    ``bayes_factor_statistics``). With no missing genotype every
-    state shares the observed design, otherwise each state has its own; the
-    design arrays hold one row per design whose H_FF is positive definite
-    (D rows) and the state arrays are grouped under them (D x L, L states
-    per design). States of a design with a singular H_FF are invalid for
-    every model and only counted.
+    Cholesky factor L_FF of H_FF per design, the designs' factors taken in
+    batched chunks (see ``bayes_factor_statistics``). With no missing
+    genotype every state shares the observed design, otherwise each state
+    has its own; the design arrays hold one row per design whose H_FF is
+    positive definite (D rows, in window order) and the state arrays are
+    grouped under them (D x L, L states per design). States of a design
+    with a singular H_FF are invalid for every model and only counted,
+    whichever chunk the design falls in.
     """
 
     s: int
@@ -289,22 +297,51 @@ class BayesFactorStatistics:
         return self.q0.size + self.invalid
 
 
+def _lifted_factors(grams: np.ndarray, lift: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of a chunk of Grams with 1 added to the
+    diagonal entries ``lift``, and which of them exist. One batched
+    factorization; if it fails, each design is factored on its own and a
+    failed one gets the identity as a placeholder. ``grams`` is lifted in
+    place and restored exactly."""
+    diagonal = grams[:, lift, lift]
+    grams[:, lift, lift] += 1.0
+    ok = np.ones(len(grams), dtype=bool)
+    try:
+        factors = np.linalg.cholesky(grams)
+    except np.linalg.LinAlgError:
+        factors = np.empty_like(grams)
+        for i, lifted in enumerate(grams):
+            try:
+                factors[i] = np.linalg.cholesky(lifted)
+            except np.linalg.LinAlgError:
+                factors[i], ok[i] = np.eye(len(lifted)), False
+    grams[:, lift, lift] = diagonal
+    return factors, ok
+
+
 def bayes_factor_statistics(
     samples: PosteriorSamples, candidates: Iterable[int]
 ) -> BayesFactorStatistics:
     """Reduce each state of ``samples`` to the candidate-sized statistics
     that score every model including only columns from ``candidates``.
 
-    The rows are walked in order; a row's design is its ``masked_values``
-    written into one code buffer. A = W[Z_F | Z_K | X | y] is whitened in
-    full for the first design; a later design rewhitens only the columns
-    whose design values changed and recomputes their rows and columns of
-    A'A. Each design then takes one lower Cholesky factor of A'A with 1
-    added to the diagonal of its trailing (K, X, y) block. That block's
-    Schur complement is then at least I, so the factorization fails exactly
-    when H_FF is singular. The factor's first |F| columns hold L_FF (hence
-    log|H_FF|) and, below it, V = L_FF^-1 Z_F'R^-1[Z_K X y], from which every
-    statistic follows with matrix products: M = V_K'V_K and, per state,
+    A = W[Z_F | Z_K | X | y] is whitened in full for the first design. The
+    later designs are walked in window order, a chunk at a time, by the
+    masked cells whose code differs between consecutive rows of
+    ``masked_values``: only those cells' design values are written (from
+    ``model.CODINGS``), and only the design columns whose values changed are
+    rewhitened and have their rows and columns of A'A recomputed. Each
+    design's A'A is copied into a buffer of (chunk, T, T) Grams,
+    T = s + p + 1, with chunk * T^2 at most ``BATCH_ENTRIES``. Each chunk
+    then takes one batched lower Cholesky factorization of its Grams with 1
+    added to the diagonal of the trailing (K, X, y) block. That block's
+    Schur complement is then at least I, so a design's factorization fails
+    exactly when its H_FF is singular; when one does, the chunk's designs
+    are factored one at a time and only the failing ones are dropped. The
+    factor's first |F| columns hold L_FF (hence log|H_FF|) and, below it,
+    V = L_FF^-1 Z_F'R^-1[Z_K X y], from which every statistic follows with
+    batched matrix products: M = V_K'V_K, S = H_KK - M from the unlifted
+    Gram and, per state,
     v = V_y - V_X beta, q0 = |v|^2 and b = V_K'v.
     """
     data = samples.data
@@ -318,6 +355,7 @@ def bayes_factor_statistics(
             raise ValueError(f"candidate index {j} out of range")
     F = sorted(set(range(s)) - set(K))
     f, k, p = len(F), len(K), data.X.shape[1]
+    T = s + p + 1
     W = np.linalg.inv(np.linalg.cholesky(data.R))
     position = np.empty(s, dtype=int)  # design column -> column of A
     position[F + K] = np.arange(s)
@@ -326,44 +364,71 @@ def bayes_factor_statistics(
     mask = data.genotypes.missing_mask
     D = count if mask.any() else 1
     L = count // D
+    masked = samples.masked_values[:D]
     codes = data.genotypes.codes.copy()
+    codes[mask] = masked[0]
+    Z = np.empty((data.n, s))  # the current design, in A's column order
+    Z[:, position] = snp_design_matrix(codes, data.snp_coding)
+    # each masked cell's individual and design columns (as columns of A)
+    table = data.coding.values
+    individuals, snps = np.nonzero(mask)  # masked_values order
+    cell_columns = position[snps[:, None] * table.shape[1] + np.arange(table.shape[1])]
+
     betas = samples.betas.reshape(D, L, p)
     logdet_f = np.empty(D)
     M, S = np.empty((D, k, k)), np.empty((D, k, k))
     q0, b, g = np.empty((D, L)), np.empty((D, L, k)), np.empty((D, L, k))
     valid = np.ones(D, dtype=bool)
-    A = np.zeros((data.n, s + p + 1))
+    A = np.zeros((data.n, T))
     A[:, s:s + p] = W @ data.X
     A[:, -1] = W @ data.y
     H = A.T @ A
-    previous = np.full((data.n, s), np.nan)  # NaN != anything: the first design fills A
-    lift = np.arange(f, s + p + 1)
-    for r in range(D):
-        codes[mask] = samples.masked_values[r]
-        Z = snp_design_matrix(codes, data.snp_coding)
-        changed = np.flatnonzero((Z != previous).any(axis=0))
-        previous = Z
-        cols = position[changed]
-        A[:, cols] = W @ Z[:, changed]
-        cross = A.T @ A[:, cols]
-        H[:, cols] = cross
-        H[cols, :] = cross.T
-        lifted = H.copy()
-        lifted[lift, lift] += 1.0
-        try:
-            factor = np.linalg.cholesky(lifted)
-        except np.linalg.LinAlgError:
-            valid[r] = False
-            continue
+
+    def rewhiten(columns):
+        A[:, columns] = W @ Z[:, columns]
+        cross = A.T @ A[:, columns]
+        H[:, columns] = cross
+        H[columns, :] = cross.T
+
+    rewhiten(np.arange(s))  # the first design fills A
+    lift = np.arange(f, T)
+    chunk = min(D, max(1, BATCH_ENTRIES // (T * T)))
+    grams = np.empty((chunk, T, T))
+    for first in range(0, D, chunk):
+        span = np.arange(first, min(first + chunk, D))
+        m = span.size
+        # the cells whose code differs from the design before (the first
+        # design is its own), and of those the design entries that change
+        before, after = masked[np.maximum(span - 1, 0)], masked[span]
+        design, cell = np.nonzero(before != after)
+        new = table[after[design, cell] + 1]  # (changed cells, columns per SNP)
+        which, t = np.nonzero(new != table[before[design, cell] + 1])
+        design, cell = design[which], cell[which]
+        individual, column, value = individuals[cell], cell_columns[cell, t], new[which, t]
+        changed = np.zeros((m, s), dtype=bool)
+        changed[design, column] = True
+        changed_design, changed_column = np.nonzero(changed)
+        # design i writes entries e[i]:e[i + 1], rewhitens changed_column[c[i]:c[i + 1]]
+        e = np.searchsorted(design, np.arange(m + 1)).tolist()
+        c = np.searchsorted(changed_design, np.arange(m + 1)).tolist()
+        for i in range(m):
+            write = slice(e[i], e[i + 1])
+            Z[individual[write], column[write]] = value[write]
+            if c[i] < c[i + 1]:
+                rewhiten(changed_column[c[i]:c[i + 1]])
+            grams[i] = H
+        done, G = slice(first, first + m), grams[:m]
+        factors, valid[done] = _lifted_factors(G, lift)
         # V' = Z_F'R^-1[Z_K X y] L_FF^-T lies below L_FF, by blocks
-        V_k, V_x, V_y = factor[f:s, :f], factor[s:s + p, :f], factor[-1, :f]
-        logdet_f[r] = 2.0 * np.log(factor.diagonal()[:f]).sum()
-        M[r] = V_k @ V_k.T
-        S[r] = H[f:s, f:s] - M[r]
-        v = V_y - betas[r] @ V_x
-        q0[r] = np.einsum("lf,lf->l", v, v)
-        b[r] = v @ V_k.T
-        g[r] = H[-1, f:s] - betas[r] @ H[s:s + p, f:s] - b[r]
+        V_k, V_x, V_y = factors[:, f:s, :f], factors[:, s:s + p, :f], factors[:, -1:, :f]
+        pivots = np.diagonal(factors, axis1=1, axis2=2)[:, :f]
+        logdet_f[done] = 2.0 * np.log(pivots).sum(axis=1)
+        M[done] = V_k @ V_k.transpose(0, 2, 1)
+        S[done] = G[:, f:s, f:s] - M[done]
+        v = V_y - betas[done] @ V_x
+        q0[done] = np.einsum("dlf,dlf->dl", v, v)
+        b[done] = v @ V_k.transpose(0, 2, 1)
+        g[done] = G[:, -1:, f:s] - betas[done] @ G[:, s:s + p, f:s] - b[done]
     return BayesFactorStatistics(
         s, tuple(K), tuple(F),
         logdet_f=logdet_f[valid],

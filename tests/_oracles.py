@@ -6,11 +6,12 @@ over the coefficient prior, posterior state streams come from exact
 conjugate Gaussian draws (sigma^2 and phi^2 held fixed), and the genotype
 conditional is drawn by a per-cell numpy loop over the full residual image.
 The beta and gamma draws, the chain's per-block sweep, EM's exact and
-Monte Carlo E-steps, the samples writer, the genotype coding and the
-pedigree ordering and kinship recursion each have their earlier, plainer
-form here as the reference for the faster one. The per-individual
-genotype conditional (exact only at R = I) and the Bayes-factor bridge
-weight g live here too: only tests use them.
+Monte Carlo E-steps, the samples writer, the genotype coding, the
+pedigree ordering and kinship recursion and the design-by-design walk of
+the Bayes-factor statistics each have their earlier, plainer form here as
+the reference for the faster one. The per-individual genotype conditional
+(exact only at R = I) and the Bayes-factor bridge weight g live here too:
+only tests use them.
 """
 
 import itertools
@@ -28,7 +29,7 @@ from snpgibbs.model import (
     genotype_column_values,
     snp_design_matrix,
 )
-from snpgibbs.selector import _excluded_pieces
+from snpgibbs.selector import BayesFactorStatistics, EstimationError, _excluded_pieces
 from snpgibbs.pedigree import (
     OrderedPedigree,
     PedigreeError,
@@ -162,6 +163,80 @@ def g_weight(state, data, delta):
         - quad / (2.0 * state.sigma2)
     )
     return math.exp(log_g)
+
+
+def per_design_statistics(samples, candidates):
+    """Reference ``bayes_factor_statistics``: the window walked design by
+    design. Each design is rebuilt in full from its row of codes and
+    compared with the one before; the changed columns of A = W[Z_F | Z_K |
+    X | y] are rewhitened and their rows and columns of A'A recomputed, and
+    each design takes its own Cholesky factor of A'A with 1 added to the
+    diagonal of the trailing (K, X, y) block (it fails exactly when H_FF is
+    singular) and its own reductions."""
+    data = samples.data
+    count = samples.retained_count
+    if count == 0:
+        raise EstimationError("no posterior states to estimate from")
+    s = data.design_dim
+    K = sorted({int(j) for j in candidates})
+    F = sorted(set(range(s)) - set(K))
+    f, k, p = len(F), len(K), data.X.shape[1]
+    W = np.linalg.inv(np.linalg.cholesky(data.R))
+    position = np.empty(s, dtype=int)  # design column -> column of A
+    position[F + K] = np.arange(s)
+    mask = data.genotypes.missing_mask
+    D = count if mask.any() else 1
+    L = count // D
+    codes = data.genotypes.codes.copy()
+    betas = samples.betas.reshape(D, L, p)
+    logdet_f = np.empty(D)
+    M, S = np.empty((D, k, k)), np.empty((D, k, k))
+    q0, b, g = np.empty((D, L)), np.empty((D, L, k)), np.empty((D, L, k))
+    valid = np.ones(D, dtype=bool)
+    A = np.zeros((data.n, s + p + 1))
+    A[:, s:s + p] = W @ data.X
+    A[:, -1] = W @ data.y
+    H = A.T @ A
+    previous = np.full((data.n, s), np.nan)  # NaN != anything: the first design fills A
+    lift = np.arange(f, s + p + 1)
+    for r in range(D):
+        codes[mask] = samples.masked_values[r]
+        Z = snp_design_matrix(codes, data.snp_coding)
+        changed = np.flatnonzero((Z != previous).any(axis=0))
+        previous = Z
+        cols = position[changed]
+        A[:, cols] = W @ Z[:, changed]
+        cross = A.T @ A[:, cols]
+        H[:, cols] = cross
+        H[cols, :] = cross.T
+        lifted = H.copy()
+        lifted[lift, lift] += 1.0
+        try:
+            factor = np.linalg.cholesky(lifted)
+        except np.linalg.LinAlgError:
+            valid[r] = False
+            continue
+        V_k, V_x, V_y = factor[f:s, :f], factor[s:s + p, :f], factor[-1, :f]
+        logdet_f[r] = 2.0 * np.log(factor.diagonal()[:f]).sum()
+        M[r] = V_k @ V_k.T
+        S[r] = H[f:s, f:s] - M[r]
+        v = V_y - betas[r] @ V_x
+        q0[r] = np.einsum("lf,lf->l", v, v)
+        b[r] = v @ V_k.T
+        g[r] = H[-1, f:s] - betas[r] @ H[s:s + p, f:s] - b[r]
+    return BayesFactorStatistics(
+        s, tuple(K), tuple(F),
+        logdet_f=logdet_f[valid],
+        M=M[valid],
+        S=S[valid],
+        q0=q0[valid],
+        b=b[valid],
+        g=g[valid],
+        gamma=samples.gammas.reshape(D, L, s)[valid],
+        sigma2=samples.sigma2s.reshape(D, L)[valid],
+        phi2=samples.phi2s.reshape(D, L)[valid],
+        invalid=L * int((~valid).sum()),
+    )
 
 
 def sequential_impute(state, data, j, rng, prior):

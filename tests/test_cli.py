@@ -154,6 +154,24 @@ class TestRunCommand:
         assert "--chains" in capsys.readouterr().err
         assert not (out / "summary.csv").exists()
 
+    def test_too_few_draws_exit_3_before_any_chain(self, tmp_path, capsys):
+        # 50 retained draws: the summary's HPD intervals need 100
+        sim = simulate_inputs(tmp_path)
+        data = [
+            "--genotypes", sim / "genotypes.csv",
+            "--phenotypes", sim / "phenotypes.csv",
+            "--families", sim / "families.csv",
+            "--iters", "150", "--burnin", "100", "--thin", "1", "--seed", "1",
+        ]
+        out = tmp_path / "run"
+        assert run_cli("run", *data, "--out-dir", out) == 3
+        err = capsys.readouterr().err
+        assert "--iters 150 --burnin 100 --thin 1 keep 50 draws" in err
+        assert not out.exists()
+        # two such chains keep 100 draws in all: enough for the summary
+        assert run_cli("run", *data, "--chains", "2", "--out-dir", out) == 0
+        assert (out / "summary.csv").exists()
+
     def test_usage_error_exit_2(self):
         assert run_cli("run", "--not-a-flag") == 2
         assert run_cli() == 2
@@ -521,8 +539,9 @@ class TestSelectCommand:
         assert len(read_noncomment_lines(sel_out / "trace.csv")) == 1 + 8
         assert_replays("select", sel_out, ("trace.csv", "bf_diagnostics.csv", "best_model.txt"))
 
-    def test_too_many_exhaustive_candidates_exit_3(self, tmp_path):
+    def test_too_many_exhaustive_candidates_exit_3(self, tmp_path, capsys):
         code, run_out, _, base = self._run_and_select(tmp_path)
+        capsys.readouterr()
         out = tmp_path / "sel_big"
         code = run_cli(
             "select", *base, "--samples", run_out / "samples.csv",
@@ -530,6 +549,10 @@ class TestSelectCommand:
             "--exhaustive", "--out-dir", out,
         )
         assert code == 3
+        # the remedy is a flag of the command line, not a library function
+        err = capsys.readouterr().err
+        assert "21 candidates exceed the exhaustive limit of 20" in err
+        assert "drop --exhaustive" in err and "mh_model_search" not in err
 
     def test_samples_file_without_rows_exit_3(self, tmp_path, capsys):
         sim = simulate_inputs(tmp_path)
@@ -565,6 +588,22 @@ class TestSelectCommand:
         assert code == 3
         assert "--chains" in capsys.readouterr().err
         assert not (out / "trace.csv").exists()
+
+    def test_live_significant_select_too_few_draws_exit_3(self, tmp_path, capsys):
+        sim = simulate_inputs(tmp_path)
+        data = [
+            "--genotypes", sim / "genotypes.csv",
+            "--phenotypes", sim / "phenotypes.csv",
+            "--families", sim / "families.csv",
+            "--iters", "150", "--burnin", "100", "--thin", "1", "--seed", "1",
+        ]
+        out = tmp_path / "sel"
+        assert run_cli("select", *data, "--candidates", "significant", "--out-dir", out) == 3
+        assert "--iters 150 --burnin 100 --thin 1 keep 50 draws" in capsys.readouterr().err
+        assert not out.exists()
+        # explicit candidates need no HPD interval: the same chain selects
+        assert run_cli("select", *data, "--candidates", "snp1,snp2", "--out-dir", out) == 0
+        assert (out / "trace.csv").exists()
 
     def test_repeated_candidates_scored_once(self, tmp_path):
         sim = simulate_inputs(tmp_path)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
+from snpgibbs import selector
 from snpgibbs.gibbs import GibbsConfig, PosteriorSamples, run_chain
 from snpgibbs.model import GenotypeMatrix, PhenotypeVector, default_priors, snp_design_matrix
 from snpgibbs.selector import (
@@ -24,7 +25,12 @@ from snpgibbs.selector import (
 )
 
 from conftest import make_dataset
-from _oracles import conjugate_posterior_states, g_weight, quadrature_log_bayes_factor
+from _oracles import (
+    conjugate_posterior_states,
+    g_weight,
+    per_design_statistics,
+    quadrature_log_bayes_factor,
+)
 
 
 def toy_states(
@@ -497,6 +503,100 @@ class TestWindowWalk:
         count = samples.retained_count
         kept = _assert_walk_matches_reference(samples, [0, 2])
         assert kept == {(): 0, (0,): 0, (2,): count, (0, 2): count}
+
+
+STATISTICS_FIELDS = ("logdet_f", "M", "S", "q0", "b", "g", "gamma", "sigma2", "phi2")
+
+
+def _assert_statistics_match_oracle(samples, candidates):
+    """``bayes_factor_statistics`` equals the design-by-design reference in
+    every field, each within 1e-12 of its largest magnitude, with the same
+    grouping and invalid count."""
+    stats = bayes_factor_statistics(samples, candidates)
+    reference = per_design_statistics(samples, candidates)
+    assert (stats.s, stats.candidates, stats.fixed) == (
+        reference.s, reference.candidates, reference.fixed
+    )
+    assert stats.invalid == reference.invalid
+    for name in STATISTICS_FIELDS:
+        value, expected = getattr(stats, name), getattr(reference, name)
+        assert value.shape == expected.shape, name
+        scale = np.max(np.abs(expected), initial=0.0)
+        assert np.max(np.abs(value - expected), initial=0.0) <= 1e-12 * scale, name
+    return stats
+
+
+@pytest.fixture
+def factor_batches(monkeypatch):
+    """Record how many designs each Cholesky call factors (1 for a single
+    matrix); a test clears the record before the call it checks."""
+    sizes = []
+    cholesky = np.linalg.cholesky
+
+    def recording(a):
+        sizes.append(len(a) if np.ndim(a) == 3 else 1)
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    return sizes
+
+
+def _chunk_designs(monkeypatch, samples, designs):
+    """Cap the chunk buffer at ``designs`` Grams of the window's size."""
+    T = samples.data.design_dim + samples.data.X.shape[1] + 1
+    monkeypatch.setattr(selector, "BATCH_ENTRIES", designs * T * T)
+
+
+class TestChunkedStatistics:
+    @pytest.mark.parametrize("coding", ["signed", "additive_dominance"])
+    @pytest.mark.parametrize("kinship", ["identity", "correlated"])
+    def test_chunks_match_per_design_reference(
+        self, coding, kinship, monkeypatch, factor_batches
+    ):
+        data, samples = imputed_states(coding, kinship)
+        candidates = data.design_columns_of_snp(1) + data.design_columns_of_snp(3)
+        _chunk_designs(monkeypatch, samples, 7)
+        factor_batches.clear()
+        stats = _assert_statistics_match_oracle(samples, candidates)
+        assert stats.q0.shape == (40, 1) and stats.invalid == 0
+        # the kinship's factor, then six chunks of the 40 designs, the last partial
+        assert factor_batches[:7] == [1, 7, 7, 7, 7, 7, 5]
+
+    @pytest.mark.parametrize("thinning", [1, 4])
+    @pytest.mark.parametrize("kinship", ["identity", "correlated"])
+    def test_chain_window_matches_per_design_reference(
+        self, kinship, thinning, monkeypatch
+    ):
+        # one SNP redrawn per sweep: consecutive designs share most cells,
+        # and at thinning 1 some designs change none
+        samples = chain_window(kinship, thinning)
+        data = samples.data
+        candidates = data.design_columns_of_snp(0) + data.design_columns_of_snp(5)
+        _chunk_designs(monkeypatch, samples, 16)
+        stats = _assert_statistics_match_oracle(samples, candidates)
+        assert stats.q0.shape == (60, 1)
+
+    def test_singular_design_in_a_later_chunk(self, monkeypatch, factor_batches):
+        # state 7's design has a singular H_FF: its chunk of designs 6-8
+        # fails as a batch and is factored design by design
+        data, samples = imputed_states("additive_dominance", "correlated", constant_snp=4)
+        candidates = data.design_columns_of_snp(0) + data.design_columns_of_snp(2)
+        _chunk_designs(monkeypatch, samples, 3)
+        factor_batches.clear()
+        stats = _assert_statistics_match_oracle(samples, candidates)
+        assert stats.invalid == 1 and stats.q0.shape == (39, 1)
+        # the kinship's factor, 14 chunks, the third retried per design
+        assert factor_batches[:18] == [1, 3, 3, 3, 1, 1, 1] + [3] * 10 + [1]
+
+    @pytest.mark.parametrize("coding", ["signed", "additive_dominance"])
+    @pytest.mark.parametrize("kinship", ["identity", "correlated"])
+    def test_complete_genotypes_one_design(self, coding, kinship, factor_batches):
+        data, samples = imputed_states(coding, kinship, missing=0.0)
+        candidates = data.design_columns_of_snp(2)
+        factor_batches.clear()
+        stats = _assert_statistics_match_oracle(samples, candidates)
+        assert stats.q0.shape == (1, 40)
+        assert factor_batches[:2] == [1, 1]
 
 
 class TestProposal:
