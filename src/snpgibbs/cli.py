@@ -327,14 +327,15 @@ def cmd_run(settings: Settings) -> int:
     out = _outdir(settings)
     chains = _run_chains(settings, data, configs)
     merged = _merge_chains(chains)
-    level = settings["level"]
     if len(chains) == 1:
         io.write_samples(out / "samples.csv", chains[0], lines)
     else:
         for k, chain in enumerate(chains, start=1):
             io.write_samples(out / f"samples_chain{k}.csv", chain, lines)
-    io.write_summary(out / "summary.csv", merged, level, lines)
-    io.write_intervals(out / "intervals.csv", merged, level, lines)
+    summary = merged.summary(settings["level"])
+    p, sd = merged.betas.shape[1], merged.gammas.shape[1]
+    io.write_summary(out / "summary.csv", summary, lines)
+    io.write_intervals(out / "intervals.csv", summary[p : p + sd], lines)
     io.write_autocorrelations(out / "autocorr.csv", chains[0], 20, lines)
     io.write_manifest_file(out / "manifest.txt", manifest)
     print(f"run complete: outputs in {out}")
@@ -372,16 +373,23 @@ def _parse_candidates(spec: str, samples: PosteriorSamples, level: float) -> lis
 def cmd_select(settings: Settings) -> int:
     data = _load_dataset(settings)
     live = not settings["samples"]
+    significant = settings["candidates"] == "significant"
     if live:
-        configs = _chain_configs(settings, data, settings["candidates"] == "significant")
+        configs = _chain_configs(settings, data, significant)
+    else:
+        samples = io.read_samples(settings["samples"], data)
+        if significant and samples.retained_count < HPD_MIN_DRAWS:
+            raise DataValidationError(
+                f"{settings['samples']} holds {samples.retained_count} draws; "
+                f"--candidates significant needs at least {HPD_MIN_DRAWS} for "
+                "its HPD intervals"
+            )
     manifest = settings.manifest()
     lines = _manifest_lines(manifest)
     out = _outdir(settings)
 
     if live:
         samples = _merge_chains(_run_chains(settings, data, configs))
-    else:
-        samples = io.read_samples(settings["samples"], data)
 
     candidates = _parse_candidates(settings["candidates"], samples, settings["level"])
     config = SearchConfig(

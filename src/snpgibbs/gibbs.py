@@ -21,16 +21,23 @@ per chain keeps W = [Z | X | Y], R^-1 W and the cross-products W'R^-1 W,
 whose blocks are G = Z'R^-1 Z, X'R^-1 Z, Z'R^-1 Y and X'R^-1 Y; when an
 imputation changes design column c, that column's products are recomputed
 from v = R^-1 W[:, c] (exactly, so nothing drifts). ``ChainWorkspace``
-keeps what is fixed for the dataset: R^-1, (X'R^-1 X)^-1 and Lx^-T. The
-blocks read these: the gamma right-hand side is Z'R^-1 Y - (X'R^-1 Z)'
-beta, the beta mean (X'R^-1 X)^-1 (X'R^-1 Y - X'R^-1 Z gamma), and the
-residual e = Y - X beta - Z gamma and its image R^-1 e are W and R^-1 W
-times (-gamma, -beta, 1). Each gamma draw takes one Cholesky
-factorization: of M = G + I/phi^2 bordered by its right-hand side, whose
-last row then holds L^-1 of that right-hand side, so one
-back-substitution with L' gives the mean and the noise together (the
-canonical-form sampler of Rue, JRSS-B 2001). A new phi^2 costs nothing
-extra.
+keeps what is fixed for the dataset: R^-1, (X'R^-1 X)^-1 and Lx^-T, and
+per SNP column its design columns and masked cells. The blocks read these:
+the gamma right-hand side is Z'R^-1 Y - (X'R^-1 Z)' beta, the beta mean
+(X'R^-1 X)^-1 (X'R^-1 Y - X'R^-1 Z gamma), and the residual
+e = Y - X beta - Z gamma and its image R^-1 e are W and R^-1 W times
+(-gamma, -beta, 1). Each gamma draw takes one Cholesky factorization: of
+M = G + I/phi^2 bordered by its right-hand side, whose last row then holds
+L^-1 of that right-hand side, so one back-substitution with L' gives the
+mean and the noise together (the canonical-form sampler of Rue, JRSS-B
+2001). A new phi^2 costs nothing extra.
+
+The sigma^2 draw forms R^-1 e in full, into the statistics' ``image``
+buffer. ``run_chain`` hands that image to the next imputation, which reads
+its u = R^-1 e at the masked rows from it while gamma, beta and the design
+are the ones the image was formed from; once an imputation changes the
+design (a later column of an ``all`` sweep), and in a call given no
+image, u is formed from R^-1 W at the masked rows instead.
 """
 
 from __future__ import annotations
@@ -221,18 +228,18 @@ def _draw_inverse_gamma(rng: np.random.Generator, shape: float, scale: float) ->
 
 
 class MaskedCells(NamedTuple):
-    """The masked rows of one SNP column and their block of R^-1."""
+    """One SNP column's design columns, masked rows and their block of R^-1."""
 
+    design: slice  # the SNP's columns of the design
     rows: np.ndarray
-    columns: list  # k lists of k floats, row m is R^-1[rows, rows[m]]
     diag: list  # R^-1[rows[m], rows[m]] as Python floats
-    coupled: bool  # some off-diagonal entry of the block is non-zero
+    later: list  # per cell k, (m, R^-1[rows[m], rows[k]]) for each m > k where it is non-zero
 
 
 class ChainWorkspace:
     """Quantities fixed for a dataset: R^-1, (X'R^-1X)^-1 and Lx^-T, the
-    design values of the three genotype codes and, per SNP column, the
-    masked cells with their block of R^-1."""
+    design values of the three genotype codes and, per SNP column, its
+    design columns and masked cells with their couplings through R^-1."""
 
     def __init__(self, data: Dataset):
         self.data = data
@@ -251,22 +258,19 @@ class ChainWorkspace:
             [np.flatnonzero(a != b).tolist() for b in values] for a in values
         ]
         mask = data.genotypes.missing_mask
-        self.masked = [self._cells(np.flatnonzero(mask[:, j])) for j in range(data.s)]
+        per_snp = data.columns_per_snp
+        self.masked = [
+            self._cells(slice(per_snp * j, per_snp * (j + 1)), np.flatnonzero(mask[:, j]))
+            for j in range(data.s)
+        ]
 
-    def _cells(self, rows: np.ndarray) -> MaskedCells:
-        columns = self.Rinv[np.ix_(rows, rows)].T
-        diag = np.diag(columns)
-        coupled = np.count_nonzero(columns) > np.count_nonzero(diag)
-        return MaskedCells(rows, columns.tolist(), diag.tolist(), coupled)
-
-
-_ONE = np.ones(1)
-
-
-def _residual_weights(state: ParameterState) -> np.ndarray:
-    """(-gamma, -beta, 1): W = [Z | X | Y] times it is the residual
-    Y - X beta - Z gamma, R^-1 W times it the residual's image under R^-1."""
-    return np.concatenate((-state.gamma, -state.beta, _ONE))
+    def _cells(self, design: slice, rows: np.ndarray) -> MaskedCells:
+        block = self.Rinv[np.ix_(rows, rows)]
+        later = [
+            [(m, c) for m, c in enumerate(block[k + 1 :, k].tolist(), start=k + 1) if c != 0.0]
+            for k in range(rows.size)
+        ]
+        return MaskedCells(design, rows, np.diag(block).tolist(), later)
 
 
 class DesignStatistics:
@@ -277,7 +281,13 @@ class DesignStatistics:
     ``Xt_Rinv_y`` are blocks of the cross-products, ``design`` the first
     s columns of W, so R^-1 Z is those of R^-1 W. ``impute_snp_column``
     writes the design in place and calls ``refresh`` on the columns it
-    changed. ``bordered`` is the gamma draw's (s+1) x (s+1) work matrix.
+    changed.
+
+    The sweep's buffers: ``bordered`` is the gamma draw's (s+1) x (s+1)
+    work matrix, with views ``precision_diag`` (the diagonal of its leading
+    s x s block) and ``rhs`` (its last row up to the corner);
+    ``weights`` holds (-gamma, -beta, 1) (see ``residual_weights``) and
+    ``image`` the residual image R^-1 e that ``sample_sigma2`` last formed.
     """
 
     def __init__(self, work: ChainWorkspace, design: np.ndarray):
@@ -293,6 +303,21 @@ class DesignStatistics:
         self.Zt_Rinv_y = self.cross[:s, -1]
         self.Xt_Rinv_y = self.cross[s : s + p, -1]
         self.bordered = np.empty((s + 1, s + 1))
+        self.precision_diag = self.bordered.ravel()[: s * (s + 2) : s + 2]
+        self.rhs = self.bordered[s, :s]
+        self.weights = np.empty(s + p + 1)
+        self.weights[-1] = 1.0
+        self.image = np.empty(data.n)
+
+    def residual_weights(self, state: ParameterState) -> np.ndarray:
+        """(-gamma, -beta, 1), written into ``weights``: W = [Z | X | Y]
+        times it is the residual Y - X beta - Z gamma, R^-1 W times it the
+        residual's image under R^-1."""
+        w = self.weights
+        s = state.gamma.shape[0]
+        np.negative(state.gamma, out=w[:s])
+        np.negative(state.beta, out=w[s:-1])
+        return w
 
     def refresh(self, cols) -> None:
         """Recompute every product of the design column (index) or columns
@@ -330,8 +355,10 @@ def sample_beta(
     stats = _statistics(state, data, workspace, stats)
     work = stats.work
     mean = work.XtRinvX_inv @ (stats.Xt_Rinv_y - stats.Xt_Rinv_Z @ state.gamma)
-    noise = work.Lx_inv_t @ rng.standard_normal(mean.shape[0])
-    return mean + np.sqrt(state.sigma2) * noise
+    draw = work.Lx_inv_t @ rng.standard_normal(mean.shape[0])
+    draw *= math.sqrt(state.sigma2)
+    draw += mean
+    return draw
 
 
 def sample_gamma(
@@ -355,18 +382,22 @@ def sample_gamma(
     c - r'M^-1 r is at least c/2: the factorization fails only when M
     itself is not positive definite (or a value is not finite), and then
     raises ``np.linalg.LinAlgError``.
+
+    ``np.linalg.cholesky`` reads only the lower triangle, so r goes into
+    the bordered matrix's last row alone; its last column above the
+    corner is never written.
     """
     stats = _statistics(state, data, workspace, stats)
     s = stats.gram.shape[0]
-    rhs = stats.Zt_Rinv_y - stats.Xt_Rinv_Z.T @ state.beta
-    bordered = stats.bordered
-    bordered[:s, :s] = stats.gram
-    bordered.ravel()[: s * (s + 2) : s + 2] += 1.0 / state.phi2  # M's diagonal
-    bordered[:s, s] = rhs
-    bordered[s, :s] = rhs
-    bordered[s, s] = 2.0 * state.phi2 * float(rhs @ rhs) + 1.0
-    F = np.linalg.cholesky(bordered)
-    b = F[s, :s] + np.sqrt(state.sigma2) * rng.standard_normal(s)
+    rhs = stats.rhs
+    stats.bordered[:s, :s] = stats.gram
+    stats.precision_diag += 1.0 / state.phi2
+    np.subtract(stats.Zt_Rinv_y, stats.Xt_Rinv_Z.T @ state.beta, out=rhs)
+    stats.bordered[s, s] = 2.0 * state.phi2 * float(rhs @ rhs) + 1.0
+    F = np.linalg.cholesky(stats.bordered)
+    b = F[s, :s] + math.sqrt(state.sigma2) * rng.standard_normal(s)
+    if s <= GAMMA_BLOCK:
+        return np.linalg.solve(F[:s, :s].T, b)
     gamma = np.empty(s)
     for j in range(s, 0, -GAMMA_BLOCK):  # L' gamma = b, last block first
         i = max(j - GAMMA_BLOCK, 0)
@@ -384,11 +415,13 @@ def sample_sigma2(
     stats: Optional[DesignStatistics] = None,
 ) -> float:
     """Inverted-gamma draw for sigma^2 given all other blocks; the quadratic
-    form is e . R^-1 e, e = Y - X beta - Z gamma, with R^-1 e read from
-    the statistics' R^-1 W."""
+    form is e . R^-1 e, e = Y - X beta - Z gamma, with R^-1 e formed from
+    the statistics' R^-1 W into their ``image``, where it stays for the
+    next imputation."""
     stats = _statistics(state, data, workspace, stats)
-    weights = _residual_weights(state)
-    quad = float((stats.W @ weights) @ (stats.Rinv_W @ weights))
+    weights = stats.residual_weights(state)
+    image = np.matmul(stats.Rinv_W, weights, out=stats.image)
+    quad = float((stats.W @ weights) @ image)
     s_dim = state.gamma.shape[0]
     shape = data.n / 2 + s_dim / 2 + priors.a
     scale = (quad + float(state.gamma @ state.gamma) / state.phi2 + 2 * priors.b) / 2
@@ -405,6 +438,19 @@ def sample_phi2(
     return _draw_inverse_gamma(rng, shape, scale)
 
 
+def _residual_image_at(
+    rows: np.ndarray,
+    state: ParameterState,
+    stats: DesignStatistics,
+    image: Optional[np.ndarray],
+) -> list:
+    """u = R^-1 (Y - X beta - Z gamma) at ``rows``: read from ``image``
+    when one is given, else formed from the statistics' R^-1 W there."""
+    if image is None:
+        return (stats.Rinv_W[rows] @ stats.residual_weights(state)).tolist()
+    return image[rows].tolist()
+
+
 def impute_snp_column(
     state: ParameterState,
     data: Dataset,
@@ -413,6 +459,7 @@ def impute_snp_column(
     prior: ImputationPrior,
     workspace: Optional[ChainWorkspace] = None,
     stats: Optional[DesignStatistics] = None,
+    image: Optional[np.ndarray] = None,
 ) -> list[int]:
     """Re-draw the masked cells of SNP column j; observed cells untouched.
 
@@ -421,10 +468,15 @@ def impute_snp_column(
     a(c) the contribution of code c, cell i weighs c by
     prior(c) * exp((2 a(c) t_i - a(c)^2 R^-1_ii) / (2 sigma^2)), where
     t_i = u_i + R^-1_ii a(old code) removes the cell's own term. When a
-    cell changes, u moves by its column of the R^-1 block. u is read from
-    the statistics' R^-1 W at the masked rows, at O(k (p + s)); the rest is
-    O(k) scalar work per cell, with one uniform per cell taken from a
-    single ``rng.random(k)``.
+    cell changes, u moves at the later cells it is coupled to through R^-1
+    (none under R = I). The rest is scalar work, with one uniform per cell
+    taken from a single ``rng.random(k)``.
+
+    u comes from ``image``, the full R^-1 e, when it is given: the caller
+    passes it only while the state's beta, gamma and design are those it
+    was formed from, as ``run_chain`` does with the image the last sigma^2
+    draw left in the statistics. Without it, u is formed from the
+    statistics' R^-1 W at the masked rows, at O(k (p + s)).
 
     Mutates ``state.z_imputed`` in place, writes the SNP's design columns
     at the masked rows into the statistics' design, refreshes the
@@ -438,23 +490,22 @@ def impute_snp_column(
     rows = cells.rows
     if rows.size == 0:
         return []
-    per_snp = data.columns_per_snp
-    first, last = per_snp * j, per_snp * (j + 1)
+    snp = cells.design
     values = work.code_values
-    cand = (values @ state.gamma[first:last]).tolist()
+    cand = (values @ state.gamma[snp]).tolist()
     a0, a1, a2 = cand
     b0, b1, b2 = 2.0 * a0, 2.0 * a1, 2.0 * a2
     q0, q1, q2 = a0 * a0, a1 * a1, a2 * a2
     two_sigma2 = 2.0 * state.sigma2
-    u = (stats.Rinv_W[rows] @ _residual_weights(state)).tolist()
+    u = _residual_image_at(rows, state, stats, image)
     old_picks = (state.z_imputed[rows, j] + 1).tolist()  # code index into cand
-    picks = old_picks.copy()
+    picks = []
     # a uniform prior's log weights are all zero: adding them changes nothing
     logprior = None if prior.mode == "uniform" else prior.log_weights(rows, j).tolist()
-    draws = zip(cells.diag, rng.random(rows.size).tolist())
-    coupled, k_cells = cells.coupled, rows.size
-    for k, (r, x) in enumerate(draws):
-        a_old = cand[picks[k]]
+    draws = zip(old_picks, cells.diag, cells.later, rng.random(rows.size).tolist())
+    exp = math.exp
+    for k, (old, r, later, x) in enumerate(draws):
+        a_old = cand[old]
         t = u[k] + r * a_old  # residual image with cell k's term removed
         l0 = (b0 * t - q0 * r) / two_sigma2
         l1 = (b1 * t - q1 * r) / two_sigma2
@@ -464,27 +515,30 @@ def impute_snp_column(
             l0 += lp[0]
             l1 += lp[1]
             l2 += lp[2]
-        top = max(l0, l1, l2)
-        e0, e1, e2 = math.exp(l0 - top), math.exp(l1 - top), math.exp(l2 - top)
+        top = l1 if l1 > l0 else l0  # max(l0, l1, l2), without the call
+        if l2 > top:
+            top = l2
+        e0, e1, e2 = exp(l0 - top), exp(l1 - top), exp(l2 - top)
         total = e0 + e1 + e2
         p0 = e0 / total
         pick = (p0 < x) + (p0 + e1 / total < x)  # cumulative bins below x
-        picks[k] = pick
+        picks.append(pick)
         step = cand[pick] - a_old
-        if step != 0.0 and coupled:
-            coupling = cells.columns[k]
-            for m in range(k + 1, k_cells):
-                u[m] -= coupling[m] * step
+        if step != 0.0:
+            for m, coupling in later:
+                u[m] -= coupling * step
 
     if picks == old_picks:
         return []
+    moved = work.moved_columns
     offsets = set()
     for new, old in zip(picks, old_picks):
-        offsets.update(work.moved_columns[new][old])
+        if new != old:
+            offsets.update(moved[new][old])
     index = np.array(picks)
     state.z_imputed[rows, j] = GENOTYPE_CODES[index]
-    stats.design[rows, first:last] = values[index]
-    changed = [first + w for w in sorted(offsets)]
+    stats.design[rows, snp] = values[index]
+    changed = [snp.start + w for w in sorted(offsets)]
     stats.refresh(slice(changed[0], changed[-1] + 1))
     return changed
 
@@ -545,7 +599,9 @@ def run_chain(
     statistics of the design columns it changed before the next column is
     drawn; then draw gamma (one Cholesky factorization of G + I/phi^2,
     bordered by Z'R^-1 Y - (X'R^-1 Z)' beta), beta, sigma^2, phi^2, each
-    from the statistics rather than from an n-sized residual. A numerical
+    from the statistics rather than from an n-sized residual. The residual
+    image R^-1 e that the sigma^2 draw forms is handed to the next
+    imputation, until an imputation changes the design. A numerical
     failure raises ChainNumericalError carrying the iteration and the
     state. Fully deterministic for a given seed.
     """
@@ -566,23 +622,31 @@ def run_chain(
     phi2s = np.empty(kept)
     masked_values = np.empty((kept, n_masked), dtype=np.int8)
 
+    s, cycle, every = data.s, config.impute_mode == "cycle", range(data.s)
+    thinning = config.thinning
+    keep_at = config.burn_in + thinning - 1  # the next retained iteration
     keep_idx = 0
+    # R^-1 e from the last sigma^2 draw while gamma, beta and the design
+    # stand; None once an imputation has moved the design
+    image = None
     for t in range(config.total_iterations):
         try:
             if impute:
-                cols = (t % data.s,) if config.impute_mode == "cycle" else range(data.s)
-                for j in cols:
-                    impute_snp_column(state, data, j, rng, prior, stats=stats)
+                for j in (t % s,) if cycle else every:
+                    if impute_snp_column(state, data, j, rng, prior, stats=stats, image=image):
+                        image = None
             state.gamma = sample_gamma(state, data, rng, stats=stats)
             state.beta = sample_beta(state, data, rng, stats=stats)
             state.sigma2 = sample_sigma2(state, data, priors, rng, stats=stats)
+            image = stats.image
             state.phi2 = sample_phi2(state, priors, rng)
         except np.linalg.LinAlgError as exc:
             raise ChainNumericalError(
                 f"numerical failure at iteration {t}: {exc}", t, state
             ) from exc
 
-        if t >= config.burn_in and (t - config.burn_in + 1) % config.thinning == 0:
+        if t == keep_at:
+            keep_at += thinning
             betas[keep_idx] = state.beta
             gammas[keep_idx] = state.gamma
             sigma2s[keep_idx] = state.sigma2

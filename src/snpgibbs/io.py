@@ -14,7 +14,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .gibbs import PosteriorSamples, autocorrelations, hpd_interval
+from .gibbs import PosteriorSamples, autocorrelations
 from .model import (
     Dataset,
     KINSHIP_SYMMETRY_TOL,
@@ -335,39 +335,24 @@ def read_samples(path, data: Dataset) -> PosteriorSamples:
     )
 
 
-def write_summary(path, samples: PosteriorSamples, level=0.95, manifest_lines=()):
-    rows = []
-    for name, mean, interval in samples.summary(level):
-        rows.append(
-            (name, mean, interval.lower, interval.upper, not interval.contains_zero)
-        )
+def write_summary(path, summary, manifest_lines=()):
+    """Per-coefficient mean and HPD interval, from the (name, mean,
+    interval) rows of ``PosteriorSamples.summary``."""
     write_table(
         path,
         ["name", "mean", "hpd_lower", "hpd_upper", "significant"],
-        rows,
+        [(name, mean, iv.lower, iv.upper, not iv.contains_zero) for name, mean, iv in summary],
         manifest_lines,
     )
 
 
-def write_intervals(path, samples: PosteriorSamples, level=0.95, manifest_lines=()):
-    """Per-SNP-coefficient interval rows (lower / mean / upper)."""
-    rows = []
-    for k, name in enumerate(samples.data.gamma_labels()):
-        draws = samples.gammas[:, k]
-        interval = hpd_interval(draws, level)
-        rows.append(
-            (
-                name,
-                interval.lower,
-                float(draws.mean()),
-                interval.upper,
-                not interval.contains_zero,
-            )
-        )
+def write_intervals(path, summary, manifest_lines=()):
+    """Interval rows (lower / mean / upper), from the SNP coefficients'
+    rows of ``PosteriorSamples.summary``."""
     write_table(
         path,
         ["name", "lower", "mean", "upper", "significant"],
-        rows,
+        [(name, iv.lower, mean, iv.upper, not iv.contains_zero) for name, mean, iv in summary],
         manifest_lines,
     )
 

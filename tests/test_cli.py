@@ -605,6 +605,30 @@ class TestSelectCommand:
         assert run_cli("select", *data, "--candidates", "snp1,snp2", "--out-dir", out) == 0
         assert (out / "trace.csv").exists()
 
+    def test_significant_select_on_short_samples_exit_3(self, tmp_path, capsys):
+        sim = simulate_inputs(tmp_path)
+        data = [
+            "--genotypes", sim / "genotypes.csv",
+            "--phenotypes", sim / "phenotypes.csv",
+            "--families", sim / "families.csv",
+        ]
+        run_out = tmp_path / "run"
+        assert run_cli("run", *data, "--iters", "500", "--burnin", "100", "--thin", "4",
+                       "--seed", "1", "--out-dir", run_out) == 0
+        # the manifest lines, the header and the first 14 sample rows
+        lines = (run_out / "samples.csv").read_text().splitlines(keepends=True)
+        header = next(k for k, line in enumerate(lines) if not line.startswith("#"))
+        head = tmp_path / "head.csv"
+        head.write_text("".join(lines[: header + 15]))
+        out = tmp_path / "sel"
+        code = run_cli("select", *data, "--samples", head, "--candidates", "significant",
+                       "--out-dir", out)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{head} holds 14 draws" in err
+        assert "--candidates significant" in err
+        assert not out.exists()
+
     def test_repeated_candidates_scored_once(self, tmp_path):
         sim = simulate_inputs(tmp_path)
         base = [

@@ -206,6 +206,32 @@ class TestSampleGamma:
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
             assert rng_ours.bit_generator.state == rng_ref.bit_generator.state
 
+    @pytest.mark.parametrize("snps", [10, 70])  # one solve; two full blocks and a partial one
+    def test_bordered_upper_triangle_is_never_read(self, snps):
+        data, _ = make_dataset(
+            n=90, s=snps, p=2, seed=31, missing=0.1, kinship="correlated"
+        )
+        s = data.design_dim
+        stats = DesignStatistics(
+            ChainWorkspace(data), snp_design_matrix(data.genotypes.codes, data.snp_coding)
+        )
+        setup = np.random.default_rng(4)
+        rng_ours, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
+        for _ in range(3):
+            state = state_for(
+                data,
+                beta=setup.normal(size=2),
+                sigma2=float(setup.uniform(0.1, 4.0)),
+                phi2=float(10.0 ** setup.uniform(-2, 2)),
+            )
+            stats.bordered[np.triu_indices(s + 1, 1)] = np.nan
+            got = sample_gamma(state, data, rng_ours, stats=stats)
+            want = two_factorization_gamma(state, data, rng_ref)
+            # the border's upper half was still NaN when it was factorized
+            assert np.isnan(stats.bordered[:s, s]).all()
+            assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+            assert rng_ours.bit_generator.state == rng_ref.bit_generator.state
+
     def test_border_never_fails_a_definite_precision(self):
         data, _ = make_dataset(n=40, s=6, p=1, seed=32, kinship="correlated")
         big = dataclasses.replace(data, phenotypes=PhenotypeVector(1e6 * data.y))
@@ -483,6 +509,36 @@ class TestRunChain:
         assert len(errors) == 1500
         assert len(designs) > 100  # imputation kept changing the design
         assert max(errors) < 1e-12
+
+    @pytest.mark.parametrize("kinship", ["identity", "correlated"])
+    @pytest.mark.parametrize("mode", ["cycle", "all"])
+    def test_imputation_reads_the_current_residual_image(self, monkeypatch, mode, kinship):
+        data, _ = make_dataset(
+            n=20, s=5, p=2, seed=25, missing=0.3,
+            coding="additive_dominance", kinship=kinship,
+        )
+        errors, handed = [], []
+        real = gibbs._residual_image_at
+
+        def checked(rows, state, stats, image):
+            u = real(rows, state, stats, image)
+            Zd = snp_design_matrix(state.z_imputed, data.snp_coding)
+            resid = data.y - data.X @ state.beta - Zd @ state.gamma
+            fresh = np.linalg.solve(data.R, resid)[rows]
+            errors.append(np.max(np.abs(np.array(u) - fresh)) / np.max(np.abs(fresh)))
+            handed.append(image is not None)
+            return u
+
+        monkeypatch.setattr(gibbs, "_residual_image_at", checked)
+        cfg = GibbsConfig(
+            total_iterations=600, burn_in=100, thinning=2, seed=6, impute_mode=mode
+        )
+        run_chain(data, default_priors(), cfg)
+        assert len(errors) == (600 if mode == "cycle" else 3000)
+        assert max(errors) < 1e-12
+        # the sigma^2 draw's image was read, and u was formed afresh where
+        # there was none (the first sweep; in "all" mode, after a change)
+        assert 0 < sum(handed) < len(handed)
 
     @pytest.mark.parametrize("kinship", ["identity", "correlated"])
     @pytest.mark.parametrize("coding", ["signed", "additive_dominance"])
