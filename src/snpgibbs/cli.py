@@ -342,17 +342,17 @@ def cmd_run(settings: Settings) -> int:
     return EXIT_OK
 
 
-def _parse_candidates(spec: str, samples: PosteriorSamples, level: float) -> list[int]:
-    labels = list(samples.data.gamma_labels())
-    if spec == "significant":
-        rows = samples.summary(level)
-        p = samples.betas.shape[1]
-        picked = []
-        for k, label in enumerate(labels):
-            _, _, interval = rows[p + k]
-            if not interval.contains_zero:
-                picked.append(k)
-        return picked
+def _significant_candidates(samples: PosteriorSamples, level: float) -> list[int]:
+    """The SNP coefficients whose HPD interval excludes zero."""
+    rows = samples.summary(level)
+    p = samples.betas.shape[1]
+    return [k for k in range(samples.gammas.shape[1]) if not rows[p + k][2].contains_zero]
+
+
+def _listed_candidates(spec: str, labels) -> list[int]:
+    """The design columns a comma list names, by label or by index, each
+    once; a token that names none exits 3."""
+    labels = list(labels)
     picked = []
     for token in spec.split(","):
         token = token.strip()
@@ -364,16 +364,33 @@ def _parse_candidates(spec: str, samples: PosteriorSamples, level: float) -> lis
             try:
                 index = int(token)
             except ValueError:
-                raise DataValidationError(f"unknown candidate {token!r}") from None
+                index = -1
+            if not 0 <= index < len(labels):
+                raise DataValidationError(
+                    f"unknown candidate {token!r}: give a coefficient name or an "
+                    f"index from 0 to {len(labels) - 1}"
+                )
         if index not in picked:  # a repeat would score the same models again
             picked.append(index)
     return picked
+
+
+def _check_exhaustive_limit(settings, candidates: list[int]) -> None:
+    if settings["exhaustive"] and len(candidates) > EXHAUSTIVE_CANDIDATE_LIMIT:
+        raise DataValidationError(
+            f"{len(candidates)} candidates exceed the exhaustive limit of "
+            f"{EXHAUSTIVE_CANDIDATE_LIMIT}; drop --exhaustive to search them "
+            "by Metropolis-Hastings"
+        )
 
 
 def cmd_select(settings: Settings) -> int:
     data = _load_dataset(settings)
     live = not settings["samples"]
     significant = settings["candidates"] == "significant"
+    if not significant:  # an explicit list is checked before any work
+        candidates = _listed_candidates(settings["candidates"], data.gamma_labels())
+        _check_exhaustive_limit(settings, candidates)
     if live:
         configs = _chain_configs(settings, data, significant)
     else:
@@ -391,7 +408,9 @@ def cmd_select(settings: Settings) -> int:
     if live:
         samples = _merge_chains(_run_chains(settings, data, configs))
 
-    candidates = _parse_candidates(settings["candidates"], samples, settings["level"])
+    if significant:
+        candidates = _significant_candidates(samples, settings["level"])
+        _check_exhaustive_limit(settings, candidates)
     config = SearchConfig(
         mixture_prob=settings["mixture_prob"],
         search_iterations=settings["search_iters"],
@@ -399,12 +418,6 @@ def cmd_select(settings: Settings) -> int:
         min_samples_per_bf=settings["min_samples_per_bf"],
     )
     if settings["exhaustive"]:
-        if len(candidates) > EXHAUSTIVE_CANDIDATE_LIMIT:
-            raise DataValidationError(
-                f"{len(candidates)} candidates exceed the exhaustive limit of "
-                f"{EXHAUSTIVE_CANDIDATE_LIMIT}; drop --exhaustive to search them "
-                "by Metropolis-Hastings"
-            )
         trace = exhaustive_search(samples, candidates, config)
     else:
         trace = mh_model_search(samples, candidates, config)
@@ -425,13 +438,13 @@ def cmd_select(settings: Settings) -> int:
 def cmd_kinship(settings: Settings) -> int:
     if not settings["pedigree"]:
         raise DataValidationError("--pedigree is required")
-    manifest = settings.manifest()
-    lines = _manifest_lines(manifest)
-    out = _outdir(settings)
     records = io.read_pedigree(settings["pedigree"])
     R = build_numerator_matrix(order_pedigree(records))
     if settings["ids"]:
         R = extract_submatrix(R, [x.strip() for x in settings["ids"].split(",")])
+    manifest = settings.manifest()
+    lines = _manifest_lines(manifest)
+    out = _outdir(settings)
     io.write_kinship_matrix(out / "kinship.csv", R, lines)
     io.write_manifest_file(out / "manifest.txt", manifest)
     print(f"kinship matrix ({R.dim}x{R.dim}) written to {out / 'kinship.csv'}")
@@ -501,7 +514,9 @@ def main(argv=None) -> int:
     try:
         return args.func(Settings(args))
     except (DataValidationError, PedigreeError, FileNotFoundError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_DATA
     except (ChainNumericalError, EstimationError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -16,13 +16,16 @@ re-draws one SNP column (cycling), each masked cell in turn from its
 exact discrete conditional over the three genotype classes; under a
 kinship R that conditional couples the cells through R^-1.
 
-No block multiplies an n-sized residual by R^-1. One ``DesignStatistics``
-per chain keeps W = [Z | X | Y], R^-1 W and the cross-products W'R^-1 W,
-whose blocks are G = Z'R^-1 Z, X'R^-1 Z, Z'R^-1 Y and X'R^-1 Y; when an
-imputation changes design column c, that column's products are recomputed
-from v = R^-1 W[:, c] (exactly, so nothing drifts). ``ChainWorkspace``
-keeps what is fixed for the dataset: R^-1, (X'R^-1 X)^-1 and Lx^-T, and
-per SNP column its design columns and masked cells. The blocks read these:
+No block multiplies an n-sized residual by R^-1. ``DesignStatistics``, the
+one owner of a completed design's Gram under R^-1, keeps W = [Z | X | Y],
+R^-1 W and the cross-products W'R^-1 W, whose blocks are G = Z'R^-1 Z,
+X'R^-1 Z, Z'R^-1 Y and X'R^-1 Y; when an imputation changes design column
+c, that column's products are recomputed from v = R^-1 W[:, c] (exactly,
+so nothing drifts). The Bayes-factor search walks its window through the
+same class. ``ChainWorkspace``, which every block draw takes, holds the
+chain's statistics, the sweep's buffers and what is fixed for the dataset:
+R^-1, (X'R^-1 X)^-1 and Lx^-T, and per SNP column its design columns and
+masked cells. The blocks read these:
 the gamma right-hand side is Z'R^-1 Y - (X'R^-1 Z)' beta, the beta mean
 (X'R^-1 X)^-1 (X'R^-1 Y - X'R^-1 Z gamma), and the residual
 e = Y - X beta - Z gamma and its image R^-1 e are W and R^-1 W times
@@ -32,7 +35,7 @@ L^-1 of that right-hand side, so one back-substitution with L' gives the
 mean and the noise together (the canonical-form sampler of Rue, JRSS-B
 2001). A new phi^2 costs nothing extra.
 
-The sigma^2 draw forms R^-1 e in full, into the statistics' ``image``
+The sigma^2 draw forms R^-1 e in full, into the workspace's ``image``
 buffer. ``run_chain`` hands that image to the next imputation, which reads
 its u = R^-1 e at the masked rows from it while gamma, beta and the design
 are the ones the image was formed from; once an imputation changes the
@@ -236,13 +239,54 @@ class MaskedCells(NamedTuple):
     later: list  # per cell k, (m, R^-1[rows[m], rows[k]]) for each m > k where it is non-zero
 
 
-class ChainWorkspace:
-    """Quantities fixed for a dataset: R^-1, (X'R^-1X)^-1 and Lx^-T, the
-    design values of the three genotype codes and, per SNP column, its
-    design columns and masked cells with their couplings through R^-1."""
+class DesignStatistics:
+    """W = [Z | X | Y] for a completed design Z (a copy of ``design``),
+    R^-1 W and the cross-products W'R^-1 W, kept exact as cells of the
+    design are rewritten: the one owner of the completed design's Gram
+    under R^-1, for the chain and for the Bayes-factor search alike.
 
-    def __init__(self, data: Dataset):
-        self.data = data
+    The views ``gram`` (G = Z'R^-1 Z), ``Xt_Rinv_Z``, ``Zt_Rinv_y`` and
+    ``Xt_Rinv_y`` are blocks of the cross-products, ``design`` the first
+    s columns of W, so R^-1 Z is those of R^-1 W. A caller writes cells
+    of ``design`` in place and then calls ``refresh`` on the columns it
+    changed.
+    """
+
+    def __init__(self, data: Dataset, Rinv: np.ndarray, design: np.ndarray):
+        s, p = design.shape[1], data.X.shape[1]
+        self.Rinv = Rinv
+        self.W = np.column_stack([design, data.X, data.y])
+        self.Rinv_W = Rinv @ self.W
+        self.cross = self.W.T @ self.Rinv_W
+        self.design = self.W[:, :s]
+        self.gram = self.cross[:s, :s]
+        self.Xt_Rinv_Z = self.cross[s : s + p, :s]
+        self.Zt_Rinv_y = self.cross[:s, -1]
+        self.Xt_Rinv_y = self.cross[s : s + p, -1]
+
+    def refresh(self, cols) -> None:
+        """Recompute every product of the design column ``cols`` (an index,
+        a slice or an index array) from V = R^-1 W[:, cols]; nothing is
+        updated incrementally, so nothing drifts."""
+        V = self.Rinv @ self.W[:, cols]
+        self.Rinv_W[:, cols] = V
+        h = self.W.T @ V
+        self.cross[:, cols] = h
+        self.cross[cols, :] = h.T
+
+
+class ChainWorkspace:
+    """One chain's working set: R^-1, (X'R^-1X)^-1 and Lx^-T, the design
+    values of the three genotype codes, per SNP column its design columns
+    and masked cells with their couplings through R^-1, ``stats`` (the
+    ``DesignStatistics`` of the chain's design, starting from ``design``)
+    and the sweep's buffers: ``bordered``, the gamma draw's (s+1) x (s+1)
+    work matrix, with views ``precision_diag`` (its leading block's
+    diagonal) and ``rhs`` (its last row up to the corner); ``weights``
+    (see ``residual_weights``); and ``image``, the residual image R^-1 e
+    that ``sample_sigma2`` last formed."""
+
+    def __init__(self, data: Dataset, design: np.ndarray):
         self.Rinv = np.linalg.inv(data.R)
         XtRinvX = data.X.T @ (self.Rinv @ data.X)
         try:
@@ -263,6 +307,14 @@ class ChainWorkspace:
             self._cells(slice(per_snp * j, per_snp * (j + 1)), np.flatnonzero(mask[:, j]))
             for j in range(data.s)
         ]
+        self.stats = DesignStatistics(data, self.Rinv, design)
+        s, p = design.shape[1], data.X.shape[1]
+        self.bordered = np.empty((s + 1, s + 1))
+        self.precision_diag = self.bordered.ravel()[: s * (s + 2) : s + 2]
+        self.rhs = self.bordered[s, :s]
+        self.weights = np.empty(s + p + 1)
+        self.weights[-1] = 1.0
+        self.image = np.empty(data.n)
 
     def _cells(self, design: slice, rows: np.ndarray) -> MaskedCells:
         block = self.Rinv[np.ix_(rows, rows)]
@@ -271,43 +323,6 @@ class ChainWorkspace:
             for k in range(rows.size)
         ]
         return MaskedCells(design, rows, np.diag(block).tolist(), later)
-
-
-class DesignStatistics:
-    """W = [Z | X | Y] for the chain's current design Z (a copy of
-    ``design``), R^-1 W and the cross-products W'R^-1 W, kept by one chain.
-
-    The views ``gram`` (G = Z'R^-1 Z), ``Xt_Rinv_Z``, ``Zt_Rinv_y`` and
-    ``Xt_Rinv_y`` are blocks of the cross-products, ``design`` the first
-    s columns of W, so R^-1 Z is those of R^-1 W. ``impute_snp_column``
-    writes the design in place and calls ``refresh`` on the columns it
-    changed.
-
-    The sweep's buffers: ``bordered`` is the gamma draw's (s+1) x (s+1)
-    work matrix, with views ``precision_diag`` (the diagonal of its leading
-    s x s block) and ``rhs`` (its last row up to the corner);
-    ``weights`` holds (-gamma, -beta, 1) (see ``residual_weights``) and
-    ``image`` the residual image R^-1 e that ``sample_sigma2`` last formed.
-    """
-
-    def __init__(self, work: ChainWorkspace, design: np.ndarray):
-        data = work.data
-        s, p = design.shape[1], data.X.shape[1]
-        self.work = work
-        self.W = np.column_stack([design, data.X, data.y])
-        self.Rinv_W = work.Rinv @ self.W
-        self.cross = self.W.T @ self.Rinv_W
-        self.design = self.W[:, :s]
-        self.gram = self.cross[:s, :s]
-        self.Xt_Rinv_Z = self.cross[s : s + p, :s]
-        self.Zt_Rinv_y = self.cross[:s, -1]
-        self.Xt_Rinv_y = self.cross[s : s + p, -1]
-        self.bordered = np.empty((s + 1, s + 1))
-        self.precision_diag = self.bordered.ravel()[: s * (s + 2) : s + 2]
-        self.rhs = self.bordered[s, :s]
-        self.weights = np.empty(s + p + 1)
-        self.weights[-1] = 1.0
-        self.image = np.empty(data.n)
 
     def residual_weights(self, state: ParameterState) -> np.ndarray:
         """(-gamma, -beta, 1), written into ``weights``: W = [Z | X | Y]
@@ -319,41 +334,16 @@ class DesignStatistics:
         np.negative(state.beta, out=w[s:-1])
         return w
 
-    def refresh(self, cols) -> None:
-        """Recompute every product of the design column (index) or columns
-        (slice) ``cols`` from V = R^-1 W[:, cols]; nothing is updated
-        incrementally, so nothing drifts."""
-        V = self.work.Rinv @ self.W[:, cols]
-        self.Rinv_W[:, cols] = V
-        h = self.W.T @ V
-        self.cross[:, cols] = h
-        self.cross[cols, :] = h.T
-
-
-def _statistics(
-    state: ParameterState,
-    data: Dataset,
-    workspace: Optional[ChainWorkspace],
-    stats: Optional[DesignStatistics],
-) -> DesignStatistics:
-    """The chain's statistics, or fresh ones of the state's design."""
-    if stats is not None:
-        return stats
-    work = workspace or ChainWorkspace(data)
-    return DesignStatistics(work, snp_design_matrix(state.z_imputed, data.snp_coding))
-
 
 def sample_beta(
     state: ParameterState,
     data: Dataset,
     rng: np.random.Generator,
-    workspace: Optional[ChainWorkspace] = None,
-    stats: Optional[DesignStatistics] = None,
+    work: ChainWorkspace,
 ) -> np.ndarray:
     """Draw beta from its Gaussian full conditional: the GLS mean
     (X'R^-1X)^-1 (X'R^-1 Y - X'R^-1 Z gamma) plus sigma Lx^-T z."""
-    stats = _statistics(state, data, workspace, stats)
-    work = stats.work
+    stats = work.stats
     mean = work.XtRinvX_inv @ (stats.Xt_Rinv_y - stats.Xt_Rinv_Z @ state.gamma)
     draw = work.Lx_inv_t @ rng.standard_normal(mean.shape[0])
     draw *= math.sqrt(state.sigma2)
@@ -365,8 +355,7 @@ def sample_gamma(
     state: ParameterState,
     data: Dataset,
     rng: np.random.Generator,
-    workspace: Optional[ChainWorkspace] = None,
-    stats: Optional[DesignStatistics] = None,
+    work: ChainWorkspace,
 ) -> np.ndarray:
     """Draw gamma from N(M^-1 r, sigma^2 M^-1), M = G + I/phi^2,
     r = Z'R^-1 Y - (X'R^-1 Z)' beta.
@@ -387,14 +376,14 @@ def sample_gamma(
     the bordered matrix's last row alone; its last column above the
     corner is never written.
     """
-    stats = _statistics(state, data, workspace, stats)
+    stats = work.stats
     s = stats.gram.shape[0]
-    rhs = stats.rhs
-    stats.bordered[:s, :s] = stats.gram
-    stats.precision_diag += 1.0 / state.phi2
+    rhs = work.rhs
+    work.bordered[:s, :s] = stats.gram
+    work.precision_diag += 1.0 / state.phi2
     np.subtract(stats.Zt_Rinv_y, stats.Xt_Rinv_Z.T @ state.beta, out=rhs)
-    stats.bordered[s, s] = 2.0 * state.phi2 * float(rhs @ rhs) + 1.0
-    F = np.linalg.cholesky(stats.bordered)
+    work.bordered[s, s] = 2.0 * state.phi2 * float(rhs @ rhs) + 1.0
+    F = np.linalg.cholesky(work.bordered)
     b = F[s, :s] + math.sqrt(state.sigma2) * rng.standard_normal(s)
     if s <= GAMMA_BLOCK:
         return np.linalg.solve(F[:s, :s].T, b)
@@ -411,16 +400,15 @@ def sample_sigma2(
     data: Dataset,
     priors: PriorHyperparams,
     rng: np.random.Generator,
-    workspace: Optional[ChainWorkspace] = None,
-    stats: Optional[DesignStatistics] = None,
+    work: ChainWorkspace,
 ) -> float:
     """Inverted-gamma draw for sigma^2 given all other blocks; the quadratic
     form is e . R^-1 e, e = Y - X beta - Z gamma, with R^-1 e formed from
-    the statistics' R^-1 W into their ``image``, where it stays for the
-    next imputation."""
-    stats = _statistics(state, data, workspace, stats)
-    weights = stats.residual_weights(state)
-    image = np.matmul(stats.Rinv_W, weights, out=stats.image)
+    the statistics' R^-1 W into the workspace's ``image``, where it stays
+    for the next imputation."""
+    stats = work.stats
+    weights = work.residual_weights(state)
+    image = np.matmul(stats.Rinv_W, weights, out=work.image)
     quad = float((stats.W @ weights) @ image)
     s_dim = state.gamma.shape[0]
     shape = data.n / 2 + s_dim / 2 + priors.a
@@ -441,13 +429,13 @@ def sample_phi2(
 def _residual_image_at(
     rows: np.ndarray,
     state: ParameterState,
-    stats: DesignStatistics,
+    work: ChainWorkspace,
     image: Optional[np.ndarray],
 ) -> list:
     """u = R^-1 (Y - X beta - Z gamma) at ``rows``: read from ``image``
     when one is given, else formed from the statistics' R^-1 W there."""
     if image is None:
-        return (stats.Rinv_W[rows] @ stats.residual_weights(state)).tolist()
+        return (work.stats.Rinv_W[rows] @ work.residual_weights(state)).tolist()
     return image[rows].tolist()
 
 
@@ -457,8 +445,7 @@ def impute_snp_column(
     j: int,
     rng: np.random.Generator,
     prior: ImputationPrior,
-    workspace: Optional[ChainWorkspace] = None,
-    stats: Optional[DesignStatistics] = None,
+    work: ChainWorkspace,
     image: Optional[np.ndarray] = None,
 ) -> list[int]:
     """Re-draw the masked cells of SNP column j; observed cells untouched.
@@ -475,17 +462,15 @@ def impute_snp_column(
     u comes from ``image``, the full R^-1 e, when it is given: the caller
     passes it only while the state's beta, gamma and design are those it
     was formed from, as ``run_chain`` does with the image the last sigma^2
-    draw left in the statistics. Without it, u is formed from the
+    draw left in the workspace. Without it, u is formed from the
     statistics' R^-1 W at the masked rows, at O(k (p + s)).
 
     Mutates ``state.z_imputed`` in place, writes the SNP's design columns
-    at the masked rows into the statistics' design, refreshes the
-    statistics of every design column that changed and returns their
+    at the masked rows into the workspace statistics' design, refreshes
+    the statistics of every design column that changed and returns their
     indices (at most one for signed coding, two for additive + dominance
     coding); an unchanged column yields an empty list.
     """
-    stats = _statistics(state, data, workspace, stats)
-    work = stats.work
     cells = work.masked[j]
     rows = cells.rows
     if rows.size == 0:
@@ -497,7 +482,7 @@ def impute_snp_column(
     b0, b1, b2 = 2.0 * a0, 2.0 * a1, 2.0 * a2
     q0, q1, q2 = a0 * a0, a1 * a1, a2 * a2
     two_sigma2 = 2.0 * state.sigma2
-    u = _residual_image_at(rows, state, stats, image)
+    u = _residual_image_at(rows, state, work, image)
     old_picks = (state.z_imputed[rows, j] + 1).tolist()  # code index into cand
     picks = []
     # a uniform prior's log weights are all zero: adding them changes nothing
@@ -537,9 +522,9 @@ def impute_snp_column(
             offsets.update(moved[new][old])
     index = np.array(picks)
     state.z_imputed[rows, j] = GENOTYPE_CODES[index]
-    stats.design[rows, snp] = values[index]
+    work.stats.design[rows, snp] = values[index]
     changed = [snp.start + w for w in sorted(offsets)]
-    stats.refresh(slice(changed[0], changed[-1] + 1))
+    work.stats.refresh(slice(changed[0], changed[-1] + 1))
     return changed
 
 
@@ -591,9 +576,11 @@ def run_chain(
 ) -> PosteriorSamples:
     """Run one seeded Gibbs chain and return the thinned retained states.
 
-    The chain keeps one ``DesignStatistics``: W = [Z | X | Y] for its
-    design Z, R^-1 W and the cross-products W'R^-1 W, whose blocks are
-    G = Z'R^-1 Z, X'R^-1 Z, Z'R^-1 Y and X'R^-1 Y. Per iteration: re-draw
+    The chain's ``ChainWorkspace`` holds its one ``DesignStatistics``, the
+    Gram walk the Bayes-factor search also uses: W = [Z | X | Y] for the
+    chain's design Z, R^-1 W and the cross-products W'R^-1 W, whose blocks
+    are G = Z'R^-1 Z, X'R^-1 Z, Z'R^-1 Y and X'R^-1 Y. Every block draw
+    takes that workspace. Per iteration: re-draw
     missing genotypes for one SNP column (cycling j = t mod s) or for every
     column (``impute_mode="all"``), each imputation recomputing the
     statistics of the design columns it changed before the next column is
@@ -605,17 +592,16 @@ def run_chain(
     failure raises ChainNumericalError carrying the iteration and the
     state. Fully deterministic for a given seed.
     """
-    work = ChainWorkspace(data)
     rng = np.random.default_rng(config.seed)
     state = initial_state(data, config, rng)
-    stats = DesignStatistics(work, snp_design_matrix(state.z_imputed, data.snp_coding))
+    work = ChainWorkspace(data, snp_design_matrix(state.z_imputed, data.snp_coding))
     masked_flat = np.flatnonzero(data.genotypes.missing_mask.ravel())
     n_masked = masked_flat.size
     impute = n_masked > 0 and config.impute_mode != "off"
     prior = config.imputation_prior
 
     kept = config.retained_count
-    p, sd = data.X.shape[1], stats.design.shape[1]
+    p, sd = data.X.shape[1], data.design_dim
     betas = np.empty((kept, p))
     gammas = np.empty((kept, sd))
     sigma2s = np.empty(kept)
@@ -633,12 +619,12 @@ def run_chain(
         try:
             if impute:
                 for j in (t % s,) if cycle else every:
-                    if impute_snp_column(state, data, j, rng, prior, stats=stats, image=image):
+                    if impute_snp_column(state, data, j, rng, prior, work, image):
                         image = None
-            state.gamma = sample_gamma(state, data, rng, stats=stats)
-            state.beta = sample_beta(state, data, rng, stats=stats)
-            state.sigma2 = sample_sigma2(state, data, priors, rng, stats=stats)
-            image = stats.image
+            state.gamma = sample_gamma(state, data, rng, work)
+            state.beta = sample_beta(state, data, rng, work)
+            state.sigma2 = sample_sigma2(state, data, priors, rng, work)
+            image = work.image
             state.phi2 = sample_phi2(state, priors, rng)
         except np.linalg.LinAlgError as exc:
             raise ChainNumericalError(

@@ -21,19 +21,20 @@ consistent for the Bayes factor. Everything accumulates in log space.
 
 A search reads the last ``min_samples_per_bf`` rows of the posterior's
 arrays (its window) and reduces each state once to statistics of its
-whitened completed design (W the inverse Cholesky factor of R):
-H = Z'R^-1Z and h = Z'R^-1(Y - X beta). The columns every model excludes
-(F, the non-candidates) are eliminated from H by one Cholesky factor per
-completed design (one per search when no genotype is missing), leaving
-candidate-sized arrays. The designs are walked in window order by the
-masked cells whose imputed code changed since the previous state: only
-those cells' design values are written, and only the design columns whose
-values changed are rewhitened and have their rows and columns of H
-recomputed. The designs' Grams are reduced in chunks of at most
-``BATCH_ENTRIES`` entries, one batched Cholesky factorization and one set
-of batched products per chunk. A design whose H_FF is singular is dropped
-with its states; a chunk whose batched factorization fails is factored
-design by design, so the other designs stay.
+completed design: H = Z'R^-1Z and h = Z'R^-1(Y - X beta). The columns
+every model excludes (F, the non-candidates) are eliminated from H by one
+Cholesky factor per completed design (one per search when no genotype is
+missing), leaving candidate-sized arrays. The designs' Grams come from one
+``gibbs.DesignStatistics``, the Gram walk the Gibbs chain also uses: the
+designs are walked through it in window order by the masked cells whose
+imputed code changed since the previous state, so only those cells'
+design values are written and only the design columns whose values
+changed have their products recomputed. The designs' Grams are reduced in
+chunks of at most ``BATCH_ENTRIES`` entries, one batched Cholesky
+factorization and one set of batched products per chunk. A design whose
+H_FF is singular is dropped with its states; a chunk whose batched
+factorization fails is factored design by design, so the other designs
+stay.
 
 A model is then scored on the Schur complement S_ee of its excluded
 candidates, and its term on a design is valid only when S_ee is positive
@@ -58,7 +59,7 @@ from typing import Optional
 
 import numpy as np
 
-from .gibbs import ParameterState, PosteriorSamples
+from .gibbs import DesignStatistics, ParameterState, PosteriorSamples
 from .model import Dataset, snp_design_matrix
 
 __all__ = [
@@ -275,7 +276,8 @@ class BayesFactorStatistics:
     positive definite (D rows, in window order) and the state arrays are
     grouped under them (D x L, L states per design). States of a design
     with a singular H_FF are invalid for every model and only counted,
-    whichever chunk the design falls in.
+    whichever chunk the design falls in. Every design's H comes from one
+    ``gibbs.DesignStatistics`` walked through the window.
     """
 
     s: int
@@ -325,13 +327,14 @@ def bayes_factor_statistics(
     """Reduce each state of ``samples`` to the candidate-sized statistics
     that score every model including only columns from ``candidates``.
 
-    A = W[Z_F | Z_K | X | y] is whitened in full for the first design. The
-    later designs are walked in window order, a chunk at a time, by the
-    masked cells whose code differs between consecutive rows of
-    ``masked_values``: only those cells' design values are written (from
-    ``model.CODINGS``), and only the design columns whose values changed are
-    rewhitened and have their rows and columns of A'A recomputed. Each
-    design's A'A is copied into a buffer of (chunk, T, T) Grams,
+    One ``gibbs.DesignStatistics`` of W = [Z_F | Z_K | X | y] is built for
+    the first design, with R^-1 from ``np.linalg.inv``. The later designs
+    are walked through it in window order, a chunk at a time, by the masked
+    cells whose code differs between consecutive rows of ``masked_values``:
+    only those cells' design values are written into its ``design`` (from
+    ``model.CODINGS``), and ``refresh`` recomputes the products of only the
+    design columns whose values changed. Each design's W'R^-1 W is copied
+    into a buffer of (chunk, T, T) Grams,
     T = s + p + 1, with chunk * T^2 at most ``BATCH_ENTRIES``. Each chunk
     then takes one batched lower Cholesky factorization of its Grams with 1
     added to the diagonal of the trailing (K, X, y) block. That block's
@@ -356,8 +359,7 @@ def bayes_factor_statistics(
     F = sorted(set(range(s)) - set(K))
     f, k, p = len(F), len(K), data.X.shape[1]
     T = s + p + 1
-    W = np.linalg.inv(np.linalg.cholesky(data.R))
-    position = np.empty(s, dtype=int)  # design column -> column of A
+    position = np.empty(s, dtype=int)  # design column -> column of W
     position[F + K] = np.arange(s)
 
     # with no missing genotype every state shares the observed design
@@ -367,9 +369,11 @@ def bayes_factor_statistics(
     masked = samples.masked_values[:D]
     codes = data.genotypes.codes.copy()
     codes[mask] = masked[0]
-    Z = np.empty((data.n, s))  # the current design, in A's column order
-    Z[:, position] = snp_design_matrix(codes, data.snp_coding)
-    # each masked cell's individual and design columns (as columns of A)
+    # W = [Z_F | Z_K | X | y] of the first design
+    stats = DesignStatistics(
+        data, np.linalg.inv(data.R), snp_design_matrix(codes, data.snp_coding)[:, F + K]
+    )
+    # each masked cell's individual and design columns (as columns of W)
     table = data.coding.values
     individuals, snps = np.nonzero(mask)  # masked_values order
     cell_columns = position[snps[:, None] * table.shape[1] + np.arange(table.shape[1])]
@@ -379,18 +383,6 @@ def bayes_factor_statistics(
     M, S = np.empty((D, k, k)), np.empty((D, k, k))
     q0, b, g = np.empty((D, L)), np.empty((D, L, k)), np.empty((D, L, k))
     valid = np.ones(D, dtype=bool)
-    A = np.zeros((data.n, T))
-    A[:, s:s + p] = W @ data.X
-    A[:, -1] = W @ data.y
-    H = A.T @ A
-
-    def rewhiten(columns):
-        A[:, columns] = W @ Z[:, columns]
-        cross = A.T @ A[:, columns]
-        H[:, columns] = cross
-        H[columns, :] = cross.T
-
-    rewhiten(np.arange(s))  # the first design fills A
     lift = np.arange(f, T)
     chunk = min(D, max(1, BATCH_ENTRIES // (T * T)))
     grams = np.empty((chunk, T, T))
@@ -408,15 +400,15 @@ def bayes_factor_statistics(
         changed = np.zeros((m, s), dtype=bool)
         changed[design, column] = True
         changed_design, changed_column = np.nonzero(changed)
-        # design i writes entries e[i]:e[i + 1], rewhitens changed_column[c[i]:c[i + 1]]
+        # design i writes entries e[i]:e[i + 1], refreshes changed_column[c[i]:c[i + 1]]
         e = np.searchsorted(design, np.arange(m + 1)).tolist()
         c = np.searchsorted(changed_design, np.arange(m + 1)).tolist()
         for i in range(m):
             write = slice(e[i], e[i + 1])
-            Z[individual[write], column[write]] = value[write]
+            stats.design[individual[write], column[write]] = value[write]
             if c[i] < c[i + 1]:
-                rewhiten(changed_column[c[i]:c[i + 1]])
-            grams[i] = H
+                stats.refresh(changed_column[c[i]:c[i + 1]])
+            grams[i] = stats.cross
         done, G = slice(first, first + m), grams[:m]
         factors, valid[done] = _lifted_factors(G, lift)
         # V' = Z_F'R^-1[Z_K X y] L_FF^-T lies below L_FF, by blocks

@@ -34,6 +34,7 @@ from snpgibbs.model import (
     snp_design_matrix,
 )
 
+from conftest import fresh_workspace
 from _oracles import imputation_probabilities
 
 
@@ -71,6 +72,11 @@ def _stats(gamma, sigma2, phi2, z, mask):
     )
 
 
+def exact_impute(state, data, j, rng, prior):
+    """The library's exact kernel, on a workspace of the state's design."""
+    return impute_snp_column(state, data, j, rng, prior, fresh_workspace(state, data))
+
+
 def per_individual_impute(state, data, j, rng, prior):
     """Draw column j's masked cells independently, each from its
     per-individual conditional (``imputation_probabilities``). That is the
@@ -89,7 +95,7 @@ def geweke_compare(
     n_marginal=40_000,
     n_successive=60_000,
     seed=0,
-    impute=impute_snp_column,
+    impute=exact_impute,
     n_batches=40,
 ):
     """Return z-scores comparing test-statistic means across the two
@@ -114,8 +120,10 @@ def geweke_compare(
         current = _draw_data(data, beta0, state.gamma, state.sigma2, state.z_imputed, Lr, rng)
         for j in range(current.s):
             impute(state, current, j, rng, prior_impute)
-        state.gamma = sample_gamma(state, current, rng)
-        state.sigma2 = sample_sigma2(state, current, priors, rng)
+        # the gamma draw leaves the design, so both blocks read one workspace
+        work = fresh_workspace(state, current)
+        state.gamma = sample_gamma(state, current, rng, work)
+        state.sigma2 = sample_sigma2(state, current, priors, rng, work)
         state.phi2 = sample_phi2(state, priors, rng)
         sc[t] = _stats(state.gamma, state.sigma2, state.phi2, state.z_imputed, mask)
 

@@ -7,6 +7,7 @@ from snpgibbs.model import (
     FamilyDesign,
     GenotypeMatrix,
     PhenotypeVector,
+    snp_design_matrix,
 )
 from snpgibbs.pedigree import RelationshipMatrix
 
@@ -48,8 +49,6 @@ def make_dataset(
     sdim = s if coding == "signed" else 2 * s
     if gamma is None:
         gamma = rng.normal(0, 1, size=sdim)
-    from snpgibbs.model import snp_design_matrix
-
     Zd = snp_design_matrix(codes, coding)
     L = np.linalg.cholesky(R.entries)
     y = X @ beta + Zd @ np.asarray(gamma, float) + np.sqrt(sigma2) * (L @ rng.standard_normal(n))
@@ -65,6 +64,12 @@ def make_dataset(
     )
     truth = {"beta": beta, "gamma": np.asarray(gamma, float), "codes": codes, "sigma2": sigma2}
     return data, truth
+
+
+def fresh_workspace(state, data):
+    """A chain workspace of the state's completed design, as a chain
+    builds at its start."""
+    return gibbs.ChainWorkspace(data, snp_design_matrix(state.z_imputed, data.snp_coding))
 
 
 @pytest.fixture

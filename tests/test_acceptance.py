@@ -57,7 +57,7 @@ from snpgibbs.simulator import (
     six_family_design,
 )
 
-from conftest import make_dataset
+from conftest import fresh_workspace, make_dataset
 from test_pedigree import _random_pedigree
 from _geweke import geweke_compare
 from _oracles import (
@@ -414,7 +414,7 @@ def test_criterion_10_conditional_sampler_validity():
     rng = np.random.default_rng(42)
     counts = np.zeros(3)
     for _ in range(100_000):
-        impute_snp_column(state, data, 0, rng, ImputationPrior())
+        impute_snp_column(state, data, 0, rng, ImputationPrior(), fresh_workspace(state, data))
         counts[int(state.z_imputed[0, 0]) + 1] += 1
     chi_p = st.chisquare(counts, probs[0] * counts.sum()).pvalue
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import snpgibbs
+import snpgibbs.cli as cli
 
 from snpgibbs.cli import THIN_BF_ESS, main
 
@@ -553,6 +554,7 @@ class TestSelectCommand:
         err = capsys.readouterr().err
         assert "21 candidates exceed the exhaustive limit of 20" in err
         assert "drop --exhaustive" in err and "mh_model_search" not in err
+        assert not out.exists()  # an explicit list is counted before any work
 
     def test_samples_file_without_rows_exit_3(self, tmp_path, capsys):
         sim = simulate_inputs(tmp_path)
@@ -629,6 +631,41 @@ class TestSelectCommand:
         assert "--candidates significant" in err
         assert not out.exists()
 
+    def test_unknown_listed_candidate_exit_3_before_any_chain(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        sim = simulate_inputs(tmp_path)
+        monkeypatch.setattr(cli, "run_chain", lambda *a: pytest.fail("a chain ran"))
+        out = tmp_path / "sel"
+        code = run_cli(
+            "select", "--genotypes", sim / "genotypes.csv",
+            "--phenotypes", sim / "phenotypes.csv", "--families", sim / "families.csv",
+            "--iters", "300", "--burnin", "100", "--candidates", "snp1,snp9:a",
+            "--out-dir", out,
+        )
+        assert code == 3
+        assert "unknown candidate 'snp9:a'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_range_candidate_index_exit_3(self, tmp_path, capsys):
+        sim = simulate_inputs(tmp_path)
+        data = [
+            "--genotypes", sim / "genotypes.csv",
+            "--phenotypes", sim / "phenotypes.csv",
+            "--families", sim / "families.csv",
+        ]
+        run_out = tmp_path / "run"
+        assert run_cli("run", *data, "--iters", "300", "--burnin", "100", "--thin", "2",
+                       "--seed", "1", "--out-dir", run_out) == 0
+        capsys.readouterr()
+        for token in ("99", "-1"):
+            out = tmp_path / f"sel{token}"
+            code = run_cli("select", *data, "--samples", run_out / "samples.csv",
+                           "--candidates", f"0,{token}", "--out-dir", out)
+            assert code == 3
+            assert f"unknown candidate {token!r}" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_repeated_candidates_scored_once(self, tmp_path):
         sim = simulate_inputs(tmp_path)
         base = [
@@ -687,6 +724,18 @@ class TestKinshipCommand:
             "--out-dir", out,
         ) == 0
         assert_replays("kinship", out, ("kinship.csv",))
+
+    def test_unknown_id_exit_3_without_quotes_or_directory(self, tmp_path, capsys):
+        sim = simulate_inputs(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "kin"
+        code = run_cli(
+            "kinship", "--pedigree", sim / "pedigree.csv", "--ids", "F1_01,nobody",
+            "--out-dir", out,
+        )
+        assert code == 3
+        assert capsys.readouterr().err == "error: unknown individual id 'nobody'\n"
+        assert not out.exists()
 
     def test_missing_pedigree_exit_3(self, tmp_path, capsys):
         assert run_cli("kinship", "--out-dir", tmp_path / "k") == 3

@@ -34,7 +34,7 @@ from snpgibbs.model import (
 )
 from snpgibbs.pedigree import RelationshipMatrix
 
-from conftest import make_dataset, poison_phi2
+from conftest import fresh_workspace, make_dataset, poison_phi2
 from _oracles import (
     imputation_probabilities,
     per_block_chain,
@@ -70,7 +70,7 @@ class TestSampleBeta:
             kinship=RelationshipMatrix.identity(ids),
         )
         state = state_for(data, sigma2=1e-20)
-        draw = sample_beta(state, data, rng)
+        draw = sample_beta(state, data, rng, fresh_workspace(state, data))
         assert abs(draw[0] - y.mean()) < 1e-8
 
     def test_toy_gls_mean_matches_direct_solve(self, rng):
@@ -79,7 +79,7 @@ class TestSampleBeta:
         Rinv = np.linalg.inv(data.R)
         resid = data.y - snp_design_matrix(state.z_imputed, "signed") @ state.gamma
         expected = np.linalg.solve(data.X.T @ Rinv @ data.X, data.X.T @ Rinv @ resid)
-        draw = sample_beta(state, data, rng)
+        draw = sample_beta(state, data, rng, fresh_workspace(state, data))
         assert np.allclose(draw, expected, atol=1e-9)
 
     def test_variance_scales_linearly(self, rng):
@@ -87,8 +87,9 @@ class TestSampleBeta:
         draws = {}
         for sigma2 in (1.0, 4.0):
             state = state_for(data, sigma2=sigma2)
+            work = fresh_workspace(state, data)
             draws[sigma2] = np.array(
-                [sample_beta(state, data, rng)[0] for _ in range(4000)]
+                [sample_beta(state, data, rng, work)[0] for _ in range(4000)]
             )
         ratio = draws[4.0].var() / draws[1.0].var()
         assert 3.3 < ratio < 4.8
@@ -101,7 +102,8 @@ class TestSampleBeta:
         resid = data.y - Zd @ state.gamma
         mean = np.linalg.solve(XtRinv @ data.X, XtRinv @ resid)
         cov = state.sigma2 * np.linalg.inv(XtRinv @ data.X)
-        draws = np.array([sample_beta(state, data, rng) for _ in range(20000)])
+        work = fresh_workspace(state, data)
+        draws = np.array([sample_beta(state, data, rng, work) for _ in range(20000)])
         for k in range(2):
             z = (draws[:, k] - mean[k]) / np.sqrt(cov[k, k])
             assert st.kstest(z, "norm").pvalue > 0.001
@@ -111,14 +113,14 @@ class TestSampleBeta:
     def test_matches_two_solve_reference(self, coding, kinship):
         data, _ = make_dataset(n=15, s=3, p=3, seed=8, coding=coding, kinship=kinship)
         setup = np.random.default_rng(2)
-        work = ChainWorkspace(data)
+        work = ChainWorkspace(data, snp_design_matrix(data.genotypes.codes, data.snp_coding))
         for _ in range(5):
             state = state_for(
                 data, gamma=setup.normal(size=data.design_dim),
                 sigma2=float(setup.uniform(0.5, 2.0)),
             )
             seed = int(setup.integers(2**32))
-            ours = sample_beta(state, data, np.random.default_rng(seed), workspace=work)
+            ours = sample_beta(state, data, np.random.default_rng(seed), work)
             ref = two_solve_beta(state, data, np.random.default_rng(seed))
             assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -130,7 +132,7 @@ class TestSampleGamma:
         y_fit = data.X @ beta
         data = dataclasses.replace(data, phenotypes=PhenotypeVector(y_fit))
         state = state_for(data, beta=beta, sigma2=1e-22, phi2=1.0)
-        draw = sample_gamma(state, data, rng)
+        draw = sample_gamma(state, data, rng, fresh_workspace(state, data))
         assert np.max(np.abs(draw)) < 1e-9
 
     def test_toy_mean_matches_dense_solve(self, rng):
@@ -140,7 +142,7 @@ class TestSampleGamma:
         Rinv = np.linalg.inv(data.R)
         M = Zd.T @ Rinv @ Zd + np.eye(2) / state.phi2
         expected = np.linalg.solve(M, Zd.T @ Rinv @ (data.y - data.X @ state.beta))
-        draw = sample_gamma(state, data, rng)
+        draw = sample_gamma(state, data, rng, fresh_workspace(state, data))
         assert np.allclose(draw, expected, atol=1e-10)
 
     def test_ridge_limit_approaches_gls(self, rng):
@@ -150,7 +152,7 @@ class TestSampleGamma:
         beta = np.zeros(1)
         gls = np.linalg.solve(Zd.T @ Zd, Zd.T @ data.y)
         state = state_for(data, beta=beta, sigma2=1e-24, phi2=1e8)
-        draw = sample_gamma(state, data, rng)
+        draw = sample_gamma(state, data, rng, fresh_workspace(state, data))
         assert np.allclose(draw, gls, atol=1e-5)
 
     def test_gram_argument_draws_the_same(self):
@@ -160,12 +162,12 @@ class TestSampleGamma:
         state = state_for(data, beta=[0.4], sigma2=0.8, phi2=1.5)
         # statistics of another design, brought to the state's design one
         # column refresh at a time, draw as the ones built from it
-        stats = DesignStatistics(ChainWorkspace(data), np.ones((data.n, data.design_dim)))
-        stats.design[:] = snp_design_matrix(state.z_imputed, data.snp_coding)
+        work = ChainWorkspace(data, np.ones((data.n, data.design_dim)))
+        work.stats.design[:] = snp_design_matrix(state.z_imputed, data.snp_coding)
         for c in range(data.design_dim):
-            stats.refresh(c)
-        built = sample_gamma(state, data, np.random.default_rng(7))
-        given = sample_gamma(state, data, np.random.default_rng(7), stats=stats)
+            work.stats.refresh(c)
+        built = sample_gamma(state, data, np.random.default_rng(7), fresh_workspace(state, data))
+        given = sample_gamma(state, data, np.random.default_rng(7), work)
         np.testing.assert_allclose(given, built, rtol=1e-12, atol=1e-12)
 
     def test_exact_conditional_distribution(self, rng):
@@ -177,7 +179,8 @@ class TestSampleGamma:
         Minv = np.linalg.inv(M)
         mean = Minv @ (Zd.T @ Rinv @ (data.y - data.X @ state.beta))
         cov = state.sigma2 * Minv
-        draws = np.array([sample_gamma(state, data, rng) for _ in range(20000)])
+        work = fresh_workspace(state, data)
+        draws = np.array([sample_gamma(state, data, rng, work) for _ in range(20000)])
         for k in range(2):
             z = (draws[:, k] - mean[k]) / np.sqrt(cov[k, k])
             assert st.kstest(z, "norm").pvalue > 0.001
@@ -201,7 +204,7 @@ class TestSampleGamma:
                 sigma2=float(setup.uniform(0.1, 4.0)),
                 phi2=float(10.0 ** setup.uniform(-2, 2)),
             )
-            got = sample_gamma(state, data, rng_ours)
+            got = sample_gamma(state, data, rng_ours, fresh_workspace(state, data))
             want = two_factorization_gamma(state, data, rng_ref)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
             assert rng_ours.bit_generator.state == rng_ref.bit_generator.state
@@ -212,9 +215,7 @@ class TestSampleGamma:
             n=90, s=snps, p=2, seed=31, missing=0.1, kinship="correlated"
         )
         s = data.design_dim
-        stats = DesignStatistics(
-            ChainWorkspace(data), snp_design_matrix(data.genotypes.codes, data.snp_coding)
-        )
+        work = ChainWorkspace(data, snp_design_matrix(data.genotypes.codes, data.snp_coding))
         setup = np.random.default_rng(4)
         rng_ours, rng_ref = np.random.default_rng(8), np.random.default_rng(8)
         for _ in range(3):
@@ -224,11 +225,11 @@ class TestSampleGamma:
                 sigma2=float(setup.uniform(0.1, 4.0)),
                 phi2=float(10.0 ** setup.uniform(-2, 2)),
             )
-            stats.bordered[np.triu_indices(s + 1, 1)] = np.nan
-            got = sample_gamma(state, data, rng_ours, stats=stats)
+            work.bordered[np.triu_indices(s + 1, 1)] = np.nan
+            got = sample_gamma(state, data, rng_ours, work)
             want = two_factorization_gamma(state, data, rng_ref)
             # the border's upper half was still NaN when it was factorized
-            assert np.isnan(stats.bordered[:s, s]).all()
+            assert np.isnan(work.bordered[:s, s]).all()
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
             assert rng_ours.bit_generator.state == rng_ref.bit_generator.state
 
@@ -239,7 +240,7 @@ class TestSampleGamma:
         Zd = snp_design_matrix(state.z_imputed, big.snp_coding)
         r = Zd.T @ np.linalg.solve(big.R, big.y)
         assert 1e7 < np.linalg.norm(r) < 1e9
-        got = sample_gamma(state, big, np.random.default_rng(2))
+        got = sample_gamma(state, big, np.random.default_rng(2), fresh_workspace(state, big))
         want = two_factorization_gamma(state, big, np.random.default_rng(2))
         assert np.isfinite(got).all()
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
@@ -253,7 +254,8 @@ class TestVarianceDraws:
         data = dataclasses.replace(data, phenotypes=PhenotypeVector(data.X @ beta))
         state = state_for(data, beta=beta, gamma=np.zeros(5))
         priors = PriorHyperparams(a=2.0, b=1.0, c=2.0, d=1.0)
-        draws = np.array([sample_sigma2(state, data, priors, rng) for _ in range(30000)])
+        work = fresh_workspace(state, data)
+        draws = np.array([sample_sigma2(state, data, priors, rng, work) for _ in range(30000)])
         shape, scale = 10 / 2 + 5 / 2 + 2.0, priors.b
         assert st.kstest(draws, st.invgamma(shape, scale=scale).cdf).pvalue > 0.001
 
@@ -261,16 +263,15 @@ class TestVarianceDraws:
         data, _ = make_dataset(n=10, s=3, p=2, seed=2, kinship="correlated")
         state = state_for(data, beta=[1.0, 2.0], gamma=[0.5, -0.5, 0.2], phi2=1.3)
         priors = default_priors()
-        work = ChainWorkspace(data)
         Zd = snp_design_matrix(state.z_imputed, "signed")
+        # the design's statistics once, as a chain keeps them
+        work = ChainWorkspace(data, Zd)
         resid = data.y - data.X @ state.beta - Zd @ state.gamma
         quad = resid @ work.Rinv @ resid
         shape = 10 / 2 + 3 / 2 + priors.a
         scale = (quad + state.gamma @ state.gamma / state.phi2 + 2 * priors.b) / 2
-        # the design's statistics once, as a chain keeps them
-        stats = DesignStatistics(work, Zd)
         draws = np.array(
-            [sample_sigma2(state, data, priors, rng, stats=stats) for _ in range(1_000_000)]
+            [sample_sigma2(state, data, priors, rng, work) for _ in range(1_000_000)]
         )
         expected_mean = scale / (shape - 1)
         assert abs(draws.mean() - expected_mean) / expected_mean < 0.01
@@ -344,7 +345,7 @@ class TestImputation:
         rng = np.random.default_rng(42)
         counts = np.zeros(3)
         for _ in range(100_000):
-            impute_snp_column(state, data, 0, rng, ImputationPrior())
+            impute_snp_column(state, data, 0, rng, ImputationPrior(), fresh_workspace(state, data))
             counts[int(state.z_imputed[0, 0]) + 1] += 1
         pval = st.chisquare(counts, probs[0] * counts.sum()).pvalue
         assert pval > 0.001
@@ -363,26 +364,26 @@ class TestImputation:
         state = state_for(data, gamma=rng.normal(size=4))
         mask = data.genotypes.missing_mask
         for j in range(4):
-            impute_snp_column(state, data, j, rng, ImputationPrior())
+            impute_snp_column(state, data, j, rng, ImputationPrior(), fresh_workspace(state, data))
         assert np.array_equal(state.z_imputed[~mask], data.genotypes.codes[~mask])
 
     def test_delta_reflects_code_changes(self, rng):
         data, _ = make_dataset(n=30, s=3, missing=0.4, seed=10, coding="additive_dominance")
         state = state_for(data, gamma=rng.normal(size=6), sigma2=0.3)
         before = snp_design_matrix(state.z_imputed, "additive_dominance")
-        stats = DesignStatistics(ChainWorkspace(data), before)
-        changed = impute_snp_column(state, data, 1, rng, ImputationPrior(), stats=stats)
+        work = ChainWorkspace(data, before)
+        changed = impute_snp_column(state, data, 1, rng, ImputationPrior(), work)
         # the design written in place is the design of the new codes, the
         # returned columns are exactly the ones that moved, and the
         # statistics are those of the new design
-        Zd = stats.design
+        Zd = work.stats.design
         assert np.array_equal(Zd, snp_design_matrix(state.z_imputed, "additive_dominance"))
         assert changed == np.flatnonzero((Zd != before).any(axis=0)).tolist()
         assert changed
-        fresh = DesignStatistics(stats.work, Zd)
+        fresh = DesignStatistics(data, work.Rinv, Zd)
         for name in ("Rinv_W", "cross"):
             np.testing.assert_allclose(
-                getattr(stats, name), getattr(fresh, name), rtol=1e-13, atol=1e-13
+                getattr(work.stats, name), getattr(fresh, name), rtol=1e-13, atol=1e-13
             )
 
     @pytest.mark.parametrize("prior_mode", ["uniform", "file"])
@@ -400,10 +401,8 @@ class TestImputation:
             prior = ImputationPrior("weighted", w / w.sum(axis=2, keepdims=True))
         ours = state_for(data, beta=setup.normal(size=2))
         ref = ours.copy()
-        stats = DesignStatistics(
-            ChainWorkspace(data), snp_design_matrix(ours.z_imputed, data.snp_coding)
-        )
-        ref_design = stats.design.copy()
+        work = ChainWorkspace(data, snp_design_matrix(ours.z_imputed, data.snp_coding))
+        ref_design = work.stats.design.copy()
         rng_ours, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
         changed = 0
         for t in range(200):
@@ -412,16 +411,38 @@ class TestImputation:
             ours.gamma, ours.sigma2 = gamma.copy(), sigma2
             ref.gamma, ref.sigma2 = gamma.copy(), sigma2
             j = t % data.s
-            got = impute_snp_column(ours, data, j, rng_ours, prior, stats=stats)
+            got = impute_snp_column(ours, data, j, rng_ours, prior, work)
             want = sequential_impute(ref, data, j, rng_ref, prior)
             assert np.array_equal(ours.z_imputed, ref.z_imputed)
             assert got == [d.column_index for d in want]
             for d in want:
                 ref_design[:, d.column_index] += d.delta
-            assert np.array_equal(stats.design, ref_design)
+            assert np.array_equal(work.stats.design, ref_design)
             assert rng_ours.bit_generator.state == rng_ref.bit_generator.state
             changed += bool(got)
         assert changed > 50
+
+
+class TestDesignStatistics:
+    def test_refresh_of_an_index_array_matches_a_fresh_build(self):
+        # the selector's call form: cells of non-contiguous design columns
+        # rewritten, then one refresh of exactly those columns
+        data, _ = make_dataset(
+            n=25, s=6, p=2, seed=33, coding="additive_dominance", kinship="correlated"
+        )
+        Rinv = np.linalg.inv(data.R)
+        stats = DesignStatistics(
+            data, Rinv, snp_design_matrix(data.genotypes.codes, data.snp_coding)
+        )
+        cols = np.array([1, 4, 9])
+        rows = np.array([0, 3, 7, 12, 20])
+        stats.design[np.ix_(rows, cols)] = 1.0 - stats.design[np.ix_(rows, cols)]
+        fresh = DesignStatistics(data, Rinv, stats.design.copy())
+        assert not np.allclose(stats.cross, fresh.cross)  # stale before the refresh
+        stats.refresh(cols)
+        for name in ("W", "Rinv_W", "cross"):
+            got, want = getattr(stats, name), getattr(fresh, name)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 class TestRunChain:
@@ -474,7 +495,8 @@ class TestRunChain:
         errors, designs = [], set()
         real = gibbs.sample_gamma
 
-        def checked(state, data, rng, workspace=None, stats=None):
+        def checked(state, data, rng, work):
+            stats = work.stats
             design = stats.design
             assert np.array_equal(
                 design, snp_design_matrix(state.z_imputed, data.snp_coding)
@@ -499,7 +521,7 @@ class TestRunChain:
                 for name, want in fresh.items()
             ))
             designs.add(design.tobytes())
-            return real(state, data, rng, workspace=workspace, stats=stats)
+            return real(state, data, rng, work)
 
         monkeypatch.setattr(gibbs, "sample_gamma", checked)
         cfg = GibbsConfig(
@@ -520,8 +542,8 @@ class TestRunChain:
         errors, handed = [], []
         real = gibbs._residual_image_at
 
-        def checked(rows, state, stats, image):
-            u = real(rows, state, stats, image)
+        def checked(rows, state, work, image):
+            u = real(rows, state, work, image)
             Zd = snp_design_matrix(state.z_imputed, data.snp_coding)
             resid = data.y - data.X @ state.beta - Zd @ state.gamma
             fresh = np.linalg.solve(data.R, resid)[rows]
