@@ -82,6 +82,9 @@ __all__ = [
 # width of the diagonal blocks in the gamma draw's back-substitution
 GAMMA_BLOCK = 32
 
+# cell pairs per run of columns whose couplings ChainWorkspace gathers at once
+COUPLING_CHUNK = 1 << 16
+
 # draws an HPD interval needs
 HPD_MIN_DRAWS = 100
 
@@ -301,12 +304,7 @@ class ChainWorkspace:
         self.moved_columns = [
             [np.flatnonzero(a != b).tolist() for b in values] for a in values
         ]
-        mask = data.genotypes.missing_mask
-        per_snp = data.columns_per_snp
-        self.masked = [
-            self._cells(slice(per_snp * j, per_snp * (j + 1)), np.flatnonzero(mask[:, j]))
-            for j in range(data.s)
-        ]
+        self.masked = self._masked_cells(data)
         self.stats = DesignStatistics(data, self.Rinv, design)
         s, p = design.shape[1], data.X.shape[1]
         self.bordered = np.empty((s + 1, s + 1))
@@ -316,13 +314,44 @@ class ChainWorkspace:
         self.weights[-1] = 1.0
         self.image = np.empty(data.n)
 
-    def _cells(self, design: slice, rows: np.ndarray) -> MaskedCells:
-        block = self.Rinv[np.ix_(rows, rows)]
-        later = [
-            [(m, c) for m, c in enumerate(block[k + 1 :, k].tolist(), start=k + 1) if c != 0.0]
-            for k in range(rows.size)
+    def _masked_cells(self, data: Dataset) -> list[MaskedCells]:
+        """Every SNP column's ``MaskedCells``. The couplings are gathered for
+        runs of whole columns at once, about COUPLING_CHUNK cell pairs each."""
+        cols, rows = np.nonzero(data.genotypes.missing_mask.T)  # in column order
+        bounds = np.searchsorted(cols, np.arange(data.s + 1))
+        sizes = np.diff(bounds)
+        # the columns where a new run starts, the last one's end
+        runs = np.cumsum(sizes * (sizes - 1) // 2) // COUPLING_CHUNK
+        edges = [0, *(np.flatnonzero(np.diff(runs)) + 1).tolist(), data.s]
+        later: list = []
+        for c0, c1 in zip(edges, edges[1:]):
+            later += self._couplings(rows, bounds, c0, c1)
+        diag = self.Rinv[rows, rows].tolist()
+        per_snp, b = data.columns_per_snp, bounds.tolist()
+        return [
+            MaskedCells(slice(per_snp * j, per_snp * (j + 1)), rows[b[j] : b[j + 1]],
+                        diag[b[j] : b[j + 1]], later[b[j] : b[j + 1]])
+            for j in range(data.s)
         ]
-        return MaskedCells(design, rows, np.diag(block).tolist(), later)
+
+    def _couplings(self, rows, bounds, c0: int, c1: int) -> list:
+        """For each masked cell of columns c0..c1-1, the pairs (m, R^-1 at
+        the rows of cell m and of the cell) for every later cell m of its
+        column where that entry is not zero, m counted within the column."""
+        lo, hi = bounds[c0], bounds[c1]
+        sizes = np.diff(bounds[c0 : c1 + 1])
+        start = np.repeat(bounds[c0:c1], sizes)  # the column start of each cell
+        cell = np.arange(lo, hi)
+        counts = np.repeat(bounds[c0 + 1 : c1 + 1], sizes) - cell - 1  # its later cells
+        # every (cell, later cell) pair, the later ones cell + 1, cell + 2, ...
+        first = np.repeat(cell, counts)
+        later = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        values = self.Rinv[rows[later], rows[first]]
+        kept = np.flatnonzero(values)
+        local = (later - np.repeat(start, counts))[kept]
+        pairs = list(zip(local.tolist(), values[kept].tolist()))
+        ends = np.cumsum(np.bincount(first[kept] - lo, minlength=hi - lo)).tolist()
+        return [pairs[e0:e1] for e0, e1 in zip([0, *ends], ends)]
 
     def residual_weights(self, state: ParameterState) -> np.ndarray:
         """(-gamma, -beta, 1), written into ``weights``: W = [Z | X | Y]
@@ -538,17 +567,15 @@ def initial_state(
     genotypes drawn from the imputation prior."""
     mask = data.genotypes.missing_mask
     z = data.genotypes.codes.copy()
-    prior = config.imputation_prior
-    for j in range(data.s):
-        rows = np.flatnonzero(mask[:, j])
-        if rows.size == 0:
-            continue
-        logw = prior.log_weights(rows, j)
+    # every masked cell in column order, one uniform each
+    cols, rows = np.nonzero(mask.T)
+    if rows.size:
+        logw = config.imputation_prior.log_weights(rows, cols)
         w = np.exp(logw - logw.max(axis=1, keepdims=True))
         w /= w.sum(axis=1, keepdims=True)
         u = rng.random(rows.size)
         idx = (w.cumsum(axis=1) < u[:, None]).sum(axis=1)
-        z[rows, j] = GENOTYPE_CODES[np.minimum(idx, 2)]
+        z[rows, cols] = GENOTYPE_CODES[np.minimum(idx, 2)]
 
     Zd = snp_design_matrix(z, data.snp_coding)
     p, sd = data.X.shape[1], Zd.shape[1]
@@ -661,15 +688,24 @@ def hpd_interval(samples: np.ndarray, level: float = 0.95) -> CredibleInterval:
 
 
 def autocorrelations(x: np.ndarray, max_lag: int = 20) -> np.ndarray:
-    """Sample autocorrelations at lags 1..max_lag."""
+    """Sample autocorrelations at lags 1..max_lag of a series, or of each
+    column of a 2-D ``x``, one row of lags per column; zeros for a constant
+    series. Each lag of each column is one dot product of that column's
+    centred series, in one batched ``np.matmul`` per lag, so a column's row
+    is bit for bit what the column alone gives."""
     x = np.asarray(x, dtype=float)
-    x = x - x.mean()
-    denom = float(x @ x)
-    if denom == 0.0:
-        return np.zeros(max_lag)
-    return np.array(
-        [float(x[k:] @ x[:-k]) / denom for k in range(1, max_lag + 1)]
-    )
+    # a copy, one contiguous row per series
+    series = np.array(x.T if x.ndim == 2 else x[None], order="C")
+    for row in series:
+        row -= row.mean()  # an axis mean of the 2-D array sums in another order
+    rows, cols = series[:, None, :], series[:, :, None]
+    denom = np.matmul(rows, cols)[:, 0]
+    acf = np.empty((series.shape[0], max_lag))
+    for k in range(1, max_lag + 1):
+        acf[:, k - 1] = np.matmul(rows[..., k:], cols[:, :-k])[:, 0, 0]
+    np.divide(acf, denom, out=acf, where=denom != 0.0)
+    acf[denom[:, 0] == 0.0] = 0.0
+    return acf if x.ndim == 2 else acf[0]
 
 
 def batch_mean_stderr(x: np.ndarray, n_batches: int = 30) -> float:

@@ -87,16 +87,21 @@ def file_digest(path) -> str:
 
 
 def read_table(path, short_rows: bool = False) -> tuple[list[str], list[list[str]]]:
-    """Comma-separated file as (header, rows); '#' lines skipped. A row with
-    fewer cells than the header is an error unless ``short_rows``."""
+    """Comma-separated file as (header, rows); '#' lines skipped, cells
+    stripped of surrounding whitespace, a leading UTF-8 byte-order mark
+    dropped. A row with fewer cells than the header is an error unless
+    ``short_rows``."""
     header: Optional[list[str]] = None
     rows: list[list[str]] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line in fh:
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            cells = [c.strip() for c in line.split(",")]
+            cells = line.split(",")
+            # every whitespace character but the space is unprintable
+            if " " in line or not line.isprintable():
+                cells = [c.strip() for c in cells]
             if header is None:
                 header = cells
             elif len(cells) < len(header) and not short_rows:
@@ -108,6 +113,15 @@ def read_table(path, short_rows: bool = False) -> tuple[list[str], list[list[str
     if header is None:
         raise DataValidationError(f"{path}: empty file")
     return header, rows
+
+
+def _check_unique(path, ids) -> None:
+    """Exit on the first id that ``ids`` lists twice, naming the file."""
+    seen: set = set()
+    for rid in ids:
+        if rid in seen:
+            raise DataValidationError(f"{path}: duplicate id {rid!r}")
+        seen.add(rid)
 
 
 def _numbers(path, rows, first: int, last: Optional[int] = None) -> list[list[float]]:
@@ -123,12 +137,17 @@ def _numbers(path, rows, first: int, last: Optional[int] = None) -> list[list[fl
 
 
 def write_table(path, header: Sequence[str], rows: Iterable[Sequence], manifest_lines=()):
+    _write_lines(path, header, (",".join(fmt(c) for c in row) for row in rows), manifest_lines)
+
+
+def _write_lines(path, header: Sequence[str], lines: Iterable[str], manifest_lines=()):
+    """The manifest lines, the header, then the rows already joined."""
     with open(path, "w", encoding="utf-8") as fh:
         for line in manifest_lines:
             fh.write(line + "\n")
         fh.write(",".join(str(h) for h in header) + "\n")
-        for row in rows:
-            fh.write(",".join(fmt(c) for c in row) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 # -- pedigree ----------------------------------------------------------------
@@ -160,6 +179,7 @@ def read_genotype_calls(path, missing_marker: str = "NA"):
         raise DataValidationError(f"{path}: first genotype column must be 'id'")
     snp_names = header[1:]
     ids = [r[0] for r in rows]
+    _check_unique(path, ids)
     calls = np.array([r[1:] for r in rows], dtype=object)
     if calls.size and calls.shape[1] != len(snp_names):
         raise DataValidationError(f"{path}: ragged genotype rows")
@@ -167,9 +187,11 @@ def read_genotype_calls(path, missing_marker: str = "NA"):
 
 
 def write_genotypes(path, ids, gm: GenotypeMatrix, missing_marker="NA", manifest_lines=()):
-    calls = decode_genotypes(gm, missing_marker)
-    rows = [[ids[i]] + list(calls[i]) for i in range(len(ids))]
-    write_table(path, ["id"] + list(gm.names()), rows, manifest_lines)
+    """The bytes ``write_table`` would write, each row's calls joined as
+    they are: every call is text."""
+    calls = decode_genotypes(gm, missing_marker).tolist()
+    lines = (fmt(rid) + "," + ",".join(row) for rid, row in zip(ids, calls))
+    _write_lines(path, ["id", *gm.names()], lines, manifest_lines)
 
 
 def read_phenotypes(path) -> dict[str, float]:
@@ -210,6 +232,7 @@ def write_families(path, ids, families, manifest_lines=()):
 def read_kinship_matrix(path) -> RelationshipMatrix:
     header, rows = read_table(path)
     ids = header[1:]
+    _check_unique(path, ids)
     if len(rows) > len(ids):
         raise DataValidationError(
             f"{path}: row {','.join(rows[len(ids)])!r} is beyond the header's {len(ids)} ids"
@@ -297,7 +320,7 @@ def read_samples(path, data: Dataset) -> PosteriorSamples:
     the rows below it are parsed in one ``np.loadtxt``. Every sigma^2 and
     phi^2 must be finite and positive, every imputed code -1, 0 or 1.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [line for line in fh if line.strip() and not line.startswith("#")]
     if not lines:
         raise DataValidationError(f"{path}: empty file")
@@ -358,13 +381,13 @@ def write_intervals(path, summary, manifest_lines=()):
 
 
 def write_autocorrelations(path, samples: PosteriorSamples, max_lag=20, manifest_lines=()):
+    """Lags 1..max_lag of every coefficient's autocorrelation, one row each;
+    the cells are the repr of each float, as ``fmt`` writes them."""
     names, cols = samples.coefficient_table()
-    rows = []
-    for k, name in enumerate(names):
-        acf = autocorrelations(cols[:, k], max_lag)
-        rows.append([name] + list(acf))
+    acf = autocorrelations(cols, max_lag).tolist()
     header = ["name"] + [f"lag{k}" for k in range(1, max_lag + 1)]
-    write_table(path, header, rows, manifest_lines)
+    lines = (",".join([name, *map(repr, row)]) for name, row in zip(names, acf))
+    _write_lines(path, header, lines, manifest_lines)
 
 
 def write_trace(path, trace, manifest_lines=()):
@@ -425,7 +448,7 @@ def write_truth(path, truth: SimTruth, manifest_lines=()):
 def read_truth(path) -> SimTruth:
     fields: dict[str, str] = {}
     code_rows = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line in fh:
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
@@ -455,7 +478,7 @@ def read_truth(path) -> SimTruth:
 def read_config_file(path) -> dict[str, str]:
     """Plain key=value settings; '#' lines allowed (a manifest is loadable)."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):

@@ -255,8 +255,10 @@ class ImputationPrior:
                 raise DataValidationError("each weight triple must sum to 1")
             object.__setattr__(self, "weights", w)
 
-    def log_weights(self, rows: np.ndarray, col: int) -> np.ndarray:
-        """Log prior weights for the given cells, shape (len(rows), 3)."""
+    def log_weights(self, rows: np.ndarray, col) -> np.ndarray:
+        """Log prior weights for the given cells, shape (len(rows), 3): the
+        cells of column ``col`` at ``rows``, or, with ``col`` an index
+        array as long as ``rows``, the cells (rows[k], col[k])."""
         if self.mode == "uniform":
             return np.zeros((len(rows), 3))
         with np.errstate(divide="ignore"):
@@ -394,46 +396,50 @@ def encode_genotypes(
     inverse = inverse.reshape(n, s)
     text = [str(x).strip() for x in distinct]
     missing = np.array([not x or x == missing_marker for x in text], dtype=bool)
-    present = np.zeros((s, len(distinct)), dtype=bool)
-    present[np.arange(s), inverse] = True
-    code_of = np.zeros((s, len(distinct)), dtype=np.int8)
-    categories: list[dict] = []
-    warnings: list[str] = []
-    for j in range(s):
-        observed = sorted({text[u] for u in np.flatnonzero(present[j] & ~missing)})
-        if not observed:
-            raise DataValidationError(f"SNP column {names[j]!r} has no observed calls")
-        if len(observed) > 3:
-            raise DataValidationError(
-                f"SNP column {names[j]!r} has {len(observed)} categories: "
-                + ", ".join(observed)
-            )
-        homs = [c for c in observed if len(set(c)) == 1]
-        hets = [c for c in observed if len(set(c)) > 1]
-        if len(hets) > 1:
-            raise DataValidationError(
-                f"SNP column {names[j]!r} has multiple heterozygous calls: "
-                + ", ".join(hets)
-            )
-        if len(homs) > 2:
-            raise DataValidationError(
-                f"SNP column {names[j]!r} has {len(homs)} homozygous calls"
-            )
-        mapping: dict[str, int] = {}
-        if homs:
-            mapping[max(homs)] = 1
-            if len(homs) == 2:
-                mapping[min(homs)] = -1
-        if hets:
-            mapping[hets[0]] = 0
-        if len(observed) == 1:
-            warnings.append(f"SNP column {names[j]!r} is monomorphic")
-        code_of[j] = [mapping.get(x, 0) for x in text]
-        categories.append({code: call for call, code in mapping.items()})
-    codes = code_of[np.arange(s), inverse]
+    observed = np.zeros((s, len(distinct)), dtype=bool)
+    observed[np.arange(s), inverse] = True
+    observed &= ~missing
+    # columns with the same set of observed calls share one code map
+    patterns, pattern_of = np.unique(observed, axis=0, return_inverse=True)
+    pattern_of = pattern_of.ravel()
+    maps = [_code_map(sorted({text[u] for u in np.flatnonzero(row)})) for row in patterns]
+    failed = [k for k, m in enumerate(maps) if isinstance(m, str)]
+    if failed:
+        j = int(np.flatnonzero(np.isin(pattern_of, failed))[0])
+        raise DataValidationError(f"SNP column {names[j]!r} {maps[pattern_of[j]]}")
+    code_of = np.array([[m.get(x, 0) for x in text] for m in maps], dtype=np.int8)
+    code_of = code_of.reshape(len(maps), len(text))  # also when nothing was read
+    codes = code_of[pattern_of, inverse]
     mask = missing[inverse]
-    gm = GenotypeMatrix(codes, mask, names, tuple(categories))
+    categories = tuple({code: call for call, code in maps[k].items()} for k in pattern_of)
+    warnings = [f"SNP column {names[j]!r} is monomorphic"
+                for j, k in enumerate(pattern_of.tolist()) if len(maps[k]) == 1]
+    gm = GenotypeMatrix(codes, mask, names, categories)
     return gm, warnings
+
+
+def _code_map(observed: list[str]):
+    """The codes of one column's sorted distinct observed calls, or what is
+    wrong with them: the larger homozygote (one repeated character) +1,
+    the smaller -1, the heterozygote 0."""
+    if not observed:
+        return "has no observed calls"
+    if len(observed) > 3:
+        return f"has {len(observed)} categories: " + ", ".join(observed)
+    homs = [c for c in observed if len(set(c)) == 1]
+    hets = [c for c in observed if len(set(c)) > 1]
+    if len(hets) > 1:
+        return "has multiple heterozygous calls: " + ", ".join(hets)
+    if len(homs) > 2:
+        return f"has {len(homs)} homozygous calls"
+    mapping: dict[str, int] = {}
+    if homs:
+        mapping[max(homs)] = 1
+        if len(homs) == 2:
+            mapping[min(homs)] = -1
+    if hets:
+        mapping[hets[0]] = 0
+    return mapping
 
 
 _DEFAULT_CALLS = {-1: "AA", 0: "AB", 1: "BB"}
@@ -441,13 +447,11 @@ _DEFAULT_CALLS = {-1: "AA", 0: "AB", 1: "BB"}
 
 def decode_genotypes(gm: GenotypeMatrix, missing_marker: str = "NA") -> np.ndarray:
     """Categorical call table from a coded matrix (inverse of encode)."""
-    n, s = gm.codes.shape
-    out = np.empty((n, s), dtype=object)
+    s = gm.s
+    # per column, the calls of codes -1, 0 and +1, then the missing marker
+    table = np.empty((s, 4), dtype=object)
     for j in range(s):
         cats = gm.categories[j] if gm.categories else _DEFAULT_CALLS
-        for i in range(n):
-            if gm.missing_mask[i, j]:
-                out[i, j] = missing_marker
-            else:
-                out[i, j] = cats.get(int(gm.codes[i, j]), _DEFAULT_CALLS[int(gm.codes[i, j])])
-    return out
+        table[j, :3] = [cats.get(c, _DEFAULT_CALLS[c]) for c in (-1, 0, 1)]
+    table[:, 3] = missing_marker
+    return table[np.arange(s), np.where(gm.missing_mask, 3, gm.codes + 1)]

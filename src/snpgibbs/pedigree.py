@@ -13,7 +13,7 @@ base block of the matrix is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -47,28 +47,46 @@ class PedigreeRecord:
 
 @dataclass(frozen=True)
 class OrderedPedigree:
-    """Topologically ordered records; the first ``base_count`` are founders."""
+    """Topologically ordered records; the first ``base_count`` are founders.
+
+    ``parent_index`` holds, per record, the positions of its known parents
+    in the order ``PedigreeRecord.parents`` lists them, then -1: shape
+    (n, 2), read-only. ``order_pedigree`` passes the positions it resolved;
+    left out, they are resolved from the records here."""
 
     records: tuple[PedigreeRecord, ...]
     base_count: int
+    parent_index: Optional[np.ndarray] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        ids = [r.individual_id for r in self.records]
-        if len(set(ids)) != len(ids):
-            raise PedigreeError("duplicate individual ids in pedigree")
-        position = {rid: k for k, rid in enumerate(ids)}
-        for k, rec in enumerate(self.records):
-            if k < self.base_count and rec.parents():
-                raise PedigreeError(
-                    f"record {rec.individual_id!r} in base block has a known parent"
-                )
-            for pid in rec.parents():
-                if pid not in position:
-                    raise PedigreeError(f"unknown parent id {pid!r}")
-                if position[pid] >= k:
-                    raise PedigreeError(
-                        f"parent {pid!r} does not precede offspring {rec.individual_id!r}"
-                    )
+        index = self.parent_index
+        if index is None:
+            ids = self.ids
+            position = {rid: k for k, rid in enumerate(ids)}
+            if len(position) != len(ids):
+                raise PedigreeError("duplicate individual ids in pedigree")
+            index = _parent_positions(self.records, position)
+            index.setflags(write=False)
+            object.__setattr__(self, "parent_index", index)
+        # a founder in the base block, an unknown parent (-2) or a parent
+        # at or after its offspring
+        own = np.arange(len(self.records))[:, None]
+        bad = (index >= own) | (index == UNKNOWN_PARENT)
+        bad[: self.base_count] |= index[: self.base_count] >= 0
+        rows = np.flatnonzero(bad.any(axis=1))
+        if rows.size:
+            raise PedigreeError(self._problem(int(rows[0])))
+
+    def _problem(self, k: int) -> str:
+        rec = self.records[k]
+        if k < self.base_count and rec.parents():
+            return f"record {rec.individual_id!r} in base block has a known parent"
+        for pid, at in zip(rec.parents(), self.parent_index[k].tolist()):
+            if at == UNKNOWN_PARENT:
+                return f"unknown parent id {pid!r}"
+            if at >= k:
+                return f"parent {pid!r} does not precede offspring {rec.individual_id!r}"
+        raise AssertionError("record has no problem")  # pragma: no cover
 
     @property
     def ids(self) -> tuple[str, ...]:
@@ -78,9 +96,28 @@ class OrderedPedigree:
         return len(self.records)
 
 
+# the parent position of an id not in the pedigree
+UNKNOWN_PARENT = -2
+
+
+def _parent_positions(records: Sequence[PedigreeRecord], position: dict) -> np.ndarray:
+    """Per record, the positions of its known parents, first known first,
+    then -1; a parent id missing from ``position`` is UNKNOWN_PARENT."""
+    lookup = position.get
+    sires = np.array([-1 if r.sire_id is None else lookup(r.sire_id, UNKNOWN_PARENT)
+                      for r in records], dtype=np.intp)
+    dams = np.array([-1 if r.dam_id is None else lookup(r.dam_id, UNKNOWN_PARENT)
+                     for r in records], dtype=np.intp)
+    index = np.column_stack([sires, dams])
+    dam_only = sires == -1
+    index[dam_only] = index[dam_only, ::-1]
+    return index
+
+
 class RelationshipMatrix:
-    """Dense kinship matrix keyed by individual ids. Only its shape is checked
-    here: ``Dataset`` checks the symmetry, diagonal and definiteness of R."""
+    """Dense kinship matrix keyed by individual ids. Only its shape and the
+    ids, each listed once, are checked here: ``Dataset`` checks the
+    symmetry, diagonal and definiteness of R."""
 
     def __init__(self, ids: Sequence[str], entries: np.ndarray):
         entries = np.asarray(entries, dtype=float)
@@ -91,6 +128,9 @@ class RelationshipMatrix:
         self.ids = tuple(str(i) for i in ids)
         self.entries = entries
         self._index = {rid: k for k, rid in enumerate(self.ids)}
+        if len(self._index) != len(self.ids):
+            repeated = next(rid for k, rid in enumerate(self.ids) if self._index[rid] != k)
+            raise ValueError(f"duplicate individual id {repeated!r}")
 
     @property
     def dim(self) -> int:
@@ -125,42 +165,52 @@ def order_pedigree(records: Iterable[PedigreeRecord]) -> OrderedPedigree:
     input order. Raises PedigreeError on dangling parent ids or cycles,
     naming the offender.
     """
-    by_id: dict[str, PedigreeRecord] = {}
-    for rec in records:
-        if rec.individual_id in by_id:
-            raise PedigreeError(f"duplicate individual id {rec.individual_id!r}")
-        by_id[rec.individual_id] = rec
-    for rec in by_id.values():
-        for pid in rec.parents():
-            if pid not in by_id:
-                raise PedigreeError(
-                    f"parent id {pid!r} of {rec.individual_id!r} not in pedigree"
-                )
+    records = list(records)
+    ids = [rec.individual_id for rec in records]
+    position: dict[str, int] = {}
+    for k, rid in enumerate(ids):
+        if position.setdefault(rid, k) != k:
+            raise PedigreeError(f"duplicate individual id {rid!r}")
+    parents = _parent_positions(records, position)
+    dangling = np.flatnonzero((parents == UNKNOWN_PARENT).any(axis=1))
+    if dangling.size:
+        rec = records[int(dangling[0])]
+        pid = next(p for p in rec.parents() if p not in position)
+        raise PedigreeError(f"parent id {pid!r} of {rec.individual_id!r} not in pedigree")
 
     # Kahn's algorithm one generation at a time: a record joins the
     # generation after the last of its parents, ids sorted within each
-    children: dict[str, list[str]] = {rid: [] for rid in by_id}
-    waiting = {}  # parent links not yet placed
-    for rid, rec in by_id.items():
-        waiting[rid] = len(rec.parents())
-        for pid in rec.parents():
-            children[pid].append(rid)
-    generation = sorted(rid for rid, count in waiting.items() if count == 0)
+    n = len(records)
+    links = parents.ravel()
+    known = np.flatnonzero(links >= 0)
+    by_parent = known[np.argsort(links[known], kind="stable")]
+    children = (by_parent // 2).tolist()  # link k belongs to record k // 2
+    starts = np.searchsorted(links[by_parent], np.arange(n + 1)).tolist()
+    waiting = (parents >= 0).sum(axis=1).tolist()  # parent links not yet placed
+    by_id = ids.__getitem__
+    generation = sorted((k for k in range(n) if not waiting[k]), key=by_id)
     base_count = len(generation)  # founders are exactly the first generation
-    ordered: list[PedigreeRecord] = []
+    order: list[int] = []
     while generation:
-        ordered.extend(by_id[rid] for rid in generation)
+        order.extend(generation)
         following = []
-        for rid in generation:
-            for child in children[rid]:
+        for k in generation:
+            for child in children[starts[k] : starts[k + 1]]:
                 waiting[child] -= 1
-                if waiting[child] == 0:
+                if not waiting[child]:
                     following.append(child)
-        generation = sorted(following)
-    if len(ordered) < len(by_id):
-        placed = {rec.individual_id for rec in ordered}
-        raise PedigreeError(_describe_cycle(by_id, set(by_id) - placed))
-    return OrderedPedigree(tuple(ordered), base_count)
+        generation = sorted(following, key=by_id)
+    if len(order) < n:
+        placed = {ids[k] for k in order}
+        pending = set(ids) - placed
+        raise PedigreeError(_describe_cycle(dict(zip(ids, records)), pending))
+    # the parents' positions, renumbered in the new order
+    new_position = np.empty(n, dtype=np.intp)
+    new_position[order] = np.arange(n)
+    ordered = parents[order]
+    ordered = np.where(ordered >= 0, new_position[ordered], -1)
+    ordered.setflags(write=False)
+    return OrderedPedigree(tuple(records[k] for k in order), base_count, ordered)
 
 
 def _describe_cycle(by_id: dict[str, PedigreeRecord], pending: set[str]) -> str:
@@ -185,27 +235,59 @@ def _describe_cycle(by_id: dict[str, PedigreeRecord], pending: set[str]) -> str:
 def build_numerator_matrix(ped: OrderedPedigree) -> RelationshipMatrix:
     """Apply the three-case kinship recursion over an ordered pedigree.
 
-    Each new row reads its parents' rows ``R[g, :j]``, which are complete
-    because every step writes its row and column alike."""
+    The recursion runs over blocks of consecutive records, none of whose
+    parents lies inside its block, at most BLOCK_ROWS records each: a
+    block's rows up to the block read its parents' rows, which are
+    complete, and its entries among its own records read those rows again.
+    Every entry is the value the record-by-record recursion gives, bit for
+    bit."""
     n = len(ped)
-    pos = {rid: k for k, rid in enumerate(ped.ids)}
+    parents = ped.parent_index
+    latest = parents.max(axis=1, initial=-1)  # each record's last parent
     R = np.zeros((n, n))
-    for j, rec in enumerate(ped.records):
-        parents = [pos[p] for p in rec.parents()]
-        if len(parents) == 2:
-            g, h = parents
-            row = 0.5 * (R[g, :j] + R[h, :j])
-            R[j, j] = 1.0 + 0.5 * R[g, h]
-        elif len(parents) == 1:
-            g = parents[0]
-            row = 0.5 * R[g, :j]
-            R[j, j] = 1.0
-        else:
-            row = np.zeros(j)
-            R[j, j] = 1.0
-        R[j, :j] = row
-        R[:j, j] = row
+    start = 0
+    while start < n:
+        stop = min(start + BLOCK_ROWS, n)
+        # the first record after ``start`` whose parent lies in the block
+        inside = np.flatnonzero(latest[start + 1 : stop] >= start)
+        if inside.size:
+            stop = start + 1 + int(inside[0])
+        _fill_block(R, start, stop, parents[start:stop])
+        start = stop
     return RelationshipMatrix(ped.ids, R)
+
+
+# records per block of the kinship recursion: bounds its two block x n
+# temporaries
+BLOCK_ROWS = 128
+
+
+def _fill_block(R: np.ndarray, a: int, b: int, parents: np.ndarray) -> None:
+    """Rows and columns a..b-1 of R, given R[:a, :a] and that every parent
+    of those records lies before a."""
+    g, h = parents[:, 0], parents[:, 1]
+    one, two = g >= 0, h >= 0
+    diag = np.ones(b - a)
+    if one.any():
+        # R[j, :a] = 0.5 (R[g, :a] + R[h, :a]) with both parents known,
+        # 0.5 R[g, :a] with one, zero with none
+        rows = R[np.where(one, g, 0), :a]
+        rows[two] += R[h[two], :a]
+        rows *= 0.5
+        rows[~one] = 0.0
+        R[a:b, :a] = rows
+        R[:a, a:b] = rows.T
+        # R[j, i] for i < j in the block, by the same rule from the rows of
+        # R[i, :a] just filled: cross[i, j] = R[j, i]
+        cross = rows[:, np.where(one, g, 0)]
+        cross[:, two] += rows[:, h[two]]
+        cross *= 0.5
+        cross[:, ~one] = 0.0
+        upper = np.triu(cross, 1)
+        R[a:b, a:b] = upper + upper.T
+        diag[two] += 0.5 * R[g[two], h[two]]
+    block = np.arange(a, b)
+    R[block, block] = diag
 
 
 def extract_submatrix(R: RelationshipMatrix, ids: Sequence[str]) -> RelationshipMatrix:

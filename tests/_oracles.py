@@ -6,10 +6,11 @@ over the coefficient prior, posterior state streams come from exact
 conjugate Gaussian draws (sigma^2 and phi^2 held fixed), and the genotype
 conditional is drawn by a per-cell numpy loop over the full residual image.
 The beta and gamma draws, the chain's per-block sweep, EM's exact and
-Monte Carlo E-steps, the samples writer, the genotype coding, the
-pedigree ordering and kinship recursion and the design-by-design walk of
-the Bayes-factor statistics each have their earlier, plainer form here as
-the reference for the faster one. The per-individual genotype conditional
+Monte Carlo E-steps, the samples writer, the genotype coding and
+decoding, the pedigree ordering and kinship recursion, the chain's
+set-up (prior draws and masked-cell couplings), the autocorrelations and
+the design-by-design walk of the Bayes-factor statistics each have their
+earlier, plainer form here as the reference for the faster one. The per-individual genotype conditional
 (exact only at R = I) and the Bayes-factor bridge weight g live here too:
 only tests use them.
 """
@@ -586,6 +587,72 @@ def column_read_numerator_matrix(ped):
         R[j, :j] = row
         R[:j, j] = row
     return RelationshipMatrix(ped.ids, R)
+
+
+_DEFAULT_CALLS = {-1: "AA", 0: "AB", 1: "BB"}
+
+
+def loop_decode_genotypes(gm, missing_marker="NA"):
+    """Reference call table: every cell looked up in its column's categories
+    one at a time."""
+    n, s = gm.codes.shape
+    out = np.empty((n, s), dtype=object)
+    for j in range(s):
+        cats = gm.categories[j] if gm.categories else _DEFAULT_CALLS
+        for i in range(n):
+            if gm.missing_mask[i, j]:
+                out[i, j] = missing_marker
+            else:
+                code = int(gm.codes[i, j])
+                out[i, j] = cats.get(code, _DEFAULT_CALLS[code])
+    return out
+
+
+def dot_autocorrelations(x, max_lag=20):
+    """Reference autocorrelations of one series: one dot product per lag."""
+    x = np.asarray(x, dtype=float)
+    x = x - x.mean()
+    denom = float(x @ x)
+    if denom == 0.0:
+        return np.zeros(max_lag)
+    return np.array([float(x[k:] @ x[:-k]) / denom for k in range(1, max_lag + 1)])
+
+
+def per_column_masked_cells(Rinv, data):
+    """Reference masked cells of every SNP column, as (design columns, rows,
+    diagonal of R^-1 there, per cell the (m, R^-1[rows[m], rows[k]]) pairs
+    of the later cells m with a non-zero coupling), one column at a time
+    from its block of R^-1."""
+    mask, per_snp = data.genotypes.missing_mask, data.columns_per_snp
+    out = []
+    for j in range(data.s):
+        rows = np.flatnonzero(mask[:, j])
+        block = Rinv[np.ix_(rows, rows)]
+        later = [
+            [(m, c) for m, c in enumerate(block[k + 1 :, k].tolist(), start=k + 1) if c != 0.0]
+            for k in range(rows.size)
+        ]
+        out.append((slice(per_snp * j, per_snp * (j + 1)), rows.tolist(),
+                    np.diag(block).tolist(), later))
+    return out
+
+
+def per_column_prior_draws(data, prior, rng):
+    """Reference starting genotypes: each SNP column's masked cells drawn
+    from the imputation prior, one ``rng.random`` per column."""
+    mask = data.genotypes.missing_mask
+    z = data.genotypes.codes.copy()
+    for j in range(data.s):
+        rows = np.flatnonzero(mask[:, j])
+        if rows.size == 0:
+            continue
+        logw = prior.log_weights(rows, j)
+        w = np.exp(logw - logw.max(axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
+        u = rng.random(rows.size)
+        idx = (w.cumsum(axis=1) < u[:, None]).sum(axis=1)
+        z[rows, j] = GENOTYPE_CODES[np.minimum(idx, 2)]
+    return z
 
 
 def dense_inverse(A):

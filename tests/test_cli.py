@@ -133,6 +133,38 @@ class TestRunCommand:
         assert (out / "samples_chain1.csv").exists()
         assert (out / "samples_chain2.csv").exists()
 
+    @pytest.mark.parametrize("kinship", ["identity", "pedigree"])
+    def test_repeated_genotype_id_exit_3_without_directory(self, tmp_path, capsys, kinship):
+        sim = simulate_inputs(tmp_path)
+        lines = (sim / "genotypes.csv").read_text().splitlines(keepends=True)
+        first = next(k for k, line in enumerate(lines) if not line.startswith("#")) + 1
+        repeated = tmp_path / "repeated.csv"
+        repeated.write_text("".join(lines[: first + 1] + lines[first:]))
+        capsys.readouterr()
+        out = tmp_path / "run"
+        code = run_cli(
+            "run", "--genotypes", repeated, "--phenotypes", sim / "phenotypes.csv",
+            "--pedigree", sim / "pedigree.csv", "--kinship", kinship,
+            "--iters", "150", "--burnin", "10", "--thin", "1", "--out-dir", out,
+        )
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {repeated}: duplicate id 'F1_01'\n"
+        assert not out.exists()
+
+    def test_genotype_file_with_byte_order_mark(self, tmp_path):
+        sim = simulate_inputs(tmp_path)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + (sim / "genotypes.csv").read_bytes())
+        for name, genotypes in (("plain", sim / "genotypes.csv"), ("marked", marked)):
+            assert run_cli(
+                "run", "--genotypes", genotypes, "--phenotypes", sim / "phenotypes.csv",
+                "--pedigree", sim / "pedigree.csv", "--kinship", "pedigree",
+                "--iters", "150", "--burnin", "10", "--thin", "1", "--out-dir", tmp_path / name,
+            ) == 0
+        assert read_noncomment_lines(tmp_path / "plain" / "samples.csv") == (
+            read_noncomment_lines(tmp_path / "marked" / "samples.csv")
+        )
+
     def test_missing_required_inputs_exit_3(self, tmp_path):
         assert run_cli("run", "--out-dir", tmp_path / "x") == 3
 
@@ -735,6 +767,18 @@ class TestKinshipCommand:
         )
         assert code == 3
         assert capsys.readouterr().err == "error: unknown individual id 'nobody'\n"
+        assert not out.exists()
+
+    def test_repeated_id_exit_3_without_directory(self, tmp_path, capsys):
+        sim = simulate_inputs(tmp_path)
+        capsys.readouterr()
+        out = tmp_path / "kin"
+        code = run_cli(
+            "kinship", "--pedigree", sim / "pedigree.csv", "--ids", "F1_01,F1_01",
+            "--out-dir", out,
+        )
+        assert code == 3
+        assert capsys.readouterr().err == "error: duplicate individual id 'F1_01'\n"
         assert not out.exists()
 
     def test_missing_pedigree_exit_3(self, tmp_path, capsys):

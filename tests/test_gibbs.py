@@ -36,8 +36,11 @@ from snpgibbs.pedigree import RelationshipMatrix
 
 from conftest import fresh_workspace, make_dataset, poison_phi2
 from _oracles import (
+    dot_autocorrelations,
     imputation_probabilities,
     per_block_chain,
+    per_column_masked_cells,
+    per_column_prior_draws,
     sequential_impute,
     two_factorization_gamma,
     two_solve_beta,
@@ -423,6 +426,48 @@ class TestImputation:
         assert changed > 50
 
 
+class TestChainSetUp:
+    @pytest.mark.parametrize("chunk", [gibbs.COUPLING_CHUNK, 1, 40])
+    @pytest.mark.parametrize("kinship", ["identity", "correlated"])
+    @pytest.mark.parametrize("coding", ["signed", "additive_dominance"])
+    def test_masked_cells_match_per_column_reference(self, monkeypatch, coding, kinship, chunk):
+        # chunk 1 gathers each column's couplings alone, 40 a few columns at once
+        monkeypatch.setattr(gibbs, "COUPLING_CHUNK", chunk)
+        data, _ = make_dataset(
+            n=30, s=7, p=2, seed=8, missing=0.35, coding=coding, kinship=kinship
+        )
+        inv = np.linalg.inv
+        Rinv = inv(data.R)
+        if kinship == "correlated":  # some zero couplings among non-zero ones
+            Rinv[np.abs(Rinv) < np.median(np.abs(Rinv))] = 0.0
+        monkeypatch.setattr(
+            gibbs.np.linalg, "inv", lambda A: Rinv.copy() if A is data.R else inv(A)
+        )
+        work = ChainWorkspace(data, snp_design_matrix(data.genotypes.codes, data.snp_coding))
+        got = [(c.design, c.rows.tolist(), c.diag, c.later) for c in work.masked]
+        assert got == per_column_masked_cells(Rinv, data)
+        coupled = [pairs for c in work.masked for pairs in c.later if pairs]
+        assert bool(coupled) == (kinship == "correlated")
+
+    def test_masked_cells_of_complete_columns(self):
+        data, _ = make_dataset(n=12, s=3, p=2, seed=1, kinship="correlated")
+        work = ChainWorkspace(data, snp_design_matrix(data.genotypes.codes, data.snp_coding))
+        assert [(c.rows.size, c.diag, c.later) for c in work.masked] == [(0, [], [])] * 3
+
+    @pytest.mark.parametrize("prior_mode", ["uniform", "file"])
+    def test_prior_draws_match_per_column_reference(self, prior_mode):
+        data, _ = make_dataset(n=40, s=6, p=2, seed=19, missing=0.3)
+        prior = ImputationPrior()
+        if prior_mode == "file":
+            w = np.random.default_rng(2).dirichlet(np.ones(3), size=(data.n, data.s))
+            w[::3, :, 2] = 0.0  # impossible classes: -inf log weights
+            prior = ImputationPrior("weighted", w / w.sum(axis=2, keepdims=True))
+        ours, ref = np.random.default_rng(3), np.random.default_rng(3)
+        state = initial_state(data, GibbsConfig(imputation_prior=prior), ours)
+        assert np.array_equal(state.z_imputed, per_column_prior_draws(data, prior, ref))
+        assert ours.bit_generator.state == ref.bit_generator.state
+
+
 class TestDesignStatistics:
     def test_refresh_of_an_index_array_matches_a_fresh_build(self):
         # the selector's call form: cells of non-contiguous design columns
@@ -674,6 +719,19 @@ class TestDiagnostics:
             x[t] = 0.8 * x[t - 1] + rng.standard_normal()
         acf = autocorrelations(x, max_lag=3)
         assert abs(acf[0] - 0.8) < 0.03
+
+    @pytest.mark.parametrize("draws", [150, 4000])
+    def test_batched_columns_match_single_series(self, draws):
+        rng = np.random.default_rng(7)
+        cols = rng.standard_normal((draws, 9)) * rng.uniform(0.01, 50, 9) + rng.uniform(-9, 9, 9)
+        cols[:, 3] = 2.5  # constant: zeros
+        cols[:, 4] = 0.1  # constant, but its mean is not exactly 0.1
+        cols[:, 5] = cols[:, 5].round()
+        acf = autocorrelations(cols, max_lag=20)
+        assert acf.shape == (9, 20) and not acf[3].any()
+        for k in range(9):
+            assert np.array_equal(acf[k], dot_autocorrelations(cols[:, k], 20))
+            assert np.array_equal(acf[k], autocorrelations(cols[:, k], 20))
 
     def test_batch_mean_stderr_iid(self):
         rng = np.random.default_rng(6)

@@ -5,7 +5,7 @@ import pytest
 
 from snpgibbs import io
 from snpgibbs.gibbs import GibbsConfig, run_chain
-from snpgibbs.model import DataValidationError, default_priors
+from snpgibbs.model import DataValidationError, GenotypeMatrix, default_priors
 from snpgibbs.pedigree import PedigreeRecord, RelationshipMatrix
 from snpgibbs.simulator import (
     MissingnessMask,
@@ -15,7 +15,7 @@ from snpgibbs.simulator import (
 )
 
 from conftest import make_dataset
-from _oracles import table_write_samples
+from _oracles import loop_decode_genotypes, table_write_samples
 
 
 def chain_samples(coding, missing):
@@ -46,6 +46,35 @@ class TestTables:
         path.write_text("")
         with pytest.raises(DataValidationError):
             io.read_table(path)
+
+    def test_cells_stripped_of_whitespace(self, tmp_path):
+        lines = ["id,a,b", " x ,1,\t2", "y,3,4\r", "z,\xa05,6\u3000", "w,7,8", "v,9 9,10"]
+        path = tmp_path / "t.csv"
+        path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+        header, rows = io.read_table(path)
+        assert [header, *rows] == [[c.strip() for c in line.split(",")] for line in lines]
+
+    @pytest.mark.parametrize("reader", ["table", "samples", "truth", "config"])
+    def test_byte_order_mark_dropped(self, tmp_path, reader):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        if reader == "samples":
+            data, post = chain_samples("signed", 0.2)
+            io.write_samples(plain, post, ["# subcommand=run"])
+            read = lambda path: io.read_samples(path, data).masked_values.tolist()
+        elif reader == "truth":
+            _, truth = simulate_dataset(six_family_design(), seed=6)
+            io.write_truth(plain, truth)  # no comment: the mark meets the first key
+            def read(path):
+                back = io.read_truth(path)
+                return back.design_name, back.true_codes.tolist()
+        elif reader == "config":
+            plain.write_text("iters=100\nseed=3\n")
+            read = io.read_config_file
+        else:
+            plain.write_text("id,value\nx,1.5\n")  # no comment: the mark meets the header
+            read = io.read_table
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert read(marked) == read(plain)
 
 
 class TestPedigreeFile:
@@ -91,6 +120,17 @@ class TestKinshipFile:
         back = io.read_kinship_matrix(path)
         assert np.array_equal(back.entries, back.entries.T)
         assert back.entries[0, 1] == 0.5 * (0.5 + 0.5000000000000004)
+
+    def test_duplicate_header_id_rejected(self, tmp_path):
+        path = tmp_path / "kin.csv"
+        path.write_text("id,a,a\na,1.0,0.5\na,0.5,1.0\n")
+        with pytest.raises(DataValidationError) as info:
+            io.read_kinship_matrix(path)
+        assert str(info.value) == f"{path}: duplicate id 'a'"
+
+    def test_matrix_rejects_a_repeated_id(self):
+        with pytest.raises(ValueError, match="duplicate individual id 'b'"):
+            RelationshipMatrix(["a", "b", "c", "b"], np.eye(4))
 
     def test_cell_not_a_number_names_file_and_row(self, tmp_path):
         path = tmp_path / "kin.csv"
@@ -141,6 +181,27 @@ class TestDatasetFiles:
         assert np.array_equal(gm.missing_mask, data.genotypes.missing_mask)
         observed = ~gm.missing_mask
         assert np.array_equal(gm.codes[observed], data.genotypes.codes[observed])
+
+    def test_genotype_file_duplicate_id_rejected(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text("id,snp1\nF1_01,AA\nF1_02,AB\nF1_01,BB\n")
+        with pytest.raises(DataValidationError) as info:
+            io.read_genotype_calls(path)
+        assert str(info.value) == f"{path}: duplicate id 'F1_01'"
+
+    @pytest.mark.parametrize("categories", [True, False])
+    def test_write_genotypes_matches_table_reference(self, tmp_path, categories):
+        data, _ = self._write_inputs(tmp_path, missing=0.2)
+        gm = data.genotypes
+        if not categories:  # the default calls AA, AB, BB
+            gm = GenotypeMatrix(gm.codes, gm.missing_mask, gm.snp_names)
+        manifest = ["# subcommand=simulate"]
+        ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
+        io.write_genotypes(ours, data.ids, gm, "-", manifest)
+        calls = loop_decode_genotypes(gm, "-")
+        rows = [[rid, *calls[i]] for i, rid in enumerate(data.ids)]
+        io.write_table(ref, ["id", *gm.names()], rows, manifest)
+        assert ours.read_bytes() == ref.read_bytes()
 
     def test_assemble_dataset_pedigree_mode(self, tmp_path):
         data, _ = self._write_inputs(tmp_path)

@@ -21,7 +21,7 @@ from snpgibbs.model import (
 )
 from snpgibbs.pedigree import RelationshipMatrix
 from conftest import make_dataset
-from _oracles import loop_encode_genotypes
+from _oracles import loop_decode_genotypes, loop_encode_genotypes
 
 
 class TestEncode:
@@ -110,6 +110,45 @@ class TestEncodeMatchesLoopReference:
             assert _encode_outcome(encode_genotypes, raw, **kwargs) == _encode_outcome(
                 loop_encode_genotypes, raw, **kwargs
             )
+
+
+    def test_wide_tables_share_code_maps(self):
+        # many columns of a few call sets each, so columns share a code map,
+        # and at most one broken column, anywhere
+        rng = np.random.default_rng(12)
+        sets = [("AA", "AG", "GG"), ("GG", "AG"), ("CC", "CT", "TT", " CC"), ("TT",),
+                ("AA", "AG", "GG", "NA")]
+        broken = [("AA", "AT", "TT", "CC"), ("NA",), ("AT", "TA"), ("A", "C", "G")]
+        for _ in range(30):
+            n, s = int(rng.integers(2, 30)), int(rng.integers(20, 80))
+            raw = np.empty((n, s), dtype=object)
+            for j in range(s):
+                raw[:, j] = rng.choice(sets[rng.integers(len(sets))], size=n)
+            if rng.random() < 0.5:
+                bad = broken[rng.integers(len(broken))]
+                raw[:, rng.integers(s)] = [bad[i % len(bad)] for i in range(n)]
+            assert _encode_outcome(encode_genotypes, raw) == _encode_outcome(
+                loop_encode_genotypes, raw
+            )
+
+
+class TestDecodeMatchesLoopReference:
+    @pytest.mark.parametrize("marker", ["NA", "-"])
+    def test_random_matrices(self, marker):
+        rng = np.random.default_rng(21)
+        for trial in range(20):
+            n, s = int(rng.integers(1, 15)), int(rng.integers(1, 8))
+            codes = rng.integers(-1, 2, size=(n, s)).astype(np.int8)
+            mask = rng.random((n, s)) < 0.3
+            mask[0] = False  # every column keeps an observed cell
+            # a column's categories may lack a code: that code reads AA/AB/BB
+            categories = tuple(
+                {c: f"{c}{j}" for c in (-1, 0, 1) if rng.random() < 0.7} for j in range(s)
+            ) if trial % 2 else ()
+            gm = GenotypeMatrix(codes, mask, (), categories)
+            got, want = decode_genotypes(gm, marker), loop_decode_genotypes(gm, marker)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tolist() == want.tolist()
 
 
 class TestDesignCoding:

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from snpgibbs.pedigree import (
+    BLOCK_ROWS,
+    OrderedPedigree,
     PedigreeError,
     PedigreeRecord,
     RelationshipMatrix,
@@ -93,8 +95,6 @@ class TestRecursion:
         assert np.array_equal(R.entries[:a, :a], np.eye(a))
 
     def test_order_independence_up_to_permutation(self):
-        from snpgibbs.pedigree import OrderedPedigree
-
         canonical = _random_pedigree(80, seed=11)
         R1 = build_numerator_matrix(canonical)
         # another valid topological order: reverse-id tie-break in Kahn
@@ -152,6 +152,65 @@ class TestAgainstReference:
         assert str(ours.value) == str(ref.value)
 
 
+class TestBlockRecursion:
+    """The block recursion equals the record-by-record reference bit for bit."""
+
+    @pytest.mark.parametrize("kind", ["mixed", "dam only", "selfing"])
+    @pytest.mark.parametrize("widths", [(12, 9, 15, 7), (BLOCK_ROWS + 3, 2 * BLOCK_ROWS + 5, 40)])
+    def test_generations(self, widths, kind):
+        rng = np.random.default_rng(len(widths) + sum(widths))
+        records, previous = [], []
+        for g, width in enumerate(widths):
+            current = [f"G{g}_{k:03d}" for k in range(width)]
+            for rid in current:
+                a, b = rng.choice(previous, size=2) if previous else (None, None)
+                if kind == "dam only":
+                    records.append(rec(rid, None, b))
+                elif kind == "selfing":
+                    records.append(rec(rid, a, a))
+                else:  # both parents, the sire or the dam alone, or none
+                    sire, dam = [(a, b), (a, None), (None, b), (None, None)][rng.integers(4)]
+                    records.append(rec(rid, sire, dam))
+            previous = current
+        ped = order_pedigree(records)
+        want = column_read_numerator_matrix(ped).entries
+        assert np.array_equal(build_numerator_matrix(ped).entries, want)
+        # positions resolved from the records, not handed over by the ordering
+        direct = OrderedPedigree(ped.records, ped.base_count)
+        assert np.array_equal(direct.parent_index, ped.parent_index)
+        assert np.array_equal(build_numerator_matrix(direct).entries, want)
+
+    @pytest.mark.parametrize("n, seed", [(80, 11), (400, 12)])
+    def test_order_not_grouped_by_generation(self, n, seed):
+        # the records as made: each after its parents, founders and
+        # offspring of every generation interleaved
+        records = _random_records(n, seed)
+        base = next(k for k, r in enumerate(records) if r.parents())
+        ped = OrderedPedigree(tuple(records), base)
+        assert ped.ids != order_pedigree(records).ids
+        assert np.array_equal(
+            build_numerator_matrix(ped).entries, column_read_numerator_matrix(ped).entries
+        )
+
+    @pytest.mark.parametrize(
+        "records, base, message",
+        [
+            ([rec("A", "B"), rec("B")], 1, "record 'A' in base block has a known parent"),
+            ([rec("A"), rec("B", "A", "ghost")], 1, "unknown parent id 'ghost'"),
+            ([rec("A"), rec("B", "C"), rec("C", "A")], 1,
+             "parent 'C' does not precede offspring 'B'"),
+            ([rec("A"), rec("B", None, "B")], 1, "parent 'B' does not precede offspring 'B'"),
+            ([rec("A"), rec("B", "C", "ghost"), rec("C")], 1,
+             "parent 'C' does not precede offspring 'B'"),
+            ([rec("A"), rec("A")], 2, "duplicate individual ids in pedigree"),
+        ],
+    )
+    def test_direct_construction_checked(self, records, base, message):
+        with pytest.raises(PedigreeError) as info:
+            OrderedPedigree(tuple(records), base)
+        assert str(info.value) == message
+
+
 class TestExtract:
     def test_identity_selection(self):
         R = build_numerator_matrix(_random_pedigree(40, seed=1))
@@ -187,6 +246,11 @@ class TestRelationshipMatrix:
 
 def _random_pedigree(n, seed):
     """Layered random pedigree: founders plus offspring of earlier individuals."""
+    return order_pedigree(_random_records(n, seed))
+
+
+def _random_records(n, seed):
+    """The records of ``_random_pedigree`` in the order they are made."""
     rng = np.random.default_rng(seed)
     base = max(4, n // 5)
     records = [rec(f"I{k}") for k in range(base)]
@@ -203,4 +267,4 @@ def _random_pedigree(n, seed):
             if h == g:  # avoid compounding self-mating inbreeding
                 h = (g + 1) % k
             records.append(rec(f"I{k}", f"I{g}", f"I{h}"))
-    return order_pedigree(records)
+    return records
