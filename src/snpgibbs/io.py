@@ -198,12 +198,9 @@ def read_phenotypes(path) -> dict[str, float]:
     header, rows = read_table(path)
     if [h.lower() for h in header[:2]] != ["id", "value"]:
         raise DataValidationError(f"{path}: expected header id,value")
-    out: dict[str, float] = {}
-    for row, (value,) in zip(rows, _numbers(path, rows, 1, 2)):
-        if row[0] in out:
-            raise DataValidationError(f"{path}: duplicate id {row[0]!r}")
-        out[row[0]] = value
-    return out
+    values = _numbers(path, rows, 1, 2)
+    _check_unique(path, [row[0] for row in rows])
+    return {row[0]: value for row, (value,) in zip(rows, values)}
 
 
 def write_phenotypes(path, ids, values, manifest_lines=()):
@@ -214,12 +211,8 @@ def read_families(path) -> dict[str, str]:
     header, rows = read_table(path)
     if [h.lower() for h in header[:2]] != ["id", "family"]:
         raise DataValidationError(f"{path}: expected header id,family")
-    out: dict[str, str] = {}
-    for row in rows:
-        if row[0] in out:
-            raise DataValidationError(f"{path}: duplicate id {row[0]!r}")
-        out[row[0]] = row[1]
-    return out
+    _check_unique(path, [row[0] for row in rows])
+    return {row[0]: row[1] for row in rows}
 
 
 def write_families(path, ids, families, manifest_lines=()):

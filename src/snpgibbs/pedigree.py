@@ -266,28 +266,30 @@ def _fill_block(R: np.ndarray, a: int, b: int, parents: np.ndarray) -> None:
     """Rows and columns a..b-1 of R, given R[:a, :a] and that every parent
     of those records lies before a."""
     g, h = parents[:, 0], parents[:, 1]
-    one, two = g >= 0, h >= 0
     diag = np.ones(b - a)
-    if one.any():
-        # R[j, :a] = 0.5 (R[g, :a] + R[h, :a]) with both parents known,
-        # 0.5 R[g, :a] with one, zero with none
-        rows = R[np.where(one, g, 0), :a]
-        rows[two] += R[h[two], :a]
-        rows *= 0.5
-        rows[~one] = 0.0
+    if (g >= 0).any():
+        rows = _parent_average(R[:, :a], g, h)  # R[j, :a]
         R[a:b, :a] = rows
         R[:a, a:b] = rows.T
-        # R[j, i] for i < j in the block, by the same rule from the rows of
-        # R[i, :a] just filled: cross[i, j] = R[j, i]
-        cross = rows[:, np.where(one, g, 0)]
-        cross[:, two] += rows[:, h[two]]
-        cross *= 0.5
-        cross[:, ~one] = 0.0
-        upper = np.triu(cross, 1)
-        R[a:b, a:b] = upper + upper.T
+        # R[j, i] for i < j in the block, by the same rule from the rows
+        # R[i, :a] just filled
+        within = np.tril(_parent_average(rows.T, g, h), -1)
+        R[a:b, a:b] = within + within.T
+        two = h >= 0
         diag[two] += 0.5 * R[g[two], h[two]]
     block = np.arange(a, b)
     R[block, block] = diag
+
+
+def _parent_average(M: np.ndarray, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Per record j, 0.5 (M[g_j] + M[h_j]) with both parents known,
+    0.5 M[g_j] with one and zeros with none."""
+    one, two = g >= 0, h >= 0
+    out = M[np.where(one, g, 0)]
+    out[two] += M[h[two]]
+    out *= 0.5
+    out[~one] = 0.0
+    return out
 
 
 def extract_submatrix(R: RelationshipMatrix, ids: Sequence[str]) -> RelationshipMatrix:
