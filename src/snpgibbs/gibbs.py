@@ -82,7 +82,10 @@ __all__ = [
 # width of the diagonal blocks in the gamma draw's back-substitution
 GAMMA_BLOCK = 32
 
-# cell pairs per run of columns whose couplings ChainWorkspace gathers at once
+# cell pairs per run of columns whose couplings ChainWorkspace gathers at
+# once: bounds the run's index temporaries. On 100 columns of 600 rows with
+# 20% masked (712,835 pairs) a gather of every column at once holds 26 MiB
+# of them, runs of 1 << 16 pairs 2 MiB, in the same time or less.
 COUPLING_CHUNK = 1 << 16
 
 # draws an HPD interval needs

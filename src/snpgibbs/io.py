@@ -34,6 +34,7 @@ from .pedigree import (
     build_numerator_matrix,
     extract_submatrix,
     order_pedigree,
+    repeated_id,
 )
 from .simulator import SimTruth
 
@@ -117,11 +118,9 @@ def read_table(path, short_rows: bool = False) -> tuple[list[str], list[list[str
 
 def _check_unique(path, ids) -> None:
     """Exit on the first id that ``ids`` lists twice, naming the file."""
-    seen: set = set()
-    for rid in ids:
-        if rid in seen:
-            raise DataValidationError(f"{path}: duplicate id {rid!r}")
-        seen.add(rid)
+    repeated = repeated_id(ids)
+    if repeated is not None:
+        raise DataValidationError(f"{path}: duplicate id {repeated!r}")
 
 
 def _numbers(path, rows, first: int, last: Optional[int] = None) -> list[list[float]]:
@@ -225,7 +224,6 @@ def write_families(path, ids, families, manifest_lines=()):
 def read_kinship_matrix(path) -> RelationshipMatrix:
     header, rows = read_table(path)
     ids = header[1:]
-    _check_unique(path, ids)
     if len(rows) > len(ids):
         raise DataValidationError(
             f"{path}: row {','.join(rows[len(ids)])!r} is beyond the header's {len(ids)} ids"
@@ -233,10 +231,13 @@ def read_kinship_matrix(path) -> RelationshipMatrix:
     if any(row[0] != ids[k] for k, row in enumerate(rows)):
         raise DataValidationError(f"{path}: kinship row ids must match header order")
     entries = np.array(_numbers(path, rows, 1))
-    R = RelationshipMatrix(ids, entries)  # checks the shape
+    try:
+        R = RelationshipMatrix(ids, entries)  # checks the shape and the ids
+    except ValueError as exc:
+        raise DataValidationError(f"{path}: {exc}") from None
     # symmetrise what a decimal round trip leaves; Dataset rejects anything more
     if np.max(np.abs(entries - entries.T)) <= KINSHIP_SYMMETRY_TOL:
-        R = RelationshipMatrix(ids, 0.5 * (entries + entries.T))
+        R.entries = 0.5 * (entries + entries.T)
     return R
 
 

@@ -126,7 +126,7 @@ class TestKinshipFile:
         path.write_text("id,a,a\na,1.0,0.5\na,0.5,1.0\n")
         with pytest.raises(DataValidationError) as info:
             io.read_kinship_matrix(path)
-        assert str(info.value) == f"{path}: duplicate id 'a'"
+        assert str(info.value) == f"{path}: duplicate individual id 'a'"
 
     def test_matrix_rejects_a_repeated_id(self):
         with pytest.raises(ValueError, match="duplicate individual id 'b'"):
