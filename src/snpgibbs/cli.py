@@ -426,11 +426,12 @@ def cmd_select(settings: Settings) -> int:
     labels = samples.data.gamma_labels()
     io.write_best_model(out / "best_model.txt", trace, labels, lines)
     io.write_manifest_file(out / "manifest.txt", manifest)
-    best_ess = trace.estimates[trace.best[0]].weight_ess
+    best = trace.best_row
+    best_ess = trace.weight_ess[best]
     if best_ess < THIN_BF_ESS:
         print(f"warning: the best model's Bayes factor rests on an importance-weight "
               f"ESS of {best_ess:.1f} states (< {THIN_BF_ESS})", file=sys.stderr)
-    best_labels = [labels[j] for j in trace.best[0].included()]
+    best_labels = [labels[j] for j in trace.columns(best)]
     print("best model: " + (";".join(best_labels) if best_labels else "<empty>"))
     return EXIT_OK
 

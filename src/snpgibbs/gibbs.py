@@ -293,7 +293,7 @@ class ChainWorkspace:
     that ``sample_sigma2`` last formed."""
 
     def __init__(self, data: Dataset, design: np.ndarray):
-        self.Rinv = np.linalg.inv(data.R)
+        self.Rinv = data.Rinv
         XtRinvX = data.X.T @ (self.Rinv @ data.X)
         try:
             Lx = np.linalg.cholesky(XtRinvX)

@@ -36,6 +36,7 @@ from .pedigree import (
     order_pedigree,
     repeated_id,
 )
+from .selector import BATCH_ENTRIES, SearchTrace
 from .simulator import SimTruth
 
 __all__ = [
@@ -172,15 +173,16 @@ def write_pedigree(path, records: Iterable[PedigreeRecord], manifest_lines=()):
 
 
 def read_genotype_calls(path, missing_marker: str = "NA"):
-    """Genotype file as (ids, snp_names, calls table)."""
+    """Genotype file as (ids, snp_names, calls), the calls one list per row
+    (the 2-D table ``encode_genotypes`` takes)."""
     header, rows = read_table(path)
     if not header or header[0].lower() != "id":
         raise DataValidationError(f"{path}: first genotype column must be 'id'")
     snp_names = header[1:]
     ids = [r[0] for r in rows]
     _check_unique(path, ids)
-    calls = np.array([r[1:] for r in rows], dtype=object)
-    if calls.size and calls.shape[1] != len(snp_names):
+    calls = [r[1:] for r in rows]
+    if any(len(row) != len(snp_names) for row in calls):
         raise DataValidationError(f"{path}: ragged genotype rows")
     return ids, snp_names, calls
 
@@ -384,34 +386,51 @@ def write_autocorrelations(path, samples: PosteriorSamples, max_lag=20, manifest
     _write_lines(path, header, lines, manifest_lines)
 
 
-def write_trace(path, trace, manifest_lines=()):
-    rows = [
-        (it, delta.bitstring(), log_bf, accepted)
-        for it, (delta, log_bf, accepted) in enumerate(trace.visited)
-    ]
-    write_table(path, ["iteration", "delta", "log_bf", "accepted"], rows, manifest_lines)
+def _cells(values: np.ndarray) -> list[str]:
+    """The text ``fmt`` writes for each entry: repr of a float, str of an
+    integer, 1 or 0 of a bool."""
+    if values.dtype.kind == "f":
+        return list(map(repr, values.tolist()))
+    return list(map(str, values.astype(np.int64).tolist()))
 
 
-def write_bf_diagnostics(path, trace, manifest_lines=()):
+def _model_lines(trace: SearchTrace, rows: np.ndarray, columns) -> Iterable[str]:
+    """One line per row of ``rows``: the cells of ``columns``, each a
+    per-row array of ``trace`` or None for the model's bitstring. Built a
+    chunk of rows at a time, so a long trace's text never exists at once."""
+    step = max(1, BATCH_ENTRIES // max(trace.s, 1))
+    for start in range(0, len(rows), step):
+        chunk = rows[start:start + step]
+        cells = [trace.bitstrings(chunk) if c is None else _cells(c[chunk]) for c in columns]
+        yield from map(",".join, zip(*cells))
+
+
+def write_trace(path, trace: SearchTrace, manifest_lines=()):
+    """One row per visit: its index, the model's bitstring, its log Bayes
+    factor and whether the search accepted it."""
+    rows = np.arange(len(trace))
+    lines = _model_lines(trace, rows, (rows, None, trace.log_value, trace.accepted))
+    _write_lines(path, ["iteration", "delta", "log_bf", "accepted"], lines, manifest_lines)
+
+
+def write_bf_diagnostics(path, trace: SearchTrace, manifest_lines=()):
     """One row per scored model: valid and invalid terms, the variance of
     the log terms and the importance-weight ESS (sum w)^2 / sum w^2."""
-    rows = [
-        (delta.bitstring(), est.sample_count, est.invalid_count,
-         est.log_term_variance, est.weight_ess)
-        for delta, est in trace.estimates.items()
-    ]
+    columns = (None, trace.sample_count, trace.invalid_count,
+               trace.log_term_variance, trace.weight_ess)
+    lines = _model_lines(trace, np.flatnonzero(trace.first), columns)
     header = ["delta", "valid", "invalid", "log_term_variance", "weight_ess"]
-    write_table(path, header, rows, manifest_lines)
+    _write_lines(path, header, lines, manifest_lines)
 
 
-def write_best_model(path, trace, gamma_labels, manifest_lines=()):
-    delta, log_bf = trace.best
-    included = [gamma_labels[j] for j in delta.included()]
+def write_best_model(path, trace: SearchTrace, gamma_labels, manifest_lines=()):
+    row = trace.best_row
+    included = [gamma_labels[j] for j in trace.columns(row)]
     with open(path, "w", encoding="utf-8") as fh:
         for line in manifest_lines:
             fh.write(line + "\n")
-        fh.write(f"delta={delta.bitstring()}\n")
-        fh.write(f"log_bf={fmt(log_bf)}\n")
+        fh.write(f"delta={trace.bitstrings([row])[0]}\n")
+        fh.write(f"log_bf={fmt(trace.log_value[row])}\n")
         fh.write("included=" + ";".join(included) + "\n")
         fh.write(f"skipped={trace.skipped}\n")
 

@@ -16,6 +16,8 @@ full rank, a positive-definite kinship and a known coding.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -333,6 +335,14 @@ class Dataset:
     def R(self) -> np.ndarray:
         return self.kinship.entries
 
+    @cached_property
+    def Rinv(self) -> np.ndarray:
+        """R^-1 from ``np.linalg.inv``, computed once and read-only: every
+        chain and the Bayes-factor search read this one inverse."""
+        inverse = np.linalg.inv(self.R)
+        inverse.flags.writeable = False
+        return inverse
+
     def gamma_labels(self) -> tuple[str, ...]:
         suffixes = self.coding.suffixes
         return tuple(name + tail for name in self.genotypes.names() for tail in suffixes)
@@ -380,13 +390,9 @@ def encode_genotypes(
     differ) to 0. Returns the coded matrix and a list of warnings
     (monomorphic columns).
     """
-    calls = np.asarray(raw, dtype=object)
-    if calls.ndim != 2:
-        raise DataValidationError("raw genotype table must be 2-d")
-    n, s = calls.shape
+    cells, n, s = _flat_calls(raw)
     names = tuple(snp_names) if snp_names else tuple(f"snp{j + 1}" for j in range(s))
     # factor the table once: every cell becomes the index of its distinct call
-    cells = calls.ravel().tolist()
     distinct = list(dict.fromkeys(cells))
     if not all(isinstance(x, str) for x in distinct):
         cells = list(map(str, cells))  # non-string calls compare by their text
@@ -416,6 +422,20 @@ def encode_genotypes(
                 for j, k in enumerate(pattern_of.tolist()) if len(maps[k]) == 1]
     gm = GenotypeMatrix(codes, mask, names, categories)
     return gm, warnings
+
+
+def _flat_calls(raw) -> tuple[list, int, int]:
+    """The cells of a 2-D call table in row order, and its shape. A list of
+    row lists of one length is flattened as it is; any other table goes
+    through an object ndarray."""
+    if isinstance(raw, list) and raw and all(type(row) is list for row in raw):
+        s = len(raw[0])
+        if all(len(row) == s for row in raw):
+            return list(chain.from_iterable(raw)), len(raw), s
+    calls = np.asarray(raw, dtype=object)
+    if calls.ndim != 2:
+        raise DataValidationError("raw genotype table must be 2-d")
+    return calls.ravel().tolist(), *calls.shape
 
 
 def _code_map(observed: list[str]):

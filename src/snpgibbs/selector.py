@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -157,6 +157,10 @@ class BayesFactorEstimate:
             return math.inf
 
 
+# the per-model columns of a search's summary and of its SearchTrace
+ESTIMATE_FIELDS = tuple(f.name for f in fields(BayesFactorEstimate))
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Stochastic-search settings.
@@ -181,27 +185,84 @@ class SearchConfig:
             raise ValueError("min_samples_per_bf must be >= 1")
 
 
-@dataclass
+@dataclass(eq=False)
 class SearchTrace:
-    """Visited models with their estimated log Bayes factors.
+    """The scored models as per-model columns, one row per visit in visit
+    order; an exhaustive search visits each model once, ranked by
+    decreasing log Bayes factor with ties in mask order.
 
-    ``estimates`` keeps the full estimate of every scored model, once per
-    distinct model, in the order the models were first scored.
+    Row r's model includes the ``candidates`` (design columns) marked in
+    ``included[r]`` and excludes every other of the ``s`` columns. The
+    estimate columns are the fields of ``BayesFactorEstimate``;
+    ``accepted`` says whether the walk moved to the row's model and
+    ``first`` whether the row is its model's first visit. ``skipped``
+    counts proposals with no valid term, which no row holds. ``visited``,
+    ``estimates`` and ``best`` give the rows as objects, built when read.
     """
 
-    visited: list = field(default_factory=list)  # (ModelIndicator, log_bf, accepted)
-    best: Optional[tuple] = None  # (ModelIndicator, log_bf)
+    s: int
+    candidates: tuple[int, ...]
+    included: np.ndarray  # (N, K) bool
+    accepted: np.ndarray  # (N,) bool
+    first: np.ndarray  # (N,) bool
+    log_value: np.ndarray  # (N,)
+    sample_count: np.ndarray  # (N,) int
+    invalid_count: np.ndarray  # (N,) int
+    log_term_mean: np.ndarray  # (N,)
+    log_term_variance: np.ndarray  # (N,)
+    weight_ess: np.ndarray  # (N,)
     skipped: int = 0
-    estimates: dict = field(default_factory=dict)  # ModelIndicator -> BayesFactorEstimate
 
-    def record(
-        self, delta: ModelIndicator, estimate: BayesFactorEstimate, accepted: bool
-    ) -> None:
-        log_bf = estimate.log_value
-        self.visited.append((delta, log_bf, accepted))
-        self.estimates.setdefault(delta, estimate)
-        if self.best is None or log_bf > self.best[1]:
-            self.best = (delta, log_bf)
+    def __len__(self) -> int:
+        return len(self.log_value)
+
+    @property
+    def best_row(self) -> int:
+        """The first row with the largest log Bayes factor."""
+        return int(np.argmax(self.log_value))
+
+    def bits(self, rows) -> np.ndarray:
+        """The inclusion bits of ``rows``' models over all s columns, (R, s)."""
+        bits = np.zeros((len(rows), self.s), dtype=np.uint8)
+        bits[:, list(self.candidates)] = self.included[rows]
+        return bits
+
+    def bitstrings(self, rows) -> list[str]:
+        """``ModelIndicator.bitstring`` of each of ``rows``' models."""
+        chars = self.bits(rows) + np.uint8(ord("0"))
+        return chars.view(f"S{self.s}").ravel().astype(str).tolist()
+
+    def columns(self, row: int) -> list[int]:
+        """The design columns row ``row``'s model includes, ascending."""
+        return np.flatnonzero(self.bits([row])[0]).tolist()
+
+    def estimate(self, row: int) -> BayesFactorEstimate:
+        return BayesFactorEstimate(
+            **{name: getattr(self, name)[row].item() for name in ESTIMATE_FIELDS}
+        )
+
+    def _indicators(self, rows) -> list[ModelIndicator]:
+        return [ModelIndicator(tuple(b)) for b in self.bits(rows).tolist()]
+
+    @property
+    def visited(self) -> list:
+        """(ModelIndicator, log_bf, accepted) of every row."""
+        rows = np.arange(len(self))
+        return list(zip(self._indicators(rows), self.log_value.tolist(),
+                        self.accepted.tolist()))
+
+    @property
+    def estimates(self) -> dict:
+        """ModelIndicator -> BayesFactorEstimate, once per distinct model, in
+        the order the models were first scored."""
+        rows = np.flatnonzero(self.first)
+        return {delta: self.estimate(r) for delta, r in zip(self._indicators(rows), rows)}
+
+    @property
+    def best(self) -> tuple:
+        """(ModelIndicator, log_bf) of ``best_row``."""
+        row = self.best_row
+        return self._indicators([row])[0], self.log_value[row].item()
 
 
 # -- per-state reference ----------------------------------------------------
@@ -328,7 +389,7 @@ def bayes_factor_statistics(
     that score every model including only columns from ``candidates``.
 
     One ``gibbs.DesignStatistics`` of W = [Z_F | Z_K | X | y] is built for
-    the first design, with R^-1 from ``np.linalg.inv``. The later designs
+    the first design, with the dataset's ``Rinv``. The later designs
     are walked through it in window order, a chunk at a time, by the masked
     cells whose code differs between consecutive rows of ``masked_values``:
     only those cells' design values are written into its ``design`` (from
@@ -371,7 +432,7 @@ def bayes_factor_statistics(
     codes[mask] = masked[0]
     # W = [Z_F | Z_K | X | y] of the first design
     stats = DesignStatistics(
-        data, np.linalg.inv(data.R), snp_design_matrix(codes, data.snp_coding)[:, F + K]
+        data, data.Rinv, snp_design_matrix(codes, data.snp_coding)[:, F + K]
     )
     # each masked cell's individual and design columns (as columns of W)
     table = data.coding.values
@@ -503,37 +564,32 @@ def _batch_log_terms(
 
 def _summaries(
     stats: BayesFactorStatistics, terms: np.ndarray, valid: np.ndarray
-) -> list[Optional[BayesFactorEstimate]]:
-    """Average each model's valid terms (log-sum-exp); None for a model
-    with no valid term."""
+) -> dict[str, np.ndarray]:
+    """Average each model's valid terms (log-sum-exp): the columns of
+    ``ESTIMATE_FIELDS``, one entry per model. A model with no valid term
+    has a ``sample_count`` of 0 and meaningless other entries."""
     B = terms.shape[0]
     valid = np.broadcast_to(valid, terms.shape).reshape(B, -1)
     terms = np.where(valid, terms.reshape(B, -1), -np.inf)
     count = valid.sum(axis=1)
     top = terms.max(axis=1, initial=-np.inf)
-    top[count == 0] = 0.0  # no valid term: the model is dropped below
+    top[count == 0] = 0.0  # no valid term: the model is dropped by the caller
     weights = np.exp(terms - top[:, None])
     weight_sum = weights.sum(axis=1)
     kept = np.maximum(count, 1)
     mean = np.where(valid, terms, 0.0).sum(axis=1) / kept
     squares = (np.where(valid, terms - mean[:, None], 0.0) ** 2).sum(axis=1)
-    variance = squares / np.maximum(count - 1, 1)  # 0 for a single term
     with np.errstate(divide="ignore", invalid="ignore"):
         log_value = top + np.log(weight_sum) - np.log(kept)
         ess = weight_sum**2 / (weights * weights).sum(axis=1)
-    return [
-        BayesFactorEstimate(
-            log_value=float(log_value[b]),
-            sample_count=int(count[b]),
-            log_term_mean=float(mean[b]),
-            log_term_variance=float(variance[b]),
-            invalid_count=stats.state_count - int(count[b]),
-            weight_ess=float(ess[b]),
-        )
-        if count[b]
-        else None
-        for b in range(B)
-    ]
+    return {
+        "log_value": log_value,
+        "sample_count": count,
+        "log_term_mean": mean,
+        "log_term_variance": squares / np.maximum(count - 1, 1),  # 0 for a single term
+        "invalid_count": stats.state_count - count,
+        "weight_ess": ess,
+    }
 
 
 def estimate_bayes_factor(
@@ -552,12 +608,12 @@ def estimate_bayes_factor(
             f"model {delta.bitstring()} includes columns outside the candidates"
         )
     included = np.array([[delta.bits[j] == 1 for j in stats.candidates]], dtype=bool)
-    (estimate,) = _summaries(stats, *_batch_log_terms(stats, included))
-    if estimate is None:
+    summary = _summaries(stats, *_batch_log_terms(stats, included))
+    if not summary["sample_count"][0]:
         raise EstimationError(
             f"all {stats.state_count} terms invalid for model {delta.bitstring()}"
         )
-    return estimate
+    return BayesFactorEstimate(**{name: column[0].item() for name, column in summary.items()})
 
 
 # -- search -------------------------------------------------------------------
@@ -591,7 +647,8 @@ def mh_model_search(
     Candidate and incumbent are always scored over the same window, the
     last ``min_samples_per_bf`` rows of ``samples``, and accept/reject uses
     only log-BF differences, so rescaling every estimate by a common factor
-    changes nothing.
+    changes nothing. The trace holds the starting model, then every scored
+    proposal.
     """
     s_full = samples.data.design_dim
     if candidates is None:
@@ -600,42 +657,51 @@ def mh_model_search(
         candidates = tuple(int(j) for j in candidates)
     stats = bayes_factor_statistics(samples[-config.min_samples_per_bf:], candidates)
     rng = np.random.default_rng(config.seed)
-    trace = SearchTrace()
-    cache: dict[tuple, BayesFactorEstimate] = {}
+    # each distinct model once, as its bits over the candidates, in the
+    # order first scored; a visit is an index into them
+    scored: dict[tuple, int] = {}
+    estimates: list[BayesFactorEstimate] = []
+    visits: list[int] = []
+    accepted: list[bool] = []
+    skipped = 0
 
-    def embed(sub: ModelIndicator) -> ModelIndicator:
-        bits = [0] * s_full
-        for k, j in enumerate(candidates):
-            bits[j] = sub.bits[k]
-        return ModelIndicator(tuple(bits))
-
-    def evaluate(delta: ModelIndicator) -> BayesFactorEstimate:
-        if delta.bits not in cache:
-            cache[delta.bits] = estimate_bayes_factor(stats, delta)
-        return cache[delta.bits]
-
-    if not candidates:
-        delta = ModelIndicator.null(s_full)
-        trace.record(delta, evaluate(delta), True)
-        return trace
+    def evaluate(sub: ModelIndicator) -> int:
+        if sub.bits not in scored:
+            bits = [0] * s_full
+            for k, j in enumerate(candidates):
+                bits[j] = sub.bits[k]
+            estimates.append(estimate_bayes_factor(stats, ModelIndicator(tuple(bits))))
+            scored[sub.bits] = len(estimates) - 1
+        return scored[sub.bits]
 
     current_sub = ModelIndicator.full(len(candidates))
-    current = embed(current_sub)
-    current_est = evaluate(current)
-    trace.record(current, current_est, True)
-    for _ in range(config.search_iterations):
+    current = evaluate(current_sub)
+    visits.append(current)
+    accepted.append(True)
+    # with no candidate the null model is the only one: nothing to propose
+    for _ in range(config.search_iterations if candidates else 0):
         proposal_sub = propose_model(current_sub, rng, config)
-        proposal = embed(proposal_sub)
         try:
-            proposal_est = evaluate(proposal)
+            proposal = evaluate(proposal_sub)
         except EstimationError:
-            trace.skipped += 1
+            skipped += 1
             continue
-        accept = math.log(rng.random()) < proposal_est.log_value - current_est.log_value
-        trace.record(proposal, proposal_est, bool(accept))
+        log_ratio = estimates[proposal].log_value - estimates[current].log_value
+        accept = math.log(rng.random()) < log_ratio
+        visits.append(proposal)
+        accepted.append(bool(accept))
         if accept:
-            current_sub, current, current_est = proposal_sub, proposal, proposal_est
-    return trace
+            current_sub, current = proposal_sub, proposal
+    rows = np.array(visits)
+    first = np.zeros(rows.size, dtype=bool)
+    first[np.unique(rows, return_index=True)[1]] = True
+    included = np.array(list(scored), dtype=bool).reshape(len(scored), len(candidates))
+    return SearchTrace(
+        s_full, candidates, included[rows], np.array(accepted), first,
+        **{name: np.array([getattr(est, name) for est in estimates])[rows]
+           for name in ESTIMATE_FIELDS},
+        skipped=skipped,
+    )
 
 
 def exhaustive_search(
@@ -647,7 +713,11 @@ def exhaustive_search(
     over the last ``min_samples_per_bf`` rows of ``samples``.
 
     Refuses more than 20 candidates; use mh_model_search for larger spaces.
-    The trace is ranked by decreasing log Bayes factor.
+    Mask m's model includes ``candidate_snps[k]`` when bit k of m is set.
+    The models are scored in batches of equal excluded-set size, each
+    batch's summary written straight into the trace's columns, and the
+    models with a valid term are ranked by one stable sort on decreasing
+    log Bayes factor, so ties keep mask order.
     """
     candidates = tuple(int(j) for j in candidate_snps)
     if len(candidates) > EXHAUSTIVE_CANDIDATE_LIMIT:
@@ -656,7 +726,6 @@ def exhaustive_search(
             f"{EXHAUSTIVE_CANDIDATE_LIMIT}; use mh_model_search instead"
         )
     config = config or SearchConfig()
-    s_full = samples.data.design_dim
     stats = bayes_factor_statistics(samples[-config.min_samples_per_bf:], candidates)
     # row m: the candidates (in stats' order) that mask m's model includes
     position = {j: k for k, j in enumerate(stats.candidates)}
@@ -664,30 +733,33 @@ def exhaustive_search(
     included = np.zeros((masks.size, len(stats.candidates)), dtype=bool)
     for k, j in enumerate(candidates):
         included[:, position[j]] |= (masks >> k & 1).astype(bool)
-    estimates: list[Optional[BayesFactorEstimate]] = [None] * masks.size
+    columns = {
+        "log_value": np.empty(masks.size),
+        "sample_count": np.empty(masks.size, dtype=int),
+        "log_term_mean": np.empty(masks.size),
+        "log_term_variance": np.empty(masks.size),
+        "invalid_count": np.empty(masks.size, dtype=int),
+        "weight_ess": np.empty(masks.size),
+    }
     batch = _batch_size(stats)
     sizes = included.sum(axis=1)
     for size in np.unique(sizes):
         group = np.flatnonzero(sizes == size)
         for start in range(0, group.size, batch):
             rows = group[start:start + batch]
-            scored = _summaries(stats, *_batch_log_terms(stats, included[rows]))
-            for m, est in zip(rows, scored):
-                estimates[m] = est
-    results = []
-    for m, est in enumerate(estimates):
-        if est is not None:
-            delta = ModelIndicator.from_included(
-                s_full, [c for k, c in enumerate(candidates) if m >> k & 1]
-            )
-            results.append((delta, est))
-    skipped = masks.size - len(results)
-    if not results:
+            summary = _summaries(stats, *_batch_log_terms(stats, included[rows]))
+            for name, column in columns.items():
+                column[rows] = summary[name]
+    kept = np.flatnonzero(columns["sample_count"] > 0)
+    skipped = masks.size - kept.size
+    if not kept.size:
         raise EstimationError(
             f"every candidate model failed estimation ({skipped} skipped)"
         )
-    results.sort(key=lambda item: item[1].log_value, reverse=True)
-    trace = SearchTrace(skipped=skipped)
-    for delta, est in results:
-        trace.record(delta, est, True)
-    return trace
+    order = kept[np.argsort(-columns["log_value"][kept], kind="stable")]
+    every = np.ones(order.size, dtype=bool)
+    return SearchTrace(
+        samples.data.design_dim, stats.candidates, included[order], every, every,
+        **{name: column[order] for name, column in columns.items()},
+        skipped=int(skipped),
+    )

@@ -9,8 +9,9 @@ The beta and gamma draws, the chain's per-block sweep, EM's exact and
 Monte Carlo E-steps, the samples writer, the genotype coding and
 decoding, the pedigree ordering and kinship recursion, the chain's
 set-up (prior draws and masked-cell couplings), the autocorrelations and
-the design-by-design walk of the Bayes-factor statistics each have their
-earlier, plainer form here as the reference for the faster one. The per-individual genotype conditional
+the design-by-design walk of the Bayes-factor statistics and the
+row-by-row select writers each have their earlier, plainer form here as
+the reference for the faster one. The per-individual genotype conditional
 (exact only at R = I) and the Bayes-factor bridge weight g live here too:
 only tests use them.
 """
@@ -483,6 +484,31 @@ def table_write_samples(path, samples, manifest_lines=()):
             row += [str(int(v)) for v in samples.masked_values[i]]
         body.append(row)
     io.write_table(path, header, body, manifest_lines)
+
+
+def row_by_row_select_files(out, trace, gamma_labels, manifest_lines=()):
+    """Reference select writers: trace.csv, bf_diagnostics.csv and
+    best_model.txt under ``out``, one row per visited model or estimate
+    object, every cell through ``io.fmt`` in ``io.write_table``."""
+    io.write_table(
+        out / "trace.csv", ["iteration", "delta", "log_bf", "accepted"],
+        [(it, delta.bitstring(), log_bf, accepted)
+         for it, (delta, log_bf, accepted) in enumerate(trace.visited)],
+        manifest_lines,
+    )
+    io.write_table(
+        out / "bf_diagnostics.csv",
+        ["delta", "valid", "invalid", "log_term_variance", "weight_ess"],
+        [(delta.bitstring(), est.sample_count, est.invalid_count,
+          est.log_term_variance, est.weight_ess)
+         for delta, est in trace.estimates.items()],
+        manifest_lines,
+    )
+    delta, log_bf = trace.best
+    lines = [*manifest_lines, f"delta={delta.bitstring()}", f"log_bf={io.fmt(log_bf)}",
+             "included=" + ";".join(gamma_labels[j] for j in delta.included()),
+             f"skipped={trace.skipped}"]
+    (out / "best_model.txt").write_text("".join(line + "\n" for line in lines))
 
 
 def loop_encode_genotypes(raw, missing_marker="NA", snp_names=()):

@@ -482,6 +482,30 @@ class TestSelectCommand:
         assert read_noncomment_lines(out / "best_model.txt")[0] == "delta=11111"
         assert "importance-weight ESS" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("search", [("--exhaustive",), ("--search-iters", "20")])
+    def test_select_reads_only_the_trace_columns(self, tmp_path, monkeypatch, capsys, search):
+        # the per-model objects are for callers of the library; select
+        # writes its files and its warning from the columns
+        from snpgibbs.selector import SearchTrace
+
+        def unread(self):
+            pytest.fail("select built the per-model objects")
+
+        for name in ("visited", "estimates", "best"):
+            monkeypatch.setattr(SearchTrace, name, property(unread))
+        sim = simulate_inputs(tmp_path, missing="0.1", preset="six-family", seed="1")
+        out = tmp_path / "sel"
+        assert run_cli(
+            "select", "--genotypes", sim / "genotypes.csv",
+            "--phenotypes", sim / "phenotypes.csv",
+            "--families", sim / "families.csv", "--kinship", "identity",
+            "--iters", "400", "--burnin", "100", "--thin", "1", "--seed", "21",
+            "--candidates", "0,1,2,3", *search,
+            "--min-samples-per-bf", "300", "--out-dir", out,
+        ) == 0
+        assert "best model:" in capsys.readouterr().out
+        assert len(read_noncomment_lines(out / "bf_diagnostics.csv")) > 2
+
     def test_live_select_runs_every_chain(self, tmp_path):
         sim = simulate_inputs(tmp_path, missing="0.1", preset="five-signal", seed="3")
         base = [

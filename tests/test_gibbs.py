@@ -449,6 +449,28 @@ class TestChainSetUp:
         coupled = [pairs for c in work.masked for pairs in c.later if pairs]
         assert bool(coupled) == (kinship == "correlated")
 
+    def test_kinship_inverted_once_per_dataset(self, monkeypatch):
+        # two chains and the Bayes-factor statistics all read one R^-1
+        from snpgibbs.selector import bayes_factor_statistics
+
+        data, _ = make_dataset(n=20, s=3, p=2, seed=8, missing=0.2, kinship="correlated")
+        inv, calls = np.linalg.inv, []
+
+        def counting(A):
+            calls.append(A is data.R)
+            return inv(A)
+
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        chains = [
+            run_chain(data, default_priors(),
+                      GibbsConfig(total_iterations=60, burn_in=20, thinning=1, seed=seed))
+            for seed in (1, 2)
+        ]
+        bayes_factor_statistics(chains[0], [0, 1])
+        assert sum(calls) == 1
+        assert data.Rinv is data.Rinv and not data.Rinv.flags.writeable
+        assert data.Rinv.tobytes() == inv(data.R).tobytes()
+
     def test_masked_cells_of_complete_columns(self):
         data, _ = make_dataset(n=12, s=3, p=2, seed=1, kinship="correlated")
         work = ChainWorkspace(data, snp_design_matrix(data.genotypes.codes, data.snp_coding))

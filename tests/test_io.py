@@ -182,6 +182,31 @@ class TestDatasetFiles:
         observed = ~gm.missing_mask
         assert np.array_equal(gm.codes[observed], data.genotypes.codes[observed])
 
+    def test_genotype_calls_are_row_lists(self, tmp_path):
+        # the calls reach encode_genotypes as the file's row lists, and code
+        # exactly as the object table of the same cells does
+        data, _ = self._write_inputs(tmp_path, missing=0.2)
+        _, snp_names, calls = io.read_genotype_calls(tmp_path / "g.csv")
+        assert type(calls) is list and all(type(row) is list for row in calls)
+        from snpgibbs.model import encode_genotypes
+
+        gm, warnings = encode_genotypes(calls, snp_names=snp_names)
+        table, table_warnings = encode_genotypes(np.array(calls, dtype=object), snp_names=snp_names)
+        assert gm.codes.tobytes() == table.codes.tobytes()
+        assert gm.missing_mask.tobytes() == table.missing_mask.tobytes()
+        assert gm.categories == table.categories and warnings == table_warnings
+
+    @pytest.mark.parametrize("text", [
+        "id,snp1,snp2\na,AA,AB,BB\nb,AA,AB,BB\n",  # every row one call too long
+        "id,snp1,snp2\na,AA,AB\nb,AA,AB,BB\n",  # one row too long
+    ])
+    def test_ragged_genotype_rows_rejected(self, tmp_path, text):
+        path = tmp_path / "g.csv"
+        path.write_text(text)
+        with pytest.raises(DataValidationError) as info:
+            io.read_genotype_calls(path)
+        assert str(info.value) == f"{path}: ragged genotype rows"
+
     def test_genotype_file_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "g.csv"
         path.write_text("id,snp1\nF1_01,AA\nF1_02,AB\nF1_01,BB\n")

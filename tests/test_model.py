@@ -93,6 +93,18 @@ class TestEncodeMatchesLoopReference:
                 loop_encode_genotypes, raw, **kwargs
             )
 
+    def test_row_lists_code_as_their_table(self):
+        # a list of row lists is flattened as it is, with the outcome of the
+        # object table of the same cells
+        rng = np.random.default_rng(13)
+        pool = np.array(["AA", " AG", "GG", "NA", "", "CC", "CT"], dtype=object)
+        for _ in range(40):
+            n, s = int(rng.integers(1, 12)), int(rng.integers(1, 6))
+            raw = rng.choice(pool, size=(n, s))
+            assert _encode_outcome(encode_genotypes, raw.tolist()) == _encode_outcome(
+                encode_genotypes, raw
+            )
+
     @pytest.mark.parametrize("raw", [
         [[" GG", "AT"], ["GC ", "TT"], ["CC", "NA"], ["", " AA"], ["NA", "TA"]],
         [["GG", "AA"], [" GG ", ""], ["NA", "AA"]],  # monomorphic columns

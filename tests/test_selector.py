@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 import scipy.stats as st
 
-from snpgibbs import selector
+from snpgibbs import io, selector
 from snpgibbs.gibbs import GibbsConfig, PosteriorSamples, run_chain
 from snpgibbs.model import GenotypeMatrix, PhenotypeVector, default_priors, snp_design_matrix
 from snpgibbs.selector import (
+    ESTIMATE_FIELDS,
     EstimationError,
     ModelIndicator,
     SearchConfig,
@@ -30,6 +31,7 @@ from _oracles import (
     g_weight,
     per_design_statistics,
     quadrature_log_bayes_factor,
+    row_by_row_select_files,
 )
 
 
@@ -390,6 +392,137 @@ class TestBatchedScoring:
         assert stats.q0.shape == (200, 1)
         batch = _batch_size(stats)
         assert 1 < batch and 4 * batch < math.comb(len(candidates), len(candidates) // 2)
+
+
+def read_body(path):
+    """The rows of a written table: no manifest line, no header."""
+    return [line for line in path.read_text().splitlines() if not line.startswith("#")][1:]
+
+
+def _masks(trace, candidates):
+    """Each row's mask: bit k set when its model includes candidates[k]."""
+    bits = trace.bits(np.arange(len(trace)))[:, list(candidates)].astype(np.int64)
+    return (bits << np.arange(len(candidates))).sum(axis=1)
+
+
+def _singular_column_states():
+    """toy_states whose SNP 2 is all 0: every model excluding it has no
+    valid term."""
+    data, _, samples = toy_states(count=50)
+    codes = data.genotypes.codes.copy()
+    codes[:, 2] = 0
+    data = dataclasses.replace(
+        data, genotypes=dataclasses.replace(data.genotypes, codes=codes)
+    )
+    return data, dataclasses.replace(samples, data=data)
+
+
+SELECT_FILES = ("trace.csv", "bf_diagnostics.csv", "best_model.txt")
+
+
+def _write_select_files(out, trace, labels, manifest=()):
+    out.mkdir()
+    io.write_trace(out / "trace.csv", trace, manifest)
+    io.write_bf_diagnostics(out / "bf_diagnostics.csv", trace, manifest)
+    io.write_best_model(out / "best_model.txt", trace, labels, manifest)
+
+
+class TestTraceColumns:
+    # six candidate columns, out of design order
+    @staticmethod
+    def _search_inputs(kinship="correlated"):
+        data, samples = imputed_states("additive_dominance", kinship)
+        candidates = (data.design_columns_of_snp(3) + data.design_columns_of_snp(0)
+                      + data.design_columns_of_snp(1))
+        return data, samples, candidates
+
+    @pytest.mark.parametrize("kinship", ["identity", "correlated"])
+    def test_columns_equal_single_model_estimates(self, kinship):
+        data, samples, candidates = self._search_inputs(kinship)
+        assert data.genotypes.missing_mask.any()
+        trace = exhaustive_search(samples, candidates, SearchConfig(min_samples_per_bf=40))
+        assert len(trace) == 2 ** len(candidates) and trace.skipped == 0
+        assert trace.first.all() and trace.accepted.all()
+        stats = bayes_factor_statistics(samples, candidates)
+        for row, bits in enumerate(trace.bits(np.arange(len(trace))).tolist()):
+            single = estimate_bayes_factor(stats, ModelIndicator(tuple(bits)))
+            for name in ESTIMATE_FIELDS:
+                assert getattr(trace, name)[row] == getattr(single, name), (row, name)
+            assert trace.estimate(row) == single
+
+    @pytest.mark.parametrize("coarse", [False, True])
+    def test_rank_is_a_stable_sort_in_mask_order(self, monkeypatch, coarse):
+        data, samples, candidates = self._search_inputs()
+        if coarse:  # log BFs rounded to whole nats: many ties
+            summaries = selector._summaries
+
+            def rounded(*args):
+                summary = summaries(*args)
+                summary["log_value"] = np.round(summary["log_value"])
+                return summary
+
+            monkeypatch.setattr(selector, "_summaries", rounded)
+        trace = exhaustive_search(samples, candidates, SearchConfig(min_samples_per_bf=40))
+        masks = _masks(trace, candidates).tolist()
+        log_bf = dict(zip(masks, trace.log_value.tolist()))
+        assert len(log_bf) == 2 ** len(candidates)
+        if coarse:
+            assert len(set(log_bf.values())) < len(log_bf) // 2
+        reference = sorted(sorted(log_bf.items()), key=lambda item: item[1], reverse=True)
+        assert masks == [m for m, _ in reference]
+        assert trace.best_row == 0
+
+    def test_model_without_valid_term_skipped_and_written_nowhere(self, tmp_path):
+        data, samples = _singular_column_states()
+        labels = data.gamma_labels()
+        config = SearchConfig(search_iterations=50, seed=1, min_samples_per_bf=50)
+        for name, trace in (("exhaustive", exhaustive_search(samples, [0, 1, 2], config)),
+                            ("mh", mh_model_search(samples, None, config))):
+            scored = {"001", "011", "101", "111"}  # those including SNP 2
+            assert trace.skipped == (4 if name == "exhaustive" else 21)
+            assert len(trace) == (4 if name == "exhaustive" else 50 + 1 - 21)
+            _write_select_files(tmp_path / name, trace, labels)
+            rows = [r.split(",") for r in read_body(tmp_path / name / "trace.csv")]
+            diagnostics = [r.split(",") for r in read_body(tmp_path / name / "bf_diagnostics.csv")]
+            assert {r[1] for r in rows} == {r[0] for r in diagnostics} == scored
+            assert len(diagnostics) == 4
+            best = (tmp_path / name / "best_model.txt").read_text().splitlines()
+            assert best[-1] == f"skipped={trace.skipped}"
+
+    @pytest.mark.parametrize("search", ["exhaustive", "mh"])
+    @pytest.mark.parametrize("chunked", [False, True])
+    def test_files_match_row_by_row_reference(self, tmp_path, monkeypatch, search, chunked):
+        data, samples, candidates = self._search_inputs()
+        if chunked:  # the writers format 3 rows at a time
+            monkeypatch.setattr(io, "BATCH_ENTRIES", 3 * data.design_dim)
+        config = SearchConfig(search_iterations=80, seed=3, min_samples_per_bf=40)
+        if search == "exhaustive":
+            trace = exhaustive_search(samples, candidates, config)
+        else:
+            trace = mh_model_search(samples, candidates, config)
+            # repeated visits and rejected proposals
+            assert trace.first.sum() < len(trace) and not trace.accepted.all()
+        labels = data.gamma_labels()
+        manifest = ["# command=select", "# seed=3"]
+        _write_select_files(tmp_path / "columns", trace, labels, manifest)
+        (tmp_path / "reference").mkdir()
+        row_by_row_select_files(tmp_path / "reference", trace, labels, manifest)
+        for name in SELECT_FILES:
+            assert (tmp_path / "columns" / name).read_bytes() == (
+                tmp_path / "reference" / name
+            ).read_bytes(), name
+
+    def test_more_candidates_than_a_machine_word(self):
+        # the walk's bits are a boolean row per model, not an integer mask
+        data, _ = make_dataset(n=40, s=70, p=1, seed=2)
+        post = conjugate_posterior_states(data, 1.0, 1.5, 30, seed=7)
+        trace = mh_model_search(post, None, SearchConfig(search_iterations=5, seed=1,
+                                                         min_samples_per_bf=30))
+        assert trace.included.shape[1] == 70
+        assert trace.bitstrings([0]) == ["1" * 70]
+        assert [delta.bitstring() for delta, _, _ in trace.visited] == (
+            trace.bitstrings(np.arange(len(trace)))
+        )
 
 
 def _reference_terms(states, data, delta):
