@@ -2,10 +2,16 @@
 
 Each setting is declared once, in ``SETTINGS`` (default, kind, help); the
 flags of every subcommand, the parsing of config values and the manifest
-all read that table. Every run writes a manifest (tool version, every
-effective setting, seed, input digests) both as '#'-prefixed header lines
-at the top of each output file and as a standalone ``manifest.txt`` that
-can be fed back through ``--config`` to reproduce the run bit-exactly.
+all read that table. A setting that gives a field of a config type takes
+its default from that type, which also checks its value.
+
+Every subcommand works in one order: it builds and checks every config
+object from its settings, then makes ``--out-dir`` (``_outputs``), does
+its work, and writes ``manifest.txt`` last. So a bad setting exits 3
+before any directory is made or any chain runs. The manifest (tool
+version, every effective setting, seed, input digests) heads each output
+file as '#'-prefixed lines, and ``manifest.txt`` can be fed back through
+``--config`` to reproduce the run bit-exactly.
 
 Exit codes: 0 success, 2 usage, 3 data validation/parse, 4 numerical.
 """
@@ -15,8 +21,9 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -24,6 +31,7 @@ from . import __version__, io
 from .em import EmConfig, run_em
 from .gibbs import (
     HPD_MIN_DRAWS,
+    IMPUTE_MODES,
     ChainNumericalError,
     GibbsConfig,
     PosteriorSamples,
@@ -84,11 +92,18 @@ PRESETS = {
 
 class Setting(NamedTuple):
     """A settable value. ``kind`` is a type, a tuple of choices, or ``bool``
-    for a switch; it parses the flag and the config value alike."""
+    for a switch; it parses the flag and the config value alike. ``field``
+    is the (config type, field name) the value gives, if any."""
 
     default: object
     kind: object
     help: str
+    field: Optional[tuple] = None
+
+
+def _field(cls, name: str, kind, help_text: str) -> Setting:
+    """The setting that gives ``cls``'s field ``name``, with its default."""
+    return Setting(getattr(cls, name), kind, help_text, (cls, name))
 
 
 SETTINGS = {
@@ -99,30 +114,35 @@ SETTINGS = {
     "coding": Setting(SIGNED, tuple(CODINGS), "SNP design coding"),
     "kinship": Setting("identity", ("pedigree", "identity", "file"), "relationship matrix R"),
     "kinship_file": Setting(None, str, "dense kinship matrix file (csv)"),
-    "iters": Setting(50_000, int, "sweeps per chain, burn-in included"),
-    "burnin": Setting(10_000, int, "sweeps discarded at the start of a chain"),
-    "thin": Setting(4, int, "keep every thin-th sweep after burn-in"),
-    "seed": Setting(0, int, "random seed"),
+    "iters": _field(GibbsConfig, "total_iterations", int, "sweeps per chain, burn-in included"),
+    "burnin": _field(GibbsConfig, "burn_in", int, "sweeps discarded at the start of a chain"),
+    "thin": _field(GibbsConfig, "thinning", int, "keep every thin-th sweep after burn-in"),
+    "seed": Setting(GibbsConfig.seed, int, "random seed"),
     "chains": Setting(1, int, "chains run one after another, seeded seed, seed+1, ..."),
-    "prior_a": Setting(2.0, float, "inverted-gamma shape of sigma^2"),
-    "prior_b": Setting(1.0, float, "inverted-gamma scale of sigma^2"),
-    "prior_c": Setting(2.0, float, "inverted-gamma shape of phi^2"),
-    "prior_d": Setting(1.0, float, "inverted-gamma scale of phi^2"),
+    "prior_a": _field(PriorHyperparams, "a", float, "inverted-gamma shape of sigma^2"),
+    "prior_b": _field(PriorHyperparams, "b", float, "inverted-gamma scale of sigma^2"),
+    "prior_c": _field(PriorHyperparams, "c", float, "inverted-gamma shape of phi^2"),
+    "prior_d": _field(PriorHyperparams, "d", float, "inverted-gamma scale of phi^2"),
     "imputation_prior": Setting("uniform", ("uniform", "file"), "missing-genotype prior"),
     "imputation_prior_file": Setting(None, str, "id,snp,w_minus1,w_0,w_plus1 weights file"),
-    "impute_mode": Setting("cycle", ("cycle", "all", "off"), "SNP columns re-imputed per sweep"),
+    "impute_mode": _field(GibbsConfig, "impute_mode", IMPUTE_MODES,
+                          "SNP columns re-imputed per sweep"),
     "level": Setting(0.95, float, "credible interval level"),
     "samples": Setting(None, str, "recorded samples file (skip the live chain)"),
     "candidates": Setting("significant", str, "'significant', or comma list of names/indices"),
     "exhaustive": Setting(False, bool, "score every subset of the candidates"),
-    "mixture_prob": Setting(0.5, float, "probability of a one-coefficient flip move"),
-    "search_iters": Setting(500, int, "Metropolis-Hastings search steps"),
-    "min_samples_per_bf": Setting(2000, int, "posterior states behind each Bayes factor"),
-    "tol": Setting(1e-8, float, "EM convergence tolerance"),
-    "max_iter": Setting(500, int, "EM iteration limit"),
+    "mixture_prob": _field(SearchConfig, "mixture_prob", float,
+                           "probability of a one-coefficient flip move"),
+    "search_iters": _field(SearchConfig, "search_iterations", int,
+                           "Metropolis-Hastings search steps"),
+    "min_samples_per_bf": _field(SearchConfig, "min_samples_per_bf", int,
+                                 "posterior states behind each Bayes factor"),
+    "tol": _field(EmConfig, "tol", float, "EM convergence tolerance"),
+    "max_iter": _field(EmConfig, "max_iterations", int, "EM iteration limit"),
     "ids": Setting(None, str, "comma list: extract this principal submatrix"),
     "preset": Setting("six-family", tuple(sorted(PRESETS)), "simulated design"),
-    "missing": Setting(0.0, float, "fraction of genotype calls masked"),
+    "missing": Setting(0.0, float, "fraction of genotype calls masked",
+                       (MissingnessMask, "fraction")),
     "mask_seed": Setting(None, int, "seed of the missingness mask (default: --seed)"),
     "out_dir": Setting("out", str, "output directory"),
 }
@@ -147,7 +167,7 @@ SUBCOMMAND_SETTINGS = {
 
 
 def _parse_config_value(name: str, raw: str):
-    default, kind, _ = SETTINGS[name]
+    default, kind, *_ = SETTINGS[name]
     if kind is bool:
         return raw.lower() in ("1", "true", "yes")
     if raw == "" and default is None:
@@ -162,8 +182,14 @@ def _parse_config_value(name: str, raw: str):
         raise DataValidationError(f"config {name}={raw!r} is not {kind.__name__}") from None
 
 
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
+
+
 class Settings:
-    """Effective values of a subcommand's settings: flag > config file > default."""
+    """Effective values of a subcommand's settings: flag > config file >
+    default. The checks no config type makes are made here: a seed below 0
+    and a credible level outside (0, 1) exit 3."""
 
     def __init__(self, args: argparse.Namespace):
         file_config = io.read_config_file(args.config) if args.config else {}
@@ -174,6 +200,11 @@ class Settings:
             if value is None and name in file_config:
                 value = _parse_config_value(name, file_config[name])
             self.effective[name] = SETTINGS[name].default if value is None else value
+        for name in ("seed", "mask_seed"):
+            if (self.get(name) or 0) < 0:
+                raise DataValidationError(f"{_flag(name)} must be at least 0, got {self[name]}")
+        if "level" in self.effective and not 0 < self["level"] < 1:
+            raise DataValidationError(f"--level must lie in (0, 1), got {self['level']}")
 
     def __getitem__(self, key):
         return self.effective[key]
@@ -194,8 +225,35 @@ class Settings:
         return manifest
 
 
-def _manifest_lines(manifest: dict) -> list[str]:
-    return [f"# {k}={v}" for k, v in manifest.items()]
+def _build(cls, settings: Settings, **given):
+    """``cls`` from the settings that give its fields, plus ``given``; a
+    value it refuses exits 3 and names those settings."""
+    names = [name for name, s in SETTINGS.items() if s.field and s.field[0] is cls]
+    try:
+        return cls(**{SETTINGS[name].field[1]: settings[name] for name in names}, **given)
+    except ValueError as exc:
+        values = " ".join(f"{_flag(name)} {io.fmt(settings[name])}" for name in names)
+        raise DataValidationError(f"{values}: {exc}") from None
+
+
+class _Outputs(NamedTuple):
+    dir: Path
+    manifest_lines: list
+
+    def write(self, name: str, writer, *args) -> None:
+        """``writer`` of the file ``name``, headed by the manifest lines."""
+        writer(self.dir / name, *args, manifest_lines=self.manifest_lines)
+
+
+@contextmanager
+def _outputs(settings: Settings):
+    """Make --out-dir for the body's files; write manifest.txt once the
+    body has written every other one."""
+    manifest = settings.manifest()
+    out = _Outputs(Path(settings["out_dir"]), [f"# {k}={v}" for k, v in manifest.items()])
+    out.dir.mkdir(parents=True, exist_ok=True)
+    yield out
+    io.write_manifest_file(out.dir / "manifest.txt", manifest)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -215,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (func, description) in commands.items():
         p = sub.add_parser(name, help=description)
         for key in SUBCOMMAND_SETTINGS[name]:
-            _, kind, help_text = SETTINGS[key]
-            flag = "--" + key.replace("_", "-")
+            _, kind, help_text, _ = SETTINGS[key]
+            flag = _flag(key)
             # every flag defaults to None, so Settings can tell "not given"
             if kind is bool:
                 p.add_argument(flag, dest=key, action="store_const", const=True, help=help_text)
@@ -234,12 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key=value settings file; flags win")
         p.set_defaults(func=func)
     return parser
-
-
-def _outdir(settings) -> Path:
-    out = Path(settings["out_dir"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _load_dataset(settings):
@@ -272,40 +324,34 @@ def _imputation_prior(settings, data) -> ImputationPrior:
     return ImputationPrior()
 
 
-def _priors(settings) -> PriorHyperparams:
-    return PriorHyperparams(
-        settings["prior_a"], settings["prior_b"], settings["prior_c"], settings["prior_d"]
-    )
-
-
 def _chain_configs(settings, data, summary: bool) -> list[GibbsConfig]:
     """One config per live chain, seeded seed, seed+1, ..., checked before
     any chain runs: --chains below 1, a bad imputation prior file, chain
-    lengths GibbsConfig refuses and, when the draws feed HPD intervals
-    (``summary``), fewer than HPD_MIN_DRAWS draws in all exit 3."""
+    settings GibbsConfig refuses, and chains that keep no draw in all or,
+    when the draws feed HPD intervals (``summary``), fewer than
+    HPD_MIN_DRAWS, exit 3."""
     chains = settings["chains"]
     if chains < 1:
         raise DataValidationError(f"--chains must be at least 1, got {chains}")
     prior = _imputation_prior(settings, data)
-    iters, burnin, thin = settings["iters"], settings["burnin"], settings["thin"]
     configs = [
-        GibbsConfig(iters, burnin, thin, seed=settings["seed"] + k,
-                    imputation_prior=prior, impute_mode=settings["impute_mode"])
+        _build(GibbsConfig, settings, seed=settings["seed"] + k, imputation_prior=prior)
         for k in range(chains)
     ]
     draws = chains * configs[0].retained_count
-    if summary and draws < HPD_MIN_DRAWS:
+    needed, use = (HPD_MIN_DRAWS, "HPD intervals need") if summary else (1, "a search needs")
+    if draws < needed:
         raise DataValidationError(
-            f"--iters {iters} --burnin {burnin} --thin {thin} keep {draws} draws "
-            f"over {chains} chain(s); HPD intervals need at least {HPD_MIN_DRAWS}"
+            f"--iters {settings['iters']} --burnin {settings['burnin']} "
+            f"--thin {settings['thin']} keep {draws} draws over {chains} chain(s); "
+            f"{use} at least {needed}"
         )
     return configs
 
 
-def _run_chains(settings, data, configs) -> list[PosteriorSamples]:
+def _run_chains(data, priors, configs) -> list[PosteriorSamples]:
     # one after another: the work is many small GIL-bound numpy calls, so
     # threads only add hand-over cost
-    priors = _priors(settings)
     return [run_chain(data, priors, config) for config in configs]
 
 
@@ -320,25 +366,23 @@ def _merge_chains(chains: list[PosteriorSamples]) -> PosteriorSamples:
 
 
 def cmd_run(settings: Settings) -> int:
+    priors = _build(PriorHyperparams, settings)
     data = _load_dataset(settings)
     configs = _chain_configs(settings, data, summary=True)
-    manifest = settings.manifest()
-    lines = _manifest_lines(manifest)
-    out = _outdir(settings)
-    chains = _run_chains(settings, data, configs)
-    merged = _merge_chains(chains)
-    if len(chains) == 1:
-        io.write_samples(out / "samples.csv", chains[0], lines)
-    else:
-        for k, chain in enumerate(chains, start=1):
-            io.write_samples(out / f"samples_chain{k}.csv", chain, lines)
-    summary = merged.summary(settings["level"])
-    p, sd = merged.betas.shape[1], merged.gammas.shape[1]
-    io.write_summary(out / "summary.csv", summary, lines)
-    io.write_intervals(out / "intervals.csv", summary[p : p + sd], lines)
-    io.write_autocorrelations(out / "autocorr.csv", chains[0], 20, lines)
-    io.write_manifest_file(out / "manifest.txt", manifest)
-    print(f"run complete: outputs in {out}")
+    with _outputs(settings) as out:
+        chains = _run_chains(data, priors, configs)
+        merged = _merge_chains(chains)
+        if len(chains) == 1:
+            out.write("samples.csv", io.write_samples, chains[0])
+        else:
+            for k, chain in enumerate(chains, start=1):
+                out.write(f"samples_chain{k}.csv", io.write_samples, chain)
+        summary = merged.summary(settings["level"])
+        p, sd = merged.betas.shape[1], merged.gammas.shape[1]
+        out.write("summary.csv", io.write_summary, summary)
+        out.write("intervals.csv", io.write_intervals, summary[p : p + sd])
+        out.write("autocorr.csv", io.write_autocorrelations, chains[0], 20)
+    print(f"run complete: outputs in {out.dir}")
     return EXIT_OK
 
 
@@ -385,6 +429,8 @@ def _check_exhaustive_limit(settings, candidates: list[int]) -> None:
 
 
 def cmd_select(settings: Settings) -> int:
+    priors = _build(PriorHyperparams, settings)
+    config = _build(SearchConfig, settings, seed=settings["seed"])
     data = _load_dataset(settings)
     live = not settings["samples"]
     significant = settings["candidates"] == "significant"
@@ -401,31 +447,20 @@ def cmd_select(settings: Settings) -> int:
                 f"--candidates significant needs at least {HPD_MIN_DRAWS} for "
                 "its HPD intervals"
             )
-    manifest = settings.manifest()
-    lines = _manifest_lines(manifest)
-    out = _outdir(settings)
-
-    if live:
-        samples = _merge_chains(_run_chains(settings, data, configs))
-
-    if significant:
-        candidates = _significant_candidates(samples, settings["level"])
-        _check_exhaustive_limit(settings, candidates)
-    config = SearchConfig(
-        mixture_prob=settings["mixture_prob"],
-        search_iterations=settings["search_iters"],
-        seed=settings["seed"],
-        min_samples_per_bf=settings["min_samples_per_bf"],
-    )
-    if settings["exhaustive"]:
-        trace = exhaustive_search(samples, candidates, config)
-    else:
-        trace = mh_model_search(samples, candidates, config)
-    io.write_trace(out / "trace.csv", trace, lines)
-    io.write_bf_diagnostics(out / "bf_diagnostics.csv", trace, lines)
-    labels = samples.data.gamma_labels()
-    io.write_best_model(out / "best_model.txt", trace, labels, lines)
-    io.write_manifest_file(out / "manifest.txt", manifest)
+    with _outputs(settings) as out:
+        if live:
+            samples = _merge_chains(_run_chains(data, priors, configs))
+        if significant:
+            candidates = _significant_candidates(samples, settings["level"])
+            _check_exhaustive_limit(settings, candidates)
+        if settings["exhaustive"]:
+            trace = exhaustive_search(samples, candidates, config)
+        else:
+            trace = mh_model_search(samples, candidates, config)
+        labels = samples.data.gamma_labels()
+        out.write("trace.csv", io.write_trace, trace)
+        out.write("bf_diagnostics.csv", io.write_bf_diagnostics, trace)
+        out.write("best_model.txt", io.write_best_model, trace, labels)
     best = trace.best_row
     best_ess = trace.weight_ess[best]
     if best_ess < THIN_BF_ESS:
@@ -443,65 +478,46 @@ def cmd_kinship(settings: Settings) -> int:
     R = build_numerator_matrix(order_pedigree(records))
     if settings["ids"]:
         R = extract_submatrix(R, [x.strip() for x in settings["ids"].split(",")])
-    manifest = settings.manifest()
-    lines = _manifest_lines(manifest)
-    out = _outdir(settings)
-    io.write_kinship_matrix(out / "kinship.csv", R, lines)
-    io.write_manifest_file(out / "manifest.txt", manifest)
-    print(f"kinship matrix ({R.dim}x{R.dim}) written to {out / 'kinship.csv'}")
+    with _outputs(settings) as out:
+        out.write("kinship.csv", io.write_kinship_matrix, R)
+    print(f"kinship matrix ({R.dim}x{R.dim}) written to {out.dir / 'kinship.csv'}")
     return EXIT_OK
 
 
 def cmd_em(settings: Settings) -> int:
+    config = _build(EmConfig, settings, seed=settings["seed"])
     data = _load_dataset(settings)
-    manifest = settings.manifest()
-    lines = _manifest_lines(manifest)
-    out = _outdir(settings)
-    config = EmConfig(
-        tol=settings["tol"], max_iterations=settings["max_iter"], seed=settings["seed"]
-    )
-    state, log = run_em(data, config)
-    io.write_table(
-        out / "em_log.csv",
-        ["iteration", "loglik", "max_delta"],
-        log.history,
-        lines,
-    )
-    names = list(data.design.names()) + list(data.gamma_labels()) + ["sigma2"]
-    values = list(state.beta) + list(state.gamma) + [state.sigma2]
-    io.write_table(out / "em_estimates.csv", ["name", "value"], zip(names, values), lines)
-    io.write_manifest_file(out / "manifest.txt", manifest)
+    with _outputs(settings) as out:
+        state, log = run_em(data, config)
+        out.write("em_log.csv", io.write_table, ["iteration", "loglik", "max_delta"],
+                  log.history)
+        names = list(data.design.names()) + list(data.gamma_labels()) + ["sigma2"]
+        values = list(state.beta) + list(state.gamma) + [state.sigma2]
+        out.write("em_estimates.csv", io.write_table, ["name", "value"], zip(names, values))
     status = "converged" if log.converged else "not converged"
     print(f"EM {status} after {log.iterations} iterations")
     return EXIT_OK
 
 
 def cmd_simulate(settings: Settings) -> int:
-    manifest = settings.manifest()
-    lines = _manifest_lines(manifest)
-    out = _outdir(settings)
+    mask_seed = settings["seed"] if settings["mask_seed"] is None else settings["mask_seed"]
+    mask = _build(MissingnessMask, settings, seed=mask_seed)
     design = PRESETS[settings["preset"]]()
-    data, truth = simulate_dataset(design, settings["seed"])
-    if settings["missing"]:
-        mask_seed = settings["seed"] if settings["mask_seed"] is None else settings["mask_seed"]
-        data = apply_missingness(data, MissingnessMask(settings["missing"], mask_seed))
-
-    io.write_genotypes(out / "genotypes.csv", data.ids, data.genotypes, manifest_lines=lines)
-    io.write_phenotypes(out / "phenotypes.csv", data.ids, data.y, lines)
-    io.write_families(
-        out / "families.csv", data.ids, family_labels(design.family_sizes), lines
-    )
-    if design.kinship_mode == "pedigree":
-        io.write_pedigree(
-            out / "pedigree.csv",
-            family_pedigree_records(design.family_sizes, data.ids),
-            lines,
-        )
-    else:
-        io.write_kinship_matrix(out / "kinship.csv", data.kinship, lines)
-    io.write_truth(out / "truth.txt", truth, lines)
-    io.write_manifest_file(out / "manifest.txt", manifest)
-    print(f"simulated dataset ({data.n} x {data.s}) written to {out}")
+    with _outputs(settings) as out:
+        data, truth = simulate_dataset(design, settings["seed"])
+        if mask.fraction:
+            data = apply_missingness(data, mask)
+        out.write("genotypes.csv", io.write_genotypes, data.ids, data.genotypes)
+        out.write("phenotypes.csv", io.write_phenotypes, data.ids, data.y)
+        out.write("families.csv", io.write_families, data.ids,
+                  family_labels(design.family_sizes))
+        if design.kinship_mode == "pedigree":
+            out.write("pedigree.csv", io.write_pedigree,
+                      family_pedigree_records(design.family_sizes, data.ids))
+        else:
+            out.write("kinship.csv", io.write_kinship_matrix, data.kinship)
+        out.write("truth.txt", io.write_truth, truth)
+    print(f"simulated dataset ({data.n} x {data.s}) written to {out.dir}")
     return EXIT_OK
 
 

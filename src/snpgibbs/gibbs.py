@@ -82,6 +82,9 @@ __all__ = [
 # width of the diagonal blocks in the gamma draw's back-substitution
 GAMMA_BLOCK = 32
 
+# how many SNP columns a sweep re-imputes: one in turn, every one, or none
+IMPUTE_MODES = ("cycle", "all", "off")
+
 # cell pairs per run of columns whose couplings ChainWorkspace gathers at
 # once: bounds the run's index temporaries. On 100 columns of 600 rows with
 # 20% masked (712,835 pairs) a gather of every column at once holds 26 MiB
@@ -144,11 +147,13 @@ class GibbsConfig:
     impute_mode: str = "cycle"
 
     def __post_init__(self):
+        if self.burn_in < 0:
+            raise ValueError("burn_in must be >= 0")
         if not self.burn_in < self.total_iterations:
             raise ValueError("burn_in must be smaller than total_iterations")
         if self.thinning < 1:
             raise ValueError("thinning must be >= 1")
-        if self.impute_mode not in ("cycle", "all", "off"):
+        if self.impute_mode not in IMPUTE_MODES:
             raise ValueError(f"unknown impute_mode {self.impute_mode!r}")
 
     @property
@@ -368,10 +373,7 @@ class ChainWorkspace:
 
 
 def sample_beta(
-    state: ParameterState,
-    data: Dataset,
-    rng: np.random.Generator,
-    work: ChainWorkspace,
+    state: ParameterState, rng: np.random.Generator, work: ChainWorkspace
 ) -> np.ndarray:
     """Draw beta from its Gaussian full conditional: the GLS mean
     (X'R^-1X)^-1 (X'R^-1 Y - X'R^-1 Z gamma) plus sigma Lx^-T z."""
@@ -384,10 +386,7 @@ def sample_beta(
 
 
 def sample_gamma(
-    state: ParameterState,
-    data: Dataset,
-    rng: np.random.Generator,
-    work: ChainWorkspace,
+    state: ParameterState, rng: np.random.Generator, work: ChainWorkspace
 ) -> np.ndarray:
     """Draw gamma from N(M^-1 r, sigma^2 M^-1), M = G + I/phi^2,
     r = Z'R^-1 Y - (X'R^-1 Z)' beta.
@@ -417,13 +416,14 @@ def sample_gamma(
     work.bordered[s, s] = 2.0 * state.phi2 * float(rhs @ rhs) + 1.0
     F = np.linalg.cholesky(work.bordered)
     b = F[s, :s] + math.sqrt(state.sigma2) * rng.standard_normal(s)
-    if s <= GAMMA_BLOCK:
-        return np.linalg.solve(F[:s, :s].T, b)
-    gamma = np.empty(s)
-    for j in range(s, 0, -GAMMA_BLOCK):  # L' gamma = b, last block first
+    # L' gamma = b, last block first; each earlier block goes in front of
+    # the solved tail gamma = gamma[j:]
+    i = max(s - GAMMA_BLOCK, 0)
+    gamma = np.linalg.solve(F[i:s, i:s].T, b[i:])
+    for j in range(i, 0, -GAMMA_BLOCK):
         i = max(j - GAMMA_BLOCK, 0)
-        rest = b[i:j] - gamma[j:] @ F[j:s, i:j] if j < s else b[i:j]
-        gamma[i:j] = np.linalg.solve(F[i:j, i:j].T, rest)
+        head = np.linalg.solve(F[i:j, i:j].T, b[i:j] - gamma @ F[j:s, i:j])
+        gamma = np.concatenate([head, gamma])
     return gamma
 
 
@@ -651,8 +651,8 @@ def run_chain(
                 for j in (t % s,) if cycle else every:
                     if impute_snp_column(state, data, j, rng, prior, work, image):
                         image = None
-            state.gamma = sample_gamma(state, data, rng, work)
-            state.beta = sample_beta(state, data, rng, work)
+            state.gamma = sample_gamma(state, rng, work)
+            state.beta = sample_beta(state, rng, work)
             state.sigma2 = sample_sigma2(state, data, priors, rng, work)
             image = work.image
             state.phi2 = sample_phi2(state, priors, rng)

@@ -9,6 +9,7 @@ round-trips exactly, so a file can be reloaded bit-identically.
 from __future__ import annotations
 
 import hashlib
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
@@ -137,17 +138,20 @@ def _numbers(path, rows, first: int, last: Optional[int] = None) -> list[list[fl
 
 
 def write_table(path, header: Sequence[str], rows: Iterable[Sequence], manifest_lines=()):
-    _write_lines(path, header, (",".join(fmt(c) for c in row) for row in rows), manifest_lines)
+    _write_csv(path, header, (",".join(fmt(c) for c in row) for row in rows), manifest_lines)
 
 
-def _write_lines(path, header: Sequence[str], lines: Iterable[str], manifest_lines=()):
-    """The manifest lines, the header, then the rows already joined."""
+def _write_lines(path, lines: Iterable[str], manifest_lines=()):
+    """The manifest lines, then ``lines``, each ended by a newline: the one
+    place an output file is opened."""
     with open(path, "w", encoding="utf-8") as fh:
-        for line in manifest_lines:
+        for line in chain(manifest_lines, lines):
             fh.write(line + "\n")
-        fh.write(",".join(str(h) for h in header) + "\n")
-        for line in lines:
-            fh.write(line + "\n")
+
+
+def _write_csv(path, header: Sequence[str], rows: Iterable[str], manifest_lines=()):
+    """The manifest lines, the header, then the rows already joined."""
+    _write_lines(path, chain([",".join(map(str, header))], rows), manifest_lines)
 
 
 # -- pedigree ----------------------------------------------------------------
@@ -172,7 +176,7 @@ def write_pedigree(path, records: Iterable[PedigreeRecord], manifest_lines=()):
 # -- genotypes / phenotypes / families ---------------------------------------
 
 
-def read_genotype_calls(path, missing_marker: str = "NA"):
+def read_genotype_calls(path):
     """Genotype file as (ids, snp_names, calls), the calls one list per row
     (the 2-D table ``encode_genotypes`` takes)."""
     header, rows = read_table(path)
@@ -192,7 +196,7 @@ def write_genotypes(path, ids, gm: GenotypeMatrix, missing_marker="NA", manifest
     they are: every call is text."""
     calls = decode_genotypes(gm, missing_marker).tolist()
     lines = (fmt(rid) + "," + ",".join(row) for rid, row in zip(ids, calls))
-    _write_lines(path, ["id", *gm.names()], lines, manifest_lines)
+    _write_csv(path, ["id", *gm.names()], lines, manifest_lines)
 
 
 def read_phenotypes(path) -> dict[str, float]:
@@ -297,24 +301,24 @@ def write_samples(path, samples: PosteriorSamples, manifest_lines=()):
     codes = samples.masked_values
     if codes.size and (codes.min() < -1 or codes.max() > 1):
         raise ValueError("masked genotype codes must be -1, 0 or 1")
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in manifest_lines:
-            fh.write(line + "\n")
-        fh.write(",".join(header) + "\n")
-        # the cells fmt would write: repr of each float, str of each code;
-        # a row's codes come from the byte table, which pads its shorter
-        # cells with NUL bytes
-        for values, row in zip(cols.tolist(), codes, strict=True):
-            text = _CODE_CELLS[row + 1].tobytes().replace(b"\0", b"").decode("ascii")
-            fh.write(",".join(map(repr, values)) + text + "\n")
+    # the cells fmt would write: repr of each float, str of each code; a
+    # row's codes come from the byte table, which pads its shorter cells
+    # with NUL bytes
+    lines = (
+        ",".join(map(repr, values))
+        + _CODE_CELLS[row + 1].tobytes().replace(b"\0", b"").decode("ascii")
+        for values, row in zip(cols.tolist(), codes, strict=True)
+    )
+    _write_csv(path, header, lines, manifest_lines)
 
 
 def read_samples(path, data: Dataset) -> PosteriorSamples:
     """Rebuild PosteriorSamples from a dump, aligned to the dataset shape.
 
     The first line that is neither blank nor a '#' comment is the header;
-    the rows below it are parsed in one ``np.loadtxt``. Every sigma^2 and
-    phi^2 must be finite and positive, every imputed code -1, 0 or 1.
+    the rows below it are parsed in one ``np.loadtxt``. Every beta and
+    gamma must be finite, every sigma^2 and phi^2 finite and positive,
+    every imputed code -1, 0 or 1.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [line for line in fh if line.strip() and not line.startswith("#")]
@@ -336,18 +340,21 @@ def read_samples(path, data: Dataset) -> PosteriorSamples:
         raise DataValidationError(
             f"{path}: sample rows have {values.shape[1]} columns, the header {n_cols}"
         )
+    coefficients = values[:, : p + sd]
     variances, codes = values[:, p + sd : p + sd + 2], values[:, p + sd + 2 :]
     bad_variances = ~(np.isfinite(variances) & (variances > 0))
-    bad_codes = ~np.isin(codes, (-1.0, 0.0, 1.0))
-    for bad, what in ((bad_variances, "sigma2 and phi2 must be finite and positive"),
-                      (bad_codes, "imputed genotype codes must be -1, 0 or 1")):
+    for bad, what in (
+        (~np.isfinite(coefficients), "beta and gamma must be finite"),
+        (bad_variances, "sigma2 and phi2 must be finite and positive"),
+        (~np.isin(codes, (-1.0, 0.0, 1.0)), "imputed genotype codes must be -1, 0 or 1"),
+    ):
         if bad.any():
             row = int(np.flatnonzero(bad.any(axis=1))[0])
             raise DataValidationError(f"{path}: sample row {row + 1}: {what}")
     return PosteriorSamples(
         data,
-        betas=values[:, :p],
-        gammas=values[:, p : p + sd],
+        betas=coefficients[:, :p],
+        gammas=coefficients[:, p:],
         sigma2s=variances[:, 0],
         phi2s=variances[:, 1],
         masked_values=codes.astype(np.int8),
@@ -383,7 +390,7 @@ def write_autocorrelations(path, samples: PosteriorSamples, max_lag=20, manifest
     acf = autocorrelations(cols, max_lag).tolist()
     header = ["name"] + [f"lag{k}" for k in range(1, max_lag + 1)]
     lines = (",".join([name, *map(repr, row)]) for name, row in zip(names, acf))
-    _write_lines(path, header, lines, manifest_lines)
+    _write_csv(path, header, lines, manifest_lines)
 
 
 def _cells(values: np.ndarray) -> list[str]:
@@ -410,7 +417,7 @@ def write_trace(path, trace: SearchTrace, manifest_lines=()):
     factor and whether the search accepted it."""
     rows = np.arange(len(trace))
     lines = _model_lines(trace, rows, (rows, None, trace.log_value, trace.accepted))
-    _write_lines(path, ["iteration", "delta", "log_bf", "accepted"], lines, manifest_lines)
+    _write_csv(path, ["iteration", "delta", "log_bf", "accepted"], lines, manifest_lines)
 
 
 def write_bf_diagnostics(path, trace: SearchTrace, manifest_lines=()):
@@ -420,19 +427,19 @@ def write_bf_diagnostics(path, trace: SearchTrace, manifest_lines=()):
                trace.log_term_variance, trace.weight_ess)
     lines = _model_lines(trace, np.flatnonzero(trace.first), columns)
     header = ["delta", "valid", "invalid", "log_term_variance", "weight_ess"]
-    _write_lines(path, header, lines, manifest_lines)
+    _write_csv(path, header, lines, manifest_lines)
 
 
 def write_best_model(path, trace: SearchTrace, gamma_labels, manifest_lines=()):
     row = trace.best_row
     included = [gamma_labels[j] for j in trace.columns(row)]
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in manifest_lines:
-            fh.write(line + "\n")
-        fh.write(f"delta={trace.bitstrings([row])[0]}\n")
-        fh.write(f"log_bf={fmt(trace.log_value[row])}\n")
-        fh.write("included=" + ";".join(included) + "\n")
-        fh.write(f"skipped={trace.skipped}\n")
+    lines = [
+        f"delta={trace.bitstrings([row])[0]}",
+        f"log_bf={fmt(trace.log_value[row])}",
+        "included=" + ";".join(included),
+        f"skipped={trace.skipped}",
+    ]
+    _write_lines(path, lines, manifest_lines)
 
 
 # -- simulation truth ----------------------------------------------------------
@@ -440,22 +447,19 @@ def write_best_model(path, trace: SearchTrace, gamma_labels, manifest_lines=()):
 
 def write_truth(path, truth: SimTruth, manifest_lines=()):
     """Key=value truth record; genotype truth rides along as code rows."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for line in manifest_lines:
-            fh.write(line + "\n")
-        fh.write(f"design_name={truth.design_name}\n")
-        fh.write(f"seed={truth.seed}\n")
-        fh.write("beta_labels=" + ";".join(truth.beta_labels) + "\n")
-        fh.write("beta_true=" + ";".join(fmt(b) for b in truth.beta_true) + "\n")
-        fh.write("gamma_labels=" + ";".join(truth.gamma_labels) + "\n")
-        fh.write("gamma_true=" + ";".join(fmt(g) for g in truth.gamma_true) + "\n")
-        fh.write(f"sigma2_true={fmt(truth.sigma2_true)}\n")
-        fh.write("snp_names=" + ";".join(truth.snp_names) + "\n")
-        fh.write("ids=" + ";".join(truth.ids) + "\n")
-        for i in range(truth.true_codes.shape[0]):
-            fh.write(
-                "codes=" + ";".join(str(int(c)) for c in truth.true_codes[i]) + "\n"
-            )
+    lines = [
+        f"design_name={truth.design_name}",
+        f"seed={truth.seed}",
+        "beta_labels=" + ";".join(truth.beta_labels),
+        "beta_true=" + ";".join(fmt(b) for b in truth.beta_true),
+        "gamma_labels=" + ";".join(truth.gamma_labels),
+        "gamma_true=" + ";".join(fmt(g) for g in truth.gamma_true),
+        f"sigma2_true={fmt(truth.sigma2_true)}",
+        "snp_names=" + ";".join(truth.snp_names),
+        "ids=" + ";".join(truth.ids),
+    ]
+    codes = ("codes=" + ";".join(map(str, row)) for row in truth.true_codes.tolist())
+    _write_lines(path, chain(lines, codes), manifest_lines)
 
 
 def read_truth(path) -> SimTruth:
@@ -504,9 +508,7 @@ def read_config_file(path) -> dict[str, str]:
 
 
 def write_manifest_file(path, manifest: dict):
-    with open(path, "w", encoding="utf-8") as fh:
-        for key, value in manifest.items():
-            fh.write(f"{key}={value}\n")
+    _write_lines(path, (f"{key}={value}" for key, value in manifest.items()))
 
 
 # -- dataset assembly -----------------------------------------------------------
@@ -531,7 +533,7 @@ def assemble_dataset(
     Returns the dataset and the warnings about its genotypes: monomorphic
     columns and high overall missingness.
     """
-    ids, snp_names, calls = read_genotype_calls(genotypes_path, missing_marker)
+    ids, snp_names, calls = read_genotype_calls(genotypes_path)
     genotypes, warnings = encode_genotypes(calls, missing_marker, snp_names)
     phen = read_phenotypes(phenotypes_path)
     missing_ids = [i for i in ids if i not in phen]

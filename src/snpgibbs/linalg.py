@@ -17,9 +17,9 @@ absorbed by one re-factorization.
 The package does not use these kernels: phi^2 changes every sweep, so
 the Gibbs sampler keeps Z'R^{-1}Z exact instead and factors the precision
 per draw (see ``gibbs.sample_gamma``), and no module of ``snpgibbs``
-imports this one. Only acceptance criterion 02, ``tests/test_linalg.py``,
-the kernel benchmark test in ``tests/test_cli.py`` and the per-layer
-benchmark wrappers in ``perfbench/layers.py`` import it.
+imports this one. Only acceptance criterion 02, ``tests/test_linalg.py``
+and the per-layer benchmark wrappers in ``perfbench/layers.py`` import
+it.
 
 All kernels here are pure except InverseCache, which is single-owner
 mutable state with periodic drift-controlled refreshes.
@@ -43,7 +43,6 @@ __all__ = [
     "rank_one_chain",
     "dual_form_inverse",
     "column_delta_inverse_update",
-    "benchmark_column_update",
 ]
 
 DENOM_TOL = 1e-12
@@ -272,46 +271,3 @@ def column_delta_inverse_update(
         cache.refresh()
     return cache
 
-
-def benchmark_column_update(
-    dims=(64, 128, 256), n: int = 128, iters: int = 25, seed: int = 0
-):
-    """Time one-column refreshes: rank-one update path vs dense re-inversion.
-
-    Returns rows (s, update_seconds_per_iter, dense_seconds_per_iter).
-    """
-    import time
-
-    rng = np.random.default_rng(seed)
-    rows = []
-    for s in dims:
-        Z = rng.integers(-1, 2, size=(n, s)).astype(float)
-        R = np.eye(n) + 0.1 * np.ones((n, n))
-        Rinv = np.linalg.inv(R)
-        phi2 = 1.0
-        A = Z.T @ Rinv @ Z + np.eye(s) / phi2
-        cache = InverseCache.from_matrix(A, refresh_period=10 * iters)
-
-        t0 = time.perf_counter()
-        Zcur = Z.copy()
-        for k in range(iters):
-            j = k % s
-            newcol = rng.integers(-1, 2, size=n).astype(float)
-            d = newcol - Zcur[:, j]
-            column_delta_inverse_update(
-                cache, Zcur, ColumnDelta(j, d), Rinv, phi2, phi2
-            )
-            Zcur[:, j] = newcol
-        t_update = (time.perf_counter() - t0) / iters
-
-        t0 = time.perf_counter()
-        Zcur = Z.copy()
-        for k in range(iters):
-            j = k % s
-            Zcur[:, j] = rng.integers(-1, 2, size=n).astype(float)
-            A = Zcur.T @ Rinv @ Zcur + np.eye(s) / phi2
-            _spd_inverse(A)
-        t_dense = (time.perf_counter() - t0) / iters
-
-        rows.append((s, t_update, t_dense))
-    return rows

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .gibbs import PosteriorSamples, hpd_interval
+from .gibbs import PosteriorSamples
 from .model import (
     ADDITIVE_DOMINANCE,
     SIGNED,
@@ -279,17 +279,9 @@ def recovery_report(
     cells in the posterior's dataset (None when the SNP has none).
     """
     report = RecoveryReport()
-    names, cols = posterior.coefficient_table()
-    truths = (
-        list(truth.beta_true)
-        + list(truth.gamma_true)
-        + [truth.sigma2_true, float("nan")]
-    )
-    for k, name in enumerate(names):
-        draws = cols[:, k]
-        interval = hpd_interval(draws, level)
+    truths = [*truth.beta_true, *truth.gamma_true, truth.sigma2_true]  # phi^2 has none
+    for k, (name, mean, interval) in enumerate(posterior.summary(level)):
         true_val = truths[k] if k < len(truths) else float("nan")
-        mean = float(draws.mean())
         report.parameter_rows.append(
             {
                 "name": name,

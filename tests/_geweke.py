@@ -122,7 +122,7 @@ def geweke_compare(
             impute(state, current, j, rng, prior_impute)
         # the gamma draw leaves the design, so both blocks read one workspace
         work = fresh_workspace(state, current)
-        state.gamma = sample_gamma(state, current, rng, work)
+        state.gamma = sample_gamma(state, rng, work)
         state.sigma2 = sample_sigma2(state, current, priors, rng, work)
         state.phi2 = sample_phi2(state, priors, rng)
         sc[t] = _stats(state.gamma, state.sigma2, state.phi2, state.z_imputed, mask)

@@ -897,9 +897,104 @@ class TestEmCommand:
             "--max-iter", max_iter, "--out-dir", out,
         )
         assert code == 3
-        assert "max_iterations" in capsys.readouterr().err
-        assert not (out / "em_estimates.csv").exists()
-        assert not (out / "em_log.csv").exists()
+        assert f"--max-iter {max_iter}: " in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSettingsCheckedBeforeAnyWork:
+    """A setting that a config type or the settings table refuses exits 3
+    and is named, before --out-dir exists and before any chain runs."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("inputs")
+        sim = simulate_inputs(tmp)
+        data = [
+            "--genotypes", sim / "genotypes.csv", "--phenotypes", sim / "phenotypes.csv",
+            "--families", sim / "families.csv", "--coding", "additive_dominance",
+        ]
+        chain = ["--iters", "300", "--burnin", "100", "--thin", "2"]
+        assert run_cli("run", *data, *chain, "--out-dir", tmp / "run") == 0
+        return data, chain, tmp / "run" / "samples.csv"
+
+    @pytest.fixture
+    def no_chain(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chain ran")
+
+        monkeypatch.setattr(cli, "run_chain", refuse)
+
+    @staticmethod
+    def assert_refused(capsys, out, args, named):
+        capsys.readouterr()
+        assert run_cli(*args, "--out-dir", out) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("prior", ["a", "b", "c", "d"])
+    @pytest.mark.parametrize("subcommand", ["run", "select"])
+    def test_prior_not_positive(self, tmp_path, capsys, inputs, no_chain, subcommand, prior):
+        data, chain, _ = inputs
+        args = [subcommand, *data, *chain, f"--prior-{prior}", "0"]
+        if subcommand == "select":
+            args += ["--candidates", "snp1:a,snp2:a"]
+        self.assert_refused(capsys, tmp_path / "out", args, f"--prior-{prior} 0.0")
+
+    @pytest.mark.parametrize(
+        "subcommand, flag",
+        [("run", "--seed"), ("select", "--seed"), ("em", "--seed"),
+         ("simulate", "--seed"), ("simulate", "--mask-seed")],
+    )
+    def test_negative_seed(self, tmp_path, capsys, inputs, no_chain, subcommand, flag):
+        data, chain, _ = inputs
+        if subcommand == "simulate":
+            args = ["simulate", "--missing", "0.1"]
+        else:
+            args = [subcommand, *data, *(chain if subcommand != "em" else ())]
+        self.assert_refused(capsys, tmp_path / "out", [*args, flag, "-1"],
+                            f"{flag} must be at least 0, got -1")
+
+    @pytest.mark.parametrize("subcommand", ["run", "select"])
+    def test_level_outside_unit_interval(self, tmp_path, capsys, inputs, no_chain, subcommand):
+        data, chain, _ = inputs
+        self.assert_refused(capsys, tmp_path / "out", [subcommand, *data, *chain, "--level", "1"],
+                            "--level must lie in (0, 1), got 1.0")
+
+    @pytest.mark.parametrize(
+        "flag, value, named",
+        [("--mixture-prob", "2", "--mixture-prob 2.0"),
+         ("--search-iters", "0", "--search-iters 0"),
+         ("--min-samples-per-bf", "0", "--min-samples-per-bf 0")],
+    )
+    @pytest.mark.parametrize("source", ["live", "samples"])
+    def test_search_setting_refused(self, tmp_path, capsys, inputs, no_chain, source,
+                                    flag, value, named):
+        data, chain, samples = inputs
+        given = chain if source == "live" else ["--samples", samples]
+        args = ["select", *data, *given, "--candidates", "snp1:a,snp2:a", flag, value]
+        self.assert_refused(capsys, tmp_path / "out", args, named)
+
+    @pytest.mark.parametrize("subcommand", ["run", "select"])
+    def test_negative_burn_in(self, tmp_path, capsys, inputs, no_chain, subcommand):
+        # a negative burn-in would count more draws than the chain makes
+        data, _, _ = inputs
+        args = [subcommand, *data, "--iters", "200", "--burnin", "-5", "--thin", "1"]
+        if subcommand == "select":
+            args += ["--candidates", "snp1:a,snp2:a"]
+        self.assert_refused(capsys, tmp_path / "out", args,
+                            "--burnin -5 --thin 1 --impute-mode cycle: burn_in must be >= 0")
+
+    def test_live_chains_that_keep_no_draw(self, tmp_path, capsys, inputs, no_chain):
+        data, _, _ = inputs
+        args = ["select", *data, "--iters", "200", "--burnin", "100", "--thin", "200",
+                "--candidates", "snp1:a,snp2:a"]
+        self.assert_refused(capsys, tmp_path / "out", args,
+                            "--iters 200 --burnin 100 --thin 200 keep 0 draws")
+
+    def test_missing_fraction_above_limit(self, tmp_path, capsys):
+        self.assert_refused(capsys, tmp_path / "out", ["simulate", "--missing", "0.99"],
+                            "--missing 0.99: missing fraction must lie in [0, 0.95]")
 
 
 class TestImports:
@@ -911,14 +1006,3 @@ class TestImports:
             "sys.exit('snpgibbs.linalg' in sys.modules)"
         )
         assert subprocess.run([sys.executable, "-c", code]).returncode == 0
-
-
-class TestBenchCommand:
-    def test_update_path_beats_dense_at_256(self):
-        # machine-dependent timing: assert ordering only, not magnitude
-        from snpgibbs.linalg import benchmark_column_update
-
-        rows = benchmark_column_update([256], n=128, iters=10, seed=1)
-        dim, t_update, t_dense = rows[0]
-        assert dim == 256
-        assert t_update < t_dense

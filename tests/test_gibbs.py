@@ -73,7 +73,7 @@ class TestSampleBeta:
             kinship=RelationshipMatrix.identity(ids),
         )
         state = state_for(data, sigma2=1e-20)
-        draw = sample_beta(state, data, rng, fresh_workspace(state, data))
+        draw = sample_beta(state, rng, fresh_workspace(state, data))
         assert abs(draw[0] - y.mean()) < 1e-8
 
     def test_toy_gls_mean_matches_direct_solve(self, rng):
@@ -82,7 +82,7 @@ class TestSampleBeta:
         Rinv = np.linalg.inv(data.R)
         resid = data.y - snp_design_matrix(state.z_imputed, "signed") @ state.gamma
         expected = np.linalg.solve(data.X.T @ Rinv @ data.X, data.X.T @ Rinv @ resid)
-        draw = sample_beta(state, data, rng, fresh_workspace(state, data))
+        draw = sample_beta(state, rng, fresh_workspace(state, data))
         assert np.allclose(draw, expected, atol=1e-9)
 
     def test_variance_scales_linearly(self, rng):
@@ -92,7 +92,7 @@ class TestSampleBeta:
             state = state_for(data, sigma2=sigma2)
             work = fresh_workspace(state, data)
             draws[sigma2] = np.array(
-                [sample_beta(state, data, rng, work)[0] for _ in range(4000)]
+                [sample_beta(state, rng, work)[0] for _ in range(4000)]
             )
         ratio = draws[4.0].var() / draws[1.0].var()
         assert 3.3 < ratio < 4.8
@@ -106,7 +106,7 @@ class TestSampleBeta:
         mean = np.linalg.solve(XtRinv @ data.X, XtRinv @ resid)
         cov = state.sigma2 * np.linalg.inv(XtRinv @ data.X)
         work = fresh_workspace(state, data)
-        draws = np.array([sample_beta(state, data, rng, work) for _ in range(20000)])
+        draws = np.array([sample_beta(state, rng, work) for _ in range(20000)])
         for k in range(2):
             z = (draws[:, k] - mean[k]) / np.sqrt(cov[k, k])
             assert st.kstest(z, "norm").pvalue > 0.001
@@ -123,7 +123,7 @@ class TestSampleBeta:
                 sigma2=float(setup.uniform(0.5, 2.0)),
             )
             seed = int(setup.integers(2**32))
-            ours = sample_beta(state, data, np.random.default_rng(seed), work)
+            ours = sample_beta(state, np.random.default_rng(seed), work)
             ref = two_solve_beta(state, data, np.random.default_rng(seed))
             assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -135,7 +135,7 @@ class TestSampleGamma:
         y_fit = data.X @ beta
         data = dataclasses.replace(data, phenotypes=PhenotypeVector(y_fit))
         state = state_for(data, beta=beta, sigma2=1e-22, phi2=1.0)
-        draw = sample_gamma(state, data, rng, fresh_workspace(state, data))
+        draw = sample_gamma(state, rng, fresh_workspace(state, data))
         assert np.max(np.abs(draw)) < 1e-9
 
     def test_toy_mean_matches_dense_solve(self, rng):
@@ -145,7 +145,7 @@ class TestSampleGamma:
         Rinv = np.linalg.inv(data.R)
         M = Zd.T @ Rinv @ Zd + np.eye(2) / state.phi2
         expected = np.linalg.solve(M, Zd.T @ Rinv @ (data.y - data.X @ state.beta))
-        draw = sample_gamma(state, data, rng, fresh_workspace(state, data))
+        draw = sample_gamma(state, rng, fresh_workspace(state, data))
         assert np.allclose(draw, expected, atol=1e-10)
 
     def test_ridge_limit_approaches_gls(self, rng):
@@ -155,7 +155,7 @@ class TestSampleGamma:
         beta = np.zeros(1)
         gls = np.linalg.solve(Zd.T @ Zd, Zd.T @ data.y)
         state = state_for(data, beta=beta, sigma2=1e-24, phi2=1e8)
-        draw = sample_gamma(state, data, rng, fresh_workspace(state, data))
+        draw = sample_gamma(state, rng, fresh_workspace(state, data))
         assert np.allclose(draw, gls, atol=1e-5)
 
     def test_gram_argument_draws_the_same(self):
@@ -169,8 +169,8 @@ class TestSampleGamma:
         work.stats.design[:] = snp_design_matrix(state.z_imputed, data.snp_coding)
         for c in range(data.design_dim):
             work.stats.refresh(c)
-        built = sample_gamma(state, data, np.random.default_rng(7), fresh_workspace(state, data))
-        given = sample_gamma(state, data, np.random.default_rng(7), work)
+        built = sample_gamma(state, np.random.default_rng(7), fresh_workspace(state, data))
+        given = sample_gamma(state, np.random.default_rng(7), work)
         np.testing.assert_allclose(given, built, rtol=1e-12, atol=1e-12)
 
     def test_exact_conditional_distribution(self, rng):
@@ -183,7 +183,7 @@ class TestSampleGamma:
         mean = Minv @ (Zd.T @ Rinv @ (data.y - data.X @ state.beta))
         cov = state.sigma2 * Minv
         work = fresh_workspace(state, data)
-        draws = np.array([sample_gamma(state, data, rng, work) for _ in range(20000)])
+        draws = np.array([sample_gamma(state, rng, work) for _ in range(20000)])
         for k in range(2):
             z = (draws[:, k] - mean[k]) / np.sqrt(cov[k, k])
             assert st.kstest(z, "norm").pvalue > 0.001
@@ -207,12 +207,12 @@ class TestSampleGamma:
                 sigma2=float(setup.uniform(0.1, 4.0)),
                 phi2=float(10.0 ** setup.uniform(-2, 2)),
             )
-            got = sample_gamma(state, data, rng_ours, fresh_workspace(state, data))
+            got = sample_gamma(state, rng_ours, fresh_workspace(state, data))
             want = two_factorization_gamma(state, data, rng_ref)
             assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
             assert rng_ours.bit_generator.state == rng_ref.bit_generator.state
 
-    @pytest.mark.parametrize("snps", [10, 70])  # one solve; two full blocks and a partial one
+    @pytest.mark.parametrize("snps", [10, 70])  # one block; two full blocks and a partial one
     def test_bordered_upper_triangle_is_never_read(self, snps):
         data, _ = make_dataset(
             n=90, s=snps, p=2, seed=31, missing=0.1, kinship="correlated"
@@ -229,7 +229,7 @@ class TestSampleGamma:
                 phi2=float(10.0 ** setup.uniform(-2, 2)),
             )
             work.bordered[np.triu_indices(s + 1, 1)] = np.nan
-            got = sample_gamma(state, data, rng_ours, work)
+            got = sample_gamma(state, rng_ours, work)
             want = two_factorization_gamma(state, data, rng_ref)
             # the border's upper half was still NaN when it was factorized
             assert np.isnan(work.bordered[:s, s]).all()
@@ -243,7 +243,7 @@ class TestSampleGamma:
         Zd = snp_design_matrix(state.z_imputed, big.snp_coding)
         r = Zd.T @ np.linalg.solve(big.R, big.y)
         assert 1e7 < np.linalg.norm(r) < 1e9
-        got = sample_gamma(state, big, np.random.default_rng(2), fresh_workspace(state, big))
+        got = sample_gamma(state, np.random.default_rng(2), fresh_workspace(state, big))
         want = two_factorization_gamma(state, big, np.random.default_rng(2))
         assert np.isfinite(got).all()
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
@@ -562,7 +562,7 @@ class TestRunChain:
         errors, designs = [], set()
         real = gibbs.sample_gamma
 
-        def checked(state, data, rng, work):
+        def checked(state, rng, work):
             stats = work.stats
             design = stats.design
             assert np.array_equal(
@@ -588,7 +588,7 @@ class TestRunChain:
                 for name, want in fresh.items()
             ))
             designs.add(design.tobytes())
-            return real(state, data, rng, work)
+            return real(state, rng, work)
 
         monkeypatch.setattr(gibbs, "sample_gamma", checked)
         cfg = GibbsConfig(
@@ -669,6 +669,8 @@ class TestRunChain:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             GibbsConfig(total_iterations=10, burn_in=10)
+        with pytest.raises(ValueError, match="burn_in must be >= 0"):
+            GibbsConfig(total_iterations=10, burn_in=-5)
         with pytest.raises(ValueError):
             GibbsConfig(thinning=0)
         with pytest.raises(ValueError):

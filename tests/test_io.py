@@ -350,6 +350,10 @@ class TestSamplesRoundTrip:
             ("sigma2", "-1.5", "finite and positive"),
             ("phi2", "inf", "finite and positive"),
             ("phi2", "nan", "finite and positive"),
+            ("beta1", "nan", "beta and gamma must be finite"),
+            ("beta2", "-inf", "beta and gamma must be finite"),
+            ("snp1", "inf", "beta and gamma must be finite"),
+            ("snp3", "nan", "beta and gamma must be finite"),
         ],
     )
     def test_impossible_sample_rejected(self, tmp_path, column, value, message):
