@@ -256,7 +256,10 @@ def _outputs(settings: Settings):
     io.write_manifest_file(out.dir / "manifest.txt", manifest)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(subcommand: Optional[str]) -> argparse.ArgumentParser:
+    """The command-line parser. It lists every subcommand but declares the
+    arguments of ``subcommand`` alone (of none when that names no
+    subcommand), since a call parses one subcommand's arguments."""
     parser = argparse.ArgumentParser(
         prog="snpgibbs",
         description="SNP effect estimation under missing genotypes via Gibbs sampling",
@@ -272,6 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     }
     for name, (func, description) in commands.items():
         p = sub.add_parser(name, help=description)
+        if name != subcommand:
+            continue
         for key in SUBCOMMAND_SETTINGS[name]:
             _, kind, help_text, _ = SETTINGS[key]
             flag = _flag(key)
@@ -523,7 +528,10 @@ def cmd_simulate(settings: Settings) -> int:
 
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the program's own options take no value: the first other word names
+    # the subcommand
+    parser = build_parser(next((word for word in argv if not word.startswith("-")), None))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

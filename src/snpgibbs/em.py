@@ -89,6 +89,8 @@ class EmConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not math.isfinite(self.tol) or self.tol < 0:
+            raise ValueError(f"EM tol must be a finite number at least 0, got {self.tol}")
         for name, low in (
             ("max_iterations", 1), ("enumeration_cap", 1), ("mc_samples", 1), ("mc_burn_in", 0)
         ):

@@ -34,7 +34,9 @@ chunks of at most ``BATCH_ENTRIES`` entries, one batched Cholesky
 factorization and one set of batched products per chunk. A design whose
 H_FF is singular is dropped with its states; a chunk whose batched
 factorization fails is factored design by design, so the other designs
-stay.
+stay. The statistics come out in the kernel's axis order, candidate axis
+first, with the per-state terms no model changes (|gamma_F|^2 and
+log phi^2) already taken, so a kernel call does only per-model work.
 
 A model is then scored on the Schur complement S_ee of its excluded
 candidates, and its term on a design is valid only when S_ee is positive
@@ -42,8 +44,10 @@ definite. One kernel scores a batch of models that exclude the same
 number of candidates: a Cholesky of every S_ee, written as a loop over
 the excluded columns and vectorised over every (model, design, state),
 gives log|S_ee| and the solves the terms need. An exhaustive search
-scores its models in batches of equal excluded-set size; the
-Metropolis-Hastings walk scores each proposal as a batch of one.
+scores its models in batches of equal excluded-set size E, each size's
+batches sized by what its models gather (m = max(E, K - E) candidates a
+side); the Metropolis-Hastings walk scores each proposal as a batch of
+one.
 
 The search chain accepts a proposal with min{1, BF'/BF}; proposals flip a
 random coefficient with probability a and jump to an independent uniform
@@ -333,26 +337,33 @@ class BayesFactorStatistics:
     Cholesky factor L_FF of H_FF per design, the designs' factors taken in
     batched chunks (see ``bayes_factor_statistics``). With no missing
     genotype every state shares the observed design, otherwise each state
-    has its own; the design arrays hold one row per design whose H_FF is
-    positive definite (D rows, in window order) and the state arrays are
-    grouped under them (D x L, L states per design). States of a design
-    with a singular H_FF are invalid for every model and only counted,
-    whichever chunk the design falls in. Every design's H comes from one
+    has its own; the design axis D holds one entry per design whose H_FF is
+    positive definite (in window order) and the states are grouped under
+    them (D x L, L states per design). States of a design with a singular
+    H_FF are invalid for every model and only counted, whichever chunk the
+    design falls in. Every design's H comes from one
     ``gibbs.DesignStatistics`` walked through the window.
+
+    The arrays are laid out in the order the batch kernel gathers them,
+    candidate axis first: S and M as (K, K, D), and b, g and gamma (the
+    candidates' coefficients only) as (K, D, L). The two per-state terms no
+    model changes are kept whole: gamma_f2 = |gamma_F|^2 and log phi^2.
     """
 
     s: int
     candidates: tuple[int, ...]
     fixed: tuple[int, ...]
     logdet_f: np.ndarray  # (D,)
-    M: np.ndarray  # (D, K, K)
-    S: np.ndarray  # (D, K, K)
+    M: np.ndarray  # (K, K, D)
+    S: np.ndarray  # (K, K, D)
     q0: np.ndarray  # (D, L)
-    b: np.ndarray  # (D, L, K)
-    g: np.ndarray  # (D, L, K)
-    gamma: np.ndarray  # (D, L, s)
+    b: np.ndarray  # (K, D, L)
+    g: np.ndarray  # (K, D, L)
+    gamma: np.ndarray  # (K, D, L)
+    gamma_f2: np.ndarray  # (D, L)
     sigma2: np.ndarray  # (D, L)
     phi2: np.ndarray  # (D, L)
+    log_phi2: np.ndarray  # (D, L)
     invalid: int  # states of a design with a singular H_FF
 
     @property
@@ -406,7 +417,8 @@ def bayes_factor_statistics(
     V = L_FF^-1 Z_F'R^-1[Z_K X y], from which every statistic follows with
     batched matrix products: M = V_K'V_K, S = H_KK - M from the unlifted
     Gram and, per state,
-    v = V_y - V_X beta, q0 = |v|^2 and b = V_K'v.
+    v = V_y - V_X beta, q0 = |v|^2 and b = V_K'v, each chunk's written
+    straight into the kernel-order arrays of ``BayesFactorStatistics``.
     """
     data = samples.data
     count = samples.retained_count
@@ -441,8 +453,8 @@ def bayes_factor_statistics(
 
     betas = samples.betas.reshape(D, L, p)
     logdet_f = np.empty(D)
-    M, S = np.empty((D, k, k)), np.empty((D, k, k))
-    q0, b, g = np.empty((D, L)), np.empty((D, L, k)), np.empty((D, L, k))
+    M, S = np.empty((k, k, D)), np.empty((k, k, D))
+    q0, b, g = np.empty((D, L)), np.empty((k, D, L)), np.empty((k, D, L))
     valid = np.ones(D, dtype=bool)
     lift = np.arange(f, T)
     chunk = min(D, max(1, BATCH_ENTRIES // (T * T)))
@@ -476,33 +488,43 @@ def bayes_factor_statistics(
         V_k, V_x, V_y = factors[:, f:s, :f], factors[:, s:s + p, :f], factors[:, -1:, :f]
         pivots = np.diagonal(factors, axis1=1, axis2=2)[:, :f]
         logdet_f[done] = 2.0 * np.log(pivots).sum(axis=1)
-        M[done] = V_k @ V_k.transpose(0, 2, 1)
-        S[done] = G[:, f:s, f:s] - M[done]
+        M_done = V_k @ V_k.transpose(0, 2, 1)
+        M[..., done] = M_done.transpose(1, 2, 0)
+        S[..., done] = (G[:, f:s, f:s] - M_done).transpose(1, 2, 0)
         v = V_y - betas[done] @ V_x
         q0[done] = np.einsum("dlf,dlf->dl", v, v)
-        b[done] = v @ V_k.transpose(0, 2, 1)
-        g[done] = G[:, -1:, f:s] - betas[done] @ G[:, s:s + p, f:s] - b[done]
+        b_done = v @ V_k.transpose(0, 2, 1)
+        b[:, done] = b_done.transpose(2, 0, 1)
+        g_done = G[:, -1:, f:s] - betas[done] @ G[:, s:s + p, f:s] - b_done
+        g[:, done] = g_done.transpose(2, 0, 1)
+    gamma = np.moveaxis(samples.gammas.reshape(D, L, s)[valid], -1, 0)  # (s, D, L)
+    gamma_f = gamma[np.array(F, dtype=int)]
+    phi2 = samples.phi2s.reshape(D, L)[valid]
     return BayesFactorStatistics(
         s, tuple(K), tuple(F),
         logdet_f=logdet_f[valid],
-        M=M[valid],
-        S=S[valid],
+        M=M[..., valid],
+        S=S[..., valid],
         q0=q0[valid],
-        b=b[valid],
-        g=g[valid],
-        gamma=samples.gammas.reshape(D, L, s)[valid],
+        b=b[:, valid],
+        g=g[:, valid],
+        gamma=gamma[np.array(K, dtype=int)],
+        gamma_f2=np.einsum("fdl,fdl->dl", gamma_f, gamma_f),
         sigma2=samples.sigma2s.reshape(D, L)[valid],
-        phi2=samples.phi2s.reshape(D, L)[valid],
+        phi2=phi2,
+        log_phi2=np.log(phi2),
         invalid=L * int((~valid).sum()),
     )
 
 
-def _batch_size(stats: BayesFactorStatistics) -> int:
-    """Models per kernel call: a model's largest gathered array has at most
-    D * max(L, K) * K entries, and a batch keeps them within BATCH_ENTRIES."""
+def _batch_size(stats: BayesFactorStatistics, excluded: int) -> int:
+    """Models per kernel call among those that exclude ``excluded`` (E) of
+    the K candidates: with m = max(E, K - E), a model's largest gathered array
+    has at most D * max(L, m) * m entries, and a batch keeps them within
+    BATCH_ENTRIES."""
     D, L = stats.q0.shape
-    k = max(len(stats.candidates), 1)
-    return max(1, BATCH_ENTRIES // max(D * max(L, k) * k, 1))
+    m = max(excluded, len(stats.candidates) - excluded, 1)
+    return max(1, BATCH_ENTRIES // max(D * max(L, m) * m, 1))  # D is 0 when no design is valid
 
 
 def _batch_log_terms(
@@ -518,25 +540,23 @@ def _batch_log_terms(
     over its E columns vectorised over every (model, design), also
     eliminates the rows v = g_e - S_ed gamma_d of every state below it (a
     forward solve L w = v), giving log|S_ee| = sum of the log pivots and
-    v'S_ee^-1 v = |w|^2. The gathered arrays put the model, design and
-    state axes last, so each step is one operation on contiguous arrays.
+    v'S_ee^-1 v = |w|^2. The statistics come candidate axis first, so each
+    gather of a model's rows and columns is one fancy index that puts the
+    model, design and state axes last, and each step is one operation on
+    contiguous arrays. Only these per-model gathers and the factorization
+    run per call: |gamma_F|^2 and log phi^2 come with the statistics.
     """
     B = included.shape[0]
     inc = np.nonzero(included)[1].reshape(B, -1).T  # (d, B) candidate positions
     exc = np.nonzero(~included)[1].reshape(B, -1).T  # (E, B)
     E = exc.shape[0]
-    S, M = np.moveaxis(stats.S, 0, -1), np.moveaxis(stats.M, 0, -1)  # (K, K, D)
-    gamma = np.moveaxis(stats.gamma, -1, 0)  # (s, D, L)
-    candidates = np.array(stats.candidates, dtype=int)
-    gamma_d, gamma_e = gamma[candidates[inc]], gamma[candidates[exc]]  # (., B, D, L)
-    gamma_f = gamma[list(stats.fixed)]  # (|F|, D, L)
+    S, M = stats.S, stats.M
+    gamma_d, gamma_e = stats.gamma[inc], stats.gamma[exc]  # (., B, D, L)
     A = S[exc[:, None], exc[None, :]]  # (E, E, B, D), factored in place
-    v = np.moveaxis(stats.g, -1, 0)[exc] - np.einsum(
-        "ibdl,iebd->ebdl", gamma_d, S[inc[:, None], exc[None, :]]
-    )
+    v = stats.g[exc] - np.einsum("ibdl,iebd->ebdl", gamma_d, S[inc[:, None], exc[None, :]])
     quad = (
         stats.q0
-        - 2.0 * np.einsum("ibdl,ibdl->bdl", gamma_d, np.moveaxis(stats.b, -1, 0)[inc])
+        - 2.0 * np.einsum("ibdl,ibdl->bdl", gamma_d, stats.b[inc])
         + np.einsum("ibdl,ijbd,jbdl->bdl", gamma_d, M[inc[:, None], inc[None, :]], gamma_d)
     )
     # a non-positive pivot makes NaN or inf of its own (model, design) only
@@ -551,11 +571,9 @@ def _batch_log_terms(
         logdet = np.log(pivots).sum(axis=0)
     valid = (pivots > 0.0).all(axis=0) & np.isfinite(logdet)
     quad += np.einsum("ebdl,ebdl->bdl", v, v)
-    gamma_c2 = np.einsum("fdl,fdl->dl", gamma_f, gamma_f) + np.einsum(
-        "ebdl,ebdl->bdl", gamma_e, gamma_e
-    )
+    gamma_c2 = stats.gamma_f2 + np.einsum("ebdl,ebdl->bdl", gamma_e, gamma_e)
     terms = (
-        0.5 * (len(stats.fixed) + E) * np.log(stats.phi2)
+        0.5 * (len(stats.fixed) + E) * stats.log_phi2
         + 0.5 * (stats.logdet_f + logdet)[..., None]
         + (gamma_c2 / stats.phi2 - quad) / (2.0 * stats.sigma2)
     )
@@ -715,7 +733,8 @@ def exhaustive_search(
     Refuses more than 20 candidates; use mh_model_search for larger spaces.
     Mask m's model includes ``candidate_snps[k]`` when bit k of m is set.
     The models are scored in batches of equal excluded-set size, each
-    batch's summary written straight into the trace's columns, and the
+    size's batches as large as its gathered arrays allow (``_batch_size``),
+    each batch's summary written straight into the trace's columns, and the
     models with a valid term are ranked by one stable sort on decreasing
     log Bayes factor, so ties keep mask order.
     """
@@ -741,10 +760,10 @@ def exhaustive_search(
         "invalid_count": np.empty(masks.size, dtype=int),
         "weight_ess": np.empty(masks.size),
     }
-    batch = _batch_size(stats)
     sizes = included.sum(axis=1)
     for size in np.unique(sizes):
         group = np.flatnonzero(sizes == size)
+        batch = _batch_size(stats, len(stats.candidates) - int(size))
         for start in range(0, group.size, batch):
             rows = group[start:start + batch]
             summary = _summaries(stats, *_batch_log_terms(stats, included[rows]))

@@ -226,17 +226,22 @@ def per_design_statistics(samples, candidates):
         q0[r] = np.einsum("lf,lf->l", v, v)
         b[r] = v @ V_k.T
         g[r] = H[-1, f:s] - betas[r] @ H[s:s + p, f:s] - b[r]
+    gamma = samples.gammas.reshape(D, L, s)[valid]
+    phi2 = samples.phi2s.reshape(D, L)[valid]
+    # in the kernel's axis order: candidate axis first
     return BayesFactorStatistics(
         s, tuple(K), tuple(F),
         logdet_f=logdet_f[valid],
-        M=M[valid],
-        S=S[valid],
+        M=M[valid].transpose(1, 2, 0),
+        S=S[valid].transpose(1, 2, 0),
         q0=q0[valid],
-        b=b[valid],
-        g=g[valid],
-        gamma=samples.gammas.reshape(D, L, s)[valid],
+        b=b[valid].transpose(2, 0, 1),
+        g=g[valid].transpose(2, 0, 1),
+        gamma=gamma[..., K].transpose(2, 0, 1),
+        gamma_f2=(gamma[..., F] ** 2).sum(axis=-1),
         sigma2=samples.sigma2s.reshape(D, L)[valid],
-        phi2=samples.phi2s.reshape(D, L)[valid],
+        phi2=phi2,
+        log_phi2=np.log(phi2),
         invalid=L * int((~valid).sum()),
     )
 

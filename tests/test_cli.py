@@ -996,6 +996,54 @@ class TestSettingsCheckedBeforeAnyWork:
         self.assert_refused(capsys, tmp_path / "out", ["simulate", "--missing", "0.99"],
                             "--missing 0.99: missing fraction must lie in [0, 0.95]")
 
+    @pytest.mark.parametrize("tol, named", [("nan", "--tol nan"), ("inf", "--tol inf"),
+                                            ("-1", "--tol -1.0")])
+    def test_em_tolerance_not_finite_or_negative(self, tmp_path, capsys, inputs, tol, named):
+        data, _, _ = inputs
+        self.assert_refused(capsys, tmp_path / "out", ["em", *data, "--tol", tol],
+                            f"{named} --max-iter 500: EM tol must be a finite number at least 0")
+
+    def test_em_zero_tolerance_runs(self, tmp_path, inputs):
+        # no step is below 0: EM runs every iteration
+        data, _, _ = inputs
+        out = tmp_path / "em"
+        assert run_cli("em", *data, "--tol", "0", "--max-iter", "2", "--out-dir", out) == 0
+        assert len(read_noncomment_lines(out / "em_log.csv")) == 3
+
+
+SUBCOMMANDS = ("run", "select", "kinship", "em", "simulate")
+
+
+class TestParser:
+    def test_help_names_every_subcommand(self, capsys):
+        assert run_cli("--help") == 0
+        out = capsys.readouterr().out
+        assert "{" + ",".join(SUBCOMMANDS) + "}" in out
+        for name in SUBCOMMANDS:
+            assert f"\n    {name} " in out, name
+
+    def test_version(self, capsys):
+        assert run_cli("--version") == 0
+        assert capsys.readouterr().out.strip() == snpgibbs.__version__
+
+    @pytest.mark.parametrize("subcommand", SUBCOMMANDS)
+    def test_subcommand_help_lists_its_settings(self, capsys, subcommand):
+        assert run_cli(subcommand, "--help") == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"usage: snpgibbs {subcommand} ")
+        for key in (*cli.SUBCOMMAND_SETTINGS[subcommand], "config"):
+            assert cli._flag(key) + " " in out, key
+
+    def test_unknown_subcommand_exit_2(self, capsys):
+        assert run_cli("bogus", "--seed", "1") == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_only_the_named_subcommand_declares_its_arguments(self):
+        args = ["run", "--iters", "5"]
+        assert cli.build_parser("run").parse_args(args).iters == 5
+        with pytest.raises(SystemExit):
+            cli.build_parser("em").parse_args(args)
+
 
 class TestImports:
     def test_cli_does_not_load_linalg(self):

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -361,7 +362,8 @@ class TestGroupedEnumeration:
     @pytest.mark.parametrize(
         "field, value",
         [("max_iterations", 0), ("max_iterations", -1), ("enumeration_cap", 0),
-         ("mc_samples", 0), ("mc_burn_in", -1)],
+         ("mc_samples", 0), ("mc_burn_in", -1),
+         ("tol", -1e-8), ("tol", math.nan), ("tol", math.inf)],
     )
     def test_config_rejects_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=field):

@@ -218,17 +218,19 @@ class TestEstimator:
         stats = BayesFactorStatistics(
             2, (0, 1), (),
             logdet_f=np.zeros(1),
-            M=np.zeros((1, 2, 2)),
-            S=-np.eye(2)[None],
+            M=np.zeros((2, 2, 1)),
+            S=-np.eye(2)[..., None],
             q0=np.zeros((1, L)),
-            b=np.zeros((1, L, 2)),
-            g=np.ones((1, L, 2)),
-            gamma=np.full((1, L, 2), 0.5),
+            b=np.zeros((2, 1, L)),
+            g=np.ones((2, 1, L)),
+            gamma=np.full((2, 1, L), 0.5),
+            gamma_f2=np.zeros((1, L)),
             sigma2=np.ones((1, L)),
             phi2=np.ones((1, L)),
+            log_phi2=np.zeros((1, L)),
             invalid=0,
         )
-        assert np.linalg.slogdet(stats.S[0])[0] > 0
+        assert np.linalg.slogdet(stats.S[..., 0])[0] > 0
         for delta in (ModelIndicator((0, 0)), ModelIndicator((1, 0))):
             with pytest.raises(EstimationError, match=f"all {L} terms invalid"):
                 estimate_bayes_factor(stats, delta)
@@ -360,6 +362,40 @@ def _assert_batches_match_single_models(samples, candidates, window):
     return stats
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Record each ``_batch_log_terms`` call as (models, excluded-set size,
+    largest array any of its einsums reads or writes)."""
+    calls, largest = [], []
+    kernel, einsum = selector._batch_log_terms, np.einsum
+
+    def recording_einsum(subscripts, *operands, **kwargs):
+        result = einsum(subscripts, *operands, **kwargs)
+        if largest:
+            largest[-1] = max(largest[-1], result.size, *(a.size for a in operands))
+        return result
+
+    def recording_kernel(stats, included):
+        largest.append(0)
+        try:
+            return kernel(stats, included)
+        finally:
+            calls.append((len(included), int((~included[0]).sum()), largest.pop()))
+
+    monkeypatch.setattr(np, "einsum", recording_einsum)
+    monkeypatch.setattr(selector, "_batch_log_terms", recording_kernel)
+    return calls
+
+
+def _assert_batches_within_cap(calls, designs, states):
+    """Every batch's gathered arrays stay within BATCH_ENTRIES: those its
+    einsums read, and its (E, E, B, D) excluded Schur complements."""
+    for models, excluded, largest in calls:
+        assert largest <= selector.BATCH_ENTRIES
+        assert excluded * excluded * models * designs <= selector.BATCH_ENTRIES
+        assert models * designs * states <= largest
+
+
 class TestBatchedScoring:
     @pytest.mark.parametrize("kinship", ["identity", "correlated"])
     def test_missing_genotypes(self, kinship):
@@ -388,10 +424,41 @@ class TestBatchedScoring:
         )
         candidates = list(range(data.design_dim))  # 10 columns, 1024 models
         stats = _assert_batches_match_single_models(post, candidates, 200)
-        # the largest excluded-set group spans several batches of the cap
+        # the largest excluded-set size spans several batches of the cap
         assert stats.q0.shape == (200, 1)
-        batch = _batch_size(stats)
-        assert 1 < batch and 4 * batch < math.comb(len(candidates), len(candidates) // 2)
+        half = len(candidates) // 2
+        batch = _batch_size(stats, half)
+        assert 1 < batch and 4 * batch < math.comb(len(candidates), half)
+
+    def test_one_call_per_excluded_set_size_at_seven_candidates(self, kernel_calls):
+        # 7 of 10 design columns over 100 designs: each size's 1-35 models
+        # fit one batch; sized by the largest size (D * K^2 = 4900 entries
+        # a model) the two 35-model sizes took two calls each
+        data, samples = imputed_states("additive_dominance", "correlated", count=100)
+        candidates = [0, 1, 2, 4, 5, 7, 9]
+        trace = exhaustive_search(samples, candidates, SearchConfig(min_samples_per_bf=100))
+        assert len(trace) + trace.skipped == 2 ** len(candidates)
+        assert [(models, excluded) for models, excluded, _ in kernel_calls] == [
+            (math.comb(7, e), e) for e in range(7, -1, -1)
+        ]
+        _assert_batches_within_cap(kernel_calls, 100, 1)
+
+    def test_each_size_batched_within_the_cap(self, kernel_calls, monkeypatch):
+        # a cap of 36 * D entries allows 36 // m^2 models a batch, so every
+        # size but the full and the null model's spans several batches
+        data, samples = imputed_states("additive_dominance", "identity", count=50)
+        candidates = [0, 1, 3, 4, 6, 8]
+        monkeypatch.setattr(selector, "BATCH_ENTRIES", 50 * 3 * 3 * 4)
+        exhaustive_search(samples, candidates, SearchConfig(min_samples_per_bf=50))
+        calls = {}
+        for models, excluded, _ in kernel_calls:
+            calls.setdefault(excluded, []).append(models)
+        for excluded, batches in calls.items():
+            m = max(excluded, 6 - excluded)
+            assert sum(batches) == math.comb(6, excluded)
+            assert max(batches) == min(math.comb(6, excluded), 36 // (m * m)), excluded
+        assert all(len(calls[excluded]) > 1 for excluded in range(1, 6))
+        _assert_batches_within_cap(kernel_calls, 50, 1)
 
 
 def read_body(path):
@@ -638,7 +705,9 @@ class TestWindowWalk:
         assert kept == {(): 0, (0,): 0, (2,): count, (0, 2): count}
 
 
-STATISTICS_FIELDS = ("logdet_f", "M", "S", "q0", "b", "g", "gamma", "sigma2", "phi2")
+STATISTICS_FIELDS = (
+    "logdet_f", "M", "S", "q0", "b", "g", "gamma", "gamma_f2", "sigma2", "phi2", "log_phi2",
+)
 
 
 def _assert_statistics_match_oracle(samples, candidates):
