@@ -223,8 +223,8 @@ class PriorHyperparams:
 
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
-            if not getattr(self, name) > 0:
-                raise DataValidationError(f"prior hyperparameter {name} must be > 0")
+            if not 0 < getattr(self, name) < np.inf:
+                raise DataValidationError(f"prior hyperparameter {name} must be finite and > 0")
 
 
 def default_priors() -> PriorHyperparams:
@@ -251,8 +251,8 @@ class ImputationPrior:
             w = np.asarray(self.weights, dtype=float)
             if w.ndim != 3 or w.shape[2] != 3:
                 raise DataValidationError("weights must have shape (n, s, 3)")
-            if (w < 0).any():
-                raise DataValidationError("imputation prior weights must be >= 0")
+            if not (np.isfinite(w) & (w >= 0)).all():
+                raise DataValidationError("imputation prior weights must be finite and >= 0")
             if np.max(np.abs(w.sum(axis=2) - 1.0)) > 1e-12:
                 raise DataValidationError("each weight triple must sum to 1")
             object.__setattr__(self, "weights", w)
@@ -272,8 +272,8 @@ class Dataset:
     """Genotypes, phenotypes, covariate design and kinship.
 
     Valid by construction: a known coding, one row per individual in every
-    member and a symmetric, positive-definite kinship with its diagonal in
-    [1, 1.5] (the design's rank is checked by ``FamilyDesign``).
+    member and a finite, symmetric, positive-definite kinship with its
+    diagonal in [1, 1.5] (the design's rank is checked by ``FamilyDesign``).
     """
 
     genotypes: GenotypeMatrix
@@ -295,6 +295,8 @@ class Dataset:
         if self.ids and len(self.ids) != n:
             raise DataValidationError("ids length does not match n")
         R = self.kinship.entries
+        if not np.isfinite(R).all():
+            raise DataValidationError("kinship entries must be finite")
         if np.max(np.abs(R - R.T)) > KINSHIP_SYMMETRY_TOL:
             raise DataValidationError("kinship matrix is not symmetric")
         diag = np.diag(R)

@@ -43,11 +43,12 @@ candidates, and its term on a design is valid only when S_ee is positive
 definite. One kernel scores a batch of models that exclude the same
 number of candidates: a Cholesky of every S_ee, written as a loop over
 the excluded columns and vectorised over every (model, design, state),
-gives log|S_ee| and the solves the terms need. An exhaustive search
-scores its models in batches of equal excluded-set size E, each size's
+gives log|S_ee| and the solves the terms need. Both searches score a
+model as a boolean row over the candidates, through one scorer that takes
+any number of rows in batches of equal excluded-set size E, each size's
 batches sized by what its models gather (m = max(E, K - E) candidates a
-side); the Metropolis-Hastings walk scores each proposal as a batch of
-one.
+side): the exhaustive search passes every row at once, the
+Metropolis-Hastings walk each distinct proposal as a batch of one.
 
 The search chain accepts a proposal with min{1, BF'/BF}; proposals flip a
 random coefficient with probability a and jump to an independent uniform
@@ -98,32 +99,16 @@ class _SingularGram(ArithmeticError):
 
 @dataclass(frozen=True)
 class ModelIndicator:
-    """Binary inclusion vector over the SNP-effect coefficients."""
+    """Binary inclusion vector over the SNP-effect coefficients: the view
+    of a model that ``SearchTrace`` builds when read, and the argument of
+    the per-state reference ``bf_sample_term``. The searches themselves
+    work on boolean rows over the candidates."""
 
     bits: tuple[int, ...]
 
     def __post_init__(self):
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("indicator bits must be 0 or 1")
-
-    @classmethod
-    def full(cls, s: int) -> "ModelIndicator":
-        return cls((1,) * s)
-
-    @classmethod
-    def null(cls, s: int) -> "ModelIndicator":
-        return cls((0,) * s)
-
-    @classmethod
-    def from_included(cls, s: int, included: Iterable[int]) -> "ModelIndicator":
-        bits = [0] * s
-        for j in included:
-            bits[j] = 1
-        return cls(tuple(bits))
-
-    @property
-    def s(self) -> int:
-        return len(self.bits)
 
     def is_full(self) -> bool:
         return all(self.bits)
@@ -195,13 +180,14 @@ class SearchTrace:
     order; an exhaustive search visits each model once, ranked by
     decreasing log Bayes factor with ties in mask order.
 
-    Row r's model includes the ``candidates`` (design columns) marked in
-    ``included[r]`` and excludes every other of the ``s`` columns. The
-    estimate columns are the fields of ``BayesFactorEstimate``;
-    ``accepted`` says whether the walk moved to the row's model and
-    ``first`` whether the row is its model's first visit. ``skipped``
-    counts proposals with no valid term, which no row holds. ``visited``,
-    ``estimates`` and ``best`` give the rows as objects, built when read.
+    Row r's model includes the ``candidates`` (design columns, ascending,
+    as in ``BayesFactorStatistics``) marked in ``included[r]`` and excludes
+    every other of the ``s`` columns. The estimate columns are the fields
+    of ``BayesFactorEstimate``; ``accepted`` says whether the walk moved to
+    the row's model and ``first`` whether the row is its model's first
+    visit. ``skipped`` counts proposals with no valid term, which no row
+    holds. ``visited``, ``estimates`` and ``best`` give the rows as
+    objects, built when read.
     """
 
     s: int
@@ -397,7 +383,8 @@ def bayes_factor_statistics(
     samples: PosteriorSamples, candidates: Iterable[int]
 ) -> BayesFactorStatistics:
     """Reduce each state of ``samples`` to the candidate-sized statistics
-    that score every model including only columns from ``candidates``.
+    that score every model including only columns from ``candidates``,
+    each of which must be a design column listed once.
 
     One ``gibbs.DesignStatistics`` of W = [Z_F | Z_K | X | y] is built for
     the first design, with the dataset's ``Rinv``. The later designs
@@ -425,10 +412,12 @@ def bayes_factor_statistics(
     if count == 0:
         raise EstimationError("no posterior states to estimate from")
     s = data.design_dim
-    K = sorted({int(j) for j in candidates})
-    for j in K:
+    K = sorted(int(j) for j in candidates)
+    for j, after in zip(K, K[1:] + [None]):
         if not 0 <= j < s:
             raise ValueError(f"candidate index {j} out of range")
+        if j == after:
+            raise ValueError(f"candidate index {j} repeated")
     F = sorted(set(range(s)) - set(K))
     f, k, p = len(F), len(K), data.X.shape[1]
     T = s + p + 1
@@ -610,26 +599,50 @@ def _summaries(
     }
 
 
+def _score_models(stats: BayesFactorStatistics, included: np.ndarray) -> dict[str, np.ndarray]:
+    """The ``ESTIMATE_FIELDS`` columns of B models, one entry per model; row
+    b of ``included`` (B, K) marks the candidates, in ``stats.candidates``
+    order, that model b keeps. The models are scored in batches of equal
+    excluded-set size, each size's batches as large as its gathered arrays
+    allow (``_batch_size``). A model with no valid term has a
+    ``sample_count`` of 0."""
+    columns = {}
+    sizes = included.sum(axis=1)
+    # not np.unique, whose hash path (numpy 2.4) adds 1.5 MiB of peak RSS when first run
+    for size in sorted(set(sizes.tolist())):
+        group = np.flatnonzero(sizes == size)
+        batch = _batch_size(stats, len(stats.candidates) - size)
+        for start in range(0, group.size, batch):
+            rows = group[start:start + batch]
+            summary = _summaries(stats, *_batch_log_terms(stats, included[rows]))
+            if not columns:
+                columns = {name: np.empty(len(sizes), c.dtype) for name, c in summary.items()}
+            for name, column in summary.items():
+                columns[name][rows] = column
+    return columns
+
+
 def estimate_bayes_factor(
-    stats: BayesFactorStatistics, delta: ModelIndicator
+    stats: BayesFactorStatistics, included: np.ndarray
 ) -> BayesFactorEstimate:
-    """Average the model's per-state terms over the states of ``stats``
-    (log-sum-exp); its candidates must cover the model's included columns.
+    """Average the per-state terms of the model that keeps the candidates
+    marked in ``included`` (K,), in ``stats.candidates`` order, over the
+    states of ``stats`` (log-sum-exp).
 
     States whose excluded Schur complement is not positive definite (for
     example with a monomorphic imputed column) invalidate that term only;
     the invalid count is reported on the estimate. The model is scored by
-    the batch kernel as a batch of one.
+    ``_score_models`` as a batch of one.
     """
-    if delta.s != stats.s or any(delta.bits[j] for j in stats.fixed):
-        raise ValueError(
-            f"model {delta.bitstring()} includes columns outside the candidates"
-        )
-    included = np.array([[delta.bits[j] == 1 for j in stats.candidates]], dtype=bool)
-    summary = _summaries(stats, *_batch_log_terms(stats, included))
+    row = np.asarray(included, dtype=bool)
+    if row.shape != (len(stats.candidates),):
+        raise ValueError(f"a model row of shape {row.shape}, not one entry per candidate")
+    summary = _score_models(stats, row[None])
     if not summary["sample_count"][0]:
+        bits = np.zeros(stats.s, dtype=int)
+        bits[list(stats.candidates)] = row
         raise EstimationError(
-            f"all {stats.state_count} terms invalid for model {delta.bitstring()}"
+            f"all {stats.state_count} terms invalid for model {''.join(map(str, bits))}"
         )
     return BayesFactorEstimate(**{name: column[0].item() for name, column in summary.items()})
 
@@ -638,18 +651,18 @@ def estimate_bayes_factor(
 
 
 def propose_model(
-    current: ModelIndicator, rng: np.random.Generator, config: SearchConfig
-) -> ModelIndicator:
-    """Symmetric proposal: flip one uniformly chosen coefficient with
-    probability ``mixture_prob``, otherwise draw an independent uniform
-    model."""
-    s = current.s
+    current: np.ndarray, walk: np.ndarray, rng: np.random.Generator, config: SearchConfig
+) -> np.ndarray:
+    """Symmetric proposal over the row positions ``walk``: flip one
+    uniformly chosen of them with probability ``mixture_prob``, otherwise
+    draw each of them independently and uniformly. Positions outside
+    ``walk`` keep ``current``'s value."""
+    proposal = current.copy()
     if rng.random() < config.mixture_prob:
-        j = int(rng.integers(s))
-        bits = list(current.bits)
-        bits[j] = 1 - bits[j]
-        return ModelIndicator(tuple(bits))
-    return ModelIndicator(tuple(int(b) for b in rng.integers(0, 2, size=s)))
+        proposal[walk[rng.integers(len(walk))]] ^= True
+    else:
+        proposal[walk] = rng.integers(0, 2, size=len(walk))
+    return proposal
 
 
 def mh_model_search(
@@ -661,46 +674,47 @@ def mh_model_search(
     estimated Bayes factor.
 
     ``candidates`` restricts proposals to a coefficient subset (everything
-    else stays excluded); None searches the full coefficient space.
-    Candidate and incumbent are always scored over the same window, the
-    last ``min_samples_per_bf`` rows of ``samples``, and accept/reject uses
-    only log-BF differences, so rescaling every estimate by a common factor
-    changes nothing. The trace holds the starting model, then every scored
-    proposal.
+    else stays excluded); None searches the full coefficient space. A model
+    is a row over ``stats.candidates``; the walk proposes over the
+    candidates in the given order (``candidates[k]`` sits at row position
+    ``walk[k]``) and scores each distinct row once through
+    ``estimate_bayes_factor``. Candidate and incumbent are always scored
+    over the same window, the last ``min_samples_per_bf`` rows of
+    ``samples``, and accept/reject uses only log-BF differences, so
+    rescaling every estimate by a common factor changes nothing. The trace
+    holds the starting model, then every scored proposal.
     """
-    s_full = samples.data.design_dim
-    if candidates is None:
-        candidates = tuple(range(s_full))
-    else:
-        candidates = tuple(int(j) for j in candidates)
+    s = samples.data.design_dim
+    candidates = range(s) if candidates is None else [int(j) for j in candidates]
     stats = bayes_factor_statistics(samples[-config.min_samples_per_bf:], candidates)
+    walk = np.searchsorted(stats.candidates, candidates)
     rng = np.random.default_rng(config.seed)
-    # each distinct model once, as its bits over the candidates, in the
-    # order first scored; a visit is an index into them
-    scored: dict[tuple, int] = {}
+    # each distinct model once, keyed by its row's bytes, in the order first
+    # scored; a visit is an index into them
+    scored: dict[bytes, int] = {}
+    rows: list[np.ndarray] = []
     estimates: list[BayesFactorEstimate] = []
     visits: list[int] = []
     accepted: list[bool] = []
     skipped = 0
 
-    def evaluate(sub: ModelIndicator) -> int:
-        if sub.bits not in scored:
-            bits = [0] * s_full
-            for k, j in enumerate(candidates):
-                bits[j] = sub.bits[k]
-            estimates.append(estimate_bayes_factor(stats, ModelIndicator(tuple(bits))))
-            scored[sub.bits] = len(estimates) - 1
-        return scored[sub.bits]
+    def evaluate(row: np.ndarray) -> int:
+        key = row.tobytes()
+        if key not in scored:
+            estimates.append(estimate_bayes_factor(stats, row))
+            rows.append(row)
+            scored[key] = len(rows) - 1
+        return scored[key]
 
-    current_sub = ModelIndicator.full(len(candidates))
-    current = evaluate(current_sub)
+    current_row = np.ones(len(stats.candidates), dtype=bool)
+    current = evaluate(current_row)
     visits.append(current)
     accepted.append(True)
     # with no candidate the null model is the only one: nothing to propose
-    for _ in range(config.search_iterations if candidates else 0):
-        proposal_sub = propose_model(current_sub, rng, config)
+    for _ in range(config.search_iterations if walk.size else 0):
+        proposal_row = propose_model(current_row, walk, rng, config)
         try:
-            proposal = evaluate(proposal_sub)
+            proposal = evaluate(proposal_row)
         except EstimationError:
             skipped += 1
             continue
@@ -709,14 +723,13 @@ def mh_model_search(
         visits.append(proposal)
         accepted.append(bool(accept))
         if accept:
-            current_sub, current = proposal_sub, proposal
-    rows = np.array(visits)
-    first = np.zeros(rows.size, dtype=bool)
-    first[np.unique(rows, return_index=True)[1]] = True
-    included = np.array(list(scored), dtype=bool).reshape(len(scored), len(candidates))
+            current_row, current = proposal_row, proposal
+    index = np.array(visits)
+    first = np.zeros(index.size, dtype=bool)
+    first[np.unique(index, return_index=True)[1]] = True
     return SearchTrace(
-        s_full, candidates, included[rows], np.array(accepted), first,
-        **{name: np.array([getattr(est, name) for est in estimates])[rows]
+        s, stats.candidates, np.array(rows)[index], np.array(accepted), first,
+        **{name: np.array([getattr(est, name) for est in estimates])[index]
            for name in ESTIMATE_FIELDS},
         skipped=skipped,
     )
@@ -732,13 +745,11 @@ def exhaustive_search(
 
     Refuses more than 20 candidates; use mh_model_search for larger spaces.
     Mask m's model includes ``candidate_snps[k]`` when bit k of m is set.
-    The models are scored in batches of equal excluded-set size, each
-    size's batches as large as its gathered arrays allow (``_batch_size``),
-    each batch's summary written straight into the trace's columns, and the
-    models with a valid term are ranked by one stable sort on decreasing
-    log Bayes factor, so ties keep mask order.
+    Every mask's row is scored by ``_score_models`` at once, and the models
+    with a valid term are ranked by one stable sort on decreasing log Bayes
+    factor, so ties keep mask order.
     """
-    candidates = tuple(int(j) for j in candidate_snps)
+    candidates = [int(j) for j in candidate_snps]
     if len(candidates) > EXHAUSTIVE_CANDIDATE_LIMIT:
         raise ValueError(
             f"{len(candidates)} candidates exceed the exhaustive limit of "
@@ -747,28 +758,12 @@ def exhaustive_search(
     config = config or SearchConfig()
     stats = bayes_factor_statistics(samples[-config.min_samples_per_bf:], candidates)
     # row m: the candidates (in stats' order) that mask m's model includes
-    position = {j: k for k, j in enumerate(stats.candidates)}
     masks = np.arange(2 ** len(candidates))
-    included = np.zeros((masks.size, len(stats.candidates)), dtype=bool)
-    for k, j in enumerate(candidates):
-        included[:, position[j]] |= (masks >> k & 1).astype(bool)
-    columns = {
-        "log_value": np.empty(masks.size),
-        "sample_count": np.empty(masks.size, dtype=int),
-        "log_term_mean": np.empty(masks.size),
-        "log_term_variance": np.empty(masks.size),
-        "invalid_count": np.empty(masks.size, dtype=int),
-        "weight_ess": np.empty(masks.size),
-    }
-    sizes = included.sum(axis=1)
-    for size in np.unique(sizes):
-        group = np.flatnonzero(sizes == size)
-        batch = _batch_size(stats, len(stats.candidates) - int(size))
-        for start in range(0, group.size, batch):
-            rows = group[start:start + batch]
-            summary = _summaries(stats, *_batch_log_terms(stats, included[rows]))
-            for name, column in columns.items():
-                column[rows] = summary[name]
+    included = np.zeros((masks.size, len(candidates)), dtype=bool)
+    included[:, np.searchsorted(stats.candidates, candidates)] = (
+        masks[:, None] >> np.arange(len(candidates)) & 1
+    )
+    columns = _score_models(stats, included)
     kept = np.flatnonzero(columns["sample_count"] > 0)
     skipped = masks.size - kept.size
     if not kept.size:

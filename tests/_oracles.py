@@ -9,9 +9,12 @@ The beta and gamma draws, the chain's per-block sweep, EM's exact and
 Monte Carlo E-steps, the samples writer, the genotype coding and
 decoding, the pedigree ordering and kinship recursion, the chain's
 set-up (prior draws and masked-cell couplings), the autocorrelations and
-the design-by-design walk of the Bayes-factor statistics and the
-row-by-row select writers each have their earlier, plainer form here as
-the reference for the faster one. The per-individual genotype conditional
+the design-by-design walk of the Bayes-factor statistics, the
+row-by-row select writers and the model search's walk over
+``ModelIndicator`` objects each have their earlier, plainer form here as
+the reference for the faster one (the walk scores its models through the
+library's estimator: it pins the walk's draws and bookkeeping, not the
+scores). The per-individual genotype conditional
 (exact only at R = I) and the Bayes-factor bridge weight g live here too:
 only tests use them.
 """
@@ -31,7 +34,16 @@ from snpgibbs.model import (
     genotype_column_values,
     snp_design_matrix,
 )
-from snpgibbs.selector import BayesFactorStatistics, EstimationError, _excluded_pieces
+from snpgibbs.selector import (
+    ESTIMATE_FIELDS,
+    BayesFactorStatistics,
+    EstimationError,
+    ModelIndicator,
+    SearchTrace,
+    _excluded_pieces,
+    bayes_factor_statistics,
+    estimate_bayes_factor,
+)
 from snpgibbs.pedigree import (
     OrderedPedigree,
     PedigreeError,
@@ -514,6 +526,73 @@ def row_by_row_select_files(out, trace, gamma_labels, manifest_lines=()):
              "included=" + ";".join(gamma_labels[j] for j in delta.included()),
              f"skipped={trace.skipped}"]
     (out / "best_model.txt").write_text("".join(line + "\n" for line in lines))
+
+
+def indicator_proposal(current, rng, config):
+    """Reference proposal on a ``ModelIndicator`` over the walk's
+    candidates, in their given order: flip one uniformly chosen bit with
+    probability ``mixture_prob``, otherwise draw a uniform model."""
+    s = len(current.bits)
+    if rng.random() < config.mixture_prob:
+        j = int(rng.integers(s))
+        bits = list(current.bits)
+        bits[j] = 1 - bits[j]
+        return ModelIndicator(tuple(bits))
+    return ModelIndicator(tuple(int(b) for b in rng.integers(0, 2, size=s)))
+
+
+def indicator_walk(samples, candidates, config):
+    """Reference Metropolis-Hastings walk: each state a ``ModelIndicator``
+    over ``candidates`` in their given order, widened to one over all s
+    columns and then to a row over the statistics' candidates before it is
+    scored, distinct models memoised by their bits."""
+    s_full = samples.data.design_dim
+    if candidates is None:
+        candidates = tuple(range(s_full))
+    else:
+        candidates = tuple(int(j) for j in candidates)
+    stats = bayes_factor_statistics(samples[-config.min_samples_per_bf:], candidates)
+    rng = np.random.default_rng(config.seed)
+    scored, estimates, visits, accepted = {}, [], [], []
+    skipped = 0
+
+    def evaluate(sub):
+        if sub.bits not in scored:
+            bits = [0] * s_full
+            for k, j in enumerate(candidates):
+                bits[j] = sub.bits[k]
+            row = np.array([bits[j] == 1 for j in stats.candidates], dtype=bool)
+            estimates.append(estimate_bayes_factor(stats, row))
+            scored[sub.bits] = len(estimates) - 1
+        return scored[sub.bits]
+
+    current_sub = ModelIndicator((1,) * len(candidates))
+    current = evaluate(current_sub)
+    visits.append(current)
+    accepted.append(True)
+    for _ in range(config.search_iterations if candidates else 0):
+        proposal_sub = indicator_proposal(current_sub, rng, config)
+        try:
+            proposal = evaluate(proposal_sub)
+        except EstimationError:
+            skipped += 1
+            continue
+        log_ratio = estimates[proposal].log_value - estimates[current].log_value
+        accept = math.log(rng.random()) < log_ratio
+        visits.append(proposal)
+        accepted.append(bool(accept))
+        if accept:
+            current_sub, current = proposal_sub, proposal
+    rows = np.array(visits)
+    first = np.zeros(rows.size, dtype=bool)
+    first[np.unique(rows, return_index=True)[1]] = True
+    included = np.array(list(scored), dtype=bool).reshape(len(scored), len(candidates))
+    return SearchTrace(
+        s_full, candidates, included[rows], np.array(accepted), first,
+        **{name: np.array([getattr(est, name) for est in estimates])[rows]
+           for name in ESTIMATE_FIELDS},
+        skipped=skipped,
+    )
 
 
 def loop_encode_genotypes(raw, missing_marker="NA", snp_names=()):

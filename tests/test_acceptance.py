@@ -42,7 +42,6 @@ from snpgibbs.model import (
 )
 from snpgibbs.pedigree import build_numerator_matrix, order_pedigree
 from snpgibbs.selector import (
-    ModelIndicator,
     SearchConfig,
     bayes_factor_statistics,
     estimate_bayes_factor,
@@ -276,10 +275,11 @@ def test_criterion_06_bayes_factor_correctness():
     sigma2, phi2 = 1.0, 1.5
     samples = conjugate_posterior_states(data, sigma2, phi2, 100_000, seed=7)
 
-    def estimate(window, delta):
-        return estimate_bayes_factor(bayes_factor_statistics(window, delta.included()), delta)
+    def estimate(window, included):
+        stats = bayes_factor_statistics(window, included)
+        return estimate_bayes_factor(stats, np.ones(len(included), dtype=bool))
 
-    full = estimate(samples[:1000], ModelIndicator.full(3))
+    full = estimate(samples[:1000], (0, 1, 2))
     exact_one = full.value == 1.0
 
     lines = [f"BF(full)={full.value}"]
@@ -288,9 +288,8 @@ def test_criterion_06_bayes_factor_correctness():
         oracle = quadrature_log_bayes_factor(
             data.y, data.X, Z, data.R, sigma2, phi2, included, nodes=48
         )
-        delta = ModelIndicator.from_included(3, included)
-        err4 = abs(math.exp(estimate(samples[:10_000], delta).log_value - oracle) - 1)
-        err5 = abs(math.exp(estimate(samples, delta).log_value - oracle) - 1)
+        err4 = abs(math.exp(estimate(samples[:10_000], included).log_value - oracle) - 1)
+        err5 = abs(math.exp(estimate(samples, included).log_value - oracle) - 1)
         ok &= err4 < 0.10 and err5 < 0.03
         lines.append(f"keep{included}: err@1e4 {err4:.3%}, err@1e5 {err5:.3%}")
     elapsed = time.perf_counter() - t0

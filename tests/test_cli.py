@@ -231,6 +231,39 @@ class TestRunCommand:
         assert code == 3
         assert "kinship matrix is not positive definite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cell", ["off_diagonal", "diagonal"])
+    def test_nan_kinship_file_exit_3(self, tmp_path, capsys, cell):
+        (tmp_path / "g.csv").write_text("id,snp1\na,AA\nb,AB\nc,BB\n")
+        (tmp_path / "y.csv").write_text("id,value\na,1.0\nb,2.0\nc,0.5\n")
+        rows = (["a,1.0,nan,0", "b,nan,1.0,0", "c,0,0,1.0"] if cell == "off_diagonal"
+                else ["a,nan,0,0", "b,0,1.0,0", "c,0,0,1.0"])
+        kin = tmp_path / "k.csv"
+        kin.write_text("\n".join(["id,a,b,c", *rows]) + "\n")
+        out = tmp_path / "x"
+        code = run_cli(
+            "run", "--genotypes", tmp_path / "g.csv", "--phenotypes", tmp_path / "y.csv",
+            "--kinship", "file", "--kinship-file", kin,
+            "--iters", "120", "--burnin", "10", "--thin", "1", "--out-dir", out,
+        )
+        assert code == 3
+        assert "kinship entries must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_nan_imputation_prior_weight_exit_3(self, tmp_path, capsys):
+        sim = simulate_inputs(tmp_path)
+        ids = [row.split(",")[0] for row in read_noncomment_lines(sim / "genotypes.csv")[1:]]
+        prior = tmp_path / "prior.csv"
+        prior.write_text(f"id,snp,w_minus1,w_0,w_plus1\n{ids[0]},snp1,nan,0.5,0.5\n")
+        out = tmp_path / "x"
+        code = run_cli(
+            "run", "--genotypes", sim / "genotypes.csv", "--phenotypes", sim / "phenotypes.csv",
+            "--imputation-prior", "file", "--imputation-prior-file", prior,
+            "--iters", "110", "--burnin", "10", "--thin", "1", "--out-dir", out,
+        )
+        assert code == 3
+        assert "imputation prior weights must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_imputation_prior_file_digested(self, tmp_path):
         sim = simulate_inputs(tmp_path)
         ids = [row.split(",")[0] for row in read_noncomment_lines(sim / "genotypes.csv")[1:]]
@@ -940,6 +973,15 @@ class TestSettingsCheckedBeforeAnyWork:
         if subcommand == "select":
             args += ["--candidates", "snp1:a,snp2:a"]
         self.assert_refused(capsys, tmp_path / "out", args, f"--prior-{prior} 0.0")
+
+    @pytest.mark.parametrize("prior", ["a", "b", "c", "d"])
+    @pytest.mark.parametrize("subcommand", ["run", "select"])
+    def test_prior_not_finite(self, tmp_path, capsys, inputs, no_chain, subcommand, prior):
+        data, chain, _ = inputs
+        args = [subcommand, *data, *chain, f"--prior-{prior}", "inf"]
+        if subcommand == "select":
+            args += ["--candidates", "snp1:a,snp2:a"]
+        self.assert_refused(capsys, tmp_path / "out", args, f"--prior-{prior} inf")
 
     @pytest.mark.parametrize(
         "subcommand, flag",

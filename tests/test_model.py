@@ -214,6 +214,12 @@ class TestPriors:
         with pytest.raises(DataValidationError):
             PriorHyperparams(a=0.0)
 
+    @pytest.mark.parametrize("name", ["a", "b", "c", "d"])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_not_finite_rejected(self, name, value):
+        with pytest.raises(DataValidationError, match=f"{name} must be finite and > 0"):
+            PriorHyperparams(**{name: value})
+
     def test_half_everywhere_accepted(self):
         priors = PriorHyperparams(0.5, 0.5, 0.5, 0.5)
         assert priors.a == 0.5
@@ -240,6 +246,15 @@ class TestImputationPrior:
             ImputationPrior("weighted", w)
 
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_not_finite_weight_rejected(self, value):
+        # a nan triple's sum is nan, which no tolerance comparison rejects
+        w = np.full((1, 2, 3), 1.0 / 3.0)
+        w[0, 1] = (value, 0.5, 0.5)
+        with pytest.raises(DataValidationError, match="must be finite"):
+            ImputationPrior("weighted", w)
+
+
 class TestValidation:
     def test_clean_dataset_passes(self):
         data, _ = make_dataset(n=20, s=4, missing=0.10, seed=2)
@@ -257,6 +272,18 @@ class TestValidation:
         entries = np.array([[1.0, 0.9, 0.9], [0.9, 1.0, -0.9], [0.9, -0.9, 1.0]])
         kinship = RelationshipMatrix(data.ids, entries)  # symmetric, unit diagonal
         with pytest.raises(DataValidationError, match="not positive definite"):
+            Dataset(data.genotypes, data.phenotypes, data.design, kinship)
+
+    @pytest.mark.parametrize("cell", [(0, 1), (1, 1)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_kinship_rejected(self, cell, value):
+        # nan fails no comparison in the symmetry and diagonal checks, and a
+        # Cholesky factorization of a nan matrix need not raise
+        data, _ = make_dataset(n=3, s=1, p=1)
+        entries = np.eye(3)
+        entries[cell] = entries[cell[::-1]] = value
+        kinship = RelationshipMatrix(data.ids, entries)
+        with pytest.raises(DataValidationError, match="kinship entries must be finite"):
             Dataset(data.genotypes, data.phenotypes, data.design, kinship)
 
     def test_asymmetric_kinship_rejected(self):

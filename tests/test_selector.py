@@ -29,6 +29,8 @@ from conftest import make_dataset
 from _oracles import (
     conjugate_posterior_states,
     g_weight,
+    indicator_proposal,
+    indicator_walk,
     per_design_statistics,
     quadrature_log_bayes_factor,
     row_by_row_select_files,
@@ -45,9 +47,11 @@ def toy_states(
     return data, Z, conjugate_posterior_states(data, 1.0, phi2, count, seed=7)
 
 
-def estimate(samples, delta):
-    """The Bayes-factor estimate of ``delta`` over every state of ``samples``."""
-    return estimate_bayes_factor(bayes_factor_statistics(samples, delta.included()), delta)
+def estimate(samples, included):
+    """The Bayes-factor estimate of the model that includes the design
+    columns ``included`` over every state of ``samples``."""
+    stats = bayes_factor_statistics(samples, included)
+    return estimate_bayes_factor(stats, np.ones(len(included), dtype=bool))
 
 
 def states_of(samples):
@@ -56,12 +60,12 @@ def states_of(samples):
 
 class TestModelIndicator:
     def test_construction_and_sets(self):
-        delta = ModelIndicator.from_included(4, [0, 2])
-        assert delta.bits == (1, 0, 1, 0)
+        delta = ModelIndicator((1, 0, 1, 0))
         assert delta.included() == (0, 2)
         assert delta.excluded() == (1, 3)
+        assert delta.bitstring() == "1010"
         assert not delta.is_full()
-        assert ModelIndicator.full(3).is_full()
+        assert ModelIndicator((1, 1, 1)).is_full()
 
     def test_bad_bits(self):
         with pytest.raises(ValueError):
@@ -99,7 +103,7 @@ class TestGWeight:
     def test_full_model_rejected(self):
         data, _, samples = toy_states(count=10)
         with pytest.raises(ValueError):
-            g_weight(samples.state(0), data, ModelIndicator.full(3))
+            g_weight(samples.state(0), data, ModelIndicator((1, 1, 1)))
 
     def test_determinant_scaling(self):
         # duplicating all rows doubles Z_c'Z_c, scaling the weight by sqrt(2)^dc
@@ -131,7 +135,7 @@ class TestGWeight:
 class TestBfTerm:
     def test_full_model_term_is_zero(self):
         data, _, samples = toy_states(count=5)
-        assert bf_sample_term(samples.state(0), data, ModelIndicator.full(3)) == 0.0
+        assert bf_sample_term(samples.state(0), data, ModelIndicator((1, 1, 1))) == 0.0
 
     def test_direct_arithmetic(self):
         data, Z, samples = toy_states(count=5)
@@ -166,7 +170,7 @@ class TestBfTerm:
 class TestEstimator:
     def test_full_model_exactly_one(self):
         _, _, samples = toy_states(count=500)
-        est = estimate(samples, ModelIndicator.full(3))
+        est = estimate(samples, (0, 1, 2))
         assert est.value == 1.0
         assert est.log_value == 0.0
 
@@ -177,24 +181,22 @@ class TestEstimator:
             oracle = quadrature_log_bayes_factor(
                 data.y, data.X, Z, data.R, 1.0, 1.5, included, nodes=48
             )
-            delta = ModelIndicator.from_included(3, included)
-            est4 = estimate(samples[:10_000], delta)
-            est5 = estimate(samples, delta)
+            est4 = estimate(samples[:10_000], included)
+            est5 = estimate(samples, included)
             assert abs(math.exp(est4.log_value - oracle) - 1) < tol_1e4
             assert abs(math.exp(est5.log_value - oracle) - 1) < tol_1e5
 
     def test_determinism_over_fixed_stream(self):
         _, _, samples = toy_states(count=2000)
-        delta = ModelIndicator((1, 0, 1))
-        a = estimate(samples, delta)
-        b = estimate(samples, delta)
+        a = estimate(samples, (0, 2))
+        b = estimate(samples, (0, 2))
         assert a.log_value == b.log_value
         assert a.sample_count == b.sample_count
 
     def test_empty_window_rejected(self):
         _, _, samples = toy_states(count=10)
         with pytest.raises(EstimationError, match="no posterior states"):
-            estimate(samples[:0], ModelIndicator((1, 0, 1)))
+            estimate(samples[:0], (0, 2))
         with pytest.raises(EstimationError, match="no posterior states"):
             exhaustive_search(samples[10:], [0, 1])
 
@@ -208,8 +210,8 @@ class TestEstimator:
             data, genotypes=dataclasses.replace(data.genotypes, codes=codes)
         )
         samples = dataclasses.replace(samples, data=data)
-        with pytest.raises(EstimationError, match="invalid"):
-            estimate(samples, ModelIndicator((1, 1, 0)))
+        with pytest.raises(EstimationError, match="invalid for model 110"):
+            estimate(samples, (0, 1))
 
     def test_indefinite_schur_complement_invalid(self):
         # S = -I_2 has determinant +1, yet it is not positive definite: a
@@ -231,10 +233,16 @@ class TestEstimator:
             invalid=0,
         )
         assert np.linalg.slogdet(stats.S[..., 0])[0] > 0
-        for delta in (ModelIndicator((0, 0)), ModelIndicator((1, 0))):
+        for row in ([False, False], [True, False]):
             with pytest.raises(EstimationError, match=f"all {L} terms invalid"):
-                estimate_bayes_factor(stats, delta)
-        assert estimate_bayes_factor(stats, ModelIndicator((1, 1))).log_value == 0.0
+                estimate_bayes_factor(stats, np.array(row))
+        assert estimate_bayes_factor(stats, np.ones(2, dtype=bool)).log_value == 0.0
+
+    def test_row_of_wrong_length_refused(self):
+        _, _, samples = toy_states(count=10)
+        stats = bayes_factor_statistics(samples, [0, 2])
+        with pytest.raises(ValueError, match="one entry per candidate"):
+            estimate_bayes_factor(stats, np.ones(3, dtype=bool))
 
 
 def imputed_states(coding, kinship, count=40, seed=5, missing=0.2, constant_snp=None):
@@ -353,12 +361,13 @@ def _assert_batches_match_single_models(samples, candidates, window):
     trace = exhaustive_search(samples, candidates, SearchConfig(min_samples_per_bf=window))
     assert len(trace.estimates) == 2 ** len(candidates)
     stats = bayes_factor_statistics(samples[-window:], candidates)
-    for delta, est in trace.estimates.items():
-        single = estimate_bayes_factor(stats, delta)
+    assert trace.candidates == stats.candidates
+    for row in range(len(trace)):
+        est, single = trace.estimate(row), estimate_bayes_factor(stats, trace.included[row])
         for name in ESTIMATE_FIELDS:
             assert math.isclose(
                 getattr(est, name), getattr(single, name), rel_tol=1e-12, abs_tol=0.0
-            ), (delta.bitstring(), name)
+            ), (trace.bitstrings([row]), name)
     return stats
 
 
@@ -511,8 +520,9 @@ class TestTraceColumns:
         assert len(trace) == 2 ** len(candidates) and trace.skipped == 0
         assert trace.first.all() and trace.accepted.all()
         stats = bayes_factor_statistics(samples, candidates)
-        for row, bits in enumerate(trace.bits(np.arange(len(trace))).tolist()):
-            single = estimate_bayes_factor(stats, ModelIndicator(tuple(bits)))
+        assert trace.candidates == stats.candidates
+        for row in range(len(trace)):
+            single = estimate_bayes_factor(stats, trace.included[row])
             for name in ESTIMATE_FIELDS:
                 assert getattr(trace, name)[row] == getattr(single, name), (row, name)
             assert trace.estimate(row) == single
@@ -624,7 +634,7 @@ def _assert_walk_matches_reference(samples, candidates):
         valid = np.broadcast_to(valid, terms.shape)
         for b, mask in enumerate(rows):
             chosen = [c for k, c in enumerate(candidates) if mask >> k & 1]
-            delta = ModelIndicator.from_included(data.design_dim, chosen)
+            delta = ModelIndicator(tuple(int(j in chosen) for j in range(data.design_dim)))
             reference = _reference_terms(states, data, delta)
             model_terms = terms[b][valid[b]]
             assert len(model_terms) == len(reference)
@@ -802,37 +812,104 @@ class TestChunkedStatistics:
 
 
 class TestProposal:
+    # the walk's coordinates in a non-ascending candidate order
+    WALK = np.array([2, 0, 3, 1])
+
     def test_pure_flip_moves_hamming_one(self, rng):
         config = SearchConfig(mixture_prob=1.0)
-        current = ModelIndicator((1, 0, 1, 1))
+        current = np.array([True, False, True, True])
         for _ in range(200):
-            prop = propose_model(current, rng, config)
-            assert sum(a != b for a, b in zip(prop.bits, current.bits)) == 1
+            prop = propose_model(current, self.WALK, rng, config)
+            assert (prop != current).sum() == 1
+        assert current.tolist() == [True, False, True, True]  # not changed in place
 
     def test_pure_jump_uniform_chi_square(self, rng):
         config = SearchConfig(mixture_prob=0.0)
-        current = ModelIndicator((1, 1, 1, 1))
+        current = np.ones(4, dtype=bool)
         counts = np.zeros(16)
         for _ in range(100_000):
-            prop = propose_model(current, rng, config)
-            counts[int("".join(map(str, prop.bits)), 2)] += 1
+            prop = propose_model(current, self.WALK, rng, config)
+            counts[int("".join("1" if b else "0" for b in prop), 2)] += 1
         assert st.chisquare(counts).pvalue > 0.001
 
     def test_empirical_symmetry(self, rng):
         # q(delta -> delta') == q(delta' -> delta) for the mixture kernel
         config = SearchConfig(mixture_prob=0.5)
-        a = ModelIndicator((1, 0, 1))
-        b = ModelIndicator((1, 1, 1))  # hamming distance 1
+        walk = np.array([2, 0, 1])
+        a = np.array([True, False, True])
+        b = np.array([True, True, True])  # hamming distance 1
         n = 1_000_000
         count_ab = sum(
-            propose_model(a, rng, config).bits == b.bits for _ in range(n)
+            (propose_model(a, walk, rng, config) == b).all() for _ in range(n)
         )
         count_ba = sum(
-            propose_model(b, rng, config).bits == a.bits for _ in range(n)
+            (propose_model(b, walk, rng, config) == a).all() for _ in range(n)
         )
         p_ab, p_ba = count_ab / n, count_ba / n
         se = math.sqrt(p_ab * (1 - p_ab) / n + p_ba * (1 - p_ba) / n)
         assert abs(p_ab - p_ba) < 4 * se + 1e-12
+
+
+TRACE_COLUMNS = ("accepted", "first", *ESTIMATE_FIELDS)
+
+
+def _assert_walk_matches_indicator_walk(samples, candidates, config):
+    """The row walk returns the reference ``ModelIndicator`` walk's trace:
+    the same models over all s columns and the same columns, exactly."""
+    trace = mh_model_search(samples, candidates, config)
+    reference = indicator_walk(samples, candidates, config)
+    rows = np.arange(len(reference))
+    assert len(trace) == len(reference) and trace.skipped == reference.skipped
+    assert np.array_equal(trace.bits(rows), reference.bits(rows))
+    for name in TRACE_COLUMNS:
+        assert np.array_equal(getattr(trace, name), getattr(reference, name)), name
+    ascending = range(samples.data.design_dim) if candidates is None else sorted(candidates)
+    assert trace.candidates == tuple(ascending)
+    return trace
+
+
+class TestWalkMatchesIndicatorWalk:
+    @pytest.mark.parametrize("mixture_prob", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_candidates_out_of_order(self, seed, mixture_prob):
+        data, samples = imputed_states("additive_dominance", "correlated")
+        candidates = [7, 2, 5, 0, 9, 3]
+        config = SearchConfig(mixture_prob=mixture_prob, search_iterations=60, seed=seed,
+                              min_samples_per_bf=40)
+        trace = _assert_walk_matches_indicator_walk(samples, candidates, config)
+        assert trace.first.sum() > 1
+
+    @pytest.mark.parametrize("mixture_prob", [0.0, 0.5, 1.0])
+    def test_skipped_proposals(self, mixture_prob):
+        # every model excluding the all-zero SNP 2 has no valid term
+        _, samples = _singular_column_states()
+        config = SearchConfig(mixture_prob=mixture_prob, search_iterations=50, seed=1,
+                              min_samples_per_bf=50)
+        trace = _assert_walk_matches_indicator_walk(samples, None, config)
+        assert trace.skipped > 0
+
+    def test_proposals_draw_as_the_indicator_proposal(self):
+        config = SearchConfig(mixture_prob=0.5)
+        walk = np.array([4, 1, 3, 0, 2])
+        row = np.array([True, False, False, True, True])
+        ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(500):
+            sub = ModelIndicator(tuple(int(row[k]) for k in walk))
+            row = propose_model(row, walk, ours, config)
+            assert tuple(int(row[k]) for k in walk) == indicator_proposal(sub, theirs, config).bits
+        assert ours.random() == theirs.random()
+
+
+class TestRepeatedCandidate:
+    @pytest.mark.parametrize("search", ["exhaustive", "mh"])
+    def test_refused(self, search):
+        _, _, samples = toy_states(count=50)
+        config = SearchConfig(search_iterations=10, seed=1, min_samples_per_bf=50)
+        run = exhaustive_search if search == "exhaustive" else mh_model_search
+        with pytest.raises(ValueError, match="candidate index 1 repeated"):
+            run(samples, [0, 1, 1], config)
+        with pytest.raises(ValueError, match="candidate index 1 repeated"):
+            bayes_factor_statistics(samples, [1, 0, 1])
 
 
 class TestSearch:
@@ -841,7 +918,7 @@ class TestSearch:
         _, _, samples = toy_states(n=24, s=1, seed=3, gamma=(0.0,), count=4000, phi2=400.0)
         config = SearchConfig(mixture_prob=0.5, search_iterations=4000, seed=1, min_samples_per_bf=4000)
         null = ModelIndicator((0,))
-        bf_null = estimate(samples, null).log_value
+        bf_null = estimate(samples, ()).log_value
         assert bf_null > math.log(50.0)  # engineered dominance
         trace = mh_model_search(samples, None, config)
         occupancy = _occupancy(trace, null, config.search_iterations)
@@ -870,7 +947,7 @@ class TestSearch:
         _, _, samples = toy_states(count=500)
         trace = exhaustive_search(samples, [])
         assert len(trace.visited) == 1
-        assert trace.visited[0][0] == ModelIndicator.null(3)
+        assert trace.visited[0][0] == ModelIndicator((0, 0, 0))
 
     def test_exhaustive_refuses_large_candidate_list(self):
         _, _, samples = toy_states(count=200)
