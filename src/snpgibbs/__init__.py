@@ -24,7 +24,6 @@ from .model import (
     ImputationPrior,
     PhenotypeVector,
     PriorHyperparams,
-    default_priors,
     encode_genotypes,
 )
 from .pedigree import (
@@ -60,7 +59,6 @@ __all__ = [
     "ImputationPrior",
     "PhenotypeVector",
     "PriorHyperparams",
-    "default_priors",
     "encode_genotypes",
     "OrderedPedigree",
     "PedigreeRecord",

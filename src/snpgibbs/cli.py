@@ -386,7 +386,7 @@ def cmd_run(settings: Settings) -> int:
         p, sd = merged.betas.shape[1], merged.gammas.shape[1]
         out.write("summary.csv", io.write_summary, summary)
         out.write("intervals.csv", io.write_intervals, summary[p : p + sd])
-        out.write("autocorr.csv", io.write_autocorrelations, chains[0], 20)
+        out.write("autocorr.csv", io.write_autocorrelations, chains[0])
     print(f"run complete: outputs in {out.dir}")
     return EXIT_OK
 
@@ -508,10 +508,11 @@ def cmd_simulate(settings: Settings) -> int:
     mask_seed = settings["seed"] if settings["mask_seed"] is None else settings["mask_seed"]
     mask = _build(MissingnessMask, settings, seed=mask_seed)
     design = PRESETS[settings["preset"]]()
+    # drawn before --out-dir is made, so a mask the data refuses makes none
+    data, truth = simulate_dataset(design, settings["seed"])
+    if mask.fraction:
+        data = apply_missingness(data, mask)
     with _outputs(settings) as out:
-        data, truth = simulate_dataset(design, settings["seed"])
-        if mask.fraction:
-            data = apply_missingness(data, mask)
         out.write("genotypes.csv", io.write_genotypes, data.ids, data.genotypes)
         out.write("phenotypes.csv", io.write_phenotypes, data.ids, data.y)
         out.write("families.csv", io.write_families, data.ids,

@@ -13,14 +13,14 @@ each individual's completed design row; the normaliser of this posterior
 is the individual's observed log-likelihood term, so the same enumeration
 yields the observed log likelihood. The M-step solves
 
-  gamma = (Z'(I-H)Z + V_Z)^{-1} Z'(I-H)Y,        H = X (X'X)^{-1} X',
+  gamma = (Z'(I-H)Z + V)^{-1} Z'(I-H)Y,        H = X (X'X)^{-1} X',
   beta  = (X'X)^{-1} X'(Y - Z gamma),
-  sigma^2 = (|Y - X beta - Z gamma|^2 + gamma' V_Z gamma) / n,
+  sigma^2 = (|Y - X beta - Z gamma|^2 + gamma' V gamma) / n,
 
-with Z the expected completed design and V_Z the summed within-individual
+with Z the expected completed design and V the summed within-individual
 covariance. These are the exact maximizers of the expected complete-data
 log likelihood
-  -(n/2) log sigma^2 - (|Y - X beta - Z gamma|^2 + gamma' V_Z gamma) / (2 sigma^2),
+  -(n/2) log sigma^2 - (|Y - X beta - Z gamma|^2 + gamma' V gamma) / (2 sigma^2),
 which is what guarantees the observed log likelihood never decreases.
 """
 
@@ -42,7 +42,6 @@ __all__ = [
     "MissingPattern",
     "EmConfig",
     "EmState",
-    "missing_distribution",
     "e_step",
     "m_step",
     "observed_loglik",
@@ -100,13 +99,11 @@ class EmConfig:
 
 @dataclass
 class EmState:
-    """Current EM parameters and E-step moments of the completed design."""
+    """Current EM parameters."""
 
     beta: np.ndarray
     gamma: np.ndarray
     sigma2: float
-    expected_Z: np.ndarray  # n x design_dim, observed columns exact
-    V_Z: np.ndarray  # design_dim x design_dim accumulated covariance
 
     def params_vector(self) -> np.ndarray:
         return np.concatenate([self.beta, self.gamma, [self.sigma2]])
@@ -136,12 +133,6 @@ def _max_exact_k(cap: int) -> int:
     return k
 
 
-def _cap_error(i: int, k: int, cap: int) -> EnumerationCapError:
-    return EnumerationCapError(
-        f"individual {i} has {k} missing SNPs ({GENOTYPE_ARITY**k} completions > cap {cap})"
-    )
-
-
 def _observed(state: EmState, data: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Z0, the SNP design with every design column of a masked cell zeroed,
     and every individual's residual y - X beta - Z0 gamma."""
@@ -162,7 +153,8 @@ def _missing_groups(mask: np.ndarray, k_max: int):
     yields (members, missing) with missing the (m, k) SNP indices of each
     member in index order."""
     counts = mask.sum(axis=1)
-    for k in np.unique(counts[(counts > 0) & (counts <= k_max)]):
+    # not np.unique, whose hash path (numpy 2.4) adds 1.5 MiB of peak RSS when first run
+    for k in sorted(set(counts[(counts > 0) & (counts <= k_max)].tolist())):
         members = np.flatnonzero(counts == k)
         yield members, np.nonzero(mask[members])[1].reshape(members.size, k)
 
@@ -196,23 +188,6 @@ def _enumerate(
     covs = (probs @ outer).reshape(m, cols.shape[1], cols.shape[1])
     covs -= means[:, :, None] * means[:, None, :]
     return cols, probs, means, covs, top + np.log(total)
-
-
-def missing_distribution(
-    state: EmState, data: Dataset, i: int, cap: int = DEFAULT_ENUMERATION_CAP
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact posterior over individual i's missing genotype tuples.
-
-    Returns (tuples, probabilities); tuples has shape (3^k, k) over the
-    individual's missing SNPs in index order. Raises EnumerationCapError
-    when 3^k exceeds the cap (use the Monte Carlo E-step instead).
-    """
-    missing = np.flatnonzero(data.genotypes.missing_mask[i])
-    if missing.size > _max_exact_k(cap):
-        raise _cap_error(i, missing.size, cap)
-    _, residual = _observed(state, data)
-    probs = _enumerate(state, data, residual, np.array([i]), missing[None, :])[1]
-    return _genotype_tuples(missing.size), probs[0]
 
 
 def _moments_mc(state, data, base, i, config, rng):
@@ -271,8 +246,9 @@ def e_step(
     count, otherwise a per-individual Gibbs-scan Monte Carlo estimate.
     The normaliser of each enumeration is that individual's
     log-likelihood term, so the same pass yields the observed log
-    likelihood at ``state``. Returns (expected_Z, V_Z, exact_everywhere,
-    loglik); loglik is nan unless exact_everywhere.
+    likelihood at ``state``. Returns (the expected design, the summed
+    covariance V, exact_everywhere, loglik); loglik is nan unless
+    exact_everywhere.
     """
     config = config or EmConfig()
     expected, residual = _observed(state, data)
@@ -305,25 +281,25 @@ def e_step(
 
 
 def m_step(
-    expected_Z: np.ndarray, V_Z: np.ndarray, data: Dataset
+    Z: np.ndarray, V: np.ndarray, data: Dataset
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Closed-form maximizers of the expected complete-data log likelihood."""
     X, y = data.X, data.y
     n = y.shape[0]
     XtX = X.T @ X
     Hy = X @ np.linalg.solve(XtX, X.T @ y)
-    HZ = X @ np.linalg.solve(XtX, X.T @ expected_Z)
-    ZtIH = expected_Z.T @ (expected_Z - HZ)  # Z'(I-H)Z
-    lhs = ZtIH + V_Z
-    rhs = expected_Z.T @ (y - Hy)
+    HZ = X @ np.linalg.solve(XtX, X.T @ Z)
+    ZtIH = Z.T @ (Z - HZ)  # Z'(I-H)Z
+    lhs = ZtIH + V
+    rhs = Z.T @ (y - Hy)
     try:
         gamma = np.linalg.solve(lhs, rhs)
     except np.linalg.LinAlgError:
         logger.warning("singular M-step system; applying diagonal jitter 1e-8")
         gamma = np.linalg.solve(lhs + 1e-8 * np.eye(lhs.shape[0]), rhs)
-    beta = np.linalg.solve(XtX, X.T @ (y - expected_Z @ gamma))
-    resid = y - X @ beta - expected_Z @ gamma
-    sigma2 = (float(resid @ resid) + float(gamma @ V_Z @ gamma)) / n
+    beta = np.linalg.solve(XtX, X.T @ (y - Z @ gamma))
+    resid = y - X @ beta - Z @ gamma
+    sigma2 = (float(resid @ resid) + float(gamma @ V @ gamma)) / n
     return beta, gamma, float(sigma2)
 
 
@@ -338,7 +314,10 @@ def observed_loglik(
     counts = data.genotypes.missing_mask.sum(axis=1)
     over = np.flatnonzero(counts > _max_exact_k(cap))
     if over.size:
-        raise _cap_error(int(over[0]), int(counts[over[0]]), cap)
+        i, k = int(over[0]), int(counts[over[0]])
+        raise EnumerationCapError(
+            f"individual {i} has {k} missing SNPs ({GENOTYPE_ARITY**k} completions > cap {cap})"
+        )
     return e_step(state, data, EmConfig(enumeration_cap=cap))[3]
 
 
@@ -357,14 +336,7 @@ def run_em(data: Dataset, config: Optional[EmConfig] = None) -> tuple[EmState, E
     beta = np.linalg.solve(X.T @ X, X.T @ y)
     resid = y - X @ beta
     sigma2 = float(resid @ resid) / max(data.n, 1) or 1.0
-    dim = data.design_dim
-    state = EmState(
-        beta=beta,
-        gamma=np.zeros(dim),
-        sigma2=sigma2,
-        expected_Z=snp_design_matrix(data.genotypes.codes, data.snp_coding),
-        V_Z=np.zeros((dim, dim)),
-    )
+    state = EmState(beta, np.zeros(data.design_dim), sigma2)
 
     log = EmRunLog()
     expected, V, log.exact_regime, loglik = e_step(state, data, config, rng)
@@ -372,7 +344,7 @@ def run_em(data: Dataset, config: Optional[EmConfig] = None) -> tuple[EmState, E
     for it in range(1, config.max_iterations + 1):
         beta, gamma, sigma2 = m_step(expected, V, data)
         # an exactly zero variance (perfect fit) would break the next E-step
-        state = EmState(beta, gamma, max(sigma2, 1e-300), expected, V)
+        state = EmState(beta, gamma, max(sigma2, 1e-300))
         current = state.params_vector()
         # relative to the larger of the two, so a parameter leaving zero
         # (gamma starts there) reads 1, not 1e12

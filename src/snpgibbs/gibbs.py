@@ -118,15 +118,6 @@ class ParameterState:
         if not self.sigma2 > 0 or not self.phi2 > 0:
             raise ValueError("sigma2 and phi2 must be positive")
 
-    def copy(self) -> "ParameterState":
-        return ParameterState(
-            self.beta.copy(),
-            self.gamma.copy(),
-            float(self.sigma2),
-            float(self.phi2),
-            self.z_imputed.copy(),
-        )
-
 
 @dataclass(frozen=True)
 class GibbsConfig:

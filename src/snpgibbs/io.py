@@ -191,10 +191,10 @@ def read_genotype_calls(path):
     return ids, snp_names, calls
 
 
-def write_genotypes(path, ids, gm: GenotypeMatrix, missing_marker="NA", manifest_lines=()):
+def write_genotypes(path, ids, gm: GenotypeMatrix, manifest_lines=()):
     """The bytes ``write_table`` would write, each row's calls joined as
     they are: every call is text."""
-    calls = decode_genotypes(gm, missing_marker).tolist()
+    calls = decode_genotypes(gm).tolist()
     lines = (fmt(rid) + "," + ",".join(row) for rid, row in zip(ids, calls))
     _write_csv(path, ["id", *gm.names()], lines, manifest_lines)
 
@@ -236,6 +236,12 @@ def read_kinship_matrix(path) -> RelationshipMatrix:
         )
     if any(row[0] != ids[k] for k, row in enumerate(rows)):
         raise DataValidationError(f"{path}: kinship row ids must match header order")
+    wide = next((row for row in rows if len(row) > len(header)), None)
+    if wide is not None:
+        raise DataValidationError(
+            f"{path}: row {','.join(wide)!r} has {len(wide)} cells, more than the "
+            f"header's {len(header)}"
+        )
     entries = np.array(_numbers(path, rows, 1))
     try:
         R = RelationshipMatrix(ids, entries)  # checks the shape and the ids
@@ -383,13 +389,13 @@ def write_intervals(path, summary, manifest_lines=()):
     )
 
 
-def write_autocorrelations(path, samples: PosteriorSamples, max_lag=20, manifest_lines=()):
-    """Lags 1..max_lag of every coefficient's autocorrelation, one row each;
-    the cells are the repr of each float, as ``fmt`` writes them."""
+def write_autocorrelations(path, samples: PosteriorSamples, manifest_lines=()):
+    """Lags 1..20 of every coefficient's autocorrelation, one row each; the
+    cells are the repr of each float, as ``fmt`` writes them."""
     names, cols = samples.coefficient_table()
-    acf = autocorrelations(cols, max_lag).tolist()
-    header = ["name"] + [f"lag{k}" for k in range(1, max_lag + 1)]
-    lines = (",".join([name, *map(repr, row)]) for name, row in zip(names, acf))
+    acf = autocorrelations(cols)
+    header = ["name"] + [f"lag{k}" for k in range(1, acf.shape[1] + 1)]
+    lines = (",".join([name, *map(repr, row)]) for name, row in zip(names, acf.tolist()))
     _write_csv(path, header, lines, manifest_lines)
 
 
@@ -522,7 +528,6 @@ def assemble_dataset(
     kinship_path=None,
     families_path=None,
     snp_coding: str = "signed",
-    missing_marker: str = "NA",
 ) -> tuple[Dataset, list]:
     """Load and align the input files into a Dataset.
 
@@ -534,7 +539,7 @@ def assemble_dataset(
     columns and high overall missingness.
     """
     ids, snp_names, calls = read_genotype_calls(genotypes_path)
-    genotypes, warnings = encode_genotypes(calls, missing_marker, snp_names)
+    genotypes, warnings = encode_genotypes(calls, snp_names)
     phen = read_phenotypes(phenotypes_path)
     missing_ids = [i for i in ids if i not in phen]
     if missing_ids:

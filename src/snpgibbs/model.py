@@ -38,7 +38,6 @@ __all__ = [
     "encode_genotypes",
     "decode_genotypes",
     "missingness_warnings",
-    "default_priors",
     "family_design",
     "snp_design_matrix",
     "genotype_column_values",
@@ -54,6 +53,9 @@ ADDITIVE_DOMINANCE = "additive_dominance"
 GENOTYPE_CODES = np.array([-1, 0, 1], dtype=np.int8)
 
 MISSINGNESS_WARN_FRACTION = 0.15
+
+# the call that marks a genotype missing, as an empty cell does
+MISSING_CALL = "NA"
 
 # a kinship matrix may be this far from symmetric (a file round trip), no further
 KINSHIP_SYMMETRY_TOL = 1e-12
@@ -227,11 +229,6 @@ class PriorHyperparams:
                 raise DataValidationError(f"prior hyperparameter {name} must be finite and > 0")
 
 
-def default_priors() -> PriorHyperparams:
-    """Documented defaults: both prior means equal 1 (shape 2, scale 1)."""
-    return PriorHyperparams()
-
-
 @dataclass(frozen=True)
 class ImputationPrior:
     """Per-genotype prior weights used when drawing missing genotypes.
@@ -382,10 +379,9 @@ def missingness_warnings(genotypes: GenotypeMatrix) -> list[str]:
     ]
 
 
-def encode_genotypes(
-    raw, missing_marker: str = "NA", snp_names: Sequence[str] = ()
-) -> tuple[GenotypeMatrix, list]:
-    """Code a categorical call table as -1/0/+1 with a missingness mask.
+def encode_genotypes(raw, snp_names: Sequence[str] = ()) -> tuple[GenotypeMatrix, list]:
+    """Code a categorical call table as -1/0/+1 with a missingness mask;
+    an empty call or ``MISSING_CALL`` is missing.
 
     Within each column the lexicographically smaller homozygote maps to -1,
     the larger to +1, and the heterozygote (a call whose two characters
@@ -403,7 +399,7 @@ def encode_genotypes(
     inverse = np.fromiter(map(index.__getitem__, cells), dtype=np.intp, count=n * s)
     inverse = inverse.reshape(n, s)
     text = [str(x).strip() for x in distinct]
-    missing = np.array([not x or x == missing_marker for x in text], dtype=bool)
+    missing = np.array([not x or x == MISSING_CALL for x in text], dtype=bool)
     observed = np.zeros((s, len(distinct)), dtype=bool)
     observed[np.arange(s), inverse] = True
     observed &= ~missing
@@ -467,13 +463,14 @@ def _code_map(observed: list[str]):
 _DEFAULT_CALLS = {-1: "AA", 0: "AB", 1: "BB"}
 
 
-def decode_genotypes(gm: GenotypeMatrix, missing_marker: str = "NA") -> np.ndarray:
-    """Categorical call table from a coded matrix (inverse of encode)."""
+def decode_genotypes(gm: GenotypeMatrix) -> np.ndarray:
+    """Categorical call table from a coded matrix (inverse of encode), a
+    missing cell written as ``MISSING_CALL``."""
     s = gm.s
-    # per column, the calls of codes -1, 0 and +1, then the missing marker
+    # per column, the calls of codes -1, 0 and +1, then the missing call
     table = np.empty((s, 4), dtype=object)
     for j in range(s):
         cats = gm.categories[j] if gm.categories else _DEFAULT_CALLS
         table[j, :3] = [cats.get(c, _DEFAULT_CALLS[c]) for c in (-1, 0, 1)]
-    table[:, 3] = missing_marker
+    table[:, 3] = MISSING_CALL
     return table[np.arange(s), np.where(gm.missing_mask, 3, gm.codes + 1)]

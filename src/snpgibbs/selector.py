@@ -100,24 +100,14 @@ class _SingularGram(ArithmeticError):
 @dataclass(frozen=True)
 class ModelIndicator:
     """Binary inclusion vector over the SNP-effect coefficients: the view
-    of a model that ``SearchTrace`` builds when read, and the argument of
-    the per-state reference ``bf_sample_term``. The searches themselves
-    work on boolean rows over the candidates."""
+    of a model that ``SearchTrace.visited`` builds when read. The searches
+    themselves work on boolean rows over the candidates."""
 
     bits: tuple[int, ...]
 
     def __post_init__(self):
         if any(b not in (0, 1) for b in self.bits):
             raise ValueError("indicator bits must be 0 or 1")
-
-    def is_full(self) -> bool:
-        return all(self.bits)
-
-    def included(self) -> tuple[int, ...]:
-        return tuple(j for j, b in enumerate(self.bits) if b)
-
-    def excluded(self) -> tuple[int, ...]:
-        return tuple(j for j, b in enumerate(self.bits) if not b)
 
     def bitstring(self) -> str:
         return "".join(str(b) for b in self.bits)
@@ -137,13 +127,6 @@ class BayesFactorEstimate:
     log_term_variance: float
     invalid_count: int = 0
     weight_ess: float = 0.0
-
-    @property
-    def value(self) -> float:
-        try:
-            return math.exp(self.log_value)
-        except OverflowError:
-            return math.inf
 
 
 # the per-model columns of a search's summary and of its SearchTrace
@@ -186,8 +169,7 @@ class SearchTrace:
     of ``BayesFactorEstimate``; ``accepted`` says whether the walk moved to
     the row's model and ``first`` whether the row is its model's first
     visit. ``skipped`` counts proposals with no valid term, which no row
-    holds. ``visited``, ``estimates`` and ``best`` give the rows as
-    objects, built when read.
+    holds. ``visited`` gives the rows as objects, built when read.
     """
 
     s: int
@@ -226,63 +208,39 @@ class SearchTrace:
         """The design columns row ``row``'s model includes, ascending."""
         return np.flatnonzero(self.bits([row])[0]).tolist()
 
-    def estimate(self, row: int) -> BayesFactorEstimate:
-        return BayesFactorEstimate(
-            **{name: getattr(self, name)[row].item() for name in ESTIMATE_FIELDS}
-        )
-
-    def _indicators(self, rows) -> list[ModelIndicator]:
-        return [ModelIndicator(tuple(b)) for b in self.bits(rows).tolist()]
-
     @property
     def visited(self) -> list:
         """(ModelIndicator, log_bf, accepted) of every row."""
-        rows = np.arange(len(self))
-        return list(zip(self._indicators(rows), self.log_value.tolist(),
-                        self.accepted.tolist()))
-
-    @property
-    def estimates(self) -> dict:
-        """ModelIndicator -> BayesFactorEstimate, once per distinct model, in
-        the order the models were first scored."""
-        rows = np.flatnonzero(self.first)
-        return {delta: self.estimate(r) for delta, r in zip(self._indicators(rows), rows)}
-
-    @property
-    def best(self) -> tuple:
-        """(ModelIndicator, log_bf) of ``best_row``."""
-        row = self.best_row
-        return self._indicators([row])[0], self.log_value[row].item()
+        deltas = [ModelIndicator(tuple(b)) for b in self.bits(np.arange(len(self))).tolist()]
+        return list(zip(deltas, self.log_value.tolist(), self.accepted.tolist()))
 
 
 # -- per-state reference ----------------------------------------------------
 
 
-def _excluded_pieces(state, data, delta):
+def _excluded_pieces(state, data, included):
     """R^-1-weighted Gram log-determinant and projected quadratic form for
     the excluded set: log|Z_c'R^-1Z_c| and C'P_c C."""
-    exc = list(delta.excluded())
     Zd = snp_design_matrix(state.z_imputed, data.snp_coding)
-    Zc = Zd[:, exc]
+    Zc = Zd[:, ~included]
     RinvZc = np.linalg.solve(data.R, Zc)
     G = Zc.T @ RinvZc
     sign, logdet = np.linalg.slogdet(G)
     if sign <= 0 or not np.isfinite(logdet):
-        raise _SingularGram(f"excluded-column Gram matrix singular for {delta.bitstring()}")
-    inc = list(delta.included())
-    C = data.y - data.X @ state.beta
-    if inc:
-        C = C - Zd[:, inc] @ state.gamma[inc]
+        bits = "".join(map(str, included.astype(int)))
+        raise _SingularGram(f"excluded-column Gram matrix singular for {bits}")
+    C = data.y - data.X @ state.beta - Zd[:, included] @ state.gamma[included]
     t = RinvZc.T @ C
     try:
         quad = float(t @ np.linalg.solve(G, t))
-    except np.linalg.LinAlgError as exc_:
-        raise _SingularGram(str(exc_)) from None
-    return len(exc), logdet, quad
+    except np.linalg.LinAlgError as exc:
+        raise _SingularGram(str(exc)) from None
+    return logdet, quad
 
 
-def bf_sample_term(state: ParameterState, data: Dataset, delta: ModelIndicator) -> float:
-    """Log of one state's Bayes-factor summand (prior ratio times g).
+def bf_sample_term(state: ParameterState, data: Dataset, included: np.ndarray) -> float:
+    """Log of one state's Bayes-factor summand (prior ratio times g) for
+    the model that keeps the design columns marked in ``included`` (s,).
 
     The excluded-coefficient prior ratio contributes
     (2 pi sigma^2 phi^2)^{dc/2} exp(+|gamma_c|^2 / (2 sigma^2 phi^2));
@@ -295,12 +253,13 @@ def bf_sample_term(state: ParameterState, data: Dataset, delta: ModelIndicator) 
     the direct per-state evaluation; ``estimate_bayes_factor`` computes the
     same terms from ``BayesFactorStatistics``.
     """
-    if delta.is_full():
+    included = np.asarray(included, dtype=bool)
+    if included.all():
         return 0.0
-    dc, logdet, quad = _excluded_pieces(state, data, delta)
-    gam_c = state.gamma[list(delta.excluded())]
+    logdet, quad = _excluded_pieces(state, data, included)
+    gam_c = state.gamma[~included]
     return (
-        0.5 * dc * math.log(state.phi2)
+        0.5 * gam_c.size * math.log(state.phi2)
         + 0.5 * logdet
         + (float(gam_c @ gam_c) / state.phi2 - quad) / (2.0 * state.sigma2)
     )

@@ -19,6 +19,7 @@ scores). The per-individual genotype conditional
 only tests use them.
 """
 
+import copy
 import itertools
 import math
 
@@ -160,19 +161,21 @@ def imputation_probabilities(state, data, j, prior, rows=None):
     return rows, probs
 
 
-def g_weight(state, data, delta):
-    """Bridge weight g(theta) for one state (computed in log space).
+def g_weight(state, data, included):
+    """Bridge weight g(theta) for one state (computed in log space) and the
+    model that keeps the design columns marked in ``included`` (s,).
 
     g = (2 pi sigma^2)^{-dc/2} |Z_c'R^-1Z_c|^{1/2} exp(-C'P_c C / (2 sigma^2)),
     with P_c the R^-1-weighted projection onto the excluded columns.
     Requires a nonempty excluded set; the full model is the caller's
     trivial case.
     """
-    if delta.is_full():
+    included = np.asarray(included, dtype=bool)
+    if included.all():
         raise ValueError("g_weight requires a nonempty excluded set")
-    dc, logdet, quad = _excluded_pieces(state, data, delta)
+    logdet, quad = _excluded_pieces(state, data, included)
     log_g = (
-        -0.5 * dc * math.log(2.0 * math.pi * state.sigma2)
+        -0.5 * (~included).sum() * math.log(2.0 * math.pi * state.sigma2)
         + 0.5 * logdet
         - quad / (2.0 * state.sigma2)
     )
@@ -370,7 +373,7 @@ def per_block_chain(data, priors, config, rng):
         scale = (g2 / state.sigma2 + 2 * priors.d) / 2
         state.phi2 = float(scale / rng.gamma(shape))
         if t >= config.burn_in and (t - config.burn_in + 1) % config.thinning == 0:
-            kept.append(state.copy())
+            kept.append(copy.deepcopy(state))
     return (
         np.array([s.beta for s in kept]),
         np.array([s.gamma for s in kept]),
@@ -505,25 +508,27 @@ def table_write_samples(path, samples, manifest_lines=()):
 
 def row_by_row_select_files(out, trace, gamma_labels, manifest_lines=()):
     """Reference select writers: trace.csv, bf_diagnostics.csv and
-    best_model.txt under ``out``, one row per visited model or estimate
-    object, every cell through ``io.fmt`` in ``io.write_table``."""
+    best_model.txt under ``out``, one row per visited model or first visit,
+    every cell through ``io.fmt`` in ``io.write_table``."""
     io.write_table(
         out / "trace.csv", ["iteration", "delta", "log_bf", "accepted"],
         [(it, delta.bitstring(), log_bf, accepted)
          for it, (delta, log_bf, accepted) in enumerate(trace.visited)],
         manifest_lines,
     )
+    firsts = np.flatnonzero(trace.first)
     io.write_table(
         out / "bf_diagnostics.csv",
         ["delta", "valid", "invalid", "log_term_variance", "weight_ess"],
-        [(delta.bitstring(), est.sample_count, est.invalid_count,
-          est.log_term_variance, est.weight_ess)
-         for delta, est in trace.estimates.items()],
+        zip(trace.bitstrings(firsts),
+            *(getattr(trace, name)[firsts].tolist()
+              for name in ("sample_count", "invalid_count", "log_term_variance", "weight_ess"))),
         manifest_lines,
     )
-    delta, log_bf = trace.best
-    lines = [*manifest_lines, f"delta={delta.bitstring()}", f"log_bf={io.fmt(log_bf)}",
-             "included=" + ";".join(gamma_labels[j] for j in delta.included()),
+    best = trace.best_row
+    lines = [*manifest_lines, f"delta={trace.bitstrings([best])[0]}",
+             f"log_bf={io.fmt(trace.log_value[best].item())}",
+             "included=" + ";".join(gamma_labels[j] for j in trace.columns(best)),
              f"skipped={trace.skipped}"]
     (out / "best_model.txt").write_text("".join(line + "\n" for line in lines))
 
@@ -595,7 +600,7 @@ def indicator_walk(samples, candidates, config):
     )
 
 
-def loop_encode_genotypes(raw, missing_marker="NA", snp_names=()):
+def loop_encode_genotypes(raw, snp_names=()):
     """Reference genotype coding: every cell through ``str(x).strip()``, a
     set of observed calls and a Python mapping loop per column."""
     calls = np.asarray(raw, dtype=object)
@@ -609,7 +614,7 @@ def loop_encode_genotypes(raw, missing_marker="NA", snp_names=()):
     warnings: list[str] = []
     for j in range(s):
         col = [str(x).strip() for x in calls[:, j]]
-        observed = sorted({x for x in col if x and x != missing_marker})
+        observed = sorted({x for x in col if x and x != "NA"})
         if not observed:
             raise DataValidationError(f"SNP column {names[j]!r} has no observed calls")
         if len(observed) > 3:
@@ -638,7 +643,7 @@ def loop_encode_genotypes(raw, missing_marker="NA", snp_names=()):
         if len(observed) == 1:
             warnings.append(f"SNP column {names[j]!r} is monomorphic")
         for i, call in enumerate(col):
-            if not call or call == missing_marker:
+            if not call or call == "NA":
                 mask[i, j] = True
             else:
                 codes[i, j] = mapping[call]
@@ -702,7 +707,7 @@ def column_read_numerator_matrix(ped):
 _DEFAULT_CALLS = {-1: "AA", 0: "AB", 1: "BB"}
 
 
-def loop_decode_genotypes(gm, missing_marker="NA"):
+def loop_decode_genotypes(gm):
     """Reference call table: every cell looked up in its column's categories
     one at a time."""
     n, s = gm.codes.shape
@@ -711,7 +716,7 @@ def loop_decode_genotypes(gm, missing_marker="NA"):
         cats = gm.categories[j] if gm.categories else _DEFAULT_CALLS
         for i in range(n):
             if gm.missing_mask[i, j]:
-                out[i, j] = missing_marker
+                out[i, j] = "NA"
             else:
                 code = int(gm.codes[i, j])
                 out[i, j] = cats.get(code, _DEFAULT_CALLS[code])

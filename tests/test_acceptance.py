@@ -37,7 +37,6 @@ from snpgibbs.em import EmConfig, m_step, run_em
 from snpgibbs.model import (
     ImputationPrior,
     PriorHyperparams,
-    default_priors,
     snp_design_matrix,
 )
 from snpgibbs.pedigree import build_numerator_matrix, order_pedigree
@@ -214,7 +213,7 @@ def six_family_campaign():
                 thinning=2,
                 seed=seed + 7,
             )
-            post = run_chain(data, default_priors(), config)
+            post = run_chain(data, PriorHyperparams(), config)
             per_seed.append(recovery_report(truth, post))
         results[level] = (truth, per_seed)
     return results
@@ -280,9 +279,9 @@ def test_criterion_06_bayes_factor_correctness():
         return estimate_bayes_factor(stats, np.ones(len(included), dtype=bool))
 
     full = estimate(samples[:1000], (0, 1, 2))
-    exact_one = full.value == 1.0
+    exact_one = full.log_value == 0.0
 
-    lines = [f"BF(full)={full.value}"]
+    lines = [f"log BF(full)={full.log_value}"]
     ok = exact_one
     for included in ((0, 1), (0,), ()):
         oracle = quadrature_log_bayes_factor(
@@ -309,7 +308,7 @@ def test_criterion_07_two_stage_search_subset_property():
         data = apply_missingness(data, MissingnessMask(0.20, seed=seed))
         post = run_chain(
             data,
-            default_priors(),
+            PriorHyperparams(),
             GibbsConfig(total_iterations=14_000, burn_in=8_000, thinning=2, seed=seed + 1),
         )
         significant = [
@@ -319,7 +318,7 @@ def test_criterion_07_two_stage_search_subset_property():
         ]
         assert significant, "stage one found no significant SNPs"
         trace = exhaustive_search(post, significant, SearchConfig(min_samples_per_bf=2000))
-        best = set(trace.best[0].included())
+        best = set(trace.columns(trace.best_row))
         subset_ok = best.issubset(set(significant))
         ok &= subset_ok
         lines.append(
@@ -335,7 +334,7 @@ def test_criterion_08_single_column_update_fidelity():
     data, _ = make_dataset(
         n=30, s=5, p=2, seed=77, missing=0.10, gamma=[1.5, -1.0, 0.0, 0.8, 0.0]
     )
-    priors = default_priors()
+    priors = PriorHyperparams()
     base = dict(total_iterations=24_000, burn_in=4_000, thinning=2)
     single = run_chain(data, priors, GibbsConfig(**base, seed=10, impute_mode="cycle"))
     full = run_chain(data, priors, GibbsConfig(**base, seed=20, impute_mode="all"))

@@ -57,6 +57,16 @@ class TestSimulateCommand:
         assert run_cli("simulate", "--preset", "equicorrelated", "--out-dir", out) == 0
         assert (out / "kinship.csv").exists()
 
+    def test_unobserved_column_exit_3_without_directory(self, tmp_path, capsys):
+        # the mask leaves a SNP column with no observed call: refused before
+        # --out-dir is made
+        out = tmp_path / "sim"
+        code = run_cli("simulate", "--preset", "five-signal", "--missing", "0.95",
+                       "--seed", "1", "--out-dir", out)
+        assert code == 3
+        assert "SNP column 'snp5' has no observed entries" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_manifest_replay_bitwise(self, tmp_path):
         # mask_seed is an int whose default is None: the replay must read
         # it back as 5, not fall back to the seed
@@ -287,11 +297,13 @@ class TestRunCommand:
         assert "digest_imputation_prior_file" not in (plain / "manifest.txt").read_text()
 
     @pytest.mark.parametrize(
-        "kind", ["phenotypes", "families", "kinship_short", "kinship_extra", "prior"]
+        "kind",
+        ["phenotypes", "families", "kinship_short", "kinship_long", "kinship_extra", "prior"],
     )
     def test_short_input_row_exit_3(self, tmp_path, capsys, kind):
-        # a row with fewer cells than its header, or a kinship row beyond
-        # the header's ids, names the file and the row
+        # a row with fewer cells than its header, a kinship row with more or
+        # a kinship row beyond the header's ids names the file and the row,
+        # before --out-dir is made
         sim = simulate_inputs(tmp_path)
         ids = [row.split(",")[0] for row in read_noncomment_lines(sim / "genotypes.csv")[1:]]
         kinship = ["id," + ",".join(ids)] + [
@@ -308,6 +320,10 @@ class TestRunCommand:
         elif kind == "kinship_short":
             lines = kinship
             row = lines[2] = lines[2].rsplit(",", 1)[0]
+            extra = ["--kinship", "file", "--kinship-file", bad]
+        elif kind == "kinship_long":
+            lines = kinship
+            row = lines[2] = lines[2] + ",0.0"
             extra = ["--kinship", "file", "--kinship-file", bad]
         elif kind == "kinship_extra":
             row = "X," + kinship[1].split(",", 1)[1]
@@ -327,6 +343,7 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert code == 3
         assert err.startswith("error:") and str(bad) in err and repr(row) in err
+        assert not (tmp_path / "x").exists()
 
     def test_numerical_failure_exit_4(self, tmp_path):
         # a SNP column of all heterozygotes is a zero design column, so every
@@ -517,15 +534,14 @@ class TestSelectCommand:
 
     @pytest.mark.parametrize("search", [("--exhaustive",), ("--search-iters", "20")])
     def test_select_reads_only_the_trace_columns(self, tmp_path, monkeypatch, capsys, search):
-        # the per-model objects are for callers of the library; select
-        # writes its files and its warning from the columns
+        # the per-model objects of ``visited`` are for callers of the
+        # library; select writes its files and its warning from the columns
         from snpgibbs.selector import SearchTrace
 
         def unread(self):
             pytest.fail("select built the per-model objects")
 
-        for name in ("visited", "estimates", "best"):
-            monkeypatch.setattr(SearchTrace, name, property(unread))
+        monkeypatch.setattr(SearchTrace, "visited", property(unread))
         sim = simulate_inputs(tmp_path, missing="0.1", preset="six-family", seed="1")
         out = tmp_path / "sel"
         assert run_cli(

@@ -12,7 +12,6 @@ from snpgibbs.em import (
     MissingPattern,
     e_step,
     m_step,
-    missing_distribution,
     observed_loglik,
     run_em,
 )
@@ -30,14 +29,21 @@ from _oracles import (
 
 
 def em_state(data, beta=None, gamma=None, sigma2=1.0):
-    design = snp_design_matrix(data.genotypes.codes, data.snp_coding)
     return EmState(
         beta=np.zeros(data.X.shape[1]) if beta is None else np.asarray(beta, float),
-        gamma=np.zeros(design.shape[1]) if gamma is None else np.asarray(gamma, float),
+        gamma=np.zeros(data.design_dim) if gamma is None else np.asarray(gamma, float),
         sigma2=sigma2,
-        expected_Z=design.astype(float),
-        V_Z=np.zeros((design.shape[1], design.shape[1])),
     )
+
+
+def missing_distribution(state, data, i):
+    """Individual i's posterior over its missing genotype tuples, from the
+    E-step's grouped enumeration run on i alone: (tuples, probabilities),
+    the tuples (3^k, k) over its missing SNPs in index order."""
+    missing = np.flatnonzero(data.genotypes.missing_mask[i])
+    _, residual = em._observed(state, data)
+    probs = em._enumerate(state, data, residual, np.array([i]), missing[None, :])[1]
+    return em._genotype_tuples(missing.size), probs[0]
 
 
 def brute_force_distribution(state, data, i):
@@ -117,8 +123,10 @@ class TestMissingDistribution:
             data, genotypes=GenotypeMatrix(data.genotypes.codes, mask)
         )
         state = em_state(data)
-        with pytest.raises(EnumerationCapError):
-            missing_distribution(state, data, 0)
+        with pytest.raises(EnumerationCapError, match="individual 0 has 7 missing SNPs"):
+            observed_loglik(state, data)
+        # the E-step takes that individual by Monte Carlo instead
+        assert not e_step(state, data)[2]
 
 
 class TestEStep:
@@ -355,9 +363,7 @@ class TestGroupedEnumeration:
         assert abs(loglik - ref_loglik) <= 1e-12 * abs(ref_loglik)
         with pytest.raises(EnumerationCapError, match="individual 8 has 4 missing SNPs"):
             observed_loglik(state, data, cap=27)
-        with pytest.raises(EnumerationCapError):
-            missing_distribution(state, data, 12, cap=27)
-        assert missing_distribution(state, data, 7, cap=27)[1].shape == (27,)
+        assert missing_distribution(state, data, 7)[1].shape == (27,)
 
     @pytest.mark.parametrize(
         "field, value",
@@ -476,7 +482,7 @@ class TestRunEm:
     def test_cross_method_agreement_with_gibbs(self):
         # six families, strong effects, light missingness: EM betas near Gibbs betas
         from snpgibbs.gibbs import GibbsConfig, run_chain
-        from snpgibbs.model import default_priors
+        from snpgibbs.model import PriorHyperparams
         from snpgibbs.simulator import (
             MissingnessMask,
             SimDesign,
@@ -500,7 +506,7 @@ class TestRunEm:
         em_fit, log = run_em(data, EmConfig(max_iterations=200))
         post = run_chain(
             data,
-            default_priors(),
+            PriorHyperparams(),
             GibbsConfig(total_iterations=6000, burn_in=3000, thinning=2, seed=5),
         )
         gibbs_beta = post.betas.mean(axis=0)

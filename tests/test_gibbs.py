@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -29,7 +30,6 @@ from snpgibbs.model import (
     ImputationPrior,
     PhenotypeVector,
     PriorHyperparams,
-    default_priors,
     snp_design_matrix,
 )
 from snpgibbs.pedigree import RelationshipMatrix
@@ -265,7 +265,7 @@ class TestVarianceDraws:
     def test_sigma2_moment_matches(self, rng):
         data, _ = make_dataset(n=10, s=3, p=2, seed=2, kinship="correlated")
         state = state_for(data, beta=[1.0, 2.0], gamma=[0.5, -0.5, 0.2], phi2=1.3)
-        priors = default_priors()
+        priors = PriorHyperparams()
         Zd = snp_design_matrix(state.z_imputed, "signed")
         # the design's statistics once, as a chain keeps them
         work = ChainWorkspace(data, Zd)
@@ -403,7 +403,7 @@ class TestImputation:
             w[::4, :, 0] = 0.0  # impossible classes: -inf log weights
             prior = ImputationPrior("weighted", w / w.sum(axis=2, keepdims=True))
         ours = state_for(data, beta=setup.normal(size=2))
-        ref = ours.copy()
+        ref = copy.deepcopy(ours)
         work = ChainWorkspace(data, snp_design_matrix(ours.z_imputed, data.snp_coding))
         ref_design = work.stats.design.copy()
         rng_ours, rng_ref = np.random.default_rng(9), np.random.default_rng(9)
@@ -462,7 +462,7 @@ class TestChainSetUp:
 
         monkeypatch.setattr(np.linalg, "inv", counting)
         chains = [
-            run_chain(data, default_priors(),
+            run_chain(data, PriorHyperparams(),
                       GibbsConfig(total_iterations=60, burn_in=20, thinning=1, seed=seed))
             for seed in (1, 2)
         ]
@@ -515,7 +515,7 @@ class TestDesignStatistics:
 class TestRunChain:
     def test_zero_missingness_matches_disabled_imputation(self):
         data, _ = make_dataset(n=15, s=3, p=2, seed=20)
-        priors = default_priors()
+        priors = PriorHyperparams()
         base = dict(total_iterations=300, burn_in=100, thinning=2, seed=5)
         a = run_chain(data, priors, GibbsConfig(**base, impute_mode="cycle"))
         b = run_chain(data, priors, GibbsConfig(**base, impute_mode="off"))
@@ -525,7 +525,7 @@ class TestRunChain:
 
     def test_seed_determinism_bitwise(self):
         data, _ = make_dataset(n=12, s=3, p=2, seed=21, missing=0.15)
-        priors = default_priors()
+        priors = PriorHyperparams()
         cfg = GibbsConfig(total_iterations=400, burn_in=200, thinning=3, seed=77)
         a = run_chain(data, priors, cfg)
         b = run_chain(data, priors, cfg)
@@ -538,7 +538,7 @@ class TestRunChain:
     def test_retained_count_formula(self):
         data, _ = make_dataset(n=10, s=2, seed=22)
         cfg = GibbsConfig(total_iterations=1005, burn_in=1000, thinning=4, seed=1)
-        post = run_chain(data, default_priors(), cfg)
+        post = run_chain(data, PriorHyperparams(), cfg)
         assert cfg.retained_count == (1005 - 1000) // 4 == 1
         assert post.retained_count == 1
         assert post.betas.shape[0] == 1
@@ -546,7 +546,7 @@ class TestRunChain:
     def test_states_view_and_observed_entries(self):
         data, _ = make_dataset(n=12, s=3, missing=0.2, seed=23)
         cfg = GibbsConfig(total_iterations=60, burn_in=30, thinning=3, seed=2)
-        post = run_chain(data, default_priors(), cfg)
+        post = run_chain(data, PriorHyperparams(), cfg)
         mask = data.genotypes.missing_mask
         for state in map(post.state, range(post.retained_count)):
             assert np.array_equal(state.z_imputed[~mask], data.genotypes.codes[~mask])
@@ -594,7 +594,7 @@ class TestRunChain:
         cfg = GibbsConfig(
             total_iterations=1500, burn_in=500, thinning=5, seed=3, impute_mode=mode
         )
-        run_chain(data, default_priors(), cfg)
+        run_chain(data, PriorHyperparams(), cfg)
         assert len(errors) == 1500
         assert len(designs) > 100  # imputation kept changing the design
         assert max(errors) < 1e-12
@@ -622,7 +622,7 @@ class TestRunChain:
         cfg = GibbsConfig(
             total_iterations=600, burn_in=100, thinning=2, seed=6, impute_mode=mode
         )
-        run_chain(data, default_priors(), cfg)
+        run_chain(data, PriorHyperparams(), cfg)
         assert len(errors) == (600 if mode == "cycle" else 3000)
         assert max(errors) < 1e-12
         # the sigma^2 draw's image was read, and u was formed afresh where
@@ -636,7 +636,7 @@ class TestRunChain:
         data, _ = make_dataset(
             n=30, s=4, p=2, seed=17, missing=0.3, coding=coding, kinship=kinship
         )
-        priors = default_priors()
+        priors = PriorHyperparams()
         cfg = GibbsConfig(
             total_iterations=300, burn_in=100, thinning=2, seed=4, impute_mode=mode
         )
@@ -662,7 +662,7 @@ class TestRunChain:
         poison_phi2(monkeypatch, 37)
         cfg = GibbsConfig(total_iterations=100, burn_in=50, seed=1)
         with pytest.raises(ChainNumericalError) as info:
-            run_chain(data, default_priors(), cfg)
+            run_chain(data, PriorHyperparams(), cfg)
         assert info.value.iteration == 37
         assert info.value.state is not None
 

@@ -5,7 +5,7 @@ import pytest
 
 from snpgibbs import io
 from snpgibbs.gibbs import GibbsConfig, run_chain
-from snpgibbs.model import DataValidationError, GenotypeMatrix, default_priors
+from snpgibbs.model import DataValidationError, GenotypeMatrix, PriorHyperparams
 from snpgibbs.pedigree import PedigreeRecord, RelationshipMatrix
 from snpgibbs.simulator import (
     MissingnessMask,
@@ -22,7 +22,7 @@ def chain_samples(coding, missing):
     """A short chain's samples with awkward floats in the gamma columns."""
     data, _ = make_dataset(n=14, s=3, p=2, seed=41, missing=missing, coding=coding)
     cfg = GibbsConfig(total_iterations=60, burn_in=20, thinning=2, seed=4)
-    post = run_chain(data, default_priors(), cfg)
+    post = run_chain(data, PriorHyperparams(), cfg)
     gammas = post.gammas.copy()
     awkward = [-0.0, 5e-324, 1e-300, -1.7976931348623157e308, 0.1, 1.0 / 3.0]
     gammas[0, : len(awkward)] = awkward[: gammas.shape[1]]
@@ -222,8 +222,8 @@ class TestDatasetFiles:
             gm = GenotypeMatrix(gm.codes, gm.missing_mask, gm.snp_names)
         manifest = ["# subcommand=simulate"]
         ours, ref = tmp_path / "ours.csv", tmp_path / "ref.csv"
-        io.write_genotypes(ours, data.ids, gm, "-", manifest)
-        calls = loop_decode_genotypes(gm, "-")
+        io.write_genotypes(ours, data.ids, gm, manifest)
+        calls = loop_decode_genotypes(gm)
         rows = [[rid, *calls[i]] for i, rid in enumerate(data.ids)]
         io.write_table(ref, ["id", *gm.names()], rows, manifest)
         assert ours.read_bytes() == ref.read_bytes()
@@ -286,7 +286,7 @@ class TestSamplesRoundTrip:
         data, truth = simulate_dataset(six_family_design(), seed=3)
         data = apply_missingness(data, MissingnessMask(0.1, seed=3))
         cfg = GibbsConfig(total_iterations=60, burn_in=20, thinning=2, seed=4)
-        post = run_chain(data, default_priors(), cfg)
+        post = run_chain(data, PriorHyperparams(), cfg)
         path = tmp_path / "samples.csv"
         io.write_samples(path, post, ["# run=1"])
         back = io.read_samples(path, data)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.stats as st
 
 from snpgibbs import io, selector
 from snpgibbs.gibbs import GibbsConfig, PosteriorSamples, run_chain
-from snpgibbs.model import GenotypeMatrix, PhenotypeVector, default_priors, snp_design_matrix
+from snpgibbs.model import GenotypeMatrix, PhenotypeVector, PriorHyperparams, snp_design_matrix
 from snpgibbs.selector import (
     ESTIMATE_FIELDS,
     EstimationError,
@@ -54,6 +55,31 @@ def estimate(samples, included):
     return estimate_bayes_factor(stats, np.ones(len(included), dtype=bool))
 
 
+def model(*bits):
+    """The boolean row over the design columns that ``bf_sample_term``
+    takes, from 0/1 bits."""
+    return np.array(bits, dtype=bool)
+
+
+def best_bits(trace):
+    return trace.bitstrings([trace.best_row])[0]
+
+
+def first_visits(trace):
+    """(row over all s columns, {field: value}) of each distinct model at
+    its first visit, in visit order."""
+    rows = np.flatnonzero(trace.first)
+    return [
+        (bits.astype(bool), {name: getattr(trace, name)[r].item() for name in ESTIMATE_FIELDS})
+        for bits, r in zip(trace.bits(rows), rows)
+    ]
+
+
+def trace_columns(trace):
+    return {name: getattr(trace, name).tolist()
+            for name in ("included", "accepted", "first", *ESTIMATE_FIELDS)}
+
+
 def states_of(samples):
     return [samples.state(i) for i in range(samples.retained_count)]
 
@@ -61,11 +87,9 @@ def states_of(samples):
 class TestModelIndicator:
     def test_construction_and_sets(self):
         delta = ModelIndicator((1, 0, 1, 0))
-        assert delta.included() == (0, 2)
-        assert delta.excluded() == (1, 3)
         assert delta.bitstring() == "1010"
-        assert not delta.is_full()
-        assert ModelIndicator((1, 1, 1)).is_full()
+        # equal bits, equal models: a set holds each model once
+        assert len({delta, ModelIndicator((1, 0, 1, 0)), ModelIndicator((1, 1, 1, 1))}) == 2
 
     def test_bad_bits(self):
         with pytest.raises(ValueError):
@@ -82,14 +106,14 @@ class TestGWeight:
         zc = Z[:, 2]
         y_orth = np.ones(12) - (np.ones(12) @ zc) / (zc @ zc) * zc
         object.__setattr__(data.phenotypes, "values", y_orth)
-        delta = ModelIndicator((1, 1, 0))
+        delta = model(1, 1, 0)
         expected = (2 * np.pi * state.sigma2) ** -0.5 * np.sqrt(zc @ zc)
         assert abs(g_weight(state, data, delta) - expected) < 1e-12 * expected
 
     def test_hand_evaluation(self):
         data, Z, samples = toy_states(n=4, s=2, seed=2, gamma=(0.5, 0.0), count=10)
         state = samples.state(0)
-        delta = ModelIndicator((1, 0))
+        delta = model(1, 0)
         zc = Z[:, 1]
         C = data.y - data.X @ state.beta - Z[:, [0]] @ state.gamma[[0]]
         quad = (C @ zc) ** 2 / (zc @ zc)
@@ -103,12 +127,12 @@ class TestGWeight:
     def test_full_model_rejected(self):
         data, _, samples = toy_states(count=10)
         with pytest.raises(ValueError):
-            g_weight(samples.state(0), data, ModelIndicator((1, 1, 1)))
+            g_weight(samples.state(0), data, model(1, 1, 1))
 
     def test_determinant_scaling(self):
         # duplicating all rows doubles Z_c'Z_c, scaling the weight by sqrt(2)^dc
         data, Z, samples = toy_states(count=5)
-        delta = ModelIndicator((1, 1, 0))
+        delta = model(1, 1, 0)
         zero_y = dataclasses.replace(data, phenotypes=PhenotypeVector(np.zeros(12)))
         state = samples.state(0)
         state.gamma = np.zeros(3)
@@ -135,12 +159,12 @@ class TestGWeight:
 class TestBfTerm:
     def test_full_model_term_is_zero(self):
         data, _, samples = toy_states(count=5)
-        assert bf_sample_term(samples.state(0), data, ModelIndicator((1, 1, 1))) == 0.0
+        assert bf_sample_term(samples.state(0), data, model(1, 1, 1)) == 0.0
 
     def test_direct_arithmetic(self):
         data, Z, samples = toy_states(count=5)
         state = samples.state(0)
-        delta = ModelIndicator((1, 0, 0))
+        delta = model(1, 0, 0)
         exc = [1, 2]
         Zc = Z[:, exc]
         G = Zc.T @ Zc
@@ -161,7 +185,7 @@ class TestBfTerm:
         state.gamma = np.zeros(3)
         state.beta = np.zeros(2)
         object.__setattr__(data.phenotypes, "values", np.zeros(12))
-        delta = ModelIndicator((1, 1, 0))
+        delta = model(1, 1, 0)
         zc = Z[:, 2]
         expected = 0.5 * math.log(state.phi2) + 0.5 * math.log(zc @ zc)
         assert abs(bf_sample_term(state, data, delta) - expected) < 1e-12
@@ -171,7 +195,6 @@ class TestEstimator:
     def test_full_model_exactly_one(self):
         _, _, samples = toy_states(count=500)
         est = estimate(samples, (0, 1, 2))
-        assert est.value == 1.0
         assert est.log_value == 0.0
 
     @pytest.mark.parametrize("kinship", ["identity", "correlated"])
@@ -304,13 +327,13 @@ class TestBlockElimination:
         trace = exhaustive_search(
             samples, candidates, SearchConfig(min_samples_per_bf=len(states))
         )
-        assert len(trace.estimates) == 2 ** len(candidates)
-        for delta, est in trace.estimates.items():
+        assert trace.first.sum() == 2 ** len(candidates)
+        for delta, est in first_visits(trace):
             reference, valid = reference_log_bf(states, data, delta)
             assert valid == len(states) - 1
-            assert abs(est.log_value - reference) < 1e-9
-            assert est.invalid_count == 1
-            assert est.sample_count == len(states) - 1
+            assert abs(est["log_value"] - reference) < 1e-9
+            assert est["invalid_count"] == 1
+            assert est["sample_count"] == len(states) - 1
 
     @pytest.mark.parametrize("kinship", ["identity", "correlated"])
     def test_shared_design_matches_per_state_reference(self, kinship):
@@ -320,16 +343,16 @@ class TestBlockElimination:
         trace = exhaustive_search(
             samples, candidates, SearchConfig(min_samples_per_bf=len(states))
         )
-        assert len(trace.estimates) == 2 ** len(candidates)
-        for delta, est in trace.estimates.items():
+        assert trace.first.sum() == 2 ** len(candidates)
+        for delta, est in first_visits(trace):
             reference, _ = reference_log_bf(states, data, delta)
-            assert abs(est.log_value - reference) < 1e-9
-            assert est.sample_count == len(states) and est.invalid_count == 0
+            assert abs(est["log_value"] - reference) < 1e-9
+            assert est["sample_count"] == len(states) and est["invalid_count"] == 0
 
     def test_search_reads_only_the_window(self):
         data, _ = make_dataset(n=15, s=3, seed=3, missing=0.2)
         post = run_chain(
-            data, default_priors(),
+            data, PriorHyperparams(),
             GibbsConfig(total_iterations=300, burn_in=100, thinning=1, seed=1),
         )
         config = SearchConfig(search_iterations=60, seed=2, min_samples_per_bf=50)
@@ -341,10 +364,10 @@ class TestBlockElimination:
         ):
             whole, part = search(post), search(window)
             assert whole.visited == part.visited
-            assert whole.estimates == part.estimates
+            assert trace_columns(whole) == trace_columns(part)
         # a different window scores differently
-        assert exhaustive_search(post[100:150], [0, 1], config).estimates != (
-            exhaustive_search(window, [0, 1], config).estimates
+        assert trace_columns(exhaustive_search(post[100:150], [0, 1], config)) != (
+            trace_columns(exhaustive_search(window, [0, 1], config))
         )
 
 
@@ -359,14 +382,14 @@ def _assert_batches_match_single_models(samples, candidates, window):
     single-model ``estimate_bayes_factor`` field by field, within 1e-12
     relative."""
     trace = exhaustive_search(samples, candidates, SearchConfig(min_samples_per_bf=window))
-    assert len(trace.estimates) == 2 ** len(candidates)
+    assert trace.first.sum() == 2 ** len(candidates)
     stats = bayes_factor_statistics(samples[-window:], candidates)
     assert trace.candidates == stats.candidates
     for row in range(len(trace)):
-        est, single = trace.estimate(row), estimate_bayes_factor(stats, trace.included[row])
+        single = estimate_bayes_factor(stats, trace.included[row])
         for name in ESTIMATE_FIELDS:
             assert math.isclose(
-                getattr(est, name), getattr(single, name), rel_tol=1e-12, abs_tol=0.0
+                getattr(trace, name)[row], getattr(single, name), rel_tol=1e-12, abs_tol=0.0
             ), (trace.bitstrings([row]), name)
     return stats
 
@@ -428,7 +451,7 @@ class TestBatchedScoring:
         data, _ = simulate_dataset(six_family_design(), seed=3)
         data = apply_missingness(data, MissingnessMask(0.1, seed=3))
         post = run_chain(
-            data, default_priors(),
+            data, PriorHyperparams(),
             GibbsConfig(total_iterations=300, burn_in=100, thinning=1, seed=3),
         )
         candidates = list(range(data.design_dim))  # 10 columns, 1024 models
@@ -525,7 +548,6 @@ class TestTraceColumns:
             single = estimate_bayes_factor(stats, trace.included[row])
             for name in ESTIMATE_FIELDS:
                 assert getattr(trace, name)[row] == getattr(single, name), (row, name)
-            assert trace.estimate(row) == single
 
     @pytest.mark.parametrize("coarse", [False, True])
     def test_rank_is_a_stable_sort_in_mask_order(self, monkeypatch, coarse):
@@ -634,7 +656,7 @@ def _assert_walk_matches_reference(samples, candidates):
         valid = np.broadcast_to(valid, terms.shape)
         for b, mask in enumerate(rows):
             chosen = [c for k, c in enumerate(candidates) if mask >> k & 1]
-            delta = ModelIndicator(tuple(int(j in chosen) for j in range(data.design_dim)))
+            delta = np.isin(np.arange(data.design_dim), chosen)
             reference = _reference_terms(states, data, delta)
             model_terms = terms[b][valid[b]]
             assert len(model_terms) == len(reference)
@@ -653,7 +675,7 @@ def chain_window(kinship, thinning, count=60, seed=4):
     config = GibbsConfig(
         total_iterations=100 + count * thinning, burn_in=100, thinning=thinning, seed=seed
     )
-    return run_chain(data, default_priors(), config)
+    return run_chain(data, PriorHyperparams(), config)
 
 
 def changed_design_columns(samples):
@@ -832,22 +854,44 @@ class TestProposal:
             counts[int("".join("1" if b else "0" for b in prop), 2)] += 1
         assert st.chisquare(counts).pvalue > 0.001
 
-    def test_empirical_symmetry(self, rng):
-        # q(delta -> delta') == q(delta' -> delta) for the mixture kernel
-        config = SearchConfig(mixture_prob=0.5)
-        walk = np.array([2, 0, 1])
-        a = np.array([True, False, True])
-        b = np.array([True, True, True])  # hamming distance 1
-        n = 1_000_000
-        count_ab = sum(
-            (propose_model(a, walk, rng, config) == b).all() for _ in range(n)
-        )
-        count_ba = sum(
-            (propose_model(b, walk, rng, config) == a).all() for _ in range(n)
-        )
-        p_ab, p_ba = count_ab / n, count_ba / n
-        se = math.sqrt(p_ab * (1 - p_ab) / n + p_ba * (1 - p_ba) / n)
-        assert abs(p_ab - p_ba) < 4 * se + 1e-12
+    def test_exact_symmetry(self):
+        # q(a -> b) == q(b -> a) for every pair of rows of four positions,
+        # three of them walked out of order, summed exactly over every draw
+        # of each branch: a flip of coordinate k has probability p / K, a
+        # jump to the 0/1 vector v has (1 - p) / 2^K
+        walk = np.array([2, 0, 3])
+        K, p = len(walk), Fraction(3, 10)
+        config = SearchConfig(mixture_prob=0.3)
+        flips = [(_Steered(0.0, k, (K,), None), p / K) for k in range(K)]
+        jumps = [(_Steered(1.0, np.array(v), (0, 2), K), (1 - p) / 2**K)
+                 for v in np.ndindex(*(2,) * K)]
+        rows = [np.array(bits, dtype=bool) for bits in np.ndindex(2, 2, 2, 2)]
+        q = {}
+        for a in rows:
+            for steered, weight in flips + jumps:
+                b = propose_model(a, walk, steered, config)
+                assert b[1] == a[1]  # the position outside the walk keeps its value
+                key = (a.tobytes(), b.tobytes())
+                q[key] = q.get(key, 0) + weight
+        assert sum(weight for _, weight in flips + jumps) == 1
+        assert all(q[a, b] == q.get((b, a), 0) for a, b in q)
+        assert len(q) == 2 * 2**K * 2**K  # within each value of position 1, every pair
+
+
+class _Steered:
+    """A generator stand-in that sends ``propose_model`` down one branch:
+    ``random()`` returns ``uniform``, ``integers`` the one ``draw``, after
+    checking that it was asked for the draw's range and size."""
+
+    def __init__(self, uniform, draw, args, size):
+        self.uniform, self.draw, self.args, self.size = uniform, draw, args, size
+
+    def random(self):
+        return self.uniform
+
+    def integers(self, *args, size=None):
+        assert (args, size) == (self.args, self.size)
+        return self.draw
 
 
 TRACE_COLUMNS = ("accepted", "first", *ESTIMATE_FIELDS)
@@ -923,7 +967,7 @@ class TestSearch:
         trace = mh_model_search(samples, None, config)
         occupancy = _occupancy(trace, null, config.search_iterations)
         assert occupancy > 0.95
-        assert trace.best[0] == null
+        assert best_bits(trace) == "0"
 
     def test_degenerate_single_snp_explores_both(self):
         _, _, samples = toy_states(n=14, s=1, seed=3, gamma=(0.0,), count=2000)
@@ -932,7 +976,7 @@ class TestSearch:
         seen = {d.bits for d, _, _ in trace.visited}
         assert len(seen) == 2
         ex = exhaustive_search(samples, [0], config)
-        assert trace.best[0] == ex.best[0]
+        assert best_bits(trace) == best_bits(ex)
 
     def test_exhaustive_counts_and_ranking(self):
         _, _, samples = toy_states(count=3000)
@@ -941,7 +985,7 @@ class TestSearch:
         assert len(trace.visited) == 4
         log_bfs = [lb for _, lb, _ in trace.visited]
         assert log_bfs == sorted(log_bfs, reverse=True)
-        assert trace.best[1] == log_bfs[0]
+        assert trace.log_value[trace.best_row] == log_bfs[0]
 
     def test_exhaustive_zero_candidates_single_null_eval(self):
         _, _, samples = toy_states(count=500)
@@ -959,8 +1003,8 @@ class TestSearch:
         config = SearchConfig(search_iterations=800, seed=5, min_samples_per_bf=4000)
         mh = mh_model_search(samples, None, config)
         ex = exhaustive_search(samples, [0, 1, 2], config)
-        assert mh.best[0] == ex.best[0]
-        assert abs(mh.best[1] - ex.best[1]) < 1e-12
+        assert best_bits(mh) == best_bits(ex)
+        assert abs(mh.log_value[mh.best_row] - ex.log_value[ex.best_row]) < 1e-12
 
     def test_acceptance_shift_invariance(self):
         # accept/reject depends only on log-BF differences
@@ -988,7 +1032,6 @@ class TestSearch:
         # the best model stays inside the screened set and the screen finds
         # mostly true signals
         from snpgibbs.gibbs import GibbsConfig, hpd_interval, run_chain
-        from snpgibbs.model import default_priors
         from snpgibbs.simulator import (
             MissingnessMask,
             apply_missingness,
@@ -1002,7 +1045,7 @@ class TestSearch:
         data = apply_missingness(data, MissingnessMask(0.20, seed=42))
         post = run_chain(
             data,
-            default_priors(),
+            PriorHyperparams(),
             GibbsConfig(
                 total_iterations=12_000, burn_in=6_000, thinning=2, seed=43,
             ),
@@ -1015,7 +1058,7 @@ class TestSearch:
         true_hits = truth_nonzero & set(significant)
         assert len(true_hits) >= max(1, len(significant) // 2)
         trace = exhaustive_search(post, significant, SearchConfig(min_samples_per_bf=2000))
-        assert set(trace.best[0].included()).issubset(set(significant))
+        assert set(trace.columns(trace.best_row)).issubset(set(significant))
 
 
 def _occupancy(trace, target, iterations):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from snpgibbs.gibbs import GibbsConfig, run_chain
-from snpgibbs.model import default_priors
+from snpgibbs.model import PriorHyperparams
 from snpgibbs.simulator import (
     MissingnessMask,
     SimDesign,
@@ -117,7 +117,7 @@ class TestSimulate:
         data, truth = simulate_dataset(design, seed=4)
         post = run_chain(
             data,
-            default_priors(),
+            PriorHyperparams(),
             GibbsConfig(total_iterations=4000, burn_in=2000, thinning=2, seed=1),
         )
         report = recovery_report(truth, post)
@@ -184,7 +184,7 @@ class TestRecoveryReport:
         data, truth = simulate_dataset(five_signal_design(), seed=13)
         post = run_chain(
             data,
-            default_priors(),
+            PriorHyperparams(),
             GibbsConfig(total_iterations=300, burn_in=100, thinning=1, seed=2),
         )
         # overwrite draws with the exact truth: deviations collapse to zero
@@ -203,7 +203,7 @@ class TestRecoveryReport:
         masked = apply_missingness(data, MissingnessMask(0.10, seed=6))
         post = run_chain(
             masked,
-            default_priors(),
+            PriorHyperparams(),
             GibbsConfig(total_iterations=400, burn_in=200, thinning=2, seed=3),
         )
         report = recovery_report(truth, post)
