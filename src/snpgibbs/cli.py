@@ -363,10 +363,10 @@ def _run_chains(data, priors, configs) -> list[PosteriorSamples]:
 def _merge_chains(chains: list[PosteriorSamples]) -> PosteriorSamples:
     if len(chains) == 1:
         return chains[0]
-    draws = ("betas", "gammas", "sigma2s", "phi2s", "masked_values")
     return PosteriorSamples(
         chains[0].data,
-        *(np.concatenate([getattr(c, name) for c in chains]) for name in draws),
+        np.concatenate([c.draws for c in chains]),
+        np.concatenate([c.masked_values for c in chains]),
     )
 
 

@@ -64,6 +64,7 @@ __all__ = [
     "ParameterState",
     "GibbsConfig",
     "PosteriorSamples",
+    "coefficient_names",
     "CredibleInterval",
     "ChainWorkspace",
     "DesignStatistics",
@@ -93,6 +94,9 @@ COUPLING_CHUNK = 1 << 16
 
 # draws an HPD interval needs
 HPD_MIN_DRAWS = 100
+
+# lags of every autocorrelation series: 1..ACF_MAX_LAG
+ACF_MAX_LAG = 20
 
 
 class ChainNumericalError(RuntimeError):
@@ -166,42 +170,57 @@ class CredibleInterval:
             raise ValueError("level must lie in (0, 1)")
 
 
+def coefficient_names(data: Dataset) -> tuple[str, ...]:
+    """The columns of ``PosteriorSamples.draws``: beta, gamma, sigma2, phi2."""
+    return (*data.design.names(), *data.gamma_labels(), "sigma2", "phi2")
+
+
 @dataclass
 class PosteriorSamples:
-    """Thinned post-burn-in draws of the chain run on ``data``, stored
-    compactly.
-
-    Genotype completions are kept only at the dataset's masked cells;
-    ``state(i)`` re-materializes the full ParameterState. A slice of rows,
-    ``samples[-k:]``, is PosteriorSamples of views of those draws.
+    """Thinned post-burn-in draws of the chain run on ``data``, in a samples
+    file's layout: per retained state, a row of ``draws`` (read-only; its
+    columns are ``coefficient_names``) and of ``masked_values``, the codes
+    at the dataset's ``masked_cells``. ``betas``, ``gammas``, ``sigma2s``
+    and ``phi2s`` are views of ``draws``' columns; ``state(i)``
+    re-materializes the full ParameterState. A slice of rows,
+    ``samples[-k:]``, is PosteriorSamples of views of both arrays.
     """
 
     data: Dataset
-    betas: np.ndarray
-    gammas: np.ndarray
-    sigma2s: np.ndarray
-    phi2s: np.ndarray
+    draws: np.ndarray  # retained x (p + design_dim + 2), float64
     masked_values: np.ndarray  # retained x n_masked, int8
+
+    def __post_init__(self):
+        self.draws.flags.writeable = False
 
     @property
     def retained_count(self) -> int:
-        return self.betas.shape[0]
+        return self.draws.shape[0]
+
+    @property
+    def betas(self) -> np.ndarray:
+        return self.draws[:, : self.data.X.shape[1]]
+
+    @property
+    def gammas(self) -> np.ndarray:
+        return self.draws[:, self.data.X.shape[1] : -2]
+
+    @property
+    def sigma2s(self) -> np.ndarray:
+        return self.draws[:, -2]
+
+    @property
+    def phi2s(self) -> np.ndarray:
+        return self.draws[:, -1]
 
     def __getitem__(self, rows: slice) -> "PosteriorSamples":
         if not isinstance(rows, slice):
             raise TypeError("select PosteriorSamples rows with a slice; state(i) gives one")
-        return PosteriorSamples(
-            self.data,
-            self.betas[rows],
-            self.gammas[rows],
-            self.sigma2s[rows],
-            self.phi2s[rows],
-            self.masked_values[rows],
-        )
+        return PosteriorSamples(self.data, self.draws[rows], self.masked_values[rows])
 
     def state(self, i: int) -> ParameterState:
         z = self.data.genotypes.codes.copy()
-        z[self.data.genotypes.missing_mask] = self.masked_values[i]
+        z[self.data.genotypes.masked_cells] = self.masked_values[i]
         return ParameterState(
             self.betas[i].copy(),
             self.gammas[i].copy(),
@@ -211,21 +230,14 @@ class PosteriorSamples:
         )
 
     def coefficient_table(self) -> tuple[tuple, np.ndarray]:
-        names = (*self.data.design.names(), *self.data.gamma_labels(), "sigma2", "phi2")
-        cols = np.column_stack(
-            [self.betas, self.gammas, self.sigma2s[:, None], self.phi2s[:, None]]
-        )
-        return names, cols
+        """The coefficient names and ``draws`` itself, one column each."""
+        return coefficient_names(self.data), self.draws
 
     def summary(self, level: float = 0.95):
         """Per-coefficient mean and HPD interval rows."""
-        names, cols = self.coefficient_table()
-        rows = []
-        for k, name in enumerate(names):
-            draws = cols[:, k]
-            interval = hpd_interval(draws, level)
-            rows.append((name, float(draws.mean()), interval))
-        return rows
+        names, draws = self.coefficient_table()
+        return [(name, float(column.mean()), hpd_interval(column, level))
+                for name, column in zip(names, draws.T)]
 
 
 def _draw_inverse_gamma(rng: np.random.Generator, shape: float, scale: float) -> float:
@@ -616,18 +628,14 @@ def run_chain(
     rng = np.random.default_rng(config.seed)
     state = initial_state(data, config, rng)
     work = ChainWorkspace(data, snp_design_matrix(state.z_imputed, data.snp_coding))
-    masked_flat = np.flatnonzero(data.genotypes.missing_mask.ravel())
-    n_masked = masked_flat.size
-    impute = n_masked > 0 and config.impute_mode != "off"
+    cells = data.genotypes.masked_cells
+    impute = cells[0].size > 0 and config.impute_mode != "off"
     prior = config.imputation_prior
 
     kept = config.retained_count
-    p, sd = data.X.shape[1], data.design_dim
-    betas = np.empty((kept, p))
-    gammas = np.empty((kept, sd))
-    sigma2s = np.empty(kept)
-    phi2s = np.empty(kept)
-    masked_values = np.empty((kept, n_masked), dtype=np.int8)
+    p = data.X.shape[1]
+    draws = np.empty((kept, p + data.design_dim + 2))
+    masked_values = np.empty((kept, cells[0].size), dtype=np.int8)
 
     s, cycle, every = data.s, config.impute_mode == "cycle", range(data.s)
     thinning = config.thinning
@@ -654,15 +662,14 @@ def run_chain(
 
         if t == keep_at:
             keep_at += thinning
-            betas[keep_idx] = state.beta
-            gammas[keep_idx] = state.gamma
-            sigma2s[keep_idx] = state.sigma2
-            phi2s[keep_idx] = state.phi2
-            if n_masked:
-                masked_values[keep_idx] = state.z_imputed.ravel()[masked_flat]
+            row = draws[keep_idx]
+            row[:p] = state.beta
+            row[p:-2] = state.gamma
+            row[-2:] = state.sigma2, state.phi2
+            masked_values[keep_idx] = state.z_imputed[cells]
             keep_idx += 1
 
-    return PosteriorSamples(data, betas, gammas, sigma2s, phi2s, masked_values)
+    return PosteriorSamples(data, draws, masked_values)
 
 
 def hpd_interval(samples: np.ndarray, level: float = 0.95) -> CredibleInterval:
@@ -681,8 +688,8 @@ def hpd_interval(samples: np.ndarray, level: float = 0.95) -> CredibleInterval:
     return CredibleInterval(lower, upper, level, contains_zero=lower <= 0.0 <= upper)
 
 
-def autocorrelations(x: np.ndarray, max_lag: int = 20) -> np.ndarray:
-    """Sample autocorrelations at lags 1..max_lag of a series, or of each
+def autocorrelations(x: np.ndarray) -> np.ndarray:
+    """Sample autocorrelations at lags 1..ACF_MAX_LAG of a series, or of each
     column of a 2-D ``x``, one row of lags per column; zeros for a constant
     series. Each lag of each column is one dot product of that column's
     centred series, in one batched ``np.matmul`` per lag, so a column's row
@@ -694,8 +701,8 @@ def autocorrelations(x: np.ndarray, max_lag: int = 20) -> np.ndarray:
         row -= row.mean()  # an axis mean of the 2-D array sums in another order
     rows, cols = series[:, None, :], series[:, :, None]
     denom = np.matmul(rows, cols)[:, 0]
-    acf = np.empty((series.shape[0], max_lag))
-    for k in range(1, max_lag + 1):
+    acf = np.empty((series.shape[0], ACF_MAX_LAG))
+    for k in range(1, ACF_MAX_LAG + 1):
         acf[:, k - 1] = np.matmul(rows[..., k:], cols[:, :-k])[:, 0, 0]
     np.divide(acf, denom, out=acf, where=denom != 0.0)
     acf[denom[:, 0] == 0.0] = 0.0

@@ -9,13 +9,13 @@ round-trips exactly, so a file can be reloaded bit-identically.
 from __future__ import annotations
 
 import hashlib
-from itertools import chain
+from itertools import chain, zip_longest
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .gibbs import PosteriorSamples, autocorrelations
+from .gibbs import ACF_MAX_LAG, PosteriorSamples, autocorrelations, coefficient_names
 from .model import (
     Dataset,
     KINSHIP_SYMMETRY_TOL,
@@ -92,8 +92,8 @@ def file_digest(path) -> str:
 def read_table(path, short_rows: bool = False) -> tuple[list[str], list[list[str]]]:
     """Comma-separated file as (header, rows); '#' lines skipped, cells
     stripped of surrounding whitespace, a leading UTF-8 byte-order mark
-    dropped. A row with fewer cells than the header is an error unless
-    ``short_rows``."""
+    dropped. A row with more cells than the header is an error, and so is
+    one with fewer unless ``short_rows``."""
     header: Optional[list[str]] = None
     rows: list[list[str]] = []
     with open(path, "r", encoding="utf-8-sig") as fh:
@@ -107,6 +107,11 @@ def read_table(path, short_rows: bool = False) -> tuple[list[str], list[list[str
                 cells = [c.strip() for c in cells]
             if header is None:
                 header = cells
+            elif len(cells) > len(header):
+                raise DataValidationError(
+                    f"{path}: row {line!r} has {len(cells)} cells, more than the "
+                    f"header's {len(header)}"
+                )
             elif len(cells) < len(header) and not short_rows:
                 raise DataValidationError(
                     f"{path}: row {line!r} has {len(cells)} of the header's {len(header)} cells"
@@ -185,10 +190,7 @@ def read_genotype_calls(path):
     snp_names = header[1:]
     ids = [r[0] for r in rows]
     _check_unique(path, ids)
-    calls = [r[1:] for r in rows]
-    if any(len(row) != len(snp_names) for row in calls):
-        raise DataValidationError(f"{path}: ragged genotype rows")
-    return ids, snp_names, calls
+    return ids, snp_names, [r[1:] for r in rows]
 
 
 def write_genotypes(path, ids, gm: GenotypeMatrix, manifest_lines=()):
@@ -236,12 +238,6 @@ def read_kinship_matrix(path) -> RelationshipMatrix:
         )
     if any(row[0] != ids[k] for k, row in enumerate(rows)):
         raise DataValidationError(f"{path}: kinship row ids must match header order")
-    wide = next((row for row in rows if len(row) > len(header)), None)
-    if wide is not None:
-        raise DataValidationError(
-            f"{path}: row {','.join(wide)!r} has {len(wide)} cells, more than the "
-            f"header's {len(header)}"
-        )
     entries = np.array(_numbers(path, rows, 1))
     try:
         R = RelationshipMatrix(ids, entries)  # checks the shape and the ids
@@ -286,13 +282,13 @@ def read_imputation_prior(path, ids, snp_names) -> ImputationPrior:
 # -- posterior samples ---------------------------------------------------------
 
 
-def _masked_cell_labels(data: Dataset) -> list[str]:
+def _samples_header(data: Dataset) -> list[str]:
+    """The header of a samples file of ``data``: the coefficient names, then
+    zimp_<id>_<snp> of every masked cell, in ``masked_cells`` order."""
     snp_names = data.genotypes.names()
-    labels = []
-    for i, j in zip(*np.nonzero(data.genotypes.missing_mask)):
-        rid = data.ids[i] if data.ids else str(i)
-        labels.append(f"zimp_{rid}_{snp_names[j]}")
-    return labels
+    rows, cols = (index.tolist() for index in data.genotypes.masked_cells)
+    labels = (f"zimp_{data.ids[i] if data.ids else i}_{snp_names[j]}" for i, j in zip(rows, cols))
+    return [*coefficient_names(data), *labels]
 
 
 # each masked genotype code's cell with its leading comma, by code + 1
@@ -302,8 +298,6 @@ _CODE_CELLS = np.array([b",-1", b",0", b",1"])
 def write_samples(path, samples: PosteriorSamples, manifest_lines=()):
     """One row per retained state: coefficients, variances, then the
     imputed genotype codes of every masked cell."""
-    names, cols = samples.coefficient_table()
-    header = list(names) + _masked_cell_labels(samples.data)
     codes = samples.masked_values
     if codes.size and (codes.min() < -1 or codes.max() > 1):
         raise ValueError("masked genotype codes must be -1, 0 or 1")
@@ -313,58 +307,53 @@ def write_samples(path, samples: PosteriorSamples, manifest_lines=()):
     lines = (
         ",".join(map(repr, values))
         + _CODE_CELLS[row + 1].tobytes().replace(b"\0", b"").decode("ascii")
-        for values, row in zip(cols.tolist(), codes, strict=True)
+        for values, row in zip(samples.draws.tolist(), codes, strict=True)
     )
-    _write_csv(path, header, lines, manifest_lines)
+    _write_csv(path, _samples_header(samples.data), lines, manifest_lines)
 
 
 def read_samples(path, data: Dataset) -> PosteriorSamples:
-    """Rebuild PosteriorSamples from a dump, aligned to the dataset shape.
+    """Rebuild PosteriorSamples from a dump written for ``data``.
 
-    The first line that is neither blank nor a '#' comment is the header;
-    the rows below it are parsed in one ``np.loadtxt``. Every beta and
-    gamma must be finite, every sigma^2 and phi^2 finite and positive,
-    every imputed code -1, 0 or 1.
+    The first line that is neither blank nor a '#' comment is the header,
+    which must name the columns ``write_samples`` writes for ``data``: its
+    coefficients, then its masked cells. The rows below it are parsed in
+    one ``np.loadtxt``. Every beta and gamma must be finite, every sigma^2
+    and phi^2 finite and positive, every imputed code -1, 0 or 1.
     """
     with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [line for line in fh if line.strip() and not line.startswith("#")]
     if not lines:
         raise DataValidationError(f"{path}: empty file")
-    p = data.X.shape[1]
-    sd = data.design_dim
-    n_masked = int(data.genotypes.missing_mask.sum())
-    expected_cols = p + sd + 2 + n_masked
-    n_cols = len(lines[0].split(","))
-    if n_cols != expected_cols:
+    header = [cell.strip() for cell in lines[0].split(",")]
+    expected = _samples_header(data)
+    if header != expected:
+        k = next(k for k, (a, b) in enumerate(zip_longest(header, expected)) if a != b)
+        got, want = (repr(names[k]) if k < len(names) else "no column"
+                     for names in (header, expected))
         raise DataValidationError(
-            f"{path}: expected {expected_cols} columns for this dataset, got {n_cols}"
+            f"{path}: the header's columns do not match this dataset's: column {k + 1} "
+            f"is {got}, expected {want}"
         )
     if len(lines) == 1:
         raise DataValidationError(f"{path}: header but no sample rows")
     values = np.loadtxt(lines[1:], delimiter=",", ndmin=2)
-    if values.shape[1] != expected_cols:
+    if values.shape[1] != len(header):
         raise DataValidationError(
-            f"{path}: sample rows have {values.shape[1]} columns, the header {n_cols}"
+            f"{path}: sample rows have {values.shape[1]} columns, the header {len(header)}"
         )
-    coefficients = values[:, : p + sd]
-    variances, codes = values[:, p + sd : p + sd + 2], values[:, p + sd + 2 :]
-    bad_variances = ~(np.isfinite(variances) & (variances > 0))
+    width = len(header) - data.genotypes.masked_cells[0].size
+    draws, codes = values[:, :width], values[:, width:]
+    finite = np.isfinite(draws)
     for bad, what in (
-        (~np.isfinite(coefficients), "beta and gamma must be finite"),
-        (bad_variances, "sigma2 and phi2 must be finite and positive"),
+        (~finite[:, :-2], "beta and gamma must be finite"),
+        (~(finite[:, -2:] & (draws[:, -2:] > 0)), "sigma2 and phi2 must be finite and positive"),
         (~np.isin(codes, (-1.0, 0.0, 1.0)), "imputed genotype codes must be -1, 0 or 1"),
     ):
         if bad.any():
             row = int(np.flatnonzero(bad.any(axis=1))[0])
             raise DataValidationError(f"{path}: sample row {row + 1}: {what}")
-    return PosteriorSamples(
-        data,
-        betas=coefficients[:, :p],
-        gammas=coefficients[:, p:],
-        sigma2s=variances[:, 0],
-        phi2s=variances[:, 1],
-        masked_values=codes.astype(np.int8),
-    )
+    return PosteriorSamples(data, draws, codes.astype(np.int8))
 
 
 def write_summary(path, summary, manifest_lines=()):
@@ -390,11 +379,11 @@ def write_intervals(path, summary, manifest_lines=()):
 
 
 def write_autocorrelations(path, samples: PosteriorSamples, manifest_lines=()):
-    """Lags 1..20 of every coefficient's autocorrelation, one row each; the
-    cells are the repr of each float, as ``fmt`` writes them."""
-    names, cols = samples.coefficient_table()
-    acf = autocorrelations(cols)
-    header = ["name"] + [f"lag{k}" for k in range(1, acf.shape[1] + 1)]
+    """Lags 1..ACF_MAX_LAG of every coefficient's autocorrelation, one row
+    each; the cells are the repr of each float, as ``fmt`` writes them."""
+    names, draws = samples.coefficient_table()
+    acf = autocorrelations(draws)
+    header = ["name"] + [f"lag{k}" for k in range(1, ACF_MAX_LAG + 1)]
     lines = (",".join([name, *map(repr, row)]) for name, row in zip(names, acf.tolist()))
     _write_csv(path, header, lines, manifest_lines)
 

@@ -144,6 +144,14 @@ class GenotypeMatrix:
     def missing_fraction(self) -> float:
         return float(self.missing_mask.mean()) if self.missing_mask.size else 0.0
 
+    @cached_property
+    def masked_cells(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rows, cols) of the masked cells, read-only, in row-major order:
+        the order of ``PosteriorSamples.masked_values`` and of ``zimp_`` columns."""
+        rows, cols = np.nonzero(self.missing_mask)
+        rows.flags.writeable = cols.flags.writeable = False
+        return rows, cols
+
     def names(self) -> tuple[str, ...]:
         if self.snp_names:
             return self.snp_names

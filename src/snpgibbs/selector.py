@@ -383,20 +383,20 @@ def bayes_factor_statistics(
     position = np.empty(s, dtype=int)  # design column -> column of W
     position[F + K] = np.arange(s)
 
-    # with no missing genotype every state shares the observed design
-    mask = data.genotypes.missing_mask
-    D = count if mask.any() else 1
+    # each masked cell's individual and SNP, in masked_values order; with
+    # no missing genotype every state shares the observed design
+    individuals, snps = data.genotypes.masked_cells
+    D = count if individuals.size else 1
     L = count // D
     masked = samples.masked_values[:D]
     codes = data.genotypes.codes.copy()
-    codes[mask] = masked[0]
+    codes[individuals, snps] = masked[0]
     # W = [Z_F | Z_K | X | y] of the first design
     stats = DesignStatistics(
         data, data.Rinv, snp_design_matrix(codes, data.snp_coding)[:, F + K]
     )
-    # each masked cell's individual and design columns (as columns of W)
+    # each masked cell's design columns (as columns of W)
     table = data.coding.values
-    individuals, snps = np.nonzero(mask)  # masked_values order
     cell_columns = position[snps[:, None] * table.shape[1] + np.arange(table.shape[1])]
 
     betas = samples.betas.reshape(D, L, p)

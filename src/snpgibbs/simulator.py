@@ -294,20 +294,13 @@ def recovery_report(
             }
         )
 
-    s = truth.true_codes.shape[1]
-    masked_flat = np.flatnonzero(posterior.data.genotypes.missing_mask.ravel())
-    if masked_flat.size:
-        true_vals = truth.true_codes.ravel()[masked_flat]
-        correct = posterior.masked_values == true_vals[None, :]
-        cell_cols = masked_flat % s
-        for j, name in enumerate(truth.snp_names):
-            cells = np.flatnonzero(cell_cols == j)
-            report.imputation_frequencies[name] = (
-                float(correct[:, cells].mean()) if cells.size else None
-            )
-    else:
-        for name in truth.snp_names:
-            report.imputation_frequencies[name] = None
+    rows, cols = posterior.data.genotypes.masked_cells
+    correct = posterior.masked_values == truth.true_codes[rows, cols]
+    for j, name in enumerate(truth.snp_names):
+        cells = np.flatnonzero(cols == j)
+        report.imputation_frequencies[name] = (
+            float(correct[:, cells].mean()) if cells.size else None
+        )
     return report
 
 

@@ -119,8 +119,9 @@ def conjugate_posterior_states(data, sigma2, phi2, count, seed):
         mean_b = np.linalg.solve(XtRinvX, X.T @ Rinv @ (y - Z @ gammas[k]))
         betas[k] = mean_b + Lb @ rng.standard_normal(X.shape[1])
     mask = data.genotypes.missing_mask
+    variances = np.tile([float(sigma2), float(phi2)], (count, 1))
     return PosteriorSamples(
-        data, betas, gammas, np.full(count, float(sigma2)), np.full(count, float(phi2)),
+        data, np.column_stack([betas, gammas, variances]),
         np.tile(data.genotypes.codes[mask], (count, 1)),
     )
 

@@ -298,12 +298,13 @@ class TestRunCommand:
 
     @pytest.mark.parametrize(
         "kind",
-        ["phenotypes", "families", "kinship_short", "kinship_long", "kinship_extra", "prior"],
+        ["phenotypes", "families", "kinship_short", "kinship_long", "kinship_extra", "prior",
+         "phenotypes_long", "families_long", "prior_long"],
     )
     def test_short_input_row_exit_3(self, tmp_path, capsys, kind):
-        # a row with fewer cells than its header, a kinship row with more or
-        # a kinship row beyond the header's ids names the file and the row,
-        # before --out-dir is made
+        # a row with fewer cells than its header or more, or a kinship row
+        # beyond the header's ids names the file and the row, before
+        # --out-dir is made
         sim = simulate_inputs(tmp_path)
         ids = [row.split(",")[0] for row in read_noncomment_lines(sim / "genotypes.csv")[1:]]
         kinship = ["id," + ",".join(ids)] + [
@@ -312,11 +313,11 @@ class TestRunCommand:
         inputs = {"phenotypes": sim / "phenotypes.csv", "families": sim / "families.csv"}
         bad = tmp_path / "bad.csv"
         extra = []
-        if kind in inputs:  # the second data row loses its value
-            lines = read_noncomment_lines(inputs[kind])
-            row = ids[1]
-            lines[2] = row
-            inputs[kind] = bad
+        name = kind.removesuffix("_long")
+        if name in inputs:  # the second data row loses its value, or gains a cell
+            lines = read_noncomment_lines(inputs[name])
+            row = lines[2] = lines[2] + ",7.5" if kind.endswith("_long") else ids[1]
+            inputs[name] = bad
         elif kind == "kinship_short":
             lines = kinship
             row = lines[2] = lines[2].rsplit(",", 1)[0]
@@ -330,7 +331,7 @@ class TestRunCommand:
             lines = kinship + [row]
             extra = ["--kinship", "file", "--kinship-file", bad]
         else:
-            row = f"{ids[0]},snp1,0.2,0.3"
+            row = f"{ids[0]},snp1,0.2,0.3" + (",0.5,0.1" if kind == "prior_long" else "")
             lines = ["id,snp,w_minus1,w_0,w_plus1", row]
             extra = ["--imputation-prior", "file", "--imputation-prior-file", bad]
         bad.write_text("\n".join(lines) + "\n")

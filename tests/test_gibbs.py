@@ -692,6 +692,36 @@ class TestRunChain:
         assert np.allclose(state.gamma, truth["gamma"], atol=0.5)
 
 
+class TestPosteriorSamples:
+    @staticmethod
+    def chain():
+        data, _ = make_dataset(n=12, s=3, p=2, missing=0.2, seed=23)
+        cfg = GibbsConfig(total_iterations=60, burn_in=30, thinning=3, seed=2)
+        return run_chain(data, PriorHyperparams(), cfg)
+
+    def test_coefficient_table_is_the_draws(self):
+        post = self.chain()
+        names, table = post.coefficient_table()
+        assert np.shares_memory(table, post.draws) and table.shape == post.draws.shape
+        assert len(names) == table.shape[1] and names[-2:] == ("sigma2", "phi2")
+        views = (post.betas, post.gammas, post.sigma2s, post.phi2s)
+        assert np.array_equal(np.column_stack(views), post.draws)
+        for view in views:
+            assert np.shares_memory(view, post.draws) and not view.flags.writeable
+
+    def test_row_slice_is_views_of_both_arrays(self):
+        post = self.chain()
+        assert post.masked_values.shape[1] > 0
+        tail = post[-4:]
+        assert tail.retained_count == 4
+        assert np.shares_memory(tail.draws, post.draws)
+        assert np.shares_memory(tail.masked_values, post.masked_values)
+        assert np.array_equal(tail.draws, post.draws[-4:])
+        assert np.array_equal(tail.masked_values, post.masked_values[-4:])
+        with pytest.raises(TypeError):
+            post[3]
+
+
 class TestHpd:
     def test_normal_interval(self):
         rng = np.random.default_rng(1)
@@ -733,7 +763,7 @@ class TestHpd:
 class TestDiagnostics:
     def test_autocorrelations_white_noise(self):
         rng = np.random.default_rng(4)
-        acf = autocorrelations(rng.standard_normal(20000), max_lag=5)
+        acf = autocorrelations(rng.standard_normal(20000))[:5]
         assert np.max(np.abs(acf)) < 0.05
 
     def test_autocorrelations_ar1(self):
@@ -741,7 +771,7 @@ class TestDiagnostics:
         x = np.zeros(50000)
         for t in range(1, x.size):
             x[t] = 0.8 * x[t - 1] + rng.standard_normal()
-        acf = autocorrelations(x, max_lag=3)
+        acf = autocorrelations(x)[:3]
         assert abs(acf[0] - 0.8) < 0.03
 
     @pytest.mark.parametrize("draws", [150, 4000])
@@ -751,11 +781,11 @@ class TestDiagnostics:
         cols[:, 3] = 2.5  # constant: zeros
         cols[:, 4] = 0.1  # constant, but its mean is not exactly 0.1
         cols[:, 5] = cols[:, 5].round()
-        acf = autocorrelations(cols, max_lag=20)
+        acf = autocorrelations(cols)
         assert acf.shape == (9, 20) and not acf[3].any()
         for k in range(9):
             assert np.array_equal(acf[k], dot_autocorrelations(cols[:, k], 20))
-            assert np.array_equal(acf[k], autocorrelations(cols[:, k], 20))
+            assert np.array_equal(acf[k], autocorrelations(cols[:, k]))
 
     def test_batch_mean_stderr_iid(self):
         rng = np.random.default_rng(6)

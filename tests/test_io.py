@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from snpgibbs import io
+from snpgibbs import cli, io
 from snpgibbs.gibbs import GibbsConfig, run_chain
 from snpgibbs.model import DataValidationError, GenotypeMatrix, PriorHyperparams
 from snpgibbs.pedigree import PedigreeRecord, RelationshipMatrix
@@ -23,10 +23,11 @@ def chain_samples(coding, missing):
     data, _ = make_dataset(n=14, s=3, p=2, seed=41, missing=missing, coding=coding)
     cfg = GibbsConfig(total_iterations=60, burn_in=20, thinning=2, seed=4)
     post = run_chain(data, PriorHyperparams(), cfg)
-    gammas = post.gammas.copy()
+    draws = post.draws.copy()
+    gammas = draws[:, data.X.shape[1] : -2]
     awkward = [-0.0, 5e-324, 1e-300, -1.7976931348623157e308, 0.1, 1.0 / 3.0]
     gammas[0, : len(awkward)] = awkward[: gammas.shape[1]]
-    return data, dataclasses.replace(post, gammas=gammas)
+    return data, dataclasses.replace(post, draws=draws)
 
 
 class TestTables:
@@ -205,7 +206,8 @@ class TestDatasetFiles:
         path.write_text(text)
         with pytest.raises(DataValidationError) as info:
             io.read_genotype_calls(path)
-        assert str(info.value) == f"{path}: ragged genotype rows"
+        wide = [row for row in text.splitlines() if row.count(",") == 3][0]
+        assert str(info.value) == f"{path}: row {wide!r} has 4 cells, more than the header's 3"
 
     def test_genotype_file_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "g.csv"
@@ -308,6 +310,40 @@ class TestSamplesRoundTrip:
             want = getattr(post, name)
             assert np.array_equal(getattr(back, name).view(np.int64), want.view(np.int64))
         assert np.array_equal(back.masked_values, post.masked_values)
+
+    def test_one_and_two_merged_chains_round_trip_bitwise(self, tmp_path):
+        data, _ = make_dataset(n=14, s=3, p=2, seed=41, missing=0.2, coding="additive_dominance")
+        chains = [
+            run_chain(data, PriorHyperparams(),
+                      GibbsConfig(total_iterations=60, burn_in=20, thinning=2, seed=seed))
+            for seed in (4, 5)
+        ]
+        merged = cli._merge_chains(chains)
+        assert merged.retained_count == 2 * chains[0].retained_count
+        for post in (chains[0], merged):
+            path = tmp_path / "samples.csv"
+            io.write_samples(path, post)
+            back = io.read_samples(path, data)
+            assert np.array_equal(back.draws.view(np.int64), post.draws.view(np.int64))
+            assert np.array_equal(back.masked_values, post.masked_values)
+
+    def test_samples_of_other_masked_cells_rejected(self, tmp_path):
+        # two masks of one dataset with as many cells each: the column
+        # counts agree, the cells do not
+        full, _ = simulate_dataset(six_family_design(), seed=1)
+        data, other = (apply_missingness(full, MissingnessMask(0.1, seed=k)) for k in (1, 2))
+        cfg = GibbsConfig(total_iterations=30, burn_in=10, thinning=1, seed=1)
+        paths = [tmp_path / "samples1.csv", tmp_path / "samples2.csv"]
+        for path, d in zip(paths, (data, other)):
+            io.write_samples(path, run_chain(d, PriorHyperparams(), cfg))
+        header, want = (path.read_text().splitlines()[0].split(",") for path in paths)
+        assert len(header) == len(want) and header != want
+        k = next(k for k, (a, b) in enumerate(zip(header, want)) if a != b)
+        assert header[k].startswith("zimp_")
+        with pytest.raises(DataValidationError) as info:
+            io.read_samples(paths[0], other)
+        assert str(info.value).startswith(f"{paths[0]}: ")
+        assert f"column {k + 1} is {header[k]!r}, expected {want[k]!r}" in str(info.value)
 
     @pytest.mark.parametrize("missing", [0.0, 0.2])
     @pytest.mark.parametrize("coding", ["signed", "additive_dominance"])

@@ -337,6 +337,17 @@ class TestGenotypeMatrix:
         assert gm.codes.tolist() == [[1, 0], [-1, 0]]
         assert snp_design_matrix(gm.codes, ADDITIVE_DOMINANCE)[0].tolist() == [1, 0, 0, 1]
 
+    def test_masked_cells_are_the_mask_in_row_major_order(self):
+        mask = np.array([[False, True, True], [True, False, False], [False, False, True]])
+        gm = GenotypeMatrix(np.zeros((3, 3), dtype=np.int8), mask)
+        rows, cols = gm.masked_cells
+        want_rows, want_cols = np.nonzero(mask)
+        assert rows.tolist() == want_rows.tolist() == [0, 0, 1, 2]
+        assert cols.tolist() == want_cols.tolist() == [1, 2, 0, 2]
+        assert gm.masked_cells is gm.masked_cells
+        with pytest.raises(ValueError, match="read-only"):
+            rows[0] = 2
+
     def test_bad_code_rejected(self):
         codes = np.array([[2]], dtype=np.int8)
         with pytest.raises(DataValidationError, match="-1, 0 or"):

@@ -302,7 +302,8 @@ def imputed_states(coding, kinship, count=40, seed=5, missing=0.2, constant_snp=
         assert cells.size > 1
         masked[:, cells[0]] = 1
         masked[7, cells] = 0
-    return data, PosteriorSamples(data, betas, gammas, sigma2s, phi2s, masked)
+    draws = np.column_stack([betas, gammas, sigma2s, phi2s])
+    return data, PosteriorSamples(data, draws, masked)
 
 
 def reference_log_bf(states, data, delta):

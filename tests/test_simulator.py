@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -187,10 +189,10 @@ class TestRecoveryReport:
             PriorHyperparams(),
             GibbsConfig(total_iterations=300, burn_in=100, thinning=1, seed=2),
         )
-        # overwrite draws with the exact truth: deviations collapse to zero
-        post.betas[:] = np.array(truth.beta_true)
-        post.gammas[:] = np.array(truth.gamma_true)
-        post.sigma2s[:] = truth.sigma2_true
+        # draws that are the exact truth (phi^2 aside): deviations collapse to zero
+        draws = post.draws.copy()
+        draws[:, :-1] = [*truth.beta_true, *truth.gamma_true, truth.sigma2_true]
+        post = dataclasses.replace(post, draws=draws)
         report = recovery_report(truth, post)
         for row in report.parameter_rows:
             if row["name"] not in ("phi2",):
